@@ -95,6 +95,7 @@ type SchedEndToEnd struct {
 	WarmRuns         int64 `json:"sched_warm_runs"`
 	CandidateHits    int64 `json:"sched_candidate_hits"`
 	FallbackReroutes int64 `json:"sched_fallback_reroutes"`
+	Livelocks        int64 `json:"sched_livelocks"`
 }
 
 // schedAugment clones c and adds n DFT channels on the first free edges,
@@ -312,9 +313,10 @@ func runSchedEndToEnd() (*SchedEndToEnd, error) {
 		e2e.WarmRuns += st.Counters["sched_warm_runs"]
 		e2e.CandidateHits += st.Counters["sched_candidate_hits"]
 		e2e.FallbackReroutes += st.Counters["sched_fallback_reroutes"]
+		e2e.Livelocks += st.Counters["sched_livelocks"]
 	}
-	fmt.Fprintf(os.Stderr, "%-6s end-to-end outer %10.1fms (baseline) vs %10.1fms (engine)  builds %d  runs %d  cand_hits %d\n",
+	fmt.Fprintf(os.Stderr, "%-6s end-to-end outer %10.1fms (baseline) vs %10.1fms (engine)  builds %d  runs %d  cand_hits %d  livelocks %d\n",
 		c.Name, float64(e2e.BaselineOuterNs)/1e6, float64(e2e.EngineOuterNs)/1e6,
-		e2e.EngineBuilds, e2e.WarmRuns, e2e.CandidateHits)
+		e2e.EngineBuilds, e2e.WarmRuns, e2e.CandidateHits, e2e.Livelocks)
 	return e2e, nil
 }

@@ -273,6 +273,7 @@ func run() int {
 				st.Count("sched_warm_runs", snap.WarmRuns)
 				st.Count("sched_candidate_hits", snap.CandidateHits)
 				st.Count("sched_fallback_reroutes", snap.FallbackReroutes)
+				st.Count("sched_livelocks", snap.Livelocks)
 				return nil
 			},
 		})

@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -202,6 +204,11 @@ type resultDisk struct {
 	SolveDegraded   bool           `json:"solve_degraded"`
 	Leakage         *leakDisk      `json:"leakage,omitempty"`
 	CoverageFull    bool           `json:"coverage_full"`
+
+	// TraceNonFinite holds the trace entries a JSON number cannot carry,
+	// by index ("+Inf", "-Inf" or "NaN"; Trace has 0 there). A flow
+	// interrupted before its first valid fitness traces +Inf.
+	TraceNonFinite map[int]string `json:"trace_non_finite,omitempty"`
 }
 
 type leakDisk struct {
@@ -232,7 +239,6 @@ func EncodeResult(res *Result) ([]byte, error) {
 		ExecNoPSO:       res.ExecNoPSO,
 		ExecPSO:         res.ExecPSO,
 		ExecIndependent: res.ExecIndependent,
-		Trace:           res.Trace,
 		NumDFTValves:    res.NumDFTValves,
 		NumShared:       res.NumShared,
 		NumTestVectors:  res.NumTestVectors,
@@ -242,6 +248,7 @@ func EncodeResult(res *Result) ([]byte, error) {
 		SolveDegraded:   res.Solve.Degraded,
 		CoverageFull:    res.CoverageFull,
 	}
+	d.Trace, d.TraceNonFinite = splitTrace(res.Trace)
 	if res.Leakage != nil {
 		d.Leakage = &leakDisk{
 			Examined:     res.Leakage.Examined,
@@ -251,6 +258,25 @@ func EncodeResult(res *Result) ([]byte, error) {
 		}
 	}
 	return json.Marshal(d)
+}
+
+// splitTrace moves a trace's non-finite entries into a side table, leaving
+// a finite trace untouched (and so encoded exactly as before).
+func splitTrace(trace []float64) ([]float64, map[int]string) {
+	var nonFinite map[int]string
+	out := trace
+	for i, v := range trace {
+		if !math.IsInf(v, 0) && !math.IsNaN(v) {
+			continue
+		}
+		if nonFinite == nil {
+			nonFinite = map[int]string{}
+			out = append([]float64(nil), trace...)
+		}
+		nonFinite[i] = strconv.FormatFloat(v, 'g', -1, 64)
+		out[i] = 0
+	}
+	return out, nonFinite
 }
 
 // DecodeResult rebuilds a Result from the canonical encoding against the
@@ -266,6 +292,13 @@ func DecodeResult(orig *chip.Chip, payload []byte) (*Result, error) {
 	}
 	if d.Schema != resultSchema {
 		return nil, fmt.Errorf("core: decode result: schema %d (want %d)", d.Schema, resultSchema)
+	}
+	for i, text := range d.TraceNonFinite {
+		v, err := strconv.ParseFloat(text, 64)
+		if err != nil || i < 0 || i >= len(d.Trace) {
+			return nil, fmt.Errorf("core: decode result: trace entry %d = %q", i, text)
+		}
+		d.Trace[i] = v
 	}
 	c := orig.Clone()
 	for _, e := range d.AddedEdges {

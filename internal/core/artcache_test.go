@@ -3,13 +3,18 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/assay"
 	"repro/internal/chip"
+	"repro/internal/flowstage"
 	"repro/internal/solve"
+	"repro/internal/testgen"
 )
 
 // A cached flow result must be byte-identical to a fresh solve under the
@@ -339,5 +344,80 @@ func TestBuildTestSetCache(t *testing.T) {
 	}
 	if !opt.Optimal {
 		t.Fatal("optimal flag lost")
+	}
+}
+
+// A flow interrupted before its first valid fitness traces +Inf, which
+// JSON cannot carry as a number. The canonical encoding must round-trip
+// non-finite entries and keep finite traces byte-identical to a plain
+// float array.
+func TestEncodeResultNonFiniteTrace(t *testing.T) {
+	c := chip.IVD()
+	for _, trace := range [][]float64{
+		{math.Inf(1)},
+		{math.Inf(1), 1234, math.Inf(-1), math.NaN(), 0.5},
+	} {
+		payload, err := EncodeResult(&Result{Aug: &testgen.Augmentation{Chip: c}, Trace: trace})
+		if err != nil {
+			t.Fatalf("encode %v: %v", trace, err)
+		}
+		back, err := DecodeResult(c, payload)
+		if err != nil {
+			t.Fatalf("decode %v: %v", trace, err)
+		}
+		if fmt.Sprint(back.Trace) != fmt.Sprint(trace) {
+			t.Fatalf("trace %v decoded as %v", trace, back.Trace)
+		}
+	}
+	finite := []float64{1234, 0.5, 1e21, 3}
+	payload, err := EncodeResult(&Result{Aug: &testgen.Augmentation{Chip: c}, Trace: finite})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, _ := json.Marshal(finite)
+	if !bytes.Contains(payload, append([]byte(`"trace":`), plain...)) {
+		t.Fatalf("finite trace no longer encodes as a plain array: %s", payload)
+	}
+}
+
+// cancelAt cancels the flow's context when the named stage starts.
+type cancelAt struct {
+	flowstage.Nop
+	stage  string
+	cancel context.CancelFunc
+}
+
+func (o cancelAt) StageStart(stage string) {
+	if stage == o.stage {
+		o.cancel()
+	}
+}
+
+// Duplicates of an interrupted job still get their own decoded copies.
+// Cancelling at the outer stage leaves the outer PSO with one evaluation,
+// whose augmentation fails on the dead context: the trace is [+Inf].
+func TestRunBatchInterruptedDuplicates(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := smallOpts(51)
+	opts.Observer = cancelAt{stage: StageOuter, cancel: cancel}
+	job := BatchJob{Chip: chip.IVD(), Assay: assay.IVD(), Opts: opts}
+	out := RunBatchCtx(ctx, []BatchJob{job, job, job}, BatchOptions{Parallel: 1})
+	for i, r := range out {
+		if r.Err != nil {
+			t.Fatalf("job %d: %v", i, r.Err)
+		}
+		if !r.Result.Interrupted {
+			t.Fatalf("job %d: result not marked Interrupted", i)
+		}
+		if len(r.Result.Trace) == 0 || !math.IsInf(r.Result.Trace[0], 1) {
+			t.Fatalf("job %d: trace %v, want it to start at +Inf", i, r.Result.Trace)
+		}
+	}
+	if out[0].Result == out[1].Result || out[0].Result == out[2].Result || out[1].Result == out[2].Result {
+		t.Fatal("duplicate jobs share one *Result")
+	}
+	if !out[1].Shared || !out[2].Shared {
+		t.Fatal("duplicate jobs not marked shared")
 	}
 }

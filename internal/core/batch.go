@@ -121,22 +121,22 @@ func RunBatchCtx(ctx context.Context, jobs []BatchJob, bo BatchOptions) []BatchR
 			}
 			res, err := RunDFTFlowCtx(ctx, jobs[first].Chip, jobs[first].Assay, opts)
 			var payload []byte
+			var encErr error
 			if err == nil && len(g.members) > 1 {
-				if p, e := EncodeResult(res); e == nil {
-					payload = p
-				}
+				payload, encErr = EncodeResult(res)
 			}
 			for idx, i := range g.members {
-				r := BatchResult{Key: publicKey(g.key), Err: err}
-				if err == nil {
-					r.Result = res
-					if idx > 0 {
-						r.Shared = true
-						if payload != nil {
-							if cp, e := DecodeResult(jobs[i].Chip, payload); e == nil {
-								r.Result = cp
-							}
-						}
+				r := BatchResult{Key: publicKey(g.key), Result: res, Err: err}
+				if err == nil && idx > 0 {
+					// Every duplicate gets its own decoded copy; one that
+					// cannot be made is the job's error, never an alias.
+					r.Shared = true
+					r.Result, r.Err = nil, encErr
+					if encErr == nil {
+						r.Result, r.Err = DecodeResult(jobs[i].Chip, payload)
+					}
+					if r.Result != nil {
+						r.Result.Interrupted = res.Interrupted
 					}
 				}
 				out[i] = r

@@ -645,6 +645,7 @@ func (f *flow) leaveStage(st *flowstage.StageStats) {
 	st.Count("sched_warm_runs", sd.WarmRuns)
 	st.Count("sched_candidate_hits", sd.CandidateHits)
 	st.Count("sched_fallback_reroutes", sd.FallbackReroutes)
+	st.Count("sched_livelocks", sd.Livelocks)
 	// Stage boundaries are the flow's serial points: advance the memo
 	// caches' recency epoch and trim them to the MemoBytes budget
 	// (no-ops when unbounded). Evictions never change the Result — the

@@ -216,3 +216,29 @@ func TestExplicitZeroOmegaPlumbsThrough(t *testing.T) {
 		t.Fatalf("implicit config grew a HasOmega flag: %+v", implicit)
 	}
 }
+
+// TestSchedLivelocksWorkerInvariant: sched_livelocks counts scheduler
+// runs ended by the livelock fast-forward, and the flow makes the same
+// scheduler runs at any worker count. The paper-size IVD_chip/CPA flow at
+// seed 2018 reaches such runs.
+func TestSchedLivelocksWorkerInvariant(t *testing.T) {
+	want := int64(-1)
+	for _, workers := range []int{1, 2, 4} {
+		res, err := RunDFTFlow(chip.IVD(), assay.CPA(), Options{Seed: 2018, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var got int64
+		for _, st := range res.Stats.Stages {
+			got += st.Counter("sched_livelocks")
+		}
+		if got == 0 {
+			t.Fatalf("workers=%d: no scheduler run ended by the livelock fast-forward", workers)
+		}
+		if want < 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("workers=%d: sched_livelocks=%d, workers=1 counted %d", workers, got, want)
+		}
+	}
+}

@@ -16,9 +16,6 @@ import (
 // configuration for CPA on RA30 admits no valid sharing at all, so the
 // flow must diversify configurations (ban loop) to succeed.
 func TestRA30CPAFlowSucceeds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second PSO flow")
-	}
 	res, err := RunDFTFlow(chip.RA30(), assay.CPA(), Options{
 		Outer: pso.Config{Particles: 5, Iterations: 30},
 		Inner: pso.Config{Particles: 5, Iterations: 8},
@@ -63,9 +60,6 @@ func TestRA30CPAFlowSucceeds(t *testing.T) {
 }
 
 func TestNoPSONeverBeatsPSO(t *testing.T) {
-	if testing.Short() {
-		t.Skip("several flows")
-	}
 	for _, seed := range []int64{1, 2, 3} {
 		res, err := RunDFTFlow(chip.IVD(), assay.CPA(), Options{
 			Outer: pso.Config{Particles: 4, Iterations: 10},

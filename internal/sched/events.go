@@ -80,6 +80,15 @@ type runState struct {
 
 	// Event-loop scratch.
 	phaseBuf []int
+
+	// Livelock detector (livelock.go): the wedge states recorded since the
+	// op phases last changed, indexed by hash, their summed op phase, and
+	// the event times logged since the first of them.
+	wedgeSeen   map[uint64]int
+	wedges      []wedgeRec
+	wedgeWords  []int
+	wedgePhases int
+	events      []int
 }
 
 // engTask is transportTask by value; tasks are addressed by index into
@@ -118,6 +127,7 @@ func newRunState(e *Engine) *runState {
 		ownEp:       make([]int, e.numEdges),
 		prodMoveEp:  make([]int, e.numOps),
 		dist:        make([]int, nNodes),
+		wedgeSeen:   make(map[uint64]int),
 	}
 }
 
@@ -149,6 +159,8 @@ func (rs *runState) reset(ctrl *chip.Control, p Params, ctx context.Context) {
 	rs.doneOps, rs.now = 0, 0
 	rs.recOps = rs.recOps[:0]
 	rs.recTransports = rs.recTransports[:0]
+	rs.clearWedges()
+	rs.wedgePhases = -1
 
 	// Per-run control-derived state: line sizes → shared-valve flags.
 	nLines := ctrl.NumLines()
@@ -196,7 +208,7 @@ func (rs *runState) run() (*Schedule, int, error) {
 			}
 		}
 		if rs.now > rs.params.MaxTime {
-			return nil, rs.doneOps, fmt.Errorf("sched: exceeded time horizon %ds at t=%d", rs.params.MaxTime, rs.now)
+			return nil, rs.doneOps, rs.horizonError(rs.now)
 		}
 		for rs.step() {
 		}
@@ -205,12 +217,18 @@ func (rs *runState) run() (*Schedule, int, error) {
 		}
 		next := rs.nextEvent()
 		if next < 0 {
+			if t, ok := rs.livelock(); ok {
+				return nil, rs.doneOps, rs.horizonError(t)
+			}
 			if rs.emergencyStorage() {
 				continue
 			}
 			return nil, rs.doneOps, fmt.Errorf("sched: deadlock at t=%d: %d/%d ops done", rs.now, rs.doneOps, numOps)
 		}
 		rs.now = next
+		if len(rs.wedges) > 0 {
+			rs.events = append(rs.events, next)
+		}
 		rs.completeAt(next)
 	}
 	makespan := 0
@@ -224,6 +242,12 @@ func (rs *runState) run() (*Schedule, int, error) {
 	sort.Slice(ops, func(i, j int) bool { return ops[i].Op < ops[j].Op })
 	transports := append([]TransportRecord(nil), rs.recTransports...)
 	return &Schedule{ExecutionTime: makespan, Ops: ops, Transports: transports}, rs.doneOps, nil
+}
+
+// horizonError is the error of a run still unfinished at event time t >
+// MaxTime, whether simulated there or reached by the livelock proof.
+func (rs *runState) horizonError(t int) error {
+	return fmt.Errorf("sched: exceeded time horizon %ds at t=%d", rs.params.MaxTime, t)
 }
 
 func (rs *runState) nextEvent() int {

@@ -12,6 +12,7 @@ type Metrics struct {
 	warmRuns         atomic.Int64
 	candidateHits    atomic.Int64
 	fallbackReroutes atomic.Int64
+	livelocks        atomic.Int64
 }
 
 // NewMetrics returns a zeroed Metrics.
@@ -45,6 +46,13 @@ func (m *Metrics) noteFallbackReroute() {
 	m.fallbackReroutes.Add(1)
 }
 
+func (m *Metrics) noteLivelock() {
+	if m == nil {
+		return
+	}
+	m.livelocks.Add(1)
+}
+
 // MetricsSnapshot is a point-in-time copy of the counters; subtract two
 // snapshots to attribute traffic to a phase.
 type MetricsSnapshot struct {
@@ -57,6 +65,10 @@ type MetricsSnapshot struct {
 	// FallbackReroutes counts penalized re-route attempts — a transport
 	// whose first path failed snapshot validation and had to search again.
 	FallbackReroutes int64
+	// Livelocks counts runs ended by the livelock fast-forward: a wedge
+	// state repeated, so the run was proved periodic and given its
+	// horizon error without simulating the remaining cycles.
+	Livelocks int64
 }
 
 // Snapshot returns the current counter values. Snapshot on a nil Metrics
@@ -70,6 +82,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		WarmRuns:         m.warmRuns.Load(),
 		CandidateHits:    m.candidateHits.Load(),
 		FallbackReroutes: m.fallbackReroutes.Load(),
+		Livelocks:        m.livelocks.Load(),
 	}
 }
 
@@ -80,6 +93,7 @@ func (s MetricsSnapshot) Sub(base MetricsSnapshot) MetricsSnapshot {
 		WarmRuns:         s.WarmRuns - base.WarmRuns,
 		CandidateHits:    s.CandidateHits - base.CandidateHits,
 		FallbackReroutes: s.FallbackReroutes - base.FallbackReroutes,
+		Livelocks:        s.Livelocks - base.Livelocks,
 	}
 }
 

@@ -69,6 +69,12 @@ func TestMaxTimeGuard(t *testing.T) {
 	if _, err := Run(c, nil, miniAssay(), Params{MaxTime: 1}); err == nil {
 		t.Fatal("MaxTime guard did not fire")
 	}
+	// The horizon is checked while operations remain, so a run whose last
+	// operation completes just past MaxTime still succeeds.
+	sch := mustRun(t, c, nil, miniAssay())
+	if _, err := Run(c, nil, miniAssay(), Params{MaxTime: sch.ExecutionTime - 1}); err != nil {
+		t.Fatalf("last completion past MaxTime rejected: %v", err)
+	}
 }
 
 func TestDefaultsApplied(t *testing.T) {

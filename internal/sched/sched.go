@@ -30,11 +30,15 @@ type Params struct {
 	// HasTransportTimePerEdge marks TransportTimePerEdge as deliberately
 	// set, so zero means zero instead of the default.
 	HasTransportTimePerEdge bool
-	// MaxTime aborts the simulation as unschedulable beyond this horizon in
-	// seconds (default 24h). Valve sharing can make transports permanently
-	// infeasible; the scheduler detects true deadlock earlier, but this is
-	// the final guard. An explicit zero horizon (nothing may run past t=0)
-	// requires HasMaxTime.
+	// MaxTime is the simulation horizon in seconds (default 24h). A run
+	// fails with "exceeded time horizon" at the first event time past
+	// MaxTime at which operations remain; a run whose last operation
+	// completes past MaxTime still succeeds. Valve sharing can block
+	// transports for good. A run left with nothing to start fails at once
+	// as a deadlock. A run whose emergency storage only shuffles parked
+	// products in a cycle is proved periodic and gets its horizon error,
+	// with the same t and progress, without simulating up to MaxTime. An
+	// explicit zero horizon requires HasMaxTime.
 	MaxTime int
 	// HasMaxTime marks MaxTime as deliberately set, so zero means zero
 	// instead of the default.
