@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/flowstage"
+	"repro/internal/ilp"
 	"repro/internal/solve"
 	"repro/internal/testgen"
 )
@@ -31,15 +32,21 @@ func (f *flow) runReferenceStage(ctx context.Context, st *flowstage.StageStats) 
 				st.Count("ilp_lazy_cuts", int64(lazyCuts))
 				obs.ILPAttempt(st.Name, paths, nodes, lazyCuts)
 			},
-			OnILPStats: func(workers, steals, idleWaits, requeued int) {
+			OnILPStats: func(s ilp.SolveStats) {
 				// The resolved worker count is a configuration fact, not an
 				// accumulating quantity: record it once per stage.
 				if st.Counter("ilp_workers") == 0 {
-					st.Count("ilp_workers", int64(workers))
+					st.Count("ilp_workers", int64(s.Workers))
 				}
-				st.Count("ilp_steals", int64(steals))
-				st.Count("ilp_idle_waits", int64(idleWaits))
-				st.Count("ilp_requeued", int64(requeued))
+				st.Count("ilp_steals", int64(s.Steals))
+				st.Count("ilp_idle_waits", int64(s.IdleWaits))
+				st.Count("ilp_requeued", int64(s.Requeued))
+				st.Count("ilp_lp_pivots", int64(s.LPPivots))
+				// A maximum over the stage's solves, kept by counting up
+				// to it.
+				st.Count("ilp_lp_max_pivots", max(0, int64(s.LPMaxPivots)-st.Counter("ilp_lp_max_pivots")))
+				st.Count("ilp_bland_trips", int64(s.BlandTrips))
+				st.Count("ilp_iter_limits", int64(s.IterLimits))
 			},
 		},
 		OnAttempt: func(att solve.Attempt) {

@@ -40,6 +40,10 @@ type Model struct {
 	// mu guards P during a parallel solve: relaxations take the read
 	// side, lazy-cut insertion the write side.
 	mu sync.RWMutex
+
+	// relax solves one node's LP relaxation; nil means P.SolveTab. Tests
+	// substitute it to inject relaxation outcomes.
+	relax func(ctx context.Context, ov [][2]float64, tab *lp.Tableau) (lp.Solution, error)
 }
 
 // NewModel returns a model over the given problem. All variables are
@@ -96,6 +100,17 @@ type SolveStats struct {
 	IdleWaits int
 	// Requeued counts nodes pushed back after a lazy-cut rejection.
 	Requeued int
+
+	// LPPivots sums the simplex pivots of every LP relaxation of the
+	// solve, and LPMaxPivots is the most any single relaxation took.
+	LPPivots    int
+	LPMaxPivots int
+	// BlandTrips counts relaxations that switched to Bland's rule.
+	BlandTrips int
+	// IterLimits counts relaxations that hit the LP iteration limit. Each
+	// one leaves its subtree unexplored, so a solve with IterLimits > 0
+	// reports Feasible or Aborted, never Optimal or Infeasible.
+	IterLimits int
 }
 
 // Result is the outcome of an ILP solve.
@@ -113,8 +128,9 @@ type Result struct {
 // Status classifies an ILP result.
 type Status int
 
-// ILP statuses. Feasible means the node/time budget expired with an
-// incumbent in hand but optimality unproven.
+// ILP statuses. Feasible means a budget (nodes, time, context or an LP
+// relaxation's iteration limit) ran out with an incumbent in hand but
+// optimality unproven; Aborted means it ran out with no incumbent.
 const (
 	Optimal Status = iota
 	Feasible

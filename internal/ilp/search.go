@@ -92,6 +92,7 @@ func (m *Model) SolveCtx(ctx context.Context, opts Options) (Result, error) {
 	s.bound.Store(math.Float64bits(s.bestObj))
 
 	s.workerNodes = make([]int64, workers)
+	s.workerLP = make([]lpEffort, workers)
 	s.front.push(&bbNode{}, 0)
 	if workers == 1 {
 		// Serial fast path: the frontier can never be empty while a node
@@ -124,10 +125,18 @@ func (m *Model) SolveCtx(ctx context.Context, opts Options) (Result, error) {
 	for i, c := range s.workerNodes {
 		res.Stats.NodesPerWorker[i] = int(c)
 	}
+	for _, e := range s.workerLP {
+		res.Stats.LPPivots += e.pivots
+		res.Stats.LPMaxPivots = max(res.Stats.LPMaxPivots, e.maxPivots)
+		res.Stats.BlandTrips += e.blandTrips
+		res.Stats.IterLimits += e.iterLimits
+	}
 	if s.err != nil {
 		return res, s.err
 	}
-	exhausted := !s.aborted.Load()
+	// A relaxation that hit its iteration limit left a subtree unexplored:
+	// the search is then budget-truncated, not a proof.
+	exhausted := !s.aborted.Load() && res.Stats.IterLimits == 0
 	if s.bestX == nil {
 		if exhausted {
 			res.Status = Infeasible
@@ -258,6 +267,24 @@ type search struct {
 	err   error
 
 	workerNodes []int64
+	workerLP    []lpEffort
+}
+
+// lpEffort accumulates one worker's LP relaxation effort.
+type lpEffort struct {
+	pivots, maxPivots      int
+	blandTrips, iterLimits int
+}
+
+func (e *lpEffort) add(sol lp.Solution) {
+	e.pivots += sol.Pivots
+	e.maxPivots = max(e.maxPivots, sol.Pivots)
+	if sol.Bland {
+		e.blandTrips++
+	}
+	if sol.Status == lp.IterLimit {
+		e.iterLimits++
+	}
 }
 
 // tabPool recycles LP scratch tableaus across solves and workers.
@@ -291,6 +318,7 @@ type bbWorker struct {
 	tab   *lp.Tableau
 	ov    [][2]float64
 	nodes int64
+	lp    lpEffort
 }
 
 func (s *search) runWorker(id int) {
@@ -307,6 +335,7 @@ func (s *search) runWorker(id int) {
 	}
 	tabPool.Put(w.tab)
 	s.workerNodes[id] = w.nodes
+	s.workerLP[id] = w.lp
 }
 
 // process expands one node: budget checks, LP relaxation under the node's
@@ -336,8 +365,15 @@ func (s *search) process(w *bbWorker, nd *bbNode) {
 		w.ov[p.v] = [2]float64{v, v}
 	}
 	s.m.mu.RLock()
-	sol, err := s.m.P.SolveTab(s.ctx, w.ov, w.tab)
+	var sol lp.Solution
+	var err error
+	if s.m.relax != nil {
+		sol, err = s.m.relax(s.ctx, w.ov, w.tab)
+	} else {
+		sol, err = s.m.P.SolveTab(s.ctx, w.ov, w.tab)
+	}
 	s.m.mu.RUnlock()
+	w.lp.add(sol)
 	for p := nd; p.parent != nil; p = p.parent {
 		w.ov[p.v] = s.baseOv[p.v]
 	}
@@ -358,7 +394,7 @@ func (s *search) process(w *bbWorker, nd *bbNode) {
 		s.fail(errors.New("ilp: LP relaxation unbounded (binary model should be bounded)"))
 		return
 	case lp.IterLimit:
-		return // treat as prune; rare
+		return // subtree skipped: counted, and SolveCtx reports a budget result
 	}
 	relax := s.sign * sol.Obj
 	if relax > s.loadBound()+1e-9 {

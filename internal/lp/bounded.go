@@ -46,6 +46,9 @@ type Tableau struct {
 	rel     []Rel     // normalized row relations
 	rhs     []float64 // normalized row RHS
 
+	pivots, flips int  // effort counters of the current solve
+	bland         bool // a phase switched to Bland's rule
+
 	ctx context.Context
 }
 
@@ -227,9 +230,17 @@ func (t *Tableau) load(p *Problem) {
 	}
 }
 
-// run executes phase 1 (when artificials exist) then phase 2 and decodes
-// the solution.
+// run solves p and attaches the effort counters to the solution.
 func (t *Tableau) run(p *Problem) Solution {
+	t.pivots, t.flips, t.bland = 0, 0, false
+	sol := t.solve(p)
+	sol.Pivots, sol.Flips, sol.Bland = t.pivots, t.flips, t.bland
+	return sol
+}
+
+// solve executes phase 1 (when artificials exist) then phase 2 and
+// decodes the solution.
+func (t *Tableau) solve(p *Problem) Solution {
 	t.load(p)
 	if t.nTot > t.artStart {
 		t.cobj = growFloats(t.cobj, t.nTot)
@@ -333,6 +344,9 @@ func (t *Tableau) optimize(limit int) (float64, Status) {
 			return 0, Canceled
 		}
 		useBland := iter > blandTrip
+		if useBland {
+			t.bland = true
+		}
 		// Entering column: most attractive reduced cost (Dantzig), lowest
 		// index on ties; Bland's rule (first improving index) after
 		// blandTrip iterations to break degenerate cycles. A column at its
@@ -427,6 +441,7 @@ func (t *Tableau) optimize(limit int) (float64, Status) {
 // opposite bound: basic values shift, but the basis (and hence the matrix
 // and reduced costs) is unchanged.
 func (t *Tableau) boundFlip(enter int, d, step float64) {
+	t.flips++
 	n := t.nTot
 	for i := 0; i < t.m; i++ {
 		ae := t.a[i*n+enter]
@@ -443,6 +458,7 @@ func (t *Tableau) boundFlip(enter int, d, step float64) {
 // on the matrix and reduced costs. Basic values are maintained directly,
 // so b is not part of the elimination.
 func (t *Tableau) pivotStep(leave, enter int, d, step float64, leaveAtUpper bool) {
+	t.pivots++
 	n := t.nTot
 	if step != 0 {
 		for i := 0; i < t.m; i++ {

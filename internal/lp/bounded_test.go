@@ -80,30 +80,37 @@ func TestBoundedMatchesBaselineProperty(t *testing.T) {
 	}
 }
 
-// Property: with overrides fixing a random subset of binaries (the
-// branch-and-bound access pattern), the engines still agree.
+// randomFixedBinaryLP builds a random all-binary LP together with
+// overrides fixing a random subset of its variables (the branch-and-bound
+// access pattern).
+func randomFixedBinaryLP(rng *rand.Rand) (*Problem, [][2]float64) {
+	p := NewProblem(Minimize)
+	n := 3 + rng.Intn(5)
+	for i := 0; i < n; i++ {
+		p.AddBinaryVar(rng.Float64()*4-1, "b")
+	}
+	for k := 0; k < 2+rng.Intn(3); k++ {
+		var terms []Term
+		for i := 0; i < n; i++ {
+			terms = append(terms, T(i, rng.Float64()*3-1))
+		}
+		p.AddConstraint(Constraint{Terms: terms, Rel: Rel(rng.Intn(3)), RHS: rng.Float64() * 2})
+	}
+	ov := p.DefaultOverrides()
+	for i := 0; i < n; i++ {
+		if rng.Intn(3) == 0 {
+			v := float64(rng.Intn(2))
+			ov[i] = [2]float64{v, v}
+		}
+	}
+	return p, ov
+}
+
+// Property: with overrides fixing a random subset of binaries, the engines
+// still agree.
 func TestBoundedMatchesBaselineWithOverridesProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := NewProblem(Minimize)
-		n := 3 + rng.Intn(5)
-		for i := 0; i < n; i++ {
-			p.AddBinaryVar(rng.Float64()*4-1, "b")
-		}
-		for k := 0; k < 2+rng.Intn(3); k++ {
-			var terms []Term
-			for i := 0; i < n; i++ {
-				terms = append(terms, T(i, rng.Float64()*3-1))
-			}
-			p.AddConstraint(Constraint{Terms: terms, Rel: Rel(rng.Intn(3)), RHS: rng.Float64() * 2})
-		}
-		ov := p.DefaultOverrides()
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				v := float64(rng.Intn(2))
-				ov[i] = [2]float64{v, v}
-			}
-		}
+		p, ov := randomFixedBinaryLP(rand.New(rand.NewSource(seed)))
 		got, err1 := p.Solve(ov)
 		want, err2 := p.SolveBaseline(ov)
 		if (err1 == nil) != (err2 == nil) || got.Status != want.Status {

@@ -161,6 +161,17 @@ type Solution struct {
 	Status Status
 	X      []float64
 	Obj    float64
+
+	// The effort counters cover both phases. Pivots counts the basis
+	// changes chosen by the ratio test (not the degenerate exchanges that
+	// drive artificials out after phase 1), Flips the iterations that
+	// moved the entering column to its opposite bound without a basis
+	// change, and Bland reports whether a phase ran past blandTrip
+	// iterations and switched to Bland's rule. A solve that ran into the
+	// per-phase iteration limit has Status IterLimit.
+	Pivots int
+	Flips  int
+	Bland  bool
 }
 
 const (

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/chip"
 	"repro/internal/fault"
+	"repro/internal/ilp"
 )
 
 // Augmentation is a DFT configuration: the augmented chip plus the test
@@ -98,10 +99,11 @@ type Options struct {
 	// serial). The result is worker-count independent — see package ilp.
 	Workers int
 	// OnILPStats, when non-nil, is called after every ILP solve with the
-	// parallel-search statistics of that solve (resolved worker count,
-	// cross-worker steals, idle waits and lazy-cut requeues). It never
-	// affects the solve.
-	OnILPStats func(workers, steals, idleWaits, requeued int)
+	// statistics of that solve: the parallel-search counters (resolved
+	// worker count, steals, idle waits, lazy-cut requeues) and the LP
+	// effort of its relaxations (pivots, Bland trips, iteration-limit
+	// hits). It never affects the solve.
+	OnILPStats func(ilp.SolveStats)
 }
 
 // DefaultMaxPaths caps the |P| iteration when Options.MaxPaths is 0.

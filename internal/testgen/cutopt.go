@@ -50,8 +50,7 @@ func GenerateCutsOptimalCtx(ctx context.Context, c *chip.Chip, src, dst int, opt
 		return nil, err
 	}
 	if opts.OnILPStats != nil {
-		st := res.Stats
-		opts.OnILPStats(st.Workers, st.Steals, st.IdleWaits, st.Requeued)
+		opts.OnILPStats(res.Stats)
 	}
 	if res.Status == ilp.Aborted {
 		if ctxErr := ctx.Err(); ctxErr != nil {

@@ -218,8 +218,7 @@ func solvePathILP(ctx context.Context, c *chip.Chip, srcPort, dstPort, srcNode, 
 		opts.OnILPAttempt(nPaths, res.Nodes, res.LazyCuts)
 	}
 	if opts.OnILPStats != nil {
-		st := res.Stats
-		opts.OnILPStats(st.Workers, st.Steals, st.IdleWaits, st.Requeued)
+		opts.OnILPStats(res.Stats)
 	}
 	switch res.Status {
 	case ilp.Infeasible:

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/chip"
 	"repro/internal/fault"
+	"repro/internal/ilp"
 )
 
 // checkAugmentation validates the structural invariants of a DFT
@@ -89,6 +90,23 @@ func TestILPAugmentIVD(t *testing.T) {
 	}
 	if len(a.AddedEdges) > len(h.AddedEdges) {
 		t.Fatalf("ILP added %d edges > heuristic %d", len(a.AddedEdges), len(h.AddedEdges))
+	}
+}
+
+// The serial IVD |P|=2 path ILP pins the branch-and-bound tree and the LP
+// kernel's pivot sequence together: a change to either moves the node,
+// lazy-cut or pivot count.
+func TestPathILPEffortIVD(t *testing.T) {
+	m, lazy := PathILPModel(chip.IVD(), 2)
+	res, err := m.Solve(ilp.Options{MaxNodes: 4000, Workers: 1, Lazy: lazy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if res.Status != ilp.Optimal || res.Nodes != 1990 || res.LazyCuts != 18 ||
+		st.LPPivots != 494580 || st.LPMaxPivots != 306 || st.BlandTrips != 0 || st.IterLimits != 0 {
+		t.Fatalf("status=%v nodes=%d lazy=%d stats=%+v, want optimal, 1990 nodes, 18 cuts, 494580 pivots (max 306), no Bland trips or limit hits",
+			res.Status, res.Nodes, res.LazyCuts, st)
 	}
 }
 
