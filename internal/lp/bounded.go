@@ -1,24 +1,34 @@
 package lp
 
-// bounded.go is the production simplex: a dense two-phase primal simplex
-// with implicit (bounded-variable) upper bounds and a flat, reusable
-// Tableau scratch.
+// bounded.go is the production simplex: a two-phase primal simplex with
+// implicit (bounded-variable) upper bounds over a flat, reusable Tableau
+// whose iterations touch only nonzeros.
 //
 // The baseline engine (baseline.go) materializes one `y_i <= ub-lb` row
 // per finite upper bound, so on the all-binary DFT models every variable
 // adds a row and pivots cost O((m+n)·nTot). Here finite bounds are
 // handled by the standard nonbasic-at-lower/nonbasic-at-upper technique
 // with a bound-flip ratio test, which keeps only the true constraint
-// rows — roughly half the rows (and a third of the pivot work) on the
-// paper's path and cut ILPs. The scratch is re-populated in place on
-// every solve, so a warm Tableau performs no allocations; package ilp
-// keeps one per branch-and-bound worker.
+// rows. The scratch is re-populated in place on every solve, so a warm
+// Tableau performs no allocations; package ilp keeps one per
+// branch-and-bound worker.
+//
+// Sparse-aware pivots. The matrix stays dense, but per-row and per-column
+// bitmaps hold a superset of its nonzeros, so an iteration visits only
+// the entering column's nonzero rows and the pivot row's nonzero columns:
+// the ratio test, the basic-value updates, the row elimination, the
+// reduced-cost update and the value clamp all run over those two lists.
+// Every visited entry is still tested != 0 before use, and each entry
+// receives the same floating-point operations in the same order as in a
+// full sweep, so the pivot sequence and every result are bit-identical to
+// the dense kernel's (testdata/lp_fixture.txt pins them).
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Tableau is reusable scratch storage for SolveTab. The zero value is
@@ -32,10 +42,19 @@ type Tableau struct {
 	nTot     int // total columns (orig + slack/surplus + artificial)
 	artStart int // first artificial column
 
-	a       []float64 // m×nTot tableau matrix, row-major
+	a []float64 // m×nTot tableau matrix, row-major
+	// rowBits (rw words per row) and colBits (cw words per column) have
+	// bit (i, j) set whenever a[i][j] != 0. A bit may outlive its entry.
+	// Every entry outside them is zero, which lets load clear the matrix
+	// through them.
+	rowBits, colBits []uint64
+	rw, cw           int
+
 	b       []float64 // current value of each row's basic variable
 	u       []float64 // working upper bound per column (shifted space)
 	z       []float64 // reduced costs
+	score   []float64 // pricing score: 0 if basic or fixed, else -z at lower, z at upper
+	pricing []uint64  // bit j set unless score[j] <= eps: the columns pricing visits
 	cobj    []float64 // current phase objective
 	basis   []int     // basic column per row
 	basic   []bool    // column-is-basic flags
@@ -45,6 +64,15 @@ type Tableau struct {
 	flip    []bool    // row-negated flags from RHS normalization
 	rel     []Rel     // normalized row relations
 	rhs     []float64 // normalized row RHS
+
+	// Per-iteration lists: the entering column's nonzero rows and values,
+	// in ascending row order, and the pivot row's nonzero columns after
+	// normalization, in ascending column order; elim marks the rows a
+	// pivot eliminated.
+	colRows []int32
+	colVals []float64
+	rowCols []int32
+	elim    []uint64
 
 	pivots, flips int  // effort counters of the current solve
 	bland         bool // a phase switched to Bland's rule
@@ -68,8 +96,8 @@ func (p *Problem) SolveTab(ctx context.Context, overrides [][2]float64, t *Table
 	if overrides != nil && len(overrides) != n {
 		return Solution{}, errors.New("lp: overrides length mismatch")
 	}
-	t.lb = growFloats(t.lb, n)
-	t.ub = growFloats(t.ub, n)
+	t.lb = grow(t.lb, n)
+	t.ub = grow(t.ub, n)
 	copy(t.lb, p.lb)
 	copy(t.ub, p.ub)
 	if overrides != nil {
@@ -102,32 +130,19 @@ func (p *Problem) SolveTab(ctx context.Context, overrides [][2]float64, t *Table
 	return sol, nil
 }
 
-func growFloats(s []float64, n int) []float64 {
+// grow returns s resized to n, reallocating only when its capacity is
+// short. Reused entries keep their old values.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func growRels(s []Rel, n int) []Rel {
-	if cap(s) < n {
-		return make([]Rel, n)
-	}
-	return s[:n]
+// setBit marks a[i][j] as possibly nonzero.
+func (t *Tableau) setBit(i, j int) {
+	t.rowBits[i*t.rw+j>>6] |= 1 << (j & 63)
+	t.colBits[j*t.cw+i>>6] |= 1 << (i & 63)
 }
 
 // load rebuilds the tableau in place for problem p under the working
@@ -136,13 +151,24 @@ func growRels(s []Rel, n int) []Rel {
 // with relation flips; slack/surplus columns are added per row and
 // artificial columns for >=/= rows.
 func (t *Tableau) load(p *Problem) {
+	// Zero the previous solve's entries through its own layout, which
+	// leaves the whole backing array zero.
+	for i := 0; i < t.m; i++ {
+		row := t.a[i*t.nTot : (i+1)*t.nTot]
+		for w, word := range t.rowBits[i*t.rw : (i+1)*t.rw] {
+			for ; word != 0; word &= word - 1 {
+				row[w<<6+bits.TrailingZeros64(word)] = 0
+			}
+		}
+	}
+
 	n := len(p.obj)
 	m := len(p.cons)
 	t.nOrig = n
 	t.m = m
-	t.rhs = growFloats(t.rhs, m)
-	t.rel = growRels(t.rel, m)
-	t.flip = growBools(t.flip, m)
+	t.rhs = grow(t.rhs, m)
+	t.rel = grow(t.rel, m)
+	t.flip = grow(t.flip, m)
 	nSlack, nArt := 0, 0
 	for i := range p.cons {
 		c := &p.cons[i]
@@ -177,25 +203,30 @@ func (t *Tableau) load(p *Problem) {
 	t.artStart = n + nSlack
 	t.nTot = t.artStart + nArt
 
-	t.a = growFloats(t.a, m*t.nTot)
-	for i := range t.a {
-		t.a[i] = 0
-	}
-	t.b = growFloats(t.b, m)
-	t.u = growFloats(t.u, t.nTot)
-	t.basis = growInts(t.basis, m)
-	t.basic = growBools(t.basic, t.nTot)
-	t.atUpper = growBools(t.atUpper, t.nTot)
+	t.a = grow(t.a, m*t.nTot)
+	t.rw = (t.nTot + 63) >> 6
+	t.cw = (m + 63) >> 6
+	t.rowBits = grow(t.rowBits, m*t.rw)
+	t.colBits = grow(t.colBits, t.nTot*t.cw)
+	clear(t.rowBits)
+	clear(t.colBits)
+	t.elim = grow(t.elim, t.cw)
+	t.colRows = grow(t.colRows, m)[:0]
+	t.colVals = grow(t.colVals, m)[:0]
+	t.rowCols = grow(t.rowCols, t.nTot)[:0]
+	t.b = grow(t.b, m)
+	t.u = grow(t.u, t.nTot)
+	t.basis = grow(t.basis, m)
+	t.basic = grow(t.basic, t.nTot)
+	t.atUpper = grow(t.atUpper, t.nTot)
 	for j := 0; j < n; j++ {
 		t.u[j] = t.ub[j] - t.lb[j] // may be +Inf
 	}
 	for j := n; j < t.nTot; j++ {
 		t.u[j] = math.Inf(1)
 	}
-	for j := 0; j < t.nTot; j++ {
-		t.basic[j] = false
-		t.atUpper[j] = false
-	}
+	clear(t.basic)
+	clear(t.atUpper)
 
 	slackCol := n
 	artCol := t.artStart
@@ -208,21 +239,26 @@ func (t *Tableau) load(p *Problem) {
 		}
 		for _, term := range c.Terms {
 			row[term.Var] += sign * term.Coef
+			t.setBit(i, term.Var)
 		}
 		t.b[i] = t.rhs[i]
 		switch t.rel[i] {
 		case LE:
 			row[slackCol] = 1
+			t.setBit(i, slackCol)
 			t.basis[i] = slackCol
 			slackCol++
 		case GE:
 			row[slackCol] = -1
+			t.setBit(i, slackCol)
 			slackCol++
 			row[artCol] = 1
+			t.setBit(i, artCol)
 			t.basis[i] = artCol
 			artCol++
 		case EQ:
 			row[artCol] = 1
+			t.setBit(i, artCol)
 			t.basis[i] = artCol
 			artCol++
 		}
@@ -243,7 +279,7 @@ func (t *Tableau) run(p *Problem) Solution {
 func (t *Tableau) solve(p *Problem) Solution {
 	t.load(p)
 	if t.nTot > t.artStart {
-		t.cobj = growFloats(t.cobj, t.nTot)
+		t.cobj = grow(t.cobj, t.nTot)
 		for j := 0; j < t.artStart; j++ {
 			t.cobj[j] = 0
 		}
@@ -263,10 +299,8 @@ func (t *Tableau) solve(p *Problem) Solution {
 	if p.sense == Maximize {
 		sign = -1
 	}
-	t.cobj = growFloats(t.cobj, t.nTot)
-	for j := 0; j < t.nTot; j++ {
-		t.cobj[j] = 0
-	}
+	t.cobj = grow(t.cobj, t.nTot)
+	clear(t.cobj)
 	for j := 0; j < t.nOrig; j++ {
 		t.cobj[j] = sign * p.obj[j]
 	}
@@ -280,7 +314,7 @@ func (t *Tableau) solve(p *Problem) Solution {
 		return Solution{Status: Canceled}
 	}
 	// Decode: nonbasic columns sit at a bound, basic ones carry b.
-	t.x = growFloats(t.x, t.nOrig)
+	t.x = grow(t.x, t.nOrig)
 	for j := 0; j < t.nOrig; j++ {
 		v := 0.0
 		if !t.basic[j] && t.atUpper[j] {
@@ -316,16 +350,36 @@ func (t *Tableau) objValue() float64 {
 	return obj
 }
 
+// rescore refreshes column j's pricing score from its reduced cost and
+// state. A column at its lower bound improves when z < 0, one at its
+// upper bound when z > 0; basic and fixed (u <= 0) columns never enter.
+func (t *Tableau) rescore(j int) {
+	var score float64
+	switch {
+	case t.basic[j] || t.u[j] <= 0:
+	case t.atUpper[j]:
+		score = t.z[j]
+	default:
+		score = -t.z[j]
+	}
+	t.score[j] = score
+	if score <= eps {
+		t.pricing[j>>6] &^= 1 << (j & 63)
+	} else {
+		t.pricing[j>>6] |= 1 << (j & 63)
+	}
+}
+
 // optimize minimizes t.cobj over the current tableau, with entering
-// columns restricted to [0, limit). The reduced-cost row z is maintained
-// incrementally across pivots (priced out once at entry); basic-variable
-// values in b are updated directly by each step, so pivots touch only the
-// matrix. Bound-flip iterations (an entering column crossing from one
+// columns restricted to [0, limit). The reduced-cost row z and the
+// pricing scores are maintained incrementally across pivots (priced out
+// once at entry); basic-variable values in b are updated directly by each
+// step. Bound-flip iterations (an entering column crossing from one
 // finite bound to the other without a basis change) are what make
 // implicit upper bounds work.
 func (t *Tableau) optimize(limit int) (float64, Status) {
 	n := t.nTot
-	t.z = growFloats(t.z, n)
+	t.z = grow(t.z, n)
 	copy(t.z, t.cobj[:n])
 	for i, bi := range t.basis {
 		cb := t.cobj[bi]
@@ -333,11 +387,20 @@ func (t *Tableau) optimize(limit int) (float64, Status) {
 			continue
 		}
 		row := t.a[i*n : (i+1)*n]
-		for j, aj := range row {
-			if aj != 0 {
-				t.z[j] -= cb * aj
+		for w, word := range t.rowBits[i*t.rw : (i+1)*t.rw] {
+			for ; word != 0; word &= word - 1 {
+				j := w<<6 + bits.TrailingZeros64(word)
+				if aj := row[j]; aj != 0 {
+					t.z[j] -= cb * aj
+				}
 			}
 		}
+	}
+	t.score = grow(t.score, n)
+	t.pricing = grow(t.pricing, t.rw)
+	clear(t.pricing)
+	for j := range t.score {
+		t.rescore(j)
 	}
 	for iter := 0; iter < iterCap; iter++ {
 		if iter&ctxCheckMask == 0 && t.ctx != nil && t.ctx.Err() != nil {
@@ -347,31 +410,26 @@ func (t *Tableau) optimize(limit int) (float64, Status) {
 		if useBland {
 			t.bland = true
 		}
-		// Entering column: most attractive reduced cost (Dantzig), lowest
-		// index on ties; Bland's rule (first improving index) after
-		// blandTrip iterations to break degenerate cycles. A column at its
-		// lower bound improves when z < 0, one at its upper bound when
-		// z > 0; fixed columns (u <= 0) can never move.
+		// Entering column: most attractive score (Dantzig), lowest index
+		// on ties; Bland's rule (first improving index) after blandTrip
+		// iterations to break degenerate cycles.
 		enter := -1
 		best := eps
-		for j := 0; j < limit; j++ {
-			if t.basic[j] || t.u[j] <= 0 {
-				continue
-			}
-			score := -t.z[j]
-			if t.atUpper[j] {
-				score = t.z[j]
-			}
-			if score <= eps {
-				continue
-			}
-			if useBland {
-				enter = j
-				break
-			}
-			if score > best {
-				best = score
-				enter = j
+	price:
+		for w, word := range t.pricing[:(limit+63)>>6] {
+			for ; word != 0; word &= word - 1 {
+				j := w<<6 + bits.TrailingZeros64(word)
+				if j >= limit {
+					break price
+				}
+				if useBland {
+					enter = j
+					break price
+				}
+				if score := t.score[j]; score > best {
+					best = score
+					enter = j
+				}
 			}
 		}
 		if enter < 0 {
@@ -381,6 +439,7 @@ func (t *Tableau) optimize(limit int) (float64, Status) {
 		if t.atUpper[enter] {
 			d = -1
 		}
+		t.gatherColumn(enter)
 		// Ratio test: the entering variable moves by step tt, changing row
 		// i's basic value at rate -d·a[i][enter]. It is blocked by the
 		// first basic variable to hit one of its bounds, or by its own
@@ -388,11 +447,11 @@ func (t *Tableau) optimize(limit int) (float64, Status) {
 		rowT := 0.0
 		leave := -1
 		leaveAtUpper := false
-		for i := 0; i < t.m; i++ {
-			ae := t.a[i*n+enter]
+		for k, ae := range t.colVals {
 			if ae < pivotEps && ae > -pivotEps {
 				continue
 			}
+			i := int(t.colRows[k])
 			rate := -d * ae
 			var r float64
 			var toUpper bool
@@ -437,20 +496,55 @@ func (t *Tableau) optimize(limit int) (float64, Status) {
 	return 0, IterLimit
 }
 
+// gatherColumn collects column j's nonzero entries, in ascending row
+// order, into colRows/colVals, and drops the bits of entries that are
+// zero from the column bitmap.
+func (t *Tableau) gatherColumn(j int) {
+	n := t.nTot
+	t.colRows = t.colRows[:0]
+	t.colVals = t.colVals[:0]
+	col := t.colBits[j*t.cw : (j+1)*t.cw]
+	for w, word := range col {
+		for ; word != 0; word &= word - 1 {
+			bit := bits.TrailingZeros64(word)
+			i := w<<6 + bit
+			if v := t.a[i*n+j]; v != 0 {
+				t.colRows = append(t.colRows, int32(i))
+				t.colVals = append(t.colVals, v)
+			} else {
+				col[w] &^= 1 << bit
+			}
+		}
+	}
+}
+
+// clampRow snaps a tiny negative basic value in row i (numerical drift
+// from the manual value updates) back onto the feasible box. Only rows
+// whose value or basic column changed can need it, so each iteration
+// clamps just the rows of its entering column.
+func (t *Tableau) clampRow(i int) {
+	v := t.b[i]
+	if v < 0 && v > -eps {
+		t.b[i] = 0
+		return
+	}
+	if ub := t.u[t.basis[i]]; !math.IsInf(ub, 1) && v > ub && v < ub+eps {
+		t.b[i] = ub
+	}
+}
+
 // boundFlip moves the entering column across its full range to the
 // opposite bound: basic values shift, but the basis (and hence the matrix
 // and reduced costs) is unchanged.
 func (t *Tableau) boundFlip(enter int, d, step float64) {
 	t.flips++
-	n := t.nTot
-	for i := 0; i < t.m; i++ {
-		ae := t.a[i*n+enter]
-		if ae != 0 {
-			t.b[i] -= step * d * ae
-		}
+	for k, ae := range t.colVals {
+		i := int(t.colRows[k])
+		t.b[i] -= step * d * ae
+		t.clampRow(i)
 	}
-	t.clampValues()
 	t.atUpper[enter] = !t.atUpper[enter]
+	t.rescore(enter)
 }
 
 // pivotStep advances the entering variable by step, retires the blocking
@@ -459,13 +553,9 @@ func (t *Tableau) boundFlip(enter int, d, step float64) {
 // so b is not part of the elimination.
 func (t *Tableau) pivotStep(leave, enter int, d, step float64, leaveAtUpper bool) {
 	t.pivots++
-	n := t.nTot
 	if step != 0 {
-		for i := 0; i < t.m; i++ {
-			ae := t.a[i*n+enter]
-			if ae != 0 {
-				t.b[i] -= step * d * ae
-			}
+		for k, ae := range t.colVals {
+			t.b[t.colRows[k]] -= step * d * ae
 		}
 	}
 	vE := d * step
@@ -480,55 +570,81 @@ func (t *Tableau) pivotStep(leave, enter int, d, step float64, leaveAtUpper bool
 	t.basis[leave] = enter
 	t.b[leave] = vE
 
-	row := t.a[leave*n : (leave+1)*n]
-	inv := 1 / row[enter]
-	for j, rj := range row {
-		if rj != 0 {
-			row[j] = rj * inv
-		}
-	}
-	row[enter] = 1
-	for i := 0; i < t.m; i++ {
-		if i == leave {
-			continue
-		}
-		f := t.a[i*n+enter]
-		if f == 0 {
-			continue
-		}
-		ri := t.a[i*n : (i+1)*n]
-		for j, pj := range row {
-			if pj != 0 {
-				ri[j] -= f * pj
-			}
-		}
-		ri[enter] = 0
-	}
-	zf := t.z[enter]
-	if zf != 0 {
-		for j, pj := range row {
-			if pj != 0 {
-				t.z[j] -= zf * pj
-			}
+	t.eliminate(leave, enter)
+	row := t.a[leave*t.nTot : (leave+1)*t.nTot]
+	if zf := t.z[enter]; zf != 0 {
+		for _, j := range t.rowCols {
+			t.z[j] -= zf * row[j]
 		}
 		t.z[enter] = 0
 	}
-	t.clampValues()
+	for _, j := range t.rowCols {
+		t.rescore(int(j))
+	}
+	t.rescore(r)
+	for _, i := range t.colRows {
+		t.clampRow(int(i))
+	}
 }
 
-// clampValues snaps tiny negative basic values (numerical drift from the
-// manual value updates) back onto the feasible box.
-func (t *Tableau) clampValues() {
-	for i := 0; i < t.m; i++ {
-		v := t.b[i]
-		if v < 0 && v > -eps {
-			t.b[i] = 0
-			continue
-		}
-		if ub := t.u[t.basis[i]]; !math.IsInf(ub, 1) && v > ub && v < ub+eps {
-			t.b[i] = ub
+// eliminate performs the Gauss-Jordan update of the matrix for pivot
+// (leave, enter), given the entering column's nonzeros in colRows/colVals:
+// it scales the pivot row, leaving its nonzero columns in rowCols, and
+// subtracts it from every other row with a nonzero in the entering
+// column. The bitmaps follow: the pivot row's bitmap is rebuilt exactly,
+// every eliminated row gains the pivot row's columns, those columns gain
+// the eliminated rows, and the entering column becomes the unit column of
+// row leave.
+func (t *Tableau) eliminate(leave, enter int) {
+	n := t.nTot
+	row := t.a[leave*n : (leave+1)*n]
+	rowBits := t.rowBits[leave*t.rw : (leave+1)*t.rw]
+	inv := 1 / row[enter]
+	t.rowCols = t.rowCols[:0]
+	for w, word := range rowBits {
+		for ; word != 0; word &= word - 1 {
+			bit := bits.TrailingZeros64(word)
+			j := w<<6 + bit
+			if rj := row[j]; rj != 0 {
+				row[j] = rj * inv
+			}
+			if row[j] != 0 {
+				t.rowCols = append(t.rowCols, int32(j))
+			} else {
+				row[j] = 0
+				rowBits[w] &^= 1 << bit
+			}
 		}
 	}
+	row[enter] = 1
+
+	clear(t.elim)
+	for k, f := range t.colVals {
+		i := int(t.colRows[k])
+		if i == leave {
+			continue
+		}
+		ri := t.a[i*n : (i+1)*n]
+		for _, j := range t.rowCols {
+			ri[j] -= f * row[j]
+		}
+		ri[enter] = 0
+		dst := t.rowBits[i*t.rw : (i+1)*t.rw]
+		for w, word := range rowBits {
+			dst[w] |= word
+		}
+		dst[enter>>6] &^= 1 << (enter & 63)
+		t.elim[i>>6] |= 1 << (i & 63)
+	}
+	for _, j := range t.rowCols {
+		dst := t.colBits[int(j)*t.cw : (int(j)+1)*t.cw]
+		for w, word := range t.elim {
+			dst[w] |= word
+		}
+	}
+	col := t.colBits[enter*t.cw : (enter+1)*t.cw]
+	clear(col)
+	col[leave>>6] = 1 << (leave & 63)
 }
 
 // driveOutArtificials exchanges any artificial variable still basic at
@@ -542,37 +658,50 @@ func (t *Tableau) driveOutArtificials() {
 		if t.basis[i] < t.artStart {
 			continue
 		}
-		swapped := false
-		for j := 0; j < t.artStart; j++ {
-			if t.basic[j] {
-				continue
-			}
-			v := t.a[i*n+j]
-			if v > pivotEps || v < -pivotEps {
-				t.exchangeAtBound(i, j)
-				swapped = true
-				break
-			}
-		}
-		if !swapped {
+		if j := t.firstExchangeable(i); j >= 0 {
+			t.exchangeAtBound(i, j)
+		} else {
 			t.b[i] = 0
 		}
 	}
-	for i := 0; i < t.m; i++ {
-		base := i * n
-		for j := t.artStart; j < n; j++ {
-			if t.basis[i] != j {
-				t.a[base+j] = 0
+	for j := t.artStart; j < n; j++ {
+		col := t.colBits[j*t.cw : (j+1)*t.cw]
+		for w, word := range col {
+			for ; word != 0; word &= word - 1 {
+				bit := bits.TrailingZeros64(word)
+				i := w<<6 + bit
+				if t.basis[i] != j {
+					t.a[i*n+j] = 0
+					col[w] &^= 1 << bit
+					t.rowBits[i*t.rw+j>>6] &^= 1 << (j & 63)
+				}
 			}
 		}
 	}
+}
+
+// firstExchangeable returns the lowest nonbasic non-artificial column
+// with a usable pivot in row i, or -1.
+func (t *Tableau) firstExchangeable(i int) int {
+	row := t.a[i*t.nTot : (i+1)*t.nTot]
+	for w, word := range t.rowBits[i*t.rw : (i+1)*t.rw] {
+		for ; word != 0; word &= word - 1 {
+			j := w<<6 + bits.TrailingZeros64(word)
+			if j >= t.artStart {
+				return -1
+			}
+			if v := row[j]; !t.basic[j] && (v > pivotEps || v < -pivotEps) {
+				return j
+			}
+		}
+	}
+	return -1
 }
 
 // exchangeAtBound makes nonbasic column j basic in row i without moving
 // any variable: the leaving artificial sits at 0 and j enters at its
 // current bound value. Only the matrix needs the Gauss-Jordan update.
 func (t *Tableau) exchangeAtBound(i, j int) {
-	n := t.nTot
 	r := t.basis[i]
 	t.basic[r] = false
 	t.atUpper[r] = false
@@ -584,29 +713,6 @@ func (t *Tableau) exchangeAtBound(i, j int) {
 	t.atUpper[j] = false
 	t.basis[i] = j
 	t.b[i] = vE
-
-	row := t.a[i*n : (i+1)*n]
-	inv := 1 / row[j]
-	for k, rk := range row {
-		if rk != 0 {
-			row[k] = rk * inv
-		}
-	}
-	row[j] = 1
-	for i2 := 0; i2 < t.m; i2++ {
-		if i2 == i {
-			continue
-		}
-		f := t.a[i2*n+j]
-		if f == 0 {
-			continue
-		}
-		ri := t.a[i2*n : (i2+1)*n]
-		for k, pk := range row {
-			if pk != 0 {
-				ri[k] -= f * pk
-			}
-		}
-		ri[j] = 0
-	}
+	t.gatherColumn(j)
+	t.eliminate(i, j)
 }

@@ -179,36 +179,6 @@ func TestSolveTabAliasesScratch(t *testing.T) {
 	}
 }
 
-// A warm Tableau re-solving the same problem shape must not allocate.
-func TestSolveTabWarmAllocFree(t *testing.T) {
-	p := NewProblem(Minimize)
-	n := 12
-	for i := 0; i < n; i++ {
-		p.AddBinaryVar(float64(i%3)+1, "b")
-	}
-	for k := 0; k < 6; k++ {
-		var terms []Term
-		for i := 0; i < n; i++ {
-			terms = append(terms, T(i, float64((i+k)%4)))
-		}
-		p.AddConstraint(Constraint{Terms: terms, Rel: GE, RHS: 2})
-	}
-	tab := NewTableau()
-	ov := p.DefaultOverrides()
-	ctx := context.Background()
-	if _, err := p.SolveTab(ctx, ov, tab); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := p.SolveTab(ctx, ov, tab); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("warm SolveTab allocates %v objects per solve, want 0", allocs)
-	}
-}
-
 func TestSolveTabNilTableau(t *testing.T) {
 	p := NewProblem(Maximize)
 	a := p.AddBinaryVar(2, "a")
