@@ -76,3 +76,26 @@ func TestFlowCleanRunNotDegraded(t *testing.T) {
 		t.Fatalf("default flow tier = %q, want heuristic (UseILP off skips the exact tier)", res.Solve.Name)
 	}
 }
+
+// An exact-tier flow reports its LP effort as reference-stage counters.
+func TestReferenceStageLPCounters(t *testing.T) {
+	opts := smallOpts(14)
+	opts.UseILP = true
+	opts.Workers = 1
+	res, err := RunDFTFlowCtx(context.Background(), chip.IVD(), assay.IVD(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats.Stage(StageReference)
+	if st == nil {
+		t.Fatal("no reference stage")
+	}
+	pivots, maxPivots := st.Counter("ilp_lp_pivots"), st.Counter("ilp_lp_max_pivots")
+	if maxPivots <= 0 || pivots < maxPivots || pivots < st.Counter("ilp_nodes") {
+		t.Fatalf("ilp_lp_pivots=%d ilp_lp_max_pivots=%d ilp_nodes=%d, want a positive maximum within a total of at least one pivot per node",
+			pivots, maxPivots, st.Counter("ilp_nodes"))
+	}
+	if n := st.Counter("ilp_iter_limits") + st.Counter("ilp_bland_trips"); n != 0 {
+		t.Fatalf("IVD relaxations hit the iteration limit or Bland's rule %d times, want 0", n)
+	}
+}

@@ -20,8 +20,9 @@ package lp
 // reduced-cost update and the value clamp all run over those two lists.
 // Every visited entry is still tested != 0 before use, and each entry
 // receives the same floating-point operations in the same order as in a
-// full sweep, so the pivot sequence and every result are bit-identical to
-// the dense kernel's (testdata/lp_fixture.txt pins them).
+// full sweep of the matrix. Skipping zeros therefore cannot change a
+// rounding or a pivot choice; testdata/lp_fixture.txt pins the pivot
+// sequence and the solutions bit for bit.
 
 import (
 	"context"
@@ -605,10 +606,12 @@ func (t *Tableau) eliminate(leave, enter int) {
 		for ; word != 0; word &= word - 1 {
 			bit := bits.TrailingZeros64(word)
 			j := w<<6 + bit
-			if rj := row[j]; rj != 0 {
-				row[j] = rj * inv
+			rj := row[j]
+			if rj != 0 {
+				rj *= inv
 			}
-			if row[j] != 0 {
+			if rj != 0 {
+				row[j] = rj
 				t.rowCols = append(t.rowCols, int32(j))
 			} else {
 				row[j] = 0

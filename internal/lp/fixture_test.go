@@ -166,3 +166,49 @@ func TestLPFixture(t *testing.T) {
 		t.Fatalf("%d of %d LPs differ from the fixture", bad, len(got))
 	}
 }
+
+// A solve must not depend on what its Tableau solved before: load clears
+// the matrix through the previous solve's bitmaps, so a stale entry would
+// leak into the next problem. Solving the corpus, plus IVD's path ILP
+// grown by subtour-style rows as lazy cuts grow it, through one Tableau in
+// random orders must give the same bits as a fresh Tableau per LP.
+func TestTableauReuseOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	corpus := fixtureCorpus(t)
+	var cuts []lp.Constraint
+	for k := 0; k < 12; k++ {
+		m, _ := testgen.PathILPModel(chip.IVD(), 2)
+		n := m.P.NumVars()
+		var terms []lp.Term
+		for size := 3 + rng.Intn(6); len(terms) < size; {
+			terms = append(terms, lp.T(rng.Intn(n), 1))
+		}
+		cuts = append(cuts, lp.Constraint{Terms: terms, Rel: lp.LE, RHS: float64(len(terms) - 1)})
+		for _, c := range cuts {
+			m.P.AddConstraint(c)
+		}
+		for i := 0; i < 10; i++ {
+			corpus = append(corpus, fixtureLP{id: fmt.Sprintf("grown/%d/fix%d", k, i), p: m.P, ov: randomFixings(rng, m.P, 24)})
+		}
+	}
+	want := make([]string, len(corpus))
+	for i, f := range corpus {
+		sol, err := f.p.SolveTab(context.Background(), f.ov, lp.NewTableau())
+		if err != nil {
+			t.Fatalf("%s: %v", f.id, err)
+		}
+		want[i] = fixtureLine(f.id, sol)
+	}
+	for trial := 0; trial < 2; trial++ {
+		tab := lp.NewTableau()
+		for _, i := range rng.Perm(len(corpus)) {
+			sol, err := corpus[i].p.SolveTab(context.Background(), corpus[i].ov, tab)
+			if err != nil {
+				t.Fatalf("%s: %v", corpus[i].id, err)
+			}
+			if got := fixtureLine(corpus[i].id, sol); got != want[i] {
+				t.Fatalf("order %d: reused tableau gives\n %s\nfresh tableau gives\n %s", trial, got, want[i])
+			}
+		}
+	}
+}

@@ -1,5 +1,6 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs with bounded variables.
+// Package lp implements a two-phase primal simplex solver for linear
+// programs with bounded variables, over a dense tableau whose pivots visit
+// only nonzeros.
 //
 // The DAC'18 DFT paper formulates test-path generation as a 0-1 integer
 // linear program (eqs. (1)-(6)); the authors used a commercial solver from
@@ -12,8 +13,12 @@
 // (Bland's rule fallback, explicit tolerances) and a branch-and-bound
 // friendly hot path: the production engine (bounded.go) treats finite
 // upper bounds implicitly and solves into a reusable Tableau scratch, so
-// a warm re-solve performs no allocations. The seed row-based simplex is
-// preserved in baseline.go for benchmarks and cross-checks.
+// a warm re-solve performs no allocations. The paper's models are sparse
+// (a pivot row is about 2% nonzero), so the tableau keeps row and column
+// bitmaps of its nonzeros and each iteration touches only those, with the
+// same floating-point operations in the same order as a full sweep; the
+// pivot sequence is pinned by testdata/lp_fixture.txt. The seed row-based
+// simplex is preserved in baseline.go for benchmarks and cross-checks.
 package lp
 
 import (
@@ -118,8 +123,8 @@ func (p *Problem) VarName(i int) string { return p.names[i] }
 // Bounds returns the bounds of variable i.
 func (p *Problem) Bounds(i int) (lb, ub float64) { return p.lb[i], p.ub[i] }
 
-// AddConstraint appends a linear constraint. Terms with out-of-range
-// variable indices panic at solve time.
+// AddConstraint appends a linear constraint. A term with an out-of-range
+// variable index makes the next solve return an error.
 func (p *Problem) AddConstraint(c Constraint) int {
 	p.cons = append(p.cons, c)
 	return len(p.cons) - 1

@@ -311,3 +311,19 @@ func TestStatusString(t *testing.T) {
 		t.Fatal("unknown status should stringify to unknown")
 	}
 }
+
+// A constraint term naming a variable the problem does not have is
+// reported as an error by every solve entry point, not a panic.
+func TestOutOfRangeTermIsAnError(t *testing.T) {
+	for _, v := range []int{-1, 1} {
+		p := NewProblem(Minimize)
+		p.AddBinaryVar(1, "x")
+		p.AddConstraint(Constraint{Terms: []Term{{v, 1}}, Rel: LE, RHS: 1})
+		if _, err := p.Solve(nil); err == nil {
+			t.Errorf("Solve with term var %d: no error", v)
+		}
+		if _, err := p.SolveBaseline(nil); err == nil {
+			t.Errorf("SolveBaseline with term var %d: no error", v)
+		}
+	}
+}
