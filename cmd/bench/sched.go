@@ -1,30 +1,21 @@
 package main
 
 // sched.go is the -sched mode: it measures the warm-start scheduler engine
-// against the preserved seed scheduler on every bundled chip/assay
-// combination. Each op schedules the same augmented chip under a fixed set
-// of control assignments (the fitness-path access pattern: one chip, many
-// sharing schemes). The legs:
+// on every bundled chip/assay combination. Each op schedules the same
+// augmented chip under a fixed set of control assignments (the
+// fitness-path access pattern: one chip, many sharing schemes). The legs:
 //
-//   - baseline: sched.RunBaseline — the seed scheduler preserved verbatim,
-//     rebuilding adjacency, candidate routes, doorstep sets and priorities
-//     from scratch on every call. The denominator of every speedup.
-//   - cold: sched.Run — a fresh Engine per call. Measures what the
-//     decomposition costs when nothing is amortized; it should sit near
-//     the baseline.
+//   - cold: sched.Run — a fresh Engine per call, rebuilding adjacency,
+//     candidate routes, doorstep sets and priorities every time. The
+//     denominator of the speedup.
 //   - warm: one Engine built before the clock starts, Engine.Run per
 //     control. This is how core fitness, diagnosis and reconfiguration
 //     consume the scheduler; the build cost amortizes to zero.
 //
-// Before any timing, every control is scheduled through all three legs and
-// the schedules are compared bit for bit — a mismatch is a hard failure,
-// not a report field.
-//
-// The mode closes with an end-to-end A/B on the largest design: the full
-// DFT flow with Options.SchedBaseline (every fitness schedule through the
-// seed path) against the normal engine-backed flow, asserting the results
-// are identical and reporting the outer-stage wall-clock delta plus the
-// sched_* stage counters.
+// Before any timing, every control is scheduled through both legs and the
+// schedules are compared bit for bit — a mismatch is a hard failure, not a
+// report field. The flow's own sched_* counters are reported by the
+// repository benchmark's traced runs.
 //
 // The committed BENCH_sched.json is regenerated with:
 //
@@ -41,8 +32,6 @@ import (
 	"repro/internal/assay"
 	"repro/internal/chip"
 	"repro/internal/cliutil"
-	"repro/internal/core"
-	"repro/internal/pso"
 	"repro/internal/sched"
 )
 
@@ -50,8 +39,6 @@ import (
 type SchedDoc struct {
 	GoMaxProcs int           `json:"gomaxprocs"`
 	Designs    []SchedDesign `json:"designs"`
-	// EndToEnd is the full-flow A/B on the largest design.
-	EndToEnd SchedEndToEnd `json:"end_to_end"`
 }
 
 // SchedDesign is one chip/assay combination's measurements.
@@ -60,11 +47,11 @@ type SchedDesign struct {
 	Assay string `json:"assay"`
 	// Controls is how many control assignments one op schedules.
 	Controls int `json:"controls"`
-	// BitIdentical records that baseline, cold and warm produced deeply
-	// equal schedules (or identical errors) for every control.
+	// BitIdentical records that cold and warm produced deeply equal
+	// schedules (or identical errors) for every control.
 	BitIdentical bool `json:"bit_identical"`
-	// WarmSpeedup is baseline ns/op over warm ns/op — the headline gain.
-	WarmSpeedup float64       `json:"warm_speedup_vs_baseline"`
+	// WarmSpeedup is cold ns/op over warm ns/op — the headline gain.
+	WarmSpeedup float64       `json:"warm_speedup_vs_cold"`
 	Results     []SchedResult `json:"results"`
 }
 
@@ -76,26 +63,7 @@ type SchedResult struct {
 	NsPerOp     int64   `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-	SpeedupVs   float64 `json:"speedup_vs_baseline,omitempty"`
-}
-
-// SchedEndToEnd is the whole-flow A/B: identical Options except
-// SchedBaseline, identical results required.
-type SchedEndToEnd struct {
-	Chip  string `json:"chip"`
-	Assay string `json:"assay"`
-	// Deterministic records that the engine-backed flow and the
-	// baseline-scheduler flow returned a bit-identical result.
-	Deterministic   bool    `json:"baseline_engine_result_identical"`
-	BaselineOuterNs int64   `json:"baseline_outer_stage_ns"`
-	EngineOuterNs   int64   `json:"engine_outer_stage_ns"`
-	OuterSpeedup    float64 `json:"outer_speedup"`
-	// The engine-backed flow's sched_* counters, summed over all stages.
-	EngineBuilds     int64 `json:"sched_engine_builds"`
-	WarmRuns         int64 `json:"sched_warm_runs"`
-	CandidateHits    int64 `json:"sched_candidate_hits"`
-	FallbackReroutes int64 `json:"sched_fallback_reroutes"`
-	Livelocks        int64 `json:"sched_livelocks"`
+	SpeedupVs   float64 `json:"speedup_vs_cold,omitempty"`
 }
 
 // schedAugment clones c and adds n DFT channels on the first free edges,
@@ -189,21 +157,17 @@ func runSched(outFile string) int {
 		}
 		g := combo.assay
 
-		// Correctness gate before any clock starts: all three legs must
-		// agree on every control.
+		// Correctness gate before any clock starts: both legs must agree
+		// on every control.
 		warmEng, err := sched.NewEngine(aug, g, params)
 		if err != nil {
 			return cliutil.Fail(tool, err)
 		}
 		for i, ctrl := range ctrls {
-			base, baseErr := sched.RunBaseline(aug, ctrl, g, params)
-			warm, warmErr := warmEng.Run(ctrl, params)
-			if err := schedSameRun(base, baseErr, warm, warmErr); err != nil {
-				return cliutil.Fail(tool, fmt.Errorf("%s ctrl %d: warm vs baseline: %w", combo.chip.Name, i, err))
-			}
 			cold, coldErr := sched.Run(aug, ctrl, g, params)
-			if err := schedSameRun(base, baseErr, cold, coldErr); err != nil {
-				return cliutil.Fail(tool, fmt.Errorf("%s ctrl %d: cold vs baseline: %w", combo.chip.Name, i, err))
+			warm, warmErr := warmEng.Run(ctrl, params)
+			if err := schedSameRun(cold, coldErr, warm, warmErr); err != nil {
+				return cliutil.Fail(tool, fmt.Errorf("%s ctrl %d: warm vs cold: %w", combo.chip.Name, i, err))
 			}
 		}
 
@@ -211,11 +175,6 @@ func runSched(outFile string) int {
 			name string
 			run  func()
 		}{
-			{"baseline", func() {
-				for _, ctrl := range ctrls {
-					sched.RunBaseline(aug, ctrl, g, params)
-				}
-			}},
 			{"cold", func() {
 				for _, ctrl := range ctrls {
 					sched.Run(aug, ctrl, g, params)
@@ -229,7 +188,7 @@ func runSched(outFile string) int {
 		}
 
 		d := SchedDesign{Chip: combo.chip.Name, Assay: g.Name, Controls: len(ctrls), BitIdentical: true}
-		var baseNs int64
+		var coldNs int64
 		for _, leg := range legs {
 			run := leg.run
 			br := testing.Benchmark(func(b *testing.B) {
@@ -245,13 +204,11 @@ func runSched(outFile string) int {
 				BytesPerOp:  br.AllocedBytesPerOp(),
 				AllocsPerOp: br.AllocsPerOp(),
 			}
-			if leg.name == "baseline" {
-				baseNs = r.NsPerOp
-			} else if baseNs > 0 && r.NsPerOp > 0 {
-				r.SpeedupVs = float64(baseNs) / float64(r.NsPerOp)
-				if leg.name == "warm" {
-					d.WarmSpeedup = r.SpeedupVs
-				}
+			if leg.name == "cold" {
+				coldNs = r.NsPerOp
+			} else if coldNs > 0 && r.NsPerOp > 0 {
+				r.SpeedupVs = float64(coldNs) / float64(r.NsPerOp)
+				d.WarmSpeedup = r.SpeedupVs
 			}
 			d.Results = append(d.Results, r)
 			fmt.Fprintf(os.Stderr, "%-6s %-8s %12d ns/op %10d B/op %8d allocs/op\n",
@@ -260,63 +217,5 @@ func runSched(outFile string) int {
 		doc.Designs = append(doc.Designs, d)
 	}
 
-	e2e, err := runSchedEndToEnd()
-	if err != nil {
-		return cliutil.Fail(tool, err)
-	}
-	doc.EndToEnd = *e2e
-
 	return writeBenchArtifact(outFile, doc)
-}
-
-// runSchedEndToEnd A/Bs the full DFT flow on the largest design: identical
-// options except SchedBaseline, results must match bit for bit.
-func runSchedEndToEnd() (*SchedEndToEnd, error) {
-	c, g := chip.MRNA(), assay.CPA()
-	opts := func(baseline bool) core.Options {
-		return core.Options{
-			Outer:         pso.Config{Particles: 5, Iterations: 20},
-			Inner:         pso.Config{Particles: 5, Iterations: 8},
-			Seed:          2018,
-			Workers:       1,
-			SchedBaseline: baseline,
-		}
-	}
-	baseRes, err := core.RunDFTFlow(c, g, opts(true))
-	if err != nil {
-		return nil, err
-	}
-	engRes, err := core.RunDFTFlow(c, g, opts(false))
-	if err != nil {
-		return nil, err
-	}
-	e2e := &SchedEndToEnd{
-		Chip:          c.Name,
-		Assay:         g.Name,
-		Deterministic: psoResultKey(baseRes) == psoResultKey(engRes),
-	}
-	if !e2e.Deterministic {
-		return nil, fmt.Errorf("%s: SchedBaseline changed the flow result:\n baseline: %s\n engine:   %s",
-			c.Name, psoResultKey(baseRes), psoResultKey(engRes))
-	}
-	if outer := baseRes.Stats.Stage(core.StageOuter); outer != nil {
-		e2e.BaselineOuterNs = outer.Duration.Nanoseconds()
-	}
-	if outer := engRes.Stats.Stage(core.StageOuter); outer != nil {
-		e2e.EngineOuterNs = outer.Duration.Nanoseconds()
-	}
-	if e2e.BaselineOuterNs > 0 && e2e.EngineOuterNs > 0 {
-		e2e.OuterSpeedup = float64(e2e.BaselineOuterNs) / float64(e2e.EngineOuterNs)
-	}
-	for _, st := range engRes.Stats.Stages {
-		e2e.EngineBuilds += st.Counters["sched_engine_builds"]
-		e2e.WarmRuns += st.Counters["sched_warm_runs"]
-		e2e.CandidateHits += st.Counters["sched_candidate_hits"]
-		e2e.FallbackReroutes += st.Counters["sched_fallback_reroutes"]
-		e2e.Livelocks += st.Counters["sched_livelocks"]
-	}
-	fmt.Fprintf(os.Stderr, "%-6s end-to-end outer %10.1fms (baseline) vs %10.1fms (engine)  builds %d  runs %d  cand_hits %d  livelocks %d\n",
-		c.Name, float64(e2e.BaselineOuterNs)/1e6, float64(e2e.EngineOuterNs)/1e6,
-		e2e.EngineBuilds, e2e.WarmRuns, e2e.CandidateHits, e2e.Livelocks)
-	return e2e, nil
 }

@@ -4,9 +4,9 @@
 // (adjacency, candidate routes, storage doorsteps, priorities) for every
 // scheme would dominate the search. This example builds the engine once,
 // sweeps sharing schemes through it, checks every schedule bit for bit
-// against the preserved seed scheduler, and times the sweep three ways:
-// the seed path (full rebuild per call), a fresh engine per call, and the
-// single warm engine — the fitness loop's actual access pattern.
+// against a cold run (a fresh engine per call), and times the sweep both
+// ways: a fresh engine per call, and the single warm engine — the fitness
+// loop's actual access pattern.
 //
 //	go run ./examples/sched_engine
 package main
@@ -14,10 +14,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"reflect"
 	"time"
 
 	"repro/dft"
-	"repro/internal/sched"
 )
 
 func main() {
@@ -69,28 +69,27 @@ func main() {
 		}
 
 		sch, warmErr := eng.Run(ctrls[i], dft.SchedParams{})
-		ref, refErr := sched.RunBaseline(aug.Chip, ctrls[i], a, dft.SchedParams{})
+		ref, refErr := dft.ScheduleAssay(aug.Chip, ctrls[i], a, dft.SchedParams{})
 		switch {
 		case warmErr != nil && refErr != nil:
 			fmt.Printf("%-24s unschedulable: %v\n", label, warmErr)
 		case warmErr != nil || refErr != nil:
-			log.Fatalf("%s: engine and seed scheduler disagree: %v vs %v", label, warmErr, refErr)
-		case sch.ExecutionTime != ref.ExecutionTime:
-			log.Fatalf("%s: engine %d s vs seed %d s — must be bit-identical", label, sch.ExecutionTime, ref.ExecutionTime)
+			log.Fatalf("%s: warm and cold engines disagree: %v vs %v", label, warmErr, refErr)
+		case !reflect.DeepEqual(sch, ref):
+			log.Fatalf("%s: warm and cold schedules differ — they must be bit-identical", label)
 		default:
 			fmt.Printf("%-24s %4d s, %2d transports\n", label, sch.ExecutionTime, len(sch.Transports))
 		}
 	}
 
-	// Time the sweep the three ways a caller could run it. The PSO's inner
-	// swarm revisits schemes across iterations, so a few rounds is the
-	// realistic shape.
+	// Time the sweep both ways a caller could run it. The PSO's inner swarm
+	// revisits schemes across iterations, so a few rounds is the realistic
+	// shape.
 	const rounds = 20
 	legs := []struct {
 		name string
 		run  func(ctrl *dft.Control)
 	}{
-		{"seed (rebuild per call)", func(ctrl *dft.Control) { sched.RunBaseline(aug.Chip, ctrl, a, dft.SchedParams{}) }},
 		{"cold engine per call", func(ctrl *dft.Control) { dft.ScheduleAssay(aug.Chip, ctrl, a, dft.SchedParams{}) }},
 		{"one warm engine", func(ctrl *dft.Control) { eng.Run(ctrl, dft.SchedParams{}) }},
 	}
@@ -104,5 +103,5 @@ func main() {
 		}
 		fmt.Printf("  %-24s %v\n", leg.name, time.Since(t0).Round(time.Millisecond))
 	}
-	fmt.Println("same schedules every way — only the amortization differs")
+	fmt.Println("same schedules both ways — only the amortization differs")
 }

@@ -4,8 +4,9 @@
 // is computed once in NewEngine, and each Engine.Run performs only the
 // control-dependent work: event simulation and per-snapshot valve-state
 // validation. Run state lives in a sync.Pool so the hot loop is
-// allocation-free, and schedules are bit-identical to RunBaseline's (the
-// property tests in engine_test.go compare them on every design).
+// allocation-free. testdata/sched_fixture.txt pins the schedules bit for
+// bit: it was recorded from the seed scheduler, which rebuilt all of this
+// state on every call (fixture_test.go).
 package sched
 
 import (
@@ -32,7 +33,8 @@ type Engine struct {
 	// set: the precomputed routing state below bakes the bans in.
 	banClosed, banOpen []int
 
-	// Per-valve ban flags and the derived per-edge ban (see simState).
+	// Per-valve ban flags, and the per-edge ban they derive: a banned
+	// valve's segment can store no fluid.
 	stuckClosed, stuckOpen []bool
 	bannedEdge             []bool
 
@@ -149,7 +151,8 @@ func NewEngine(c *chip.Chip, g *assay.Graph, params Params) (*Engine, error) {
 		u, v := grid.Endpoints(ed)
 		e.doorstep[ed] = resource[u] || resource[v]
 	}
-	// Critical-path priorities (identical to newSimState's).
+	// Critical-path priorities: an op's duration plus its longest
+	// successor chain.
 	e.priority = make([]int, e.numOps)
 	order, _ := g.TopoOrder()
 	for i := len(order) - 1; i >= 0; i-- {
@@ -197,8 +200,8 @@ func (e *Engine) RunProgress(ctrl *chip.Control, params Params) (*Schedule, int,
 	return e.RunProgressCtx(context.Background(), ctrl, params)
 }
 
-// RunProgressCtx runs one control-dependent simulation. The schedule is
-// bit-identical to RunProgressBaselineCtx with the same arguments.
+// RunProgressCtx runs one control-dependent simulation. The schedule does
+// not depend on the runs before it or running beside it.
 func (e *Engine) RunProgressCtx(ctx context.Context, ctrl *chip.Control, params Params) (*Schedule, int, error) {
 	params = params.withDefaults()
 	if err := e.checkBans(params); err != nil {
@@ -240,8 +243,8 @@ func (e *Engine) checkBans(params Params) error {
 	return nil
 }
 
-// canonicalBans sorts, deduplicates and range-clips a ban list (matching
-// the tolerant markBan semantics of the baseline).
+// canonicalBans sorts, deduplicates and range-clips a ban list: duplicate
+// and out-of-range valves are tolerated, not rejected.
 func canonicalBans(valves []int, numValves int) []int {
 	out := make([]int, 0, len(valves))
 	for _, v := range valves {

@@ -1,13 +1,12 @@
 package sched
 
-// Warm-engine routing: the per-transport path search of the baseline's
-// findPath/routeAndValidate, with two differences that change cost but not
-// results. First, Dijkstra runs on pooled scratch (graphalg.PathScratch)
-// instead of allocating per call. Second, a transport requested while the
-// chip is pristine — no edge busy, no product stored in a segment, no
-// reroute penalty — sees a routing weight identical to the engine's
-// precomputed baseWeight, so its path is a pure function of the (from, to)
-// pair and is served from the engine's candidate cache.
+// Warm-engine routing: the per-transport path search. Dijkstra runs on
+// pooled scratch (graphalg.PathScratch) instead of allocating per call. A
+// transport requested while the chip is pristine — no edge busy, no
+// product stored in a segment, no reroute penalty — sees a routing weight
+// identical to the engine's precomputed baseWeight, so its path is a pure
+// function of the (from, to) pair and is served from the engine's
+// candidate cache.
 
 // tryStartTransport attempts to launch the fluid movement for the pending
 // task at index ti. It returns true when the transport started.
@@ -117,7 +116,7 @@ func (rs *runState) routeAndValidate(from, to location, producer int) ([]int, bo
 }
 
 // clearPenalties resets the reroute penalties touched by the previous
-// routeAndValidate call (the baseline allocates a fresh map per call).
+// routeAndValidate call.
 func (rs *runState) clearPenalties() {
 	for _, e := range rs.penTouch {
 		rs.penalty[e] = 0
@@ -130,7 +129,7 @@ func (rs *runState) clearPenalties() {
 // penalties) the dynamic weight function collapses to the engine's
 // baseWeight, so the result depends only on (from, to) and is served from —
 // or inserted into — the engine's candidate cache. Otherwise it runs the
-// dynamic Dijkstra the baseline always runs. The returned slice aliases run
+// dynamic Dijkstra. The returned slice aliases run
 // scratch or cache memory; callers must copy before retaining it.
 func (rs *runState) findPath(from, to location, producer int, penalized bool) ([]int, bool) {
 	e := rs.eng
@@ -167,7 +166,8 @@ func (rs *runState) findPath(from, to location, producer int, penalized bool) ([
 // searchPath is the cross-product shortest-path search shared by the
 // pristine and dynamic tiers, including the stored-segment entry/exit
 // adjustments. Node enumeration order and the strict `cost < best`
-// comparison replicate the baseline exactly.
+// comparison decide ties, so both are part of the scheduling policy the
+// fixture pins.
 func (rs *runState) searchPath(from, to location, weight func(edge int) float64) ([]int, bool) {
 	e := rs.eng
 	var fromBuf, toBuf [2]int

@@ -14,7 +14,6 @@ package sched
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/assay"
 	"repro/internal/chip"
@@ -164,47 +163,6 @@ func RunProgressCtx(ctx context.Context, c *chip.Chip, ctrl *chip.Control, g *as
 	return eng.RunProgressCtx(ctx, ctrl, params)
 }
 
-// --- the preserved seed scheduler (A/B reference) ---------------------------
-
-// RunBaseline is the seed scheduler preserved verbatim (baseline_sim.go,
-// baseline_transport.go): it rebuilds every piece of routing and validation
-// state from scratch on each call. It exists as the A/B reference the
-// engine's property tests and cmd/bench -sched compare against; Engine.Run
-// is bit-identical to it for every design, control assignment and ban set.
-func RunBaseline(c *chip.Chip, ctrl *chip.Control, g *assay.Graph, params Params) (*Schedule, error) {
-	sch, _, err := RunProgressBaseline(c, ctrl, g, params)
-	return sch, err
-}
-
-// RunBaselineCtx is RunBaseline with cooperative cancellation.
-func RunBaselineCtx(ctx context.Context, c *chip.Chip, ctrl *chip.Control, g *assay.Graph, params Params) (*Schedule, error) {
-	sch, _, err := RunProgressBaselineCtx(ctx, c, ctrl, g, params)
-	return sch, err
-}
-
-// RunProgressBaseline is RunBaseline with the operations-completed count.
-func RunProgressBaseline(c *chip.Chip, ctrl *chip.Control, g *assay.Graph, params Params) (*Schedule, int, error) {
-	return RunProgressBaselineCtx(context.Background(), c, ctrl, g, params)
-}
-
-// RunProgressBaselineCtx is the seed RunProgressCtx path, preserved
-// verbatim.
-func RunProgressBaselineCtx(ctx context.Context, c *chip.Chip, ctrl *chip.Control, g *assay.Graph, params Params) (*Schedule, int, error) {
-	if err := g.Validate(); err != nil {
-		return nil, 0, err
-	}
-	if ctrl == nil {
-		ctrl = chip.IndependentControl(c)
-	}
-	if ctrl.Chip() != c {
-		return nil, 0, fmt.Errorf("sched: control assignment belongs to a different chip")
-	}
-	s := newSimState(c, ctrl, g, params.withDefaults())
-	s.ctx = ctx
-	sch, err := s.run()
-	return sch, s.doneOps, err
-}
-
 // ExecutionTime is a convenience wrapper returning only the makespan; it
 // reports ok=false for unschedulable combinations (the PSO maps those to
 // quality ∞).
@@ -271,18 +229,4 @@ type productCtl struct {
 	holdsDevice    int  // device ID still blocked by this product (-1 none)
 	holdsPort      int  // port ID still blocked (-1 none)
 	moving         bool // storage move in flight
-}
-
-type transportTask struct {
-	producer int // op whose product moves
-	consumer int // op that consumes it (-1 for storage move)
-	started  bool
-	done     bool
-}
-
-type activeTransport struct {
-	task   *transportTask
-	edges  []int
-	finish int
-	to     location
 }

@@ -1,13 +1,11 @@
 package sched
 
-// Warm-engine snapshot validation: the baseline's conflictFree (Section 4.1
-// of the paper) rebuilt on epoch-stamped scratch arrays so a validation
-// attempt allocates nothing. The demand sets it derives — valves required
-// open by some moving fluid, valves required closed by the contamination
-// guard or a stored-segment seal — are identical to the baseline's; only
-// their representation (epoch stamps instead of fresh bool slices and maps)
-// differs. The baseline's member `ends` sets were never read and are
-// dropped here.
+// Warm-engine snapshot validation (Section 4.1 of the paper) on
+// epoch-stamped scratch arrays, so a validation attempt allocates nothing.
+// It derives two demand sets — valves required open by some moving fluid,
+// valves required closed by the contamination guard or a stored-segment
+// seal — and rejects a snapshot whose control lines are demanded both
+// ways.
 
 // conflictFree validates the valve snapshot if `edges` were opened now for
 // a movement of `producer`, alongside all active transports and stored

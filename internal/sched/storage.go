@@ -1,14 +1,14 @@
 package sched
 
-// Warm-engine channel-storage policy: the baseline's emergencyStorage /
-// tryStartStorageMove / pickParkingEdge / parkingKeepsConnectivity with the
-// per-call allocations replaced by pooled scratch. The selection order is
-// unchanged — ascending product scans, the two-pass doorstep preference and
-// the exact (distance, edge-ID) tie-break — so the chosen parking segments
-// are bit-identical to the baseline's. The engine's holderOf index stands
-// in for the baseline's edgeHolder product scan; its two invariant sites in
-// this file (clearing the old segment when a stored product starts moving)
-// pair with the arrival site in events.go.
+// Warm-engine channel-storage policy: emergencyStorage /
+// tryStartStorageMove / pickParkingEdge / parkingKeepsConnectivity on
+// pooled scratch. The selection order — ascending product scans, the
+// two-pass doorstep preference and the exact (distance, edge-ID)
+// tie-break — decides which segment a product parks in, so it is part of
+// the scheduling policy the fixture pins. The engine's holderOf index
+// answers which product a segment stores; its two invariant sites in this
+// file (clearing the old segment when a stored product starts moving) pair
+// with the arrival site in events.go.
 
 // emergencyStorage fires only when the simulation is wedged (nothing
 // running, nothing startable): it evacuates one held product into a free
@@ -17,8 +17,7 @@ package sched
 func (rs *runState) emergencyStorage() bool {
 	// First choice: evacuate a product holding a device or port. Second
 	// choice: re-park a stored product whose segment seal may be wedging
-	// the chip. Ascending product scans reproduce the baseline's sorted
-	// candidate order.
+	// the chip. Each choice takes products in ascending ID order.
 	buf := rs.evacBuf[:0]
 	for i := range rs.products {
 		pr := &rs.products[i]
@@ -44,7 +43,7 @@ func (rs *runState) emergencyStorage() bool {
 	rs.evacBuf = buf
 	for _, i := range buf {
 		// Tasks are value entries: append tentatively, keep on success,
-		// truncate on failure (the baseline only appends started tasks).
+		// truncate on failure, so only started tasks stay.
 		ti := len(rs.tasks)
 		rs.tasks = append(rs.tasks, engTask{producer: i, consumer: -1})
 		if rs.tryStartTransport(ti) {
@@ -113,9 +112,8 @@ func (rs *runState) tryStartStorageMove(ti int) bool {
 
 // pickParkingEdge selects the closest free channel segment that is not a
 // doorstep of any device or port (parking there would block it), falling
-// back to doorstep parking on sparse chips. The engine's precomputed
-// doorstep flags and the run's sharedValve flags replace the baseline's
-// per-call resource map and SharedWith scans.
+// back to doorstep parking on sparse chips. It reads the engine's
+// precomputed doorstep flags and the run's sharedValve flags.
 func (rs *runState) pickParkingEdge(fromNode int) (int, bool) {
 	e := rs.eng
 	rs.dist = e.grid.BFSDistScratch(&rs.bfs, rs.dist, fromNode, func(ed int) bool {
