@@ -1,25 +1,14 @@
 package main
 
 // pso.go is the -pso mode: it measures the two-level PSO DFT flow's
-// fitness engine on every bundled chip/assay combination, in the same
-// serial/memoized/parallel shape as the fault-campaign bench. The legs:
-//
-//   - serial: the asynchronous serial engine with every reuse layer
-//     disabled (Options.PSORecompute) — each outer evaluation re-runs
-//     the inner search, each inner evaluation re-validates and
-//     re-schedules from scratch. This is what the search costs without
-//     the engine, and the denominator of every speedup.
-//   - async-memo: the asynchronous serial engine with the memo caches
-//     consulted (Options.PSOBaseline) — the seed engine as it shipped.
-//     Its result must be bit-identical to serial's (the caches are
-//     pure); the bench asserts that.
-//   - batch-w1/w2/w4/w8: the batch-synchronous engine — memoization,
-//     the incremental revalidation screen, and N-worker generation
-//     evaluation. The report asserts its result — fitness, partner
-//     assignment, added edges — is bit-identical at 1, 2, 4 and 8
-//     workers. On a single-core host the worker legs match batch-w1
-//     wall-clock (the fitness is CPU-bound); the engine's speedup there
-//     comes from reuse, the workers pay off on multicore hosts.
+// batch-synchronous fitness engine — memoization, the incremental
+// revalidation screen and N-worker generation evaluation — on every
+// bundled chip/assay combination at 1, 2, 4 and 8 workers (batch-w1 …
+// batch-w8). The report asserts the result — fitness, partner assignment,
+// added edges — is bit-identical at every worker count, and reports each
+// leg's outer-stage speedup over batch-w1. On a single-core host the
+// worker legs match batch-w1 wall-clock (the fitness is CPU-bound); the
+// workers pay off on multicore hosts.
 //
 // The committed BENCH_pso.json is regenerated with:
 //
@@ -50,13 +39,9 @@ type PSODesign struct {
 	// Deterministic records that the batch engine returned a bit-identical
 	// result (ExecPSO, partners, added edges) at 1, 2, 4 and 8 workers.
 	Deterministic bool `json:"deterministic_1_2_4_8_workers"`
-	// MemoPure records that the serial recomputation leg and the memoized
-	// async leg returned bit-identical results — the caches change
-	// wall-clock, never the answer.
-	MemoPure bool `json:"memo_caches_result_identical"`
-	// OuterSpeedup4 is serial-leg outer-stage wall-clock / batch-w4
-	// outer-stage wall-clock — the headline engine gain.
-	OuterSpeedup4 float64     `json:"outer_speedup_serial_vs_w4"`
+	// OuterSpeedup4 is batch-w1 outer-stage wall-clock / batch-w4
+	// outer-stage wall-clock — the worker pool's gain.
+	OuterSpeedup4 float64     `json:"outer_speedup_w1_vs_w4"`
 	Results       []PSOResult `json:"results"`
 }
 
@@ -81,20 +66,18 @@ type PSOResult struct {
 	RevalFastpath int64 `json:"reval_fastpath"`
 	RevalRecheck  int64 `json:"reval_recheck_pass"`
 	RevalSlowpath int64 `json:"reval_slowpath"`
-	// SpeedupVs compares outer-stage wall-clock against the serial leg.
-	SpeedupVs float64 `json:"speedup_vs_serial,omitempty"`
+	// SpeedupVs compares outer-stage wall-clock against batch-w1.
+	SpeedupVs float64 `json:"speedup_vs_w1,omitempty"`
 }
 
 // psoBenchOpts keeps one flow to a few seconds on the largest design
 // while still exercising hundreds of inner-swarm generations.
-func psoBenchOpts(workers int, baseline, recompute bool) core.Options {
+func psoBenchOpts(workers int) core.Options {
 	return core.Options{
-		Outer:        pso.Config{Particles: 5, Iterations: 20},
-		Inner:        pso.Config{Particles: 5, Iterations: 8},
-		Seed:         2018,
-		Workers:      workers,
-		PSOBaseline:  baseline,
-		PSORecompute: recompute,
+		Outer:   pso.Config{Particles: 5, Iterations: 20},
+		Inner:   pso.Config{Particles: 5, Iterations: 8},
+		Seed:    2018,
+		Workers: workers,
 	}
 }
 
@@ -123,27 +106,13 @@ func runPSO(outFile string) int {
 		{chip.RA30(), assay.PID()},
 		{chip.MRNA(), assay.CPA()},
 	}
-	variants := []struct {
-		name      string
-		workers   int
-		baseline  bool
-		recompute bool
-	}{
-		{"serial", 1, true, true},
-		{"async-memo", 1, true, false},
-		{"batch-w1", 1, false, false},
-		{"batch-w2", 2, false, false},
-		{"batch-w4", 4, false, false},
-		{"batch-w8", 8, false, false},
-	}
-
 	doc := PSODoc{GoMaxProcs: runtime.GOMAXPROCS(0)}
 	for _, combo := range combos {
-		d := PSODesign{Chip: combo.chip.Name, Assay: combo.assay.Name, Deterministic: true, MemoPure: true}
-		var serialOuter int64
-		serialKey, batchKey := "", ""
-		for _, v := range variants {
-			res, err := core.RunDFTFlow(combo.chip, combo.assay, psoBenchOpts(v.workers, v.baseline, v.recompute))
+		d := PSODesign{Chip: combo.chip.Name, Assay: combo.assay.Name, Deterministic: true}
+		var w1Outer int64
+		w1Key := ""
+		for _, workers := range []int{1, 2, 4, 8} {
+			res, err := core.RunDFTFlow(combo.chip, combo.assay, psoBenchOpts(workers))
 			if err != nil {
 				return cliutil.Fail(tool, err)
 			}
@@ -152,7 +121,7 @@ func runPSO(outFile string) int {
 				return cliutil.Fail(tool, fmt.Errorf("flow reported no outer stage"))
 			}
 			r := PSOResult{
-				Name:          v.name,
+				Name:          fmt.Sprintf("batch-w%d", workers),
 				OuterNs:       outer.Duration.Nanoseconds(),
 				RuntimeNs:     res.Runtime.Nanoseconds(),
 				ExecPSO:       res.ExecPSO,
@@ -165,39 +134,26 @@ func runPSO(outFile string) int {
 				RevalSlowpath: outer.Counters["reval_slowpath"],
 			}
 			key := psoResultKey(res)
-			switch {
-			case v.name == "serial":
-				serialOuter = r.OuterNs
-				serialKey = key
-			default:
-				if serialOuter > 0 && r.OuterNs > 0 {
-					r.SpeedupVs = float64(serialOuter) / float64(r.OuterNs)
+			if workers == 1 {
+				w1Outer, w1Key = r.OuterNs, key
+			} else {
+				if w1Outer > 0 && r.OuterNs > 0 {
+					r.SpeedupVs = float64(w1Outer) / float64(r.OuterNs)
 				}
-				if v.name == "async-memo" {
-					if key != serialKey {
-						d.MemoPure = false
-					}
-				} else {
-					if v.workers == 4 {
-						d.OuterSpeedup4 = r.SpeedupVs
-					}
-					if batchKey == "" {
-						batchKey = key
-					} else if key != batchKey {
-						d.Deterministic = false
-					}
+				if workers == 4 {
+					d.OuterSpeedup4 = r.SpeedupVs
+				}
+				if key != w1Key {
+					d.Deterministic = false
 				}
 			}
 			d.Results = append(d.Results, r)
 			fmt.Fprintf(os.Stderr, "%-6s %-12s outer %10.1fms  runtime %10.1fms  inner_evals %7d  inner_hit %4.2f  fast/recheck/slow %d/%d/%d\n",
-				combo.chip.Name, v.name, float64(r.OuterNs)/1e6, float64(r.RuntimeNs)/1e6,
+				combo.chip.Name, r.Name, float64(r.OuterNs)/1e6, float64(r.RuntimeNs)/1e6,
 				r.InnerEvals, r.InnerHitRate, r.RevalFastpath, r.RevalRecheck, r.RevalSlowpath)
 		}
 		if !d.Deterministic {
 			return cliutil.Fail(tool, fmt.Errorf("%s: batch engine results differ across worker counts", combo.chip.Name))
-		}
-		if !d.MemoPure {
-			return cliutil.Fail(tool, fmt.Errorf("%s: memo caches changed the async engine's result", combo.chip.Name))
 		}
 		doc.Designs = append(doc.Designs, d)
 	}

@@ -158,47 +158,6 @@ func TestFlowWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestFlowBaselineMode smoke-tests the serial asynchronous A/B path: the
-// baseline engine must still drive the flow to a valid, fully-shared
-// result (its trajectory differs from the batch engine by design).
-func TestFlowBaselineMode(t *testing.T) {
-	opts := smallOpts(5)
-	opts.PSOBaseline = true
-	res, err := RunDFTFlow(chip.IVD(), assay.IVD(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumShared != res.NumDFTValves {
-		t.Fatalf("baseline mode lost full sharing: %d/%d", res.NumShared, res.NumDFTValves)
-	}
-	if res.ExecPSO <= 0 || res.ExecPSO > res.ExecNoPSO {
-		t.Fatalf("baseline exec inconsistent: pso=%d nopso=%d", res.ExecPSO, res.ExecNoPSO)
-	}
-}
-
-// TestFlowRecomputeMatchesMemoized pins the purity contract behind the
-// memo caches and the revalidation screen: the serial recomputation leg
-// (every reuse layer disabled) must return a bit-identical Result to the
-// memoized asynchronous engine — the caches and the screen change
-// wall-clock, never the answer.
-func TestFlowRecomputeMatchesMemoized(t *testing.T) {
-	memo := smallOpts(9)
-	memo.PSOBaseline = true
-	first, err := RunDFTFlow(chip.IVD(), assay.IVD(), memo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recompute := memo
-	recompute.PSORecompute = true
-	second, err := RunDFTFlow(chip.IVD(), assay.IVD(), recompute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := canonicalResult(second), canonicalResult(first); got != want {
-		t.Errorf("recompute leg diverged from the memoized engine\n--- recompute ---\n%s--- memoized ---\n%s", got, want)
-	}
-}
-
 // TestExplicitZeroOmegaPlumbsThrough pins the Options-level plumbing of
 // the pso.Config zero-value fix: an explicit ω=0 (HasOmega set) must
 // survive Options.withDefaults untouched so the engine can honour it

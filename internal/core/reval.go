@@ -50,14 +50,10 @@ type sharingScreen struct {
 }
 
 // screenFor returns the configuration's revalidation screen, building it
-// on first use. It returns nil when the screen is unavailable: the
-// baseline A/B mode disables it, and a failed build degrades every check
-// to the slow path.
+// on first use. It returns nil when the build failed, which degrades every
+// check to the slow path.
 func (f *flow) screenFor(ev *augEval) *sharingScreen {
 	ev.screenOnce.Do(func() {
-		if f.opts.PSOBaseline || f.opts.PSORecompute {
-			return
-		}
 		ev.screen = f.newSharingScreen(ev)
 	})
 	return ev.screen

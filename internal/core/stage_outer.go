@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/flowstage"
+	"repro/internal/pso"
 )
 
 // runOuterStage runs the outer PSO over free-edge bias weights — each
@@ -25,7 +26,7 @@ func (f *flow) runOuterStage(ctx context.Context, st *flowstage.StageStats) erro
 	outerCfg.Seed = f.opts.Seed
 	outerCfg.OnIteration = f.solverTick
 	outerCfg.Workers = f.workers()
-	outer := f.minimize(ctx, len(freeEdges), func(x []float64) float64 {
+	outer := pso.MinimizeCtx(ctx, len(freeEdges), func(x []float64) float64 {
 		weights := make([]float64, c.Grid.NumEdges())
 		for i, e := range freeEdges {
 			weights[e] = x[i] * 4 // bias scale

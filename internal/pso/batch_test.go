@@ -99,59 +99,32 @@ func TestConfigExplicitZeroCoefficients(t *testing.T) {
 // A NaN fitness must clamp to +Inf instead of freezing a particle's
 // attractor (f < NaN is false for every f).
 func TestNaNFitnessClamped(t *testing.T) {
-	engines := map[string]func(int, func([]float64) float64, Config) Result{
-		"batch":    Minimize,
-		"baseline": MinimizeBaseline,
+	// Everywhere-NaN: the result must be +Inf, never NaN.
+	res := Minimize(2, func(x []float64) float64 { return math.NaN() }, Config{Particles: 5, Iterations: 10, Seed: 1})
+	if !math.IsInf(res.BestFitness, 1) {
+		t.Fatalf("all-NaN fitness gave BestFitness %v, want +Inf", res.BestFitness)
 	}
-	for name, minimize := range engines {
-		// Everywhere-NaN: the result must be +Inf, never NaN.
-		res := minimize(2, func(x []float64) float64 { return math.NaN() }, Config{Particles: 5, Iterations: 10, Seed: 1})
-		if !math.IsInf(res.BestFitness, 1) {
-			t.Fatalf("%s: all-NaN fitness gave BestFitness %v, want +Inf", name, res.BestFitness)
+	for i, v := range res.Trace {
+		if math.IsNaN(v) {
+			t.Fatalf("trace[%d] is NaN", i)
 		}
-		for i, v := range res.Trace {
-			if math.IsNaN(v) {
-				t.Fatalf("%s: trace[%d] is NaN", name, i)
-			}
-		}
+	}
 
-		// NaN region next to a valid region: the swarm must escape the
-		// poison and converge — with the pre-fix behavior a particle
-		// initialized in the NaN region kept pbestF = NaN forever.
-		f := func(x []float64) float64 {
-			if x[0] < 0.5 {
-				return math.NaN()
-			}
-			return math.Abs(x[0] - 0.75)
+	// NaN region next to a valid region: the swarm must escape the
+	// poison and converge — with the pre-fix behavior a particle
+	// initialized in the NaN region kept pbestF = NaN forever.
+	f := func(x []float64) float64 {
+		if x[0] < 0.5 {
+			return math.NaN()
 		}
-		res = minimize(1, f, Config{Particles: 8, Iterations: 100, Seed: 6})
-		if math.IsNaN(res.BestFitness) || math.IsInf(res.BestFitness, 1) {
-			t.Fatalf("%s: swarm never escaped the NaN region: %v", name, res.BestFitness)
-		}
-		if res.BestFitness > 0.05 {
-			t.Fatalf("%s: poor convergence beside a NaN region: %v", name, res.BestFitness)
-		}
+		return math.Abs(x[0] - 0.75)
 	}
-}
-
-// The preserved baseline engine must keep the seed's semantics: serial
-// asynchronous updates, deterministic per seed, same evaluation count.
-func TestBaselinePreservesSeedSemantics(t *testing.T) {
-	a := MinimizeBaseline(4, sphere, Config{Particles: 10, Iterations: 200, Seed: 1})
-	if a.BestFitness > 1e-3 {
-		t.Fatalf("baseline sphere minimum not found: %v", a.BestFitness)
+	res = Minimize(1, f, Config{Particles: 8, Iterations: 100, Seed: 6})
+	if math.IsNaN(res.BestFitness) || math.IsInf(res.BestFitness, 1) {
+		t.Fatalf("swarm never escaped the NaN region: %v", res.BestFitness)
 	}
-	b := MinimizeBaseline(4, sphere, Config{Particles: 10, Iterations: 200, Seed: 1})
-	if a.BestFitness != b.BestFitness || a.Evaluations != b.Evaluations {
-		t.Fatal("baseline is not deterministic for a fixed seed")
-	}
-	if want := 10 + 10*200; a.Evaluations != want {
-		t.Fatalf("baseline evaluations = %d, want %d", a.Evaluations, want)
-	}
-	// Workers is ignored: the trajectory is the evaluation order.
-	c := MinimizeBaseline(4, sphere, Config{Particles: 10, Iterations: 200, Seed: 1, Workers: 8})
-	if c.BestFitness != a.BestFitness || c.Evaluations != a.Evaluations {
-		t.Fatal("baseline with Workers set diverged from the serial run")
+	if res.BestFitness > 0.05 {
+		t.Fatalf("poor convergence beside a NaN region: %v", res.BestFitness)
 	}
 }
 

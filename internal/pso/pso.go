@@ -20,10 +20,9 @@
 // the orchestrating goroutine, each generation's fitness evaluations fan
 // out over Config.Workers goroutines, and pbest/gbest updates are applied
 // in particle-index order after a barrier. The search trajectory is
-// therefore bit-identical for any worker count. The seed's asynchronous
-// serial engine (gbest updated immediately after each particle, so later
-// particles in the same iteration see it) is preserved as MinimizeBaseline
-// for A/B benchmarks and property tests.
+// therefore bit-identical for any worker count. (The seed engine updated
+// gbest immediately after each particle, so later particles in the same
+// iteration saw it; that order is inherently serial.)
 package pso
 
 import (
@@ -63,7 +62,6 @@ type Config struct {
 	// 0 or 1 evaluate serially on the calling goroutine. The search
 	// trajectory is identical for every value; with Workers > 1 the
 	// fitness function must be safe for concurrent calls.
-	// MinimizeBaseline ignores Workers.
 	Workers int
 	// OnIteration, when non-nil, is called with the global-best fitness
 	// after initialization (iteration 0) and after every velocity/position
