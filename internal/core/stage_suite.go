@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/artifact"
@@ -17,39 +16,22 @@ import (
 // stage names so observers can tell the two pipelines apart.
 const (
 	// StageSuiteGen generates the per-valve path/cut vector suite with
-	// the selected engine (template by default, baseline for A/B runs).
+	// the symmetry-exploiting template engine.
 	StageSuiteGen = "suitegen"
 	// StageSuiteCampaign fault-simulates the generated suite against
 	// every stuck-at fault of the chip and records the coverage.
 	StageSuiteCampaign = "suitecampaign"
 )
 
-// SuiteEngine selects RunSuite's test-generation engine.
-type SuiteEngine string
-
-const (
-	// SuiteEngineTemplate is the symmetry-exploiting template engine:
-	// valves are grouped into translation-equivalence classes (closed-form
-	// line classes plus combinatorial tile classes) and each class is
-	// solved once.
-	SuiteEngineTemplate SuiteEngine = "template"
-	// SuiteEngineBaseline solves every valve independently — the
-	// reference the template engine is benchmarked and equivalence-tested
-	// against.
-	SuiteEngineBaseline SuiteEngine = "baseline"
-)
-
 // SuiteRunOptions tunes RunSuite.
 type SuiteRunOptions struct {
-	// Engine picks the generator ("" defaults to SuiteEngineTemplate).
-	Engine SuiteEngine
 	// Workers sets the worker-pool size of both generation and the
 	// coverage campaign (0 = runtime.GOMAXPROCS). Results are
 	// bit-identical for any worker count.
 	Workers int
 	// Templates optionally supplies a shared template engine so the
-	// content-keyed class cache persists across chips (scaling sweeps).
-	// Ignored by the baseline engine; nil means a fresh engine.
+	// content-keyed class cache persists across chips (scaling sweeps);
+	// nil means a fresh engine.
 	Templates *testgen.TemplateEngine
 	// Observer receives live stage/cache/counter events; nil for none.
 	Observer flowstage.Observer
@@ -57,7 +39,7 @@ type SuiteRunOptions struct {
 	// both stages and return a decoded suite bit-identical to a fresh
 	// generation; the synthesized Stats carry an "artifact" stage with
 	// art_* counters. The suite's vectors never depend on cache warmth,
-	// so every engine/worker combination is cacheable.
+	// so every worker count is cacheable.
 	Cache *Cache
 }
 
@@ -91,21 +73,17 @@ func RunSuite(c *chip.Chip, opts SuiteRunOptions) (*SuiteRunResult, error) {
 	return RunSuiteCtx(context.Background(), c, opts)
 }
 
-// RunSuiteCtx generates a complete per-valve test suite for the chip and
-// fault-simulates it, as an observable two-stage flowstage pipeline
-// (suitegen → suitecampaign). Stage counters attribute the template
-// engine's class/cache/fallback traffic and the campaign's fast-path rule
-// usage, so scaling sweeps (cmd/bench -fpva) can report where time goes.
+// RunSuiteCtx generates a complete per-valve test suite for the chip with
+// the template engine (testgen.TemplateEngine) and fault-simulates it, as
+// an observable two-stage flowstage pipeline (suitegen → suitecampaign).
+// Stage counters attribute the template engine's class/cache/fallback
+// traffic and the campaign's fast-path rule usage, so scaling sweeps
+// (cmd/bench -fpva) can report where time goes.
 func RunSuiteCtx(ctx context.Context, c *chip.Chip, opts SuiteRunOptions) (*SuiteRunResult, error) {
-	switch opts.Engine {
-	case "", SuiteEngineTemplate, SuiteEngineBaseline:
-	default:
-		return nil, fmt.Errorf("core: unknown suite engine %q", opts.Engine)
-	}
 	start := time.Now()
 	var digest artifact.Digest
 	if cc := opts.Cache; cc != nil {
-		digest = suiteDigest(c, opts.Engine)
+		digest = suiteDigest(c)
 		if payload, tier := cc.lookup("suite", digest); payload != nil {
 			if suite, cov, err := DecodeSuite(c, payload); err == nil {
 				dur := time.Since(start)
@@ -149,43 +127,34 @@ func RunSuiteCtx(ctx context.Context, c *chip.Chip, opts SuiteRunOptions) (*Suit
 	return res, nil
 }
 
-// runGenerateStage runs the selected suite generator and folds its
-// SuiteStats into the stage counters.
+// runGenerateStage runs the template engine and folds its SuiteStats into
+// the stage counters.
 func (r *suiteRun) runGenerateStage(ctx context.Context, st *flowstage.StageStats) error {
-	sopts := testgen.SuiteOptions{Workers: r.opts.Workers}
-	var s *testgen.Suite
-	var err error
-	if r.opts.Engine == SuiteEngineBaseline {
-		s, err = testgen.GenerateBaselineCtx(ctx, r.chip, sopts)
-	} else {
-		eng := r.opts.Templates
-		if eng == nil {
-			eng = testgen.NewTemplateEngine()
-		}
-		if cc := r.opts.Cache; cc != nil && cc.Store() != nil {
-			// Share the artifact cache's disk tier so solved tile classes
-			// persist across processes even when the whole-suite entry
-			// misses (e.g. a new chip size reusing known classes).
-			eng.SetStore(cc.Store())
-		}
-		s, err = eng.GenerateCtx(ctx, r.chip, sopts)
-		if err == nil {
-			st.Count("tmpl_classes", int64(s.Stats.Classes))
-			st.Count("tmpl_line_classes", int64(s.Stats.LineClasses))
-			st.Count("tmpl_cache_hits", s.Stats.TemplateHits)
-			st.Count("tmpl_disk_hits", s.Stats.TemplateDiskHits)
-			st.Count("tmpl_instantiated", s.Stats.Instantiated)
-			st.Count("tmpl_fallbacks", s.Stats.Fallbacks)
-			st.CacheHits += s.Stats.TemplateHits
-			st.CacheMisses += int64(s.Stats.Classes)
-			if s.Stats.TemplateHits != 0 || s.Stats.Classes != 0 {
-				flowstage.OrNop(r.opts.Observer).CacheDelta(st.Name, "template_cache",
-					s.Stats.TemplateHits, int64(s.Stats.Classes))
-			}
-		}
+	eng := r.opts.Templates
+	if eng == nil {
+		eng = testgen.NewTemplateEngine()
 	}
+	if cc := r.opts.Cache; cc != nil && cc.Store() != nil {
+		// Share the artifact cache's disk tier so solved tile classes
+		// persist across processes even when the whole-suite entry
+		// misses (e.g. a new chip size reusing known classes).
+		eng.SetStore(cc.Store())
+	}
+	s, err := eng.GenerateCtx(ctx, r.chip, testgen.SuiteOptions{Workers: r.opts.Workers})
 	if err != nil {
 		return err
+	}
+	st.Count("tmpl_classes", int64(s.Stats.Classes))
+	st.Count("tmpl_line_classes", int64(s.Stats.LineClasses))
+	st.Count("tmpl_cache_hits", s.Stats.TemplateHits)
+	st.Count("tmpl_disk_hits", s.Stats.TemplateDiskHits)
+	st.Count("tmpl_instantiated", s.Stats.Instantiated)
+	st.Count("tmpl_fallbacks", s.Stats.Fallbacks)
+	st.CacheHits += s.Stats.TemplateHits
+	st.CacheMisses += int64(s.Stats.Classes)
+	if s.Stats.TemplateHits != 0 || s.Stats.Classes != 0 {
+		flowstage.OrNop(r.opts.Observer).CacheDelta(st.Name, "template_cache",
+			s.Stats.TemplateHits, int64(s.Stats.Classes))
 	}
 	st.Count("suite_vectors", int64(len(s.Paths)+len(s.Cuts)))
 	st.Count("suite_raw_vectors", int64(s.Stats.RawVectors))

@@ -13,7 +13,7 @@ import (
 // generated FPVA grid and reports its work through the stage counters.
 func TestRunSuiteTemplateFullCoverage(t *testing.T) {
 	c := chip.MustGenerateFPVA(chip.FPVAParams{W: 8, H: 8, Seed: 3})
-	res, err := RunSuite(c, SuiteRunOptions{Engine: SuiteEngineTemplate, Workers: 2})
+	res, err := RunSuite(c, SuiteRunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,27 +48,6 @@ func TestRunSuiteTemplateFullCoverage(t *testing.T) {
 	}
 }
 
-// TestRunSuiteEnginesAgree: baseline and template pipelines produce the
-// same coverage on the same chip.
-func TestRunSuiteEnginesAgree(t *testing.T) {
-	c := chip.MustGenerateFPVA(chip.FPVAParams{W: 6, H: 8, Seed: 11})
-	tmpl, err := RunSuite(c, SuiteRunOptions{Engine: SuiteEngineTemplate, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := RunSuite(c, SuiteRunOptions{Engine: SuiteEngineBaseline, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tmpl.Coverage, base.Coverage) {
-		t.Fatalf("coverage mismatch: template %v, baseline %v", tmpl.Coverage, base.Coverage)
-	}
-	if !reflect.DeepEqual(tmpl.Suite.Uncovered, base.Suite.Uncovered) {
-		t.Fatalf("uncovered mismatch: template %v, baseline %v",
-			tmpl.Suite.Uncovered, base.Suite.Uncovered)
-	}
-}
-
 // TestRunSuiteSharedTemplateEngine: a shared engine re-serves its cached
 // classes to a second identical chip.
 func TestRunSuiteSharedTemplateEngine(t *testing.T) {
@@ -92,14 +71,6 @@ func TestRunSuiteSharedTemplateEngine(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.Suite.Paths, second.Suite.Paths) {
 		t.Fatal("cached run produced different path vectors")
-	}
-}
-
-// TestRunSuiteUnknownEngine rejects a bad engine name up front.
-func TestRunSuiteUnknownEngine(t *testing.T) {
-	c := chip.MustGenerateFPVA(chip.FPVAParams{W: 6, H: 6, Seed: 1})
-	if _, err := RunSuite(c, SuiteRunOptions{Engine: "ilp"}); err == nil {
-		t.Fatal("expected error for unknown engine")
 	}
 }
 

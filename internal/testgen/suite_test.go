@@ -17,6 +17,7 @@ func suiteChips(t *testing.T) []*chip.Chip {
 	chips := append([]*chip.Chip(nil), chip.Benchmarks()...)
 	chips = append(chips, chip.FPVA(6, 6))
 	chips = append(chips, chip.MustGenerateFPVA(chip.FPVAParams{W: 8, H: 8, Seed: 1}))
+	chips = append(chips, chip.MustGenerateFPVA(chip.FPVAParams{W: 6, H: 8, Seed: 11}))
 	chips = append(chips, chip.MustGenerateFPVA(chip.FPVAParams{W: 12, H: 10, Seed: 5, Ports: 9}))
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 2; i++ {
