@@ -95,8 +95,8 @@ func run() int {
 	ilpMode := flag.Bool("ilp", false, "benchmark the branch-and-bound ILP engine (seed serial vs parallel at 1/2/4/8 workers) instead of the fault campaign")
 	pressureMode := flag.Bool("pressure", false, "benchmark the node-pressure solvers (dense vs sparse-cold vs sparse-warm vs parallel) per design instead of the fault campaign")
 	diagnoseMode := flag.Bool("diagnose", false, "benchmark adaptive fault diagnosis vs exhaustive replay per design instead of the fault campaign")
-	psoMode := flag.Bool("pso", false, "benchmark the two-level PSO fitness engine (serial recompute vs memoized vs batch at 1/2/4/8 workers) instead of the fault campaign")
-	schedMode := flag.Bool("sched", false, "benchmark the warm-start scheduler engine (seed baseline vs cold vs warm) per design instead of the fault campaign")
+	psoMode := flag.Bool("pso", false, "benchmark the two-level PSO fitness engine (batch engine at 1/2/4/8 workers, speedups vs 1 worker) instead of the fault campaign")
+	schedMode := flag.Bool("sched", false, "benchmark the warm-start scheduler engine (cold vs warm) per design instead of the fault campaign")
 	fpvaMode := flag.Bool("fpva", false, "benchmark per-valve suite generation (baseline vs symmetry templates) on a scaling curve of generated FPVA grids instead of the fault campaign")
 	cacheMode := flag.Bool("cache", false, "benchmark the content-addressed artifact cache (uncached vs cold/warm flow runs, dedup batch submission) instead of the fault campaign")
 	baselineFile := flag.String("baseline", "", "with -cache or -fpva: gate the fresh speedups against this committed JSON artifact")

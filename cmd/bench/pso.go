@@ -2,7 +2,7 @@ package main
 
 // pso.go is the -pso mode: it measures the two-level PSO DFT flow's
 // batch-synchronous fitness engine — memoization, the incremental
-// revalidation screen and N-worker generation evaluation — on every
+// sharing validation and N-worker generation evaluation — on every
 // bundled chip/assay combination at 1, 2, 4 and 8 workers (batch-w1 …
 // batch-w8). The report asserts the result — fitness, partner assignment,
 // added edges — is bit-identical at every worker count, and reports each
@@ -59,10 +59,11 @@ type PSOResult struct {
 	// Cache hit rates over the outer stage (0 when the cache was idle).
 	AugHitRate   float64 `json:"aug_cache_hit_rate"`
 	InnerHitRate float64 `json:"inner_cache_hit_rate"`
-	// RevalFastpath counts evaluations the revalidation screen settled
-	// with zero simulations (every witness structurally clean),
-	// RevalRecheck those it settled by re-simulating only the dirty
-	// witnesses, and RevalSlowpath those sent to the full repair pass.
+	// RevalFastpath counts evaluations settled with zero simulations
+	// (the clean vectors' detection rows cover every fault),
+	// RevalRecheck those settled by one campaign over the dirty vectors
+	// only, and RevalSlowpath those whose remaining faults went to the
+	// repair pass.
 	RevalFastpath int64 `json:"reval_fastpath"`
 	RevalRecheck  int64 `json:"reval_recheck_pass"`
 	RevalSlowpath int64 `json:"reval_slowpath"`

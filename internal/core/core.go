@@ -23,9 +23,9 @@
 // the whole flow's Result is bit-identical for any worker count. The
 // fitness caches (augCache per configuration, innerCache per sharing
 // scheme) are concurrency-safe content-keyed once-maps whose values are
-// pure functions of their keys, and each configuration carries an
-// incremental revalidation screen (reval.go) that rechecks a scheme only
-// when a vector whose expansion it changed is load-bearing for coverage.
+// pure functions of their keys, and each configuration carries the
+// detection matrix of its base vectors (reval.go), so checking a scheme
+// simulates only the vectors whose control-line expansion it changes.
 package core
 
 import (
@@ -332,17 +332,16 @@ type augEval struct {
 	cuts    []fault.Vector
 	cutsErr error
 
+	// check is the configuration's incremental validation state
+	// (reval.go): the detection matrix of its base vectors under
+	// independent control.
+	check *sharingCheck
+
 	// baselineUndetected is the number of faults the base vectors miss
 	// under independent control — the configuration's intrinsic coverage
 	// gap (non-zero only for partial repair-tier configurations). Sharing
 	// schemes are penalized only for coverage lost beyond this gap.
 	baselineUndetected int
-
-	// screen is the configuration's incremental revalidation state
-	// (reval.go), built once on first fitness evaluation; nil when the
-	// build failed.
-	screenOnce sync.Once
-	screen     *sharingScreen
 
 	// sum is the configuration's non-evictable search summary. Every
 	// augEval instance for one content key (the original and any
@@ -353,7 +352,7 @@ type augEval struct {
 // augSummary is the per-configuration search state that must survive
 // cache eviction: which configurations were inner-searched and with what
 // outcome. It is a few dozen bytes plus the configuration itself —
-// the heavy artifacts (test vectors, revalidation screens) stay in the
+// the heavy artifacts (test vectors, detection matrices) stay in the
 // evictable augEval.
 type augSummary struct {
 	key string
@@ -449,10 +448,14 @@ func newInnerCache(budget int64) *artifact.Cache[float64] {
 	return artifact.NewCache[float64](budget/4, func(float64) int64 { return 8 })
 }
 
-// augEvalSize approximates an augEval's resident bytes (vector payloads
-// dominate; the lazily-built revalidation screen is not counted).
+// augEvalSize approximates an augEval's resident bytes: the vector
+// payloads and the validation check's matrix and membership table.
 func augEvalSize(ev *augEval) int64 {
 	size := int64(256)
+	if ev.check != nil {
+		m := ev.check.matrix
+		size += int64(m.NumVectors()) * (8*int64(m.Words()) + int64(ev.aug.Chip.NumValves()))
+	}
 	for i := range ev.paths {
 		v := &ev.paths[i]
 		size += 80 + 8*int64(len(v.Valves)+len(v.Sources)+len(v.Meters))
@@ -729,13 +732,8 @@ func (f *flow) evalAug(aug *testgen.Augmentation) *augEval {
 			// the intrinsic gap is accounted for in baselineUndetected.
 			ev.cuts, ev.cutsErr = nil, nil
 		}
-		if len(aug.Uncovered) > 0 {
-			if sim, err := f.newSimulator(aug.Chip, chip.IndependentControl(aug.Chip)); err == nil {
-				vectors := append(append([]fault.Vector{}, ev.paths...), ev.cuts...)
-				cov := fault.NewEngine(sim, f.opts.Workers).EvaluateCoverage(vectors, fault.AllFaults(aug.Chip))
-				ev.baselineUndetected = len(cov.Undetected)
-			}
-		}
+		ev.check = f.newSharingCheck(aug.Chip, append(append([]fault.Vector{}, ev.paths...), ev.cuts...))
+		ev.baselineUndetected = ev.check.gap()
 		return ev
 	})
 	f.noteCache("aug_cache", hit)
@@ -923,41 +921,21 @@ func (f *flow) computeSharingFitness(ev *augEval, partners []int) float64 {
 	if err != nil {
 		return math.Inf(1)
 	}
-	// Incremental revalidation (reval.go): when the screen proves the base
-	// vectors keep full coverage under this sharing — structurally, or by
-	// re-simulating only the witnesses the partner change touched — the
-	// full repair pass is provably redundant and is skipped. Fitness
-	// values are bit-identical with and without the screen.
-	full := false
-	if scr := f.screenFor(ev); scr != nil && scr.fullCoverage(f, ctrl, partners) {
-		full = true
-	}
 	// Test validation (Section 4.1): every stuck-at-0 and stuck-at-1 fault
 	// must remain detectable under the sharing. Vectors masked by the
 	// sharing are repaired with sharing-immune replacements ("test vectors
-	// considering valve sharing").
-	if !full {
-		f.countStage("reval_slowpath", 1)
-		var rPaths, rCuts []fault.Vector
-		rPaths, rCuts, full = testgen.RepairVectors(c, ctrl, ev.aug.Source, ev.aug.Meter, ev.paths, ev.cuts)
-		if !full {
-			sim, simErr := f.newSimulator(c, ctrl)
-			if simErr != nil {
-				return math.Inf(1)
-			}
-			vectors := append(append([]fault.Vector{}, rPaths...), rCuts...)
-			cov, covErr := fault.NewEngine(sim, f.opts.Workers).EvaluateCoverageCtx(f.ctx, vectors, fault.AllFaults(c))
-			if covErr != nil {
-				// Cancelled mid-campaign: the surrounding PSO is unwinding, so
-				// any finite fitness here would be discarded anyway.
-				return math.Inf(1)
-			}
-			if len(cov.Undetected) > ev.baselineUndetected {
-				return penaltyBase + 1e6*float64(len(cov.Undetected))
-			}
-			// The sharing loses nothing beyond the configuration's intrinsic
-			// gap (partial repair-tier config): judge it on schedulability.
-		}
+	// considering valve sharing"); reval.go checks the scheme
+	// incrementally.
+	_, _, remaining, err := f.validateSharing(f.ctx, ev, ctrl, partners)
+	if err != nil {
+		// Cancelled mid-campaign: the surrounding PSO is unwinding, so any
+		// finite fitness here would be discarded anyway.
+		return math.Inf(1)
+	}
+	// Only coverage lost beyond the configuration's intrinsic gap (zero
+	// unless a partial repair-tier configuration) invalidates the scheme.
+	if remaining > ev.baselineUndetected {
+		return penaltyBase + 1e6*float64(remaining)
 	}
 	// Application validation: the assay must still complete; quality is
 	// its execution time. Wedged schedules are graded by how far they got,

@@ -1,116 +1,99 @@
-// Incremental sharing-scheme revalidation.
+// Incremental sharing-scheme validation.
 //
-// The dominant cost of one inner-PSO fitness evaluation is proving that
-// the base test set still detects every fault under a candidate sharing
-// scheme (testgen.RepairVectors re-simulates vectors against faults). But
-// a sharing scheme only perturbs a vector's behaviour through control-line
-// expansion: applying vector V drives exactly the lines of V's valves, so
-// the expanded valve states — and therefore every meter reading and every
-// detection verdict — differ from the independent-control evaluation only
-// when some valve of V is paired with a valve outside V. A vector with no
-// such pair is "clean": its verdicts under the sharing are bit-identical
-// to independent control.
+// Every inner-PSO fitness evaluation runs the paper's test validation
+// under valve sharing (Section 4.1): the faults the base test set misses
+// under the candidate scheme are repaired with sharing-immune replacement
+// vectors, and the scheme is penalized by the exact number of faults that
+// stay undetected. Coverage is a per-fault union over usable vectors, and
+// a sharing scheme only perturbs a vector through control-line expansion:
+// applying vector V drives exactly the lines of V's valves, so the
+// expanded valve states — and therefore usability, every meter reading
+// and every detection verdict — differ from independent control only when
+// some valve of V is paired with a valve outside V. A vector with no such
+// pair is "clean": its detection row under the scheme is its row under
+// independent control. The others are "dirty".
 //
-// The screen exploits this in two tiers. At build time it records one
-// witness per fault — the first vector that detects it under independent
-// control (a single early-exit scan, about the cost of one coverage
-// evaluation). A candidate scheme that leaves every witness clean
-// provably preserves full coverage with zero fault simulations — the
-// structural fast path. When some witnesses are dirty, the recheck tier
-// re-simulates exactly those witness/fault pairs under the candidate's
-// shared control: if every fault's witness still detects it, coverage is
-// again proven and the repair pass skipped, at the cost of one targeted
-// simulation per dirty-witness fault instead of a full repair-and-
-// coverage campaign. Any failure falls through to the unchanged slow
-// path. Fitness values are therefore bit-identical with and without the
-// screen — a passing check implies the slow path would have concluded
-// full coverage too; the screen only decides whether the slow path can
-// be skipped, never what a fitness is.
+// So each configuration builds one fault.DetectionMatrix of its base
+// vectors under independent control, and each scheme is checked in three
+// exact steps:
+//
+//  1. OR the clean rows into a fault bitset. When it covers every fault,
+//     the scheme keeps full coverage with zero simulations
+//     (reval_fastpath).
+//  2. Otherwise run one campaign over the dirty vectors only, under the
+//     scheme's shared control, for the faults the clean rows leave. The
+//     faults it misses are exactly the Undetected list of a full campaign
+//     of the base vectors, in the same fault order. An empty list means
+//     full coverage without repairs (reval_recheck_pass).
+//  3. Otherwise testgen.RepairUndetected repairs those faults in that
+//     order and counts what the repairs leave (reval_slowpath), with no
+//     recount campaign.
+//
+// The repairs see the same faults in the same order as a full campaign
+// would give them, so every replacement vector and every fitness value is
+// the one the full campaign-repair-recount pipeline produces.
 package core
 
 import (
+	"context"
+	"math/bits"
+
 	"repro/internal/chip"
 	"repro/internal/fault"
+	"repro/internal/testgen"
 )
 
-// sharingScreen holds one configuration's incremental revalidation state:
-// per-fault witness vectors under independent control and the vector
-// membership tables the clean/dirty classification needs.
-type sharingScreen struct {
-	chip    *chip.Chip
-	nOrig   int
-	vectors []fault.Vector // paths then cuts, the RepairVectors order
-	faults  []fault.Fault  // fault.AllFaults order, indexed by witness
-	// witness[fi] is the index of a vector that detects fault fi under
-	// independent control, or -1 when none does (the configuration's
-	// intrinsic coverage gap; such configurations never take the fast
-	// path).
-	witness []int
-	inVec   [][]bool // inVec[v][valve]: valve appears in vectors[v].Valves
+// sharingCheck is one configuration's incremental validation state: the
+// detection matrix of its base vectors (paths, then cuts) over
+// fault.AllFaults under independent control, and the vector membership
+// table the clean/dirty classification reads. It is immutable once built,
+// so the inner swarm's concurrent evaluations share it.
+type sharingCheck struct {
+	nOrig  int
+	matrix *fault.DetectionMatrix
+	inVec  [][]bool // inVec[v][valve]: valve is one of vector v's valves
 }
 
-// screenFor returns the configuration's revalidation screen, building it
-// on first use. It returns nil when the build failed, which degrades every
-// check to the slow path.
-func (f *flow) screenFor(ev *augEval) *sharingScreen {
-	ev.screenOnce.Do(func() {
-		ev.screen = f.newSharingScreen(ev)
-	})
-	return ev.screen
-}
-
-func (f *flow) newSharingScreen(ev *augEval) *sharingScreen {
-	c := ev.aug.Chip
-	sim, err := f.newSimulator(c, chip.IndependentControl(c))
-	if err != nil {
-		return nil
-	}
-	vectors := append(append([]fault.Vector{}, ev.paths...), ev.cuts...)
-	if len(vectors) == 0 {
-		return nil
-	}
-	faults := fault.AllFaults(c)
-	s := &sharingScreen{
-		chip:    c,
-		nOrig:   c.NumOriginalValves(),
-		vectors: vectors,
-		faults:  faults,
-		witness: make([]int, len(faults)),
-		inVec:   make([][]bool, len(vectors)),
-	}
-	usable := make([]bool, len(vectors))
+// newSharingCheck builds the check of a configuration on chip c whose base
+// vectors are vectors. The matrix is a pure function of the configuration
+// (it is cached with it), so the build ignores the flow's context, and it
+// runs on one worker: the swarm that evaluates configurations already
+// fills the cores.
+func (f *flow) newSharingCheck(c *chip.Chip, vectors []fault.Vector) *sharingCheck {
+	sim := fault.MustSimulator(c, chip.IndependentControl(c))
+	sim.SetMetrics(f.metrics)
+	m, _ := fault.NewEngine(sim, 1).DetectionMatrix(context.Background(), vectors, fault.AllFaults(c))
+	s := &sharingCheck{nOrig: c.NumOriginalValves(), matrix: m, inVec: make([][]bool, len(vectors))}
+	member := make([]bool, len(vectors)*c.NumValves())
 	for v, vec := range vectors {
-		usable[v] = sim.FaultFreeOK(vec)
-		member := make([]bool, c.NumValves())
+		s.inVec[v] = member[v*c.NumValves() : (v+1)*c.NumValves()]
 		for _, val := range vec.Valves {
-			member[val] = true
-		}
-		s.inVec[v] = member
-	}
-	for fi, ft := range faults {
-		s.witness[fi] = -1
-		for v, vec := range vectors {
-			if usable[v] && sim.Detects(vec, ft) {
-				s.witness[fi] = v
-				break
-			}
+			s.inVec[v][val] = true
 		}
 	}
 	return s
 }
 
-// fullCoverage reports whether the base vectors provably keep detecting
-// every fault under the sharing scheme. It first classifies each vector
-// clean/dirty from the partner assignment alone; every witness clean
-// proves coverage with zero simulations (reval_fastpath). Otherwise it
-// re-simulates only the dirty witness/fault pairs under the candidate's
-// shared control (reval_recheck_pass) — the incremental recheck of
-// exactly the vectors the partner change touched. A false return means
-// "not proven", not "broken" — the caller must fall back to the full
-// repair pass. Safe for concurrent callers (the inner swarm evaluates
-// several schemes of one configuration at once): all scratch state is
-// per-call.
-func (s *sharingScreen) fullCoverage(f *flow, ctrl *chip.Control, partners []int) bool {
+// gap counts the faults whose matrix column is all zero: the faults no base
+// vector detects even under independent control, the configuration's
+// intrinsic coverage gap.
+func (s *sharingCheck) gap() int {
+	covered := make([]uint64, s.matrix.Words())
+	for v := 0; v < s.matrix.NumVectors(); v++ {
+		orInto(covered, s.matrix.Row(v))
+	}
+	return s.matrix.NumFaults() - popCount(covered)
+}
+
+// undetected returns the faults the base vectors miss under the sharing
+// scheme partners — exactly the Undetected list, in fault order, of a
+// coverage campaign of every base vector on sim, which must simulate the
+// configuration's chip under chip.SharedControl(partners). Only the dirty
+// vectors are simulated, on one worker (the inner swarm already fills the
+// cores). It returns ctx's error when ctx is cancelled mid-campaign.
+// Safe for concurrent callers.
+func (s *sharingCheck) undetected(ctx context.Context, f *flow, sim *fault.Simulator, partners []int) ([]fault.Fault, error) {
+	m := s.matrix
 	// Invert the assignment: original valve -> its DFT partner (or -1).
 	inv := make([]int, s.nOrig)
 	for i := range inv {
@@ -121,80 +104,91 @@ func (s *sharingScreen) fullCoverage(f *flow, ctrl *chip.Control, partners []int
 			inv[p] = s.nOrig + i
 		}
 	}
-	dirty := make([]bool, len(s.vectors))
-	var clean, dirtyCount int64
-	for v := range s.vectors {
-		// V is dirty iff some valve of V is paired with a valve outside V
-		// — exactly the condition under which V's control-line expansion
-		// (and hence any verdict about V) can differ from independent
-		// control.
-		member := s.inVec[v]
-		d := false
-		for _, val := range s.vectors[v].Valves {
-			partner := -1
-			if val >= s.nOrig {
-				partner = partners[val-s.nOrig]
-			} else {
-				partner = inv[val]
-			}
-			if partner >= 0 && !member[partner] {
-				d = true
-				break
-			}
-		}
-		dirty[v] = d
-		if d {
-			dirtyCount++
-		} else {
-			clean++
-		}
-	}
-	f.countStage("reval_clean_vectors", clean)
-	f.countStage("reval_dirty_vectors", dirtyCount)
-	recheck := false
-	for _, w := range s.witness {
-		if w < 0 {
-			// Intrinsic coverage gap: the screen cannot reason about "no
-			// worse than baseline", only about full coverage.
-			return false
-		}
-		if dirty[w] {
-			recheck = true
-		}
-	}
-	if !recheck {
-		f.countStage("reval_fastpath", 1)
-		return true
-	}
-	// Recheck tier: simulate only the dirty witnesses under the actual
-	// shared control. A witness that is masked (not fault-free usable) or
-	// no longer detects its fault does not disprove coverage — another
-	// vector or a repaired one may still detect it — so any failure just
-	// defers to the slow path.
-	sim, err := f.newSimulator(s.chip, ctrl)
-	if err != nil {
-		return false
-	}
-	usable := make(map[int]bool, len(dirty))
-	sims := int64(0)
-	for fi, w := range s.witness {
-		if !dirty[w] {
+	covered := make([]uint64, m.Words())
+	var dirty []fault.Vector
+	for v := 0; v < m.NumVectors(); v++ {
+		if s.dirty(v, partners, inv) {
+			dirty = append(dirty, m.Vector(v))
 			continue
 		}
-		ok, seen := usable[w]
-		if !seen {
-			ok = sim.FaultFreeOK(s.vectors[w])
-			usable[w] = ok
-		}
-		if !ok {
-			return false
-		}
-		sims++
-		if !sim.Detects(s.vectors[w], s.faults[fi]) {
-			return false
+		orInto(covered, m.Row(v))
+	}
+	f.countStage("reval_clean_vectors", int64(m.NumVectors()-len(dirty)))
+	f.countStage("reval_dirty_vectors", int64(len(dirty)))
+	var rest []fault.Fault
+	for fi := 0; fi < m.NumFaults(); fi++ {
+		if covered[fi>>6]&(1<<uint(fi&63)) == 0 {
+			rest = append(rest, m.Fault(fi))
 		}
 	}
-	f.countStage("reval_recheck_sims", sims)
-	f.countStage("reval_recheck_pass", 1)
-	return true
+	if len(rest) == 0 {
+		f.countStage("reval_fastpath", 1)
+		return nil, nil
+	}
+	if len(dirty) == 0 {
+		return rest, nil
+	}
+	cov, err := fault.NewEngine(sim, 1).EvaluateCoverageCtx(ctx, dirty, rest)
+	if err != nil {
+		return nil, err
+	}
+	f.countStage("reval_recheck_sims", int64(len(dirty)))
+	if len(cov.Undetected) == 0 {
+		f.countStage("reval_recheck_pass", 1)
+	}
+	return cov.Undetected, nil
+}
+
+// dirty reports whether some valve of vector v is paired with a valve
+// outside v — exactly the condition under which v's control-line
+// expansion, and hence any verdict about v, can differ from independent
+// control. inv maps each original valve to its DFT partner (or -1).
+func (s *sharingCheck) dirty(v int, partners, inv []int) bool {
+	member := s.inVec[v]
+	for _, val := range s.matrix.Vector(v).Valves {
+		partner := -1
+		if val >= s.nOrig {
+			partner = partners[val-s.nOrig]
+		} else {
+			partner = inv[val]
+		}
+		if partner >= 0 && !member[partner] {
+			return true
+		}
+	}
+	return false
+}
+
+// validateSharing runs the test validation of configuration ev under the
+// sharing scheme partners, whose control assignment is ctrl: the base
+// vectors' misses are repaired, and it returns the replacement paths and
+// cuts and the number of faults still undetected. err is non-nil only when
+// ctx is cancelled mid-campaign.
+func (f *flow) validateSharing(ctx context.Context, ev *augEval, ctrl *chip.Control, partners []int) (paths, cuts []fault.Vector, remaining int, err error) {
+	c := ev.aug.Chip
+	sim, err := f.newSimulator(c, ctrl)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	undetected, err := ev.check.undetected(ctx, f, sim, partners)
+	if err != nil || len(undetected) == 0 {
+		return nil, nil, 0, err
+	}
+	f.countStage("reval_slowpath", 1)
+	paths, cuts, remaining = testgen.RepairUndetected(c, ctrl, sim, ev.aug.Source, ev.aug.Meter, undetected)
+	return paths, cuts, remaining, nil
+}
+
+func orInto(dst, row []uint64) {
+	for w, x := range row {
+		dst[w] |= x
+	}
+}
+
+func popCount(set []uint64) int {
+	n := 0
+	for _, x := range set {
+		n += bits.OnesCount64(x)
+	}
+	return n
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/chip"
 	"repro/internal/fault"
 	"repro/internal/flowstage"
-	"repro/internal/testgen"
 )
 
 // runFinalizeStage decodes the chosen configuration into the flow's
@@ -62,21 +61,19 @@ func (f *flow) runFinalizeStage(ctx context.Context, st *flowstage.StageStats) e
 	}
 
 	// Final test set: the base vectors repaired for the chosen sharing
-	// scheme ("test vectors considering valve sharing").
-	finalPaths, finalCuts, full := testgen.RepairVectors(bestEval.aug.Chip, ctrl, bestEval.aug.Source, bestEval.aug.Meter, bestEval.paths, bestEval.cuts)
-	if !full {
-		// Tolerable only for a partial repair-tier configuration whose
-		// intrinsic gap explains the miss; anything else is a bug.
-		und := -1
-		if sim, simErr := f.newSimulator(bestEval.aug.Chip, ctrl); simErr == nil {
-			all := append(append([]fault.Vector{}, finalPaths...), finalCuts...)
-			// Finalization always runs to completion, so no ctx here.
-			cov := fault.NewEngine(sim, f.opts.Workers).EvaluateCoverage(all, fault.AllFaults(bestEval.aug.Chip))
-			und = len(cov.Undetected)
-		}
-		if len(bestEval.aug.Uncovered) == 0 || und < 0 || und > bestEval.baselineUndetected {
-			return fmt.Errorf("core: internal error: chosen sharing lost coverage on %s/%s", c.Name, g.Name)
-		}
+	// scheme ("test vectors considering valve sharing"). Finalization
+	// always runs to completion, so no ctx here.
+	rPaths, rCuts, remaining, err := f.validateSharing(context.Background(), bestEval, ctrl, partners)
+	if err != nil {
+		return err
+	}
+	finalPaths := append(append([]fault.Vector(nil), bestEval.paths...), rPaths...)
+	finalCuts := append(append([]fault.Vector(nil), bestEval.cuts...), rCuts...)
+	full := remaining == 0
+	// A miss is tolerable only for a partial repair-tier configuration
+	// whose intrinsic gap explains it; anything else is a bug.
+	if !full && (len(bestEval.aug.Uncovered) == 0 || remaining > bestEval.baselineUndetected) {
+		return fmt.Errorf("core: internal error: chosen sharing lost coverage on %s/%s", c.Name, g.Name)
 	}
 
 	// Quantitative leakage campaign (the paper's "can be tested similarly"

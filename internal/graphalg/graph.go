@@ -187,13 +187,30 @@ func (g *Graph) Reachable(src, dst int, allow func(edge int) bool) bool {
 	return g.BFSFrom(src, allow)[dst] >= 0
 }
 
-// Scratch holds reusable BFS buffers for repeated reachability queries on
-// graphs of similar size. The zero value is ready to use. A Scratch may be
-// reused across graphs but must not be shared between goroutines.
+// Scratch holds reusable BFS buffers for repeated reachability and
+// shortest-path queries on graphs of similar size. The zero value is ready
+// to use. A Scratch may be reused across graphs but must not be shared
+// between goroutines.
 type Scratch struct {
 	seen  []int // seen[u] == epoch means u was visited this query
 	epoch int
 	queue []int
+
+	// ShortestPathScratch's BFS tree (valid for visited nodes only) and
+	// its result buffers.
+	prevNode, prevEdge []int
+	nodes, edges       []int
+}
+
+// visit starts a new query over a graph of n nodes: it grows the visit
+// marks when needed and returns the fresh epoch.
+func (s *Scratch) visit(n int) int {
+	if len(s.seen) < n {
+		s.seen = make([]int, n)
+		s.epoch = 0
+	}
+	s.epoch++
+	return s.epoch
 }
 
 // ReachableScratch is Reachable with caller-owned scratch buffers: repeated
@@ -206,12 +223,8 @@ func (g *Graph) ReachableScratch(s *Scratch, src, dst int, allow func(edge int) 
 	if src == dst {
 		return true
 	}
-	if len(s.seen) < g.n {
-		s.seen = make([]int, g.n)
-		s.epoch = 0
-	}
-	s.epoch++
-	seen, epoch := s.seen, s.epoch
+	epoch := s.visit(g.n)
+	seen := s.seen
 	queue := s.queue[:0]
 	seen[src] = epoch
 	queue = append(queue, src)
@@ -284,6 +297,57 @@ func (g *Graph) ShortestPath(src, dst int, allow func(edge int) bool) (nodes, ed
 	nodes = append(nodes, src)
 	reverseInts(nodes)
 	reverseInts(edges)
+	return nodes, edges, true
+}
+
+// ShortestPathScratch is ShortestPath with caller-owned buffers: repeated
+// queries allocate nothing once the scratch has grown to the graph size.
+// It visits nodes in ShortestPath's BFS order and stops at the same point,
+// so it returns the same path node for node and edge for edge. The
+// returned slices alias the scratch and are overwritten by its next query;
+// a caller that needs two paths at once uses two scratches.
+func (g *Graph) ShortestPathScratch(s *Scratch, src, dst int, allow func(edge int) bool) (nodes, edges []int, ok bool) {
+	g.checkNode(src)
+	g.checkNode(dst)
+	epoch := s.visit(g.n)
+	if len(s.prevNode) < g.n {
+		s.prevNode = make([]int, g.n)
+		s.prevEdge = make([]int, g.n)
+	}
+	seen, prevNode, prevEdge := s.seen, s.prevNode, s.prevEdge
+	queue := s.queue[:0]
+	seen[src] = epoch
+	queue = append(queue, src)
+	for head := 0; head < len(queue) && seen[dst] != epoch; head++ {
+		u := queue[head]
+		for _, a := range g.adj[u] {
+			if g.edges[a.Edge].deleted {
+				continue
+			}
+			if allow != nil && !allow(a.Edge) {
+				continue
+			}
+			if seen[a.To] != epoch {
+				seen[a.To] = epoch
+				prevNode[a.To] = u
+				prevEdge[a.To] = a.Edge
+				queue = append(queue, a.To)
+			}
+		}
+	}
+	s.queue = queue
+	if seen[dst] != epoch {
+		return nil, nil, false
+	}
+	nodes, edges = s.nodes[:0], s.edges[:0]
+	for u := dst; u != src; u = prevNode[u] {
+		nodes = append(nodes, u)
+		edges = append(edges, prevEdge[u])
+	}
+	nodes = append(nodes, src)
+	reverseInts(nodes)
+	reverseInts(edges)
+	s.nodes, s.edges = nodes, edges
 	return nodes, edges, true
 }
 

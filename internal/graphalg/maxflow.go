@@ -6,10 +6,24 @@ import "sort"
 // minimum-cut computations in test-cut generation. It implements Dinic's
 // algorithm, which is more than fast enough for biochip-sized instances
 // (tens of nodes).
+//
+// A network can be reused across queries: Reset empties it but keeps its
+// adjacency, arc and traversal buffers, so a caller that rebuilds and
+// solves many networks of similar size allocates nothing once the buffers
+// have grown. The zero value is an empty network ready for Reset. A
+// FlowNetwork must not be shared between goroutines.
 type FlowNetwork struct {
 	n    int
 	head [][]int // head[u] = indices into arcs
 	arcs []flowArc
+
+	// Reusable query buffers: Dinic's levels and per-node arc iterators,
+	// the BFS queue, the residual reach set and the cut's tag list.
+	level []int
+	iter  []int
+	queue []int
+	reach []bool
+	tags  []int
 }
 
 type flowArc struct {
@@ -21,6 +35,24 @@ type flowArc struct {
 // NewFlowNetwork returns a flow network with n nodes.
 func NewFlowNetwork(n int) *FlowNetwork {
 	return &FlowNetwork{n: n, head: make([][]int, n)}
+}
+
+// Reset empties the network to n nodes and no arcs. It keeps every buffer
+// (per-node adjacency lists included), so rebuilding a network of similar
+// size allocates nothing.
+func (f *FlowNetwork) Reset(n int) {
+	if n > cap(f.head) {
+		// Keep the adjacency buffers of the nodes that already exist.
+		head := make([][]int, n)
+		copy(head, f.head[:cap(f.head)])
+		f.head = head
+	}
+	f.head = f.head[:n]
+	for u := range f.head {
+		f.head[u] = f.head[u][:0]
+	}
+	f.arcs = f.arcs[:0]
+	f.n = n
 }
 
 // AddNode appends a node and returns its ID.
@@ -42,19 +74,22 @@ func (f *FlowNetwork) AddArc(u, v, capacity, tag int) {
 	f.arcs = append(f.arcs, flowArc{to: u, rev: len(f.arcs) - 1, cap: 0, tag: -1})
 }
 
-// MaxFlow computes the maximum s-t flow (Dinic). It mutates residual
-// capacities; call on a fresh network per query.
+// MaxFlow computes the maximum s-t flow (Dinic). It consumes the residual
+// capacities, so it answers one query per build: Reset and re-add the
+// arcs before the next MaxFlow.
 func (f *FlowNetwork) MaxFlow(s, t int) int {
 	const inf = int(^uint(0) >> 1)
+	f.level = resizeInts(f.level, f.n)
+	f.iter = resizeInts(f.iter, f.n)
 	total := 0
 	for {
-		level := f.bfsLevel(s)
-		if level[t] < 0 {
+		f.bfsLevel(s)
+		if f.level[t] < 0 {
 			return total
 		}
-		iter := make([]int, f.n)
+		clear(f.iter)
 		for {
-			pushed := f.dfsAugment(s, t, inf, level, iter)
+			pushed := f.dfsAugment(s, t, inf)
 			if pushed == 0 {
 				break
 			}
@@ -63,16 +98,24 @@ func (f *FlowNetwork) MaxFlow(s, t int) int {
 	}
 }
 
-func (f *FlowNetwork) bfsLevel(s int) []int {
-	level := make([]int, f.n)
+// resizeInts returns buf resized to n, reallocating only when it is too
+// small; the contents are unspecified.
+func resizeInts(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	return buf[:n]
+}
+
+func (f *FlowNetwork) bfsLevel(s int) {
+	level := f.level
 	for i := range level {
 		level[i] = -1
 	}
 	level[s] = 0
-	queue := []int{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue := append(f.queue[:0], s)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, ai := range f.head[u] {
 			a := f.arcs[ai]
 			if a.cap > 0 && level[a.to] < 0 {
@@ -81,13 +124,14 @@ func (f *FlowNetwork) bfsLevel(s int) []int {
 			}
 		}
 	}
-	return level
+	f.queue = queue
 }
 
-func (f *FlowNetwork) dfsAugment(u, t, limit int, level, iter []int) int {
+func (f *FlowNetwork) dfsAugment(u, t, limit int) int {
 	if u == t {
 		return limit
 	}
+	level, iter := f.level, f.iter
 	for ; iter[u] < len(f.head[u]); iter[u]++ {
 		ai := f.head[u][iter[u]]
 		a := &f.arcs[ai]
@@ -98,7 +142,7 @@ func (f *FlowNetwork) dfsAugment(u, t, limit int, level, iter []int) int {
 		if a.cap < d {
 			d = a.cap
 		}
-		pushed := f.dfsAugment(a.to, t, d, level, iter)
+		pushed := f.dfsAugment(a.to, t, d)
 		if pushed > 0 {
 			a.cap -= pushed
 			f.arcs[a.rev].cap += pushed
@@ -110,15 +154,20 @@ func (f *FlowNetwork) dfsAugment(u, t, limit int, level, iter []int) int {
 
 // MinCutArcs returns, after MaxFlow has run, the tags of saturated arcs that
 // cross the residual s-side/t-side partition. Tags of plumbing arcs (-1) are
-// skipped; duplicate tags are deduplicated and the result is sorted.
+// skipped; duplicate tags are deduplicated and the result is sorted. The
+// returned slice belongs to the network: it is overwritten by the next
+// MinCutArcs call, so a caller that keeps it past that must copy it.
 func (f *FlowNetwork) MinCutArcs(s int) []int {
 	// Residual reachability from s.
-	reach := make([]bool, f.n)
+	if cap(f.reach) < f.n {
+		f.reach = make([]bool, f.n)
+	}
+	reach := f.reach[:f.n]
+	clear(reach)
 	reach[s] = true
-	queue := []int{s}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	queue := append(f.queue[:0], s)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		for _, ai := range f.head[u] {
 			a := f.arcs[ai]
 			if a.cap > 0 && !reach[a.to] {
@@ -127,7 +176,8 @@ func (f *FlowNetwork) MinCutArcs(s int) []int {
 			}
 		}
 	}
-	tagSet := make(map[int]bool)
+	f.queue = queue
+	tags := f.tags[:0]
 	for u := 0; u < f.n; u++ {
 		if !reach[u] {
 			continue
@@ -135,15 +185,18 @@ func (f *FlowNetwork) MinCutArcs(s int) []int {
 		for _, ai := range f.head[u] {
 			a := f.arcs[ai]
 			if a.tag >= 0 && a.cap == 0 && !reach[a.to] {
-				tagSet[a.tag] = true
+				tags = append(tags, a.tag)
 			}
 		}
 	}
-	out := make([]int, 0, len(tagSet))
-	for tag := range tagSet {
-		out = append(out, tag)
+	sort.Ints(tags)
+	out := tags[:0]
+	for _, tag := range tags {
+		if len(out) == 0 || tag != out[len(out)-1] {
+			out = append(out, tag)
+		}
 	}
-	sort.Ints(out)
+	f.tags = out
 	return out
 }
 

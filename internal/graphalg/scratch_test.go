@@ -124,3 +124,91 @@ func TestPathScratchReuseIsClean(t *testing.T) {
 		t.Fatalf("stale BFS scratch state: %v", dist)
 	}
 }
+
+func TestShortestPathScratchMatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	// Two scratches alternate, as the cut search's two legs do, so a
+	// query must not disturb the other scratch's returned path.
+	var scratches [2]Scratch
+	for trial := 0; trial < 30; trial++ {
+		n := 2 + rng.Intn(40)
+		g := randomGraph(rng, n, n*2)
+		blocked := make([]bool, g.NumEdges())
+		for e := range blocked {
+			blocked[e] = rng.Intn(4) == 0
+		}
+		allow := func(e int) bool { return !blocked[e] }
+		if trial%5 == 0 {
+			allow = nil
+		}
+		for pair := 0; pair < 12; pair++ {
+			src, dst := rng.Intn(n), rng.Intn(n)
+			wantNodes, wantEdges, wantOK := g.ShortestPath(src, dst, allow)
+			gotNodes, gotEdges, gotOK := g.ShortestPathScratch(&scratches[pair%2], src, dst, allow)
+			if gotOK != wantOK {
+				t.Fatalf("trial %d %d->%d: ok %v vs %v", trial, src, dst, gotOK, wantOK)
+			}
+			if !equalInts(gotNodes, wantNodes) || !equalInts(gotEdges, wantEdges) {
+				t.Fatalf("trial %d %d->%d: scratch path %v/%v, ShortestPath %v/%v",
+					trial, src, dst, gotNodes, gotEdges, wantNodes, wantEdges)
+			}
+		}
+	}
+}
+
+// TestFlowNetworkResetMatchesFresh: a network rebuilt through Reset —
+// across graphs of different sizes, so its buffers shrink and regrow —
+// must give the max flow and min cut a fresh network gives.
+func TestFlowNetworkResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var reused FlowNetwork
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(45)
+		g := randomGraph(rng, n, n*2)
+		capOf := make([]int, g.NumEdges())
+		for e := range capOf {
+			// Unit edges plus a few "protected" ones, as the cut search
+			// builds them.
+			capOf[e] = 1
+			if rng.Intn(6) == 0 {
+				capOf[e] = 1 << 20
+			}
+		}
+		fresh := NewFlowNetwork(n)
+		reused.Reset(n)
+		for _, f := range []*FlowNetwork{fresh, &reused} {
+			for e := 0; e < g.NumEdges(); e++ {
+				if g.EdgeDeleted(e) {
+					continue
+				}
+				x, y := g.Endpoints(e)
+				f.AddArc(x, y, capOf[e], e)
+				f.AddArc(y, x, capOf[e], e)
+			}
+		}
+		s, tt := rng.Intn(n), rng.Intn(n)
+		if s == tt {
+			continue
+		}
+		want, got := fresh.MaxFlow(s, tt), reused.MaxFlow(s, tt)
+		if got != want {
+			t.Fatalf("trial %d: max flow %d after Reset, %d fresh", trial, got, want)
+		}
+		wantCut := append([]int(nil), fresh.MinCutArcs(s)...)
+		if gotCut := reused.MinCutArcs(s); !equalInts(gotCut, wantCut) {
+			t.Fatalf("trial %d: min cut %v after Reset, %v fresh", trial, gotCut, wantCut)
+		}
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -178,6 +178,8 @@ func baselineCutVectors(c *chip.Chip) ([]fault.Vector, error) {
 		detects []int
 	}
 	var cands []candidate
+	sc := cutScratchPool.Get().(*cutScratch)
+	defer cutScratchPool.Put(sc)
 	for valve := 0; valve < c.NumValves(); valve++ {
 		edge := c.Valve(valve).Edge
 		var best *candidate
@@ -186,7 +188,7 @@ func baselineCutVectors(c *chip.Chip) ([]fault.Vector, error) {
 				if i == j {
 					continue
 				}
-				cutEdges, err := cutThroughWithLeak(g, c.Ports[i].Node, c.Ports[j].Node, edge, channelOnly)
+				cutEdges, err := cutThroughWithLeak(sc, g, c.Ports[i].Node, c.Ports[j].Node, edge, channelOnly)
 				if err != nil {
 					continue
 				}

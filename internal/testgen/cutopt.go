@@ -178,13 +178,17 @@ func enumerateCutCandidates(c *chip.Chip, src, dst, k int) ([]fault.Vector, erro
 		return fault.Vector{Kind: fault.CutVector, Valves: valves, Sources: []int{src}, Meters: []int{dst}}, true
 	}
 
+	sc := cutScratchPool.Get().(*cutScratch)
+	defer cutScratchPool.Put(sc)
 	var out []fault.Vector
+	var base []int // the valve's cut, copied out of sc before the alternatives reuse it
 	for valve := 0; valve < c.NumValves(); valve++ {
 		through := c.Valve(valve).Edge
-		base, err := cutThroughWithLeak(g, srcNode, dstNode, through, channelOnly)
+		cut, err := cutThroughWithLeak(sc, g, srcNode, dstNode, through, channelOnly)
 		if err != nil {
 			return nil, fmt.Errorf("testgen: valve %d: %w", valve, err)
 		}
+		base = append(base[:0], cut...)
 		if vec, ok := toVector(base); ok {
 			out = append(out, vec)
 		}
@@ -195,7 +199,7 @@ func enumerateCutCandidates(c *chip.Chip, src, dst, k int) ([]fault.Vector, erro
 				continue
 			}
 			allow := func(e int) bool { return e != banned && channelOnly(e) }
-			alt, err := cutThroughWithLeakAvoiding(g, srcNode, dstNode, through, allow, allow, nil)
+			alt, err := cutThroughWithLeakAvoiding(sc, g, srcNode, dstNode, through, allow, allow, nil)
 			if err != nil {
 				continue
 			}

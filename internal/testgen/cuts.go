@@ -43,6 +43,8 @@ func GenerateCutsCtx(ctx context.Context, c *chip.Chip, src, dst int) ([]fault.V
 	}
 	var cands []candidate
 	covered := make([]bool, c.NumValves())
+	sc := cutScratchPool.Get().(*cutScratch)
+	defer cutScratchPool.Put(sc)
 
 	detectsOf := func(v fault.Vector) []int {
 		var out []int
@@ -59,7 +61,7 @@ func GenerateCutsCtx(ctx context.Context, c *chip.Chip, src, dst int) ([]fault.V
 			return nil, fmt.Errorf("testgen: cut generation cancelled at valve %d/%d: %w", valve, c.NumValves(), err)
 		}
 		edge := c.Valve(valve).Edge
-		cutEdges, err := cutThroughWithLeak(g, srcNode, dstNode, edge, channelOnly)
+		cutEdges, err := cutThroughWithLeak(sc, g, srcNode, dstNode, edge, channelOnly)
 		if err != nil {
 			return nil, fmt.Errorf("testgen: no detecting cut for valve %d: %w", valve, err)
 		}
@@ -123,8 +125,10 @@ var errNoLeakCut = fmt.Errorf("no leak-preserving cut exists")
 // stuck-at-1 valve on `through`). It protects a witness leak path with
 // large flow capacities so the min cut cannot sever it anywhere except at
 // `through` itself.
-func cutThroughWithLeak(g *graphalg.Graph, s, t, through int, allow func(int) bool) ([]int, error) {
-	return cutThroughWithLeakAvoiding(g, s, t, through, allow, allow, nil)
+// The returned cut aliases the scratch and is overwritten by its next
+// query.
+func cutThroughWithLeak(sc *cutScratch, g *graphalg.Graph, s, t, through int, allow func(int) bool) ([]int, error) {
+	return cutThroughWithLeakAvoiding(sc, g, s, t, through, allow, allow, nil)
 }
 
 func containsInt(s []int, x int) bool {

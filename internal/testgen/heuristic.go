@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/chip"
+	"repro/internal/graphalg"
 )
 
 // AugmentHeuristic computes a DFT configuration greedily: for every
@@ -168,15 +170,16 @@ func remainingTargets(targets []int, covered []bool, from int) int {
 // routeThrough finds a simple s-t path through the edge `through`,
 // minimizing the summed edge cost. It tries both orientations: a shortest
 // s→a leg, then a b→t leg that avoids every node of the first leg (keeping
-// the whole path simple).
+// the whole path simple). Its search buffers come from a pool, so a call
+// allocates little beyond the returned path.
 func routeThrough(c *chip.Chip, s, t, through int, cost func(int) float64) ([]int, error) {
+	rs := routeScratchPool.Get().(*routeScratch)
+	defer routeScratchPool.Put(rs)
 	g := c.Grid.Graph()
 	u, v := g.Endpoints(through)
-	type candidate struct {
-		edges []int
-		cost  float64
-	}
-	var best *candidate
+	rs.onLeg1 = growEpochs(rs.onLeg1, g.NumNodes())
+	var best []int
+	bestCost := 0.0
 	for _, orient := range [2][2]int{{u, v}, {v, u}} {
 		a, b := orient[0], orient[1]
 		// Leg 1: s -> a, avoiding `through` and node t (t must stay free
@@ -195,13 +198,22 @@ func routeThrough(c *chip.Chip, s, t, through int, cost func(int) float64) ([]in
 			}
 			return cost(e)
 		}
-		nodes1, edges1, cost1, ok := g.WeightedShortestPath(s, a, w1)
+		edges1, cost1, ok := g.WeightedShortestPathScratch(&rs.leg1, s, a, w1)
 		if !ok {
 			continue
 		}
-		onLeg1 := make(map[int]bool, len(nodes1))
-		for _, n := range nodes1 {
-			onLeg1[n] = true
+		// Mark leg 1's nodes by walking its edges from s.
+		rs.epoch++
+		epoch := rs.epoch
+		n := s
+		rs.onLeg1[n] = epoch
+		for _, e := range edges1 {
+			if x, y := g.Endpoints(e); x == n {
+				n = y
+			} else {
+				n = x
+			}
+			rs.onLeg1[n] = epoch
 		}
 		// Leg 2: b -> t avoiding all leg-1 nodes and `through`.
 		w2 := func(e int) float64 {
@@ -209,24 +221,34 @@ func routeThrough(c *chip.Chip, s, t, through int, cost func(int) float64) ([]in
 				return -1
 			}
 			x, y := g.Endpoints(e)
-			if (onLeg1[x] && x != b) || (onLeg1[y] && y != b) {
+			if (rs.onLeg1[x] == epoch && x != b) || (rs.onLeg1[y] == epoch && y != b) {
 				return -1
 			}
-			_ = x
 			return cost(e)
 		}
-		_, edges2, cost2, ok := g.WeightedShortestPath(b, t, w2)
+		edges2, cost2, ok := g.WeightedShortestPathScratch(&rs.leg2, b, t, w2)
 		if !ok {
 			continue
 		}
 		total := cost1 + cost(through) + cost2
-		if best == nil || total < best.cost {
-			all := append(append(append([]int(nil), edges1...), through), edges2...)
-			best = &candidate{edges: all, cost: total}
+		if best == nil || total < bestCost {
+			best = append(append(append(best[:0], edges1...), through), edges2...)
+			bestCost = total
 		}
 	}
 	if best == nil {
 		return nil, fmt.Errorf("no simple path from %d to %d through edge %d", s, t, through)
 	}
-	return best.edges, nil
+	return best, nil
 }
+
+// routeScratch holds routeThrough's reusable buffers: one PathScratch per
+// leg (leg 1's path must survive the leg-2 search) and the leg-1 node
+// marks.
+type routeScratch struct {
+	leg1, leg2 graphalg.PathScratch
+	onLeg1     []int // onLeg1[node] == epoch: the node lies on leg 1
+	epoch      int
+}
+
+var routeScratchPool = sync.Pool{New: func() any { return new(routeScratch) }}

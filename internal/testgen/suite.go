@@ -301,7 +301,9 @@ func (p *suitePre) solvePathAt(valve, src, dst int) (fault.Vector, bool) {
 func (p *suitePre) solveCutAt(valve, src, dst int) (fault.Vector, bool) {
 	p.cutSolves.Add(1)
 	edge := p.c.Valve(valve).Edge
-	cutEdges, err := cutThroughWithLeak(p.g, p.c.Ports[src].Node, p.c.Ports[dst].Node, edge, p.channelOnly)
+	sc := cutScratchPool.Get().(*cutScratch)
+	defer cutScratchPool.Put(sc)
+	cutEdges, err := cutThroughWithLeak(sc, p.g, p.c.Ports[src].Node, p.c.Ports[dst].Node, edge, p.channelOnly)
 	if err != nil {
 		return fault.Vector{}, false
 	}
