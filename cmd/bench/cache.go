@@ -1,33 +1,26 @@
 package main
 
-// cache.go is the -cache mode: the content-addressed artifact cache and
-// batch-submission benchmark. Per bundled design it runs the DFT flow
-// four ways — uncached, cold through a fresh disk cache, warm from the
-// memory tier, and warm from the disk tier in a fresh process-equivalent
-// cache — gating on canonical-encoding bit-identity everywhere and on
-// the warm-disk run collapsing to a single artifact stage (no solver
-// stage runs at all). A batch leg then submits a 75%-duplicate job set
-// (32 jobs, 8 unique digests) serially and through core.RunBatch,
-// gating on >= minBatchSpeedup, and re-runs the batch at 1/2/4/8
-// workers gating on bit-identical results AND bit-identical cache
-// counters at every worker count. The committed BENCH_cache.json is
-// regenerated with:
-//
-//	go run ./cmd/bench -cache -out BENCH_cache.json
-//
-// Every gate exits 1 on violation so CI can enforce the mode directly.
+// cache.go is the cache mode. Per bundled design (case "<chip>/<assay>")
+// the DFT flow runs uncached (the reference), cold through a fresh disk
+// cache (timed once), warm from that cache's memory tier (mem-hit), and
+// warm from the disk tier through a fresh cache over the same directory,
+// as after a process restart (disk-hit, gated against the committed
+// report). Every cached leg must reproduce the uncached canonical
+// encoding, and disk-hit must collapse to the single artifact stage. A
+// 75%-duplicate batch then runs serially without a cache (uncached) and
+// through core.RunBatch (batch: at least batchSpeedupGate() faster, and
+// gated against the committed report), then at pools of 1/2/4/8 workers,
+// each of which must reproduce the serial results and cache counters.
 
 import (
 	"bytes"
 	"fmt"
 	"os"
-	"reflect"
 	"runtime"
 	"time"
 
 	"repro/internal/assay"
 	"repro/internal/chip"
-	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/pso"
 )
@@ -56,62 +49,6 @@ func batchSpeedupGate() float64 {
 	return 0.9 * float64(batchJobs) / float64(batchUnique)
 }
 
-// CacheDoc is the serialized artifact-cache benchmark report.
-type CacheDoc struct {
-	GoMaxProcs      int     `json:"gomaxprocs"`
-	Seed            int64   `json:"seed"`
-	MinBatchSpeedup float64 `json:"min_batch_speedup_gate"`
-	// EffectiveGate is batchSpeedupGate() on the recording machine: the
-	// full gate given parallel capacity, 90% of the jobs/unique dedup
-	// ceiling on a single-CPU host.
-	EffectiveGate float64          `json:"effective_batch_speedup_gate"`
-	Designs       []CacheDesignLeg `json:"designs"`
-	Batch         CacheBatchLeg    `json:"batch"`
-	Workers       []CacheWorkerLeg `json:"workers"`
-}
-
-// CacheDesignLeg is one bundled design's four-way flow measurement.
-type CacheDesignLeg struct {
-	Chip  string `json:"chip"`
-	Assay string `json:"assay"`
-	// PayloadBytes is the canonical result encoding's size — what one
-	// disk artifact costs.
-	PayloadBytes int `json:"payload_bytes"`
-
-	UncachedNs int64 `json:"uncached_ns"`
-	ColdNs     int64 `json:"cold_ns"`     // miss + store through a fresh cache
-	MemHitNs   int64 `json:"mem_hit_ns"`  // warm memory tier, same cache
-	DiskHitNs  int64 `json:"disk_hit_ns"` // fresh cache over the same dir
-
-	MemSpeedup  float64 `json:"mem_speedup"`
-	DiskSpeedup float64 `json:"disk_speedup"`
-
-	// BitIdentical gates all three cached runs against the uncached
-	// canonical encoding; DiskSkipsSolve gates the warm-disk run's stats
-	// collapsing to the single synthesized artifact stage.
-	BitIdentical   bool `json:"bit_identical"`
-	DiskSkipsSolve bool `json:"disk_skips_solve"`
-}
-
-// CacheBatchLeg is the duplicate-heavy submission measurement.
-type CacheBatchLeg struct {
-	Jobs       int               `json:"jobs"`
-	UniqueKeys int               `json:"unique_keys"`
-	SerialNs   int64             `json:"serial_ns"`
-	BatchNs    int64             `json:"batch_ns"`
-	Speedup    float64           `json:"speedup"`
-	Shared     int               `json:"shared_results"` // duplicates served as decoded copies
-	Metrics    core.CacheMetrics `json:"metrics"`
-}
-
-// CacheWorkerLeg is one worker-count determinism run of the same batch.
-type CacheWorkerLeg struct {
-	Parallel  int               `json:"parallel"`
-	Ns        int64             `json:"ns"`
-	Identical bool              `json:"identical"` // results byte-equal to the serial reference
-	Metrics   core.CacheMetrics `json:"metrics"`
-}
-
 // cacheFlowOpts is the flow configuration every leg runs: small enough to
 // iterate, large enough that a solve dwarfs a cache hit.
 func cacheFlowOpts(seed int64) core.Options {
@@ -122,112 +59,100 @@ func cacheFlowOpts(seed int64) core.Options {
 	}
 }
 
-// cacheDesigns pairs each bundled chip with its paper assay.
-var cacheDesigns = []struct {
-	chip  func() *chip.Chip
-	assay func() *assay.Graph
-	cn    string
-	an    string
-}{
-	{chip.IVD, assay.IVD, "IVD_chip", "IVD"},
-	{chip.RA30, assay.PID, "RA30_chip", "PID"},
-	{chip.MRNA, assay.CPA, "mRNA_chip", "CPA"},
+func runCache() ([]Record, error) {
+	var recs []Record
+	for _, combo := range combos {
+		rs, err := cacheDesign(combo.chip, combo.assay)
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, rs...)
+	}
+	rs, err := cacheBatch()
+	if err != nil {
+		return nil, err
+	}
+	recs = append(recs, rs...)
+	setSpeedups(recs, "uncached", "")
+	for i := range recs {
+		if recs[i].Variant == "batch" {
+			recs[i].Gates["min_speedup"] = recs[i].Speedup >= batchSpeedupGate()
+		}
+	}
+	return recs, nil
 }
 
-// timeFlow runs the flow once and returns (duration ns, result).
-func timeFlow(c *chip.Chip, g *assay.Graph, opts core.Options) (int64, *core.Result, error) {
+// cacheDesign measures one design's uncached, cold, mem-hit and disk-hit
+// flows.
+func cacheDesign(mkChip func() *chip.Chip, mkAssay func() *assay.Graph) ([]Record, error) {
+	cs := mkChip().Name + "/" + mkAssay().Name
+	var res *core.Result
+	flow := func(opts core.Options) func() error {
+		return func() (err error) {
+			res, err = core.RunDFTFlow(mkChip(), mkAssay(), opts)
+			return err
+		}
+	}
+	// add appends the record of the leg just run, gating its result
+	// against the first (uncached) leg's canonical encoding.
+	var recs []Record
+	var want []byte
+	add := func(r Record, err error) error {
+		if err != nil {
+			return err
+		}
+		enc, err := core.EncodeResult(res)
+		if err != nil {
+			return err
+		}
+		if want == nil {
+			want = enc
+			r.Counters = map[string]float64{"payload_bytes": float64(len(enc))}
+		} else {
+			r.Gates = map[string]bool{"bit_identical": bytes.Equal(enc, want)}
+		}
+		recs = append(recs, r)
+		return nil
+	}
+
+	opts := cacheFlowOpts(2018)
+	if err := add(measure(cs, "uncached", flow(opts))); err != nil {
+		return nil, err
+	}
+	dir, err := os.MkdirTemp("", "benchcache-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	if opts.Cache, err = core.NewCache(core.CacheConfig{Dir: dir}); err != nil {
+		return nil, err
+	}
 	start := time.Now()
-	res, err := core.RunDFTFlow(c, g, opts)
-	return time.Since(start).Nanoseconds(), res, err
-}
-
-// runCacheDesigns measures the four-way flow legs per bundled design.
-func runCacheDesigns(doc *CacheDoc) error {
-	for _, d := range cacheDesigns {
-		opts := cacheFlowOpts(doc.Seed)
-		leg := CacheDesignLeg{Chip: d.cn, Assay: d.an}
-
-		uncachedNs, fresh, err := timeFlow(d.chip(), d.assay(), opts)
-		if err != nil {
-			return err
-		}
-		leg.UncachedNs = uncachedNs
-		want, err := core.EncodeResult(fresh)
-		if err != nil {
-			return err
-		}
-		leg.PayloadBytes = len(want)
-
-		dir, err := os.MkdirTemp("", "benchcache-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-
+	err = flow(opts)()
+	if err := add(Record{Case: cs, Variant: "cold", Iterations: 1, NsOp: time.Since(start).Nanoseconds()}, err); err != nil {
+		return nil, err
+	}
+	if err := add(measure(cs, "mem-hit", flow(opts))); err != nil {
+		return nil, err
+	}
+	// A fresh cache over the same directory sees only the disk tier.
+	diskHit := func() error {
 		cc, err := core.NewCache(core.CacheConfig{Dir: dir})
 		if err != nil {
 			return err
 		}
-		opts.Cache = cc
-		coldNs, cold, err := timeFlow(d.chip(), d.assay(), opts)
-		if err != nil {
-			return err
-		}
-		leg.ColdNs = coldNs
-		memNs, mem, err := timeFlow(d.chip(), d.assay(), opts)
-		if err != nil {
-			return err
-		}
-		leg.MemHitNs = memNs
-
-		// Process restart: a fresh cache over the same directory sees only
-		// the disk tier.
-		cc2, err := core.NewCache(core.CacheConfig{Dir: dir})
-		if err != nil {
-			return err
-		}
-		opts.Cache = cc2
-		diskNs, disk, err := timeFlow(d.chip(), d.assay(), opts)
-		if err != nil {
-			return err
-		}
-		leg.DiskHitNs = diskNs
-
-		leg.BitIdentical = true
-		for _, r := range []*core.Result{cold, mem, disk} {
-			enc, err := core.EncodeResult(r)
-			if err != nil {
-				return err
-			}
-			if !bytes.Equal(enc, want) {
-				leg.BitIdentical = false
-			}
-		}
-		if !leg.BitIdentical {
-			return fmt.Errorf("cache %s/%s: cached result differs from uncached canonical encoding", d.cn, d.an)
-		}
-		leg.DiskSkipsSolve = disk.Stats != nil &&
-			len(disk.Stats.Stages) == 1 &&
-			disk.Stats.Stages[0].Name == core.StageArtifact &&
-			disk.Stats.Stages[0].Counters["art_disk_hits"] == 1
-		if !leg.DiskSkipsSolve {
-			return fmt.Errorf("cache %s/%s: warm-disk run did not collapse to the artifact stage: %+v", d.cn, d.an, disk.Stats)
-		}
-		if leg.MemHitNs > 0 {
-			leg.MemSpeedup = float64(leg.UncachedNs) / float64(leg.MemHitNs)
-		}
-		if leg.DiskHitNs > 0 {
-			leg.DiskSpeedup = float64(leg.UncachedNs) / float64(leg.DiskHitNs)
-		}
-
-		doc.Designs = append(doc.Designs, leg)
-		fmt.Fprintf(os.Stderr, "%-10s/%-4s %4d KiB  uncached %8.1fms  cold %8.1fms  mem hit %6.2fms (%.0fx)  disk hit %6.2fms (%.0fx)\n",
-			d.cn, d.an, leg.PayloadBytes/1024,
-			float64(leg.UncachedNs)/1e6, float64(leg.ColdNs)/1e6,
-			float64(leg.MemHitNs)/1e6, leg.MemSpeedup,
-			float64(leg.DiskHitNs)/1e6, leg.DiskSpeedup)
+		o := opts
+		o.Cache = cc
+		return flow(o)()
 	}
-	return nil
+	if err := add(measure(cs, "disk-hit", diskHit)); err != nil {
+		return nil, err
+	}
+	st, disk := res.Stats, &recs[len(recs)-1]
+	disk.Gated = true
+	disk.Gates["skips_solve"] = st != nil && len(st.Stages) == 1 &&
+		st.Stages[0].Name == core.StageArtifact && st.Stages[0].Counters["art_disk_hits"] == 1
+	return recs, nil
 }
 
 // batchJobSet builds the 75%-duplicate submission: batchJobs jobs cycling
@@ -247,142 +172,69 @@ func batchJobSet() []core.BatchJob {
 	return jobs
 }
 
-// runCacheBatch measures serial vs deduplicated batch submission and the
-// worker-count determinism legs.
-func runCacheBatch(doc *CacheDoc) error {
+// cacheBatch measures the duplicate-heavy submission: serially without a
+// cache, through RunBatch at the default pool size, then at pools of
+// 1/2/4/8 workers.
+func cacheBatch() ([]Record, error) {
 	jobs := batchJobSet()
-
-	// Serial reference: every job solved independently, no cache.
+	cs := fmt.Sprintf("RA30_chip/PID x%d", batchJobs)
 	serial := make([][]byte, len(jobs))
 	start := time.Now()
 	for i, j := range jobs {
 		res, err := core.RunDFTFlow(j.Chip, j.Assay, j.Opts)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if serial[i], err = core.EncodeResult(res); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	serialNs := time.Since(start).Nanoseconds()
+	recs := []Record{{Case: cs, Variant: "uncached", Iterations: 1, NsOp: time.Since(start).Nanoseconds()}}
 
-	runBatch := func(par int) (int64, []core.BatchResult, core.CacheMetrics, error) {
+	var ref [4]int64
+	for _, par := range []int{0, 1, 2, 4, 8} {
 		cc, err := core.NewCache(core.CacheConfig{BudgetBytes: 64 << 20})
 		if err != nil {
-			return 0, nil, core.CacheMetrics{}, err
+			return nil, err
 		}
 		start := time.Now()
 		results := core.RunBatch(jobs, core.BatchOptions{Parallel: par, Cache: cc})
-		ns := time.Since(start).Nanoseconds()
+		r := Record{Case: cs, Variant: fmt.Sprintf("pool-%d", par), Iterations: 1, NsOp: time.Since(start).Nanoseconds()}
+		identical, shared := true, 0
 		for i, br := range results {
 			if br.Err != nil {
-				return 0, nil, core.CacheMetrics{}, fmt.Errorf("batch job %d: %w", i, br.Err)
+				return nil, fmt.Errorf("batch job %d: %w", i, br.Err)
 			}
-		}
-		return ns, results, cc.Metrics(), nil
-	}
-
-	// Main batch leg at the default pool size.
-	batchNs, results, metrics, err := runBatch(0)
-	if err != nil {
-		return err
-	}
-	leg := CacheBatchLeg{
-		Jobs:       len(jobs),
-		UniqueKeys: batchUnique,
-		SerialNs:   serialNs,
-		BatchNs:    batchNs,
-		Metrics:    metrics,
-	}
-	for i, br := range results {
-		enc, err := core.EncodeResult(br.Result)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(enc, serial[i]) {
-			return fmt.Errorf("batch job %d differs from its serial run", i)
-		}
-		if br.Shared {
-			leg.Shared++
-		}
-	}
-	if batchNs > 0 {
-		leg.Speedup = float64(serialNs) / float64(batchNs)
-	}
-	doc.Batch = leg
-	fmt.Fprintf(os.Stderr, "batch %d jobs (%d unique): serial %8.1fms  batch %8.1fms  %.1fx (%d shared)\n",
-		leg.Jobs, leg.UniqueKeys, float64(serialNs)/1e6, float64(batchNs)/1e6, leg.Speedup, leg.Shared)
-	if gate := batchSpeedupGate(); leg.Speedup < gate {
-		return fmt.Errorf("batch speedup gate failed: %.1fx (need >= %.1fx on the %d%%-duplicate set at GOMAXPROCS=%d)",
-			leg.Speedup, gate, 100*(batchJobs-batchUnique)/batchJobs, runtime.GOMAXPROCS(0))
-	}
-
-	// Worker-count determinism: identical results AND identical cache
-	// counters at every pool size.
-	var refMetrics *core.CacheMetrics
-	for _, par := range []int{1, 2, 4, 8} {
-		ns, results, metrics, err := runBatch(par)
-		if err != nil {
-			return err
-		}
-		wl := CacheWorkerLeg{Parallel: par, Ns: ns, Identical: true, Metrics: metrics}
-		for i, br := range results {
 			enc, err := core.EncodeResult(br.Result)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if !bytes.Equal(enc, serial[i]) {
-				wl.Identical = false
-			}
-		}
-		if !wl.Identical {
-			return fmt.Errorf("batch results differ from serial at %d workers", par)
-		}
-		// The memory tier's byte-accounting stats are identical too, but
-		// comparing hit/miss/store counters is the determinism claim.
-		counters := core.CacheMetrics{MemHits: metrics.MemHits, DiskHits: metrics.DiskHits,
-			Misses: metrics.Misses, Stores: metrics.Stores}
-		if refMetrics == nil {
-			refMetrics = &counters
-		} else if !reflect.DeepEqual(*refMetrics, counters) {
-			return fmt.Errorf("cache counters differ at %d workers: %+v vs %+v", par, counters, *refMetrics)
-		}
-		doc.Workers = append(doc.Workers, wl)
-		fmt.Fprintf(os.Stderr, "batch par=%d %8.1fms  identical=%v  hits=%d misses=%d stores=%d\n",
-			par, float64(ns)/1e6, wl.Identical, metrics.MemHits, metrics.Misses, metrics.Stores)
-	}
-	return nil
-}
-
-func runCache(outFile, baselineFile string) int {
-	doc := CacheDoc{
-		GoMaxProcs:      runtime.GOMAXPROCS(0),
-		Seed:            2018,
-		MinBatchSpeedup: minBatchSpeedup,
-		EffectiveGate:   batchSpeedupGate(),
-	}
-	if err := runCacheDesigns(&doc); err != nil {
-		return cliutil.Fail(tool, err)
-	}
-	if err := runCacheBatch(&doc); err != nil {
-		return cliutil.Fail(tool, err)
-	}
-	if baselineFile != "" {
-		var base CacheDoc
-		if err := readBaseline(baselineFile, &base); err != nil {
-			return cliutil.Fail(tool, err)
-		}
-		if err := gateRatio("batch speedup", doc.Batch.Speedup, base.Batch.Speedup); err != nil {
-			return cliutil.Fail(tool, err)
-		}
-		for i, leg := range doc.Designs {
-			if i >= len(base.Designs) {
-				break
-			}
-			if err := gateRatio(leg.Chip+" disk speedup", leg.DiskSpeedup, base.Designs[i].DiskSpeedup); err != nil {
-				return cliutil.Fail(tool, err)
+			identical = identical && bytes.Equal(enc, serial[i])
+			if br.Shared {
+				shared++
 			}
 		}
+		m := cc.Metrics()
+		counts := [4]int64{m.MemHits, m.DiskHits, m.Misses, m.Stores}
+		r.Counters = map[string]float64{
+			"shared_results": float64(shared), // duplicates served as decoded copies
+			"mem_hits":       float64(m.MemHits),
+			"disk_hits":      float64(m.DiskHits),
+			"misses":         float64(m.Misses),
+			"stores":         float64(m.Stores),
+		}
+		r.Gates = map[string]bool{"identical": identical}
+		switch par {
+		case 0:
+			r.Variant, r.Gated = "batch", true
+			r.Counters["jobs"], r.Counters["unique_keys"] = batchJobs, batchUnique
+			r.Counters["speedup_gate"] = batchSpeedupGate()
+		case 1:
+			ref = counts
+		default:
+			r.Gates["same_counters"] = counts == ref
+		}
+		recs = append(recs, r)
 	}
-	return writeBenchArtifact(outFile, doc)
+	return recs, nil
 }

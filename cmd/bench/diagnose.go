@@ -1,82 +1,24 @@
 package main
 
-// diagnose.go is the -diagnose mode: it measures the adaptive fault-
-// diagnosis engine against exhaustive replay on every bundled design.
-// Each chip is DFT-augmented, its single-source single-meter test set
-// generated, and the detection matrix built; then every modeled fault is
-// localized twice — through the adaptive information-gain chain and
-// through exhaustive replay (every usable vector) — and the report
-// records vectors-to-localize and suspect-set sizes for both, plus the
-// campaign throughput per variant and a worker-count determinism check
-// (the adaptive campaign must be bit-identical at 1/2/4/8 workers). The
-// committed BENCH_diagnose.json is regenerated with:
-//
-//	go run ./cmd/bench -diagnose -out BENCH_diagnose.json
+// diagnose.go is the diagnose mode: adaptive fault diagnosis against
+// exhaustive replay on every bundled design, DFT-augmented with its
+// single-source single-meter test set. An op is a campaign localizing
+// every modeled fault, timed single-worker (case <chip>/serial) and on all
+// cores (<chip>/parallel), with replay as the reference. The serial
+// adaptive record carries the per-fault costs and two gates: its suspect
+// sets equal replay's fault for fault, and the campaign is bit-identical
+// at 1, 2, 4 and 8 workers.
 
 import (
 	"context"
-	"fmt"
-	"os"
 	"reflect"
-	"runtime"
-	"testing"
 
 	"repro/internal/chip"
-	"repro/internal/cliutil"
 	"repro/internal/diagnose"
 	"repro/internal/fault"
 	"repro/internal/solve"
 	"repro/internal/testgen"
 )
-
-// DiagnoseDoc is the serialized diagnosis benchmark report.
-type DiagnoseDoc struct {
-	GoMaxProcs int              `json:"gomaxprocs"`
-	Designs    []DiagnoseDesign `json:"designs"`
-}
-
-// DiagnoseDesign is one chip's measurements.
-type DiagnoseDesign struct {
-	Chip    string `json:"chip"`
-	Vectors int    `json:"vectors"`
-	Faults  int    `json:"faults"`
-	// ExhaustiveVectors is the replay baseline: every fault costs this
-	// many test applications.
-	ExhaustiveVectors int `json:"exhaustive_vectors"`
-	// MeanVectors/MaxVectors are the adaptive engine's per-fault cost.
-	MeanVectors float64 `json:"adaptive_mean_vectors"`
-	MaxVectors  int     `json:"adaptive_max_vectors"`
-	// VectorSaving is 1 - mean/exhaustive: the fraction of test
-	// applications the adaptive engine avoids.
-	VectorSaving float64 `json:"vector_saving"`
-	// MeanSuspects/MaxSuspects summarize the final suspect sets; both
-	// engines converge to the signature-equivalence class, so these are
-	// identical for adaptive and replay (asserted, not assumed).
-	MeanSuspects float64 `json:"mean_suspects"`
-	MaxSuspects  int     `json:"max_suspects"`
-	// UniquelyLocalized counts faults whose suspect set is a singleton.
-	UniquelyLocalized int `json:"uniquely_localized"`
-	// SuspectsMatchReplay records that the adaptive suspect sets equal
-	// the exhaustive-replay suspect sets fault-for-fault.
-	SuspectsMatchReplay bool `json:"suspects_match_replay"`
-	// Deterministic records that the adaptive campaign was bit-identical
-	// at 1, 2, 4 and 8 workers.
-	Deterministic bool             `json:"deterministic_1_2_4_8_workers"`
-	Results       []DiagnoseResult `json:"results"`
-}
-
-// DiagnoseResult is one campaign variant's timing; an op is a whole
-// campaign (every fault of the design).
-type DiagnoseResult struct {
-	Name        string `json:"name"`
-	Iterations  int    `json:"iterations"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	BytesPerOp  int64  `json:"bytes_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
-	// SpeedupVs compares ns/op against the replay campaign at the same
-	// worker count.
-	SpeedupVs float64 `json:"speedup_vs_replay,omitempty"`
-}
 
 // replayInject forces the chain past the adaptive and greedy tiers so a
 // campaign measures pure exhaustive replay.
@@ -89,141 +31,101 @@ func replayInject() []solve.Injection {
 	return inj
 }
 
-func runDiagnose(outFile string) int {
+func runDiagnose() ([]Record, error) {
 	ctx := context.Background()
-	doc := DiagnoseDoc{GoMaxProcs: runtime.GOMAXPROCS(0)}
-
+	var recs []Record
 	for _, c := range chip.Benchmarks() {
 		aug, err := testgen.AugmentHeuristicCtx(ctx, c, testgen.Options{})
 		if err != nil {
-			return cliutil.Fail(tool, err)
+			return nil, err
 		}
 		cuts, err := testgen.GenerateCuts(aug.Chip, aug.Source, aug.Meter)
 		if err != nil {
-			return cliutil.Fail(tool, err)
+			return nil, err
 		}
 		vectors := append(aug.PathVectors(), cuts...)
 		sim, err := fault.NewSimulator(aug.Chip, chip.IndependentControl(aug.Chip))
 		if err != nil {
-			return cliutil.Fail(tool, err)
+			return nil, err
 		}
 		faults := fault.AllFaults(aug.Chip)
 		m, err := fault.NewEngine(sim, 0).DetectionMatrix(ctx, vectors, faults)
 		if err != nil {
-			return cliutil.Fail(tool, err)
+			return nil, err
 		}
 
 		adaptive := &diagnose.Planner{Matrix: m}
 		replay := &diagnose.Planner{Matrix: m, Inject: replayInject()}
 		ref, err := adaptive.Campaign(ctx, 1)
 		if err != nil {
-			return cliutil.Fail(tool, err)
+			return nil, err
 		}
 		rep, err := replay.Campaign(ctx, 0)
 		if err != nil {
-			return cliutil.Fail(tool, err)
+			return nil, err
 		}
-
-		d := DiagnoseDesign{
-			Chip:                c.Name,
-			Vectors:             len(vectors),
-			Faults:              len(faults),
-			ExhaustiveVectors:   m.NumUsable(),
-			SuspectsMatchReplay: true,
-			Deterministic:       true,
-		}
-		totV, totS := 0, 0
+		match, deterministic := true, true
+		totV, maxV, totS, maxS, unique := 0, 0, 0, 0, 0
 		for i, fd := range ref {
-			v := fd.Result.VectorsApplied()
-			totV += v
-			if v > d.MaxVectors {
-				d.MaxVectors = v
-			}
-			ns := len(fd.Result.Suspects)
-			totS += ns
-			if ns > d.MaxSuspects {
-				d.MaxSuspects = ns
-			}
+			v, ns := fd.Result.VectorsApplied(), len(fd.Result.Suspects)
+			totV, maxV = totV+v, max(maxV, v)
+			totS, maxS = totS+ns, max(maxS, ns)
 			if ns == 1 {
-				d.UniquelyLocalized++
+				unique++
 			}
 			if !reflect.DeepEqual(fd.Result.Suspects, rep[i].Result.Suspects) {
-				d.SuspectsMatchReplay = false
+				match = false
 			}
-		}
-		d.MeanVectors = float64(totV) / float64(len(ref))
-		d.MeanSuspects = float64(totS) / float64(len(ref))
-		if d.ExhaustiveVectors > 0 {
-			d.VectorSaving = 1 - d.MeanVectors/float64(d.ExhaustiveVectors)
 		}
 		for _, w := range []int{2, 4, 8} {
 			got, err := adaptive.Campaign(ctx, w)
 			if err != nil {
-				return cliutil.Fail(tool, err)
+				return nil, err
 			}
-			if !campaignsEqual(ref, got) {
-				d.Deterministic = false
-			}
+			deterministic = deterministic && campaignsEqual(ref, got)
 		}
+		meanV := float64(totV) / float64(len(ref))
 
-		variants := []struct {
+		for _, w := range []struct {
 			name    string
-			planner *diagnose.Planner
 			workers int
-		}{
-			{"adaptive-serial", adaptive, 1},
-			{"adaptive-parallel", adaptive, 0},
-			{"replay-serial", replay, 1},
-			{"replay-parallel", replay, 0},
-		}
-		replayNs := map[bool]int64{}
-		for _, v := range variants {
-			p, w := v.planner, v.workers
-			br := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.Campaign(ctx, w); err != nil {
-						b.Fatal(err)
-					}
+		}{{"serial", 1}, {"parallel", 0}} {
+			for _, v := range []struct {
+				name    string
+				planner *diagnose.Planner
+			}{{"adaptive", adaptive}, {"replay", replay}} {
+				r, err := measure(c.Name+"/"+w.name, v.name, func() error {
+					_, err := v.planner.Campaign(ctx, w.workers)
+					return err
+				})
+				if err != nil {
+					return nil, err
 				}
-			})
-			r := DiagnoseResult{
-				Name:        v.name,
-				Iterations:  br.N,
-				NsPerOp:     br.NsPerOp(),
-				BytesPerOp:  br.AllocedBytesPerOp(),
-				AllocsPerOp: br.AllocsPerOp(),
-			}
-			if p == replay {
-				replayNs[w == 1] = r.NsPerOp
-			}
-			d.Results = append(d.Results, r)
-			fmt.Fprintf(os.Stderr, "%-10s %-18s %12d ns/op %10d B/op %8d allocs/op\n",
-				c.Name, r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-		}
-		// The replay baselines run after the adaptive variants, so the
-		// speedups are filled in once both are measured.
-		for i := range d.Results {
-			r := &d.Results[i]
-			if r.Name != "adaptive-serial" && r.Name != "adaptive-parallel" {
-				continue
-			}
-			if base := replayNs[r.Name == "adaptive-serial"]; base > 0 && r.NsPerOp > 0 {
-				r.SpeedupVs = float64(base) / float64(r.NsPerOp)
+				if w.workers == 1 && v.planner == adaptive {
+					r.Counters = map[string]float64{
+						"vectors":               float64(len(vectors)),
+						"faults":                float64(len(faults)),
+						"exhaustive_vectors":    float64(m.NumUsable()),
+						"adaptive_mean_vectors": meanV,
+						"adaptive_max_vectors":  float64(maxV),
+						"vector_saving":         1 - meanV/float64(m.NumUsable()),
+						"mean_suspects":         float64(totS) / float64(len(ref)),
+						"max_suspects":          float64(maxS),
+						"uniquely_localized":    float64(unique),
+					}
+					r.Gates = map[string]bool{"suspects_match_replay": match, "deterministic_1_2_4_8_workers": deterministic}
+				}
+				recs = append(recs, r)
 			}
 		}
-		doc.Designs = append(doc.Designs, d)
 	}
-
-	return writeBenchArtifact(outFile, doc)
+	setSpeedups(recs, "replay", "")
+	return recs, nil
 }
 
 // campaignsEqual compares two campaign outputs ignoring wall-clock
 // attempt timings.
 func campaignsEqual(a, b []diagnose.FaultDiagnosis) bool {
-	if len(a) != len(b) {
-		return false
-	}
 	strip := func(in []diagnose.FaultDiagnosis) []diagnose.FaultDiagnosis {
 		out := make([]diagnose.FaultDiagnosis, len(in))
 		copy(out, in)

@@ -1,29 +1,19 @@
 package main
 
-// fpva.go is the -fpva mode: the scaling-curve suite for per-valve test
-// generation on parametric FPVA grids. For each grid size on the curve
-// (8x8 through 64x64) it generates the chip, runs the per-valve baseline
-// solver and the symmetry-exploiting template engine (single worker, so
-// ns/vector compares algorithms, not parallelism), fault-simulates both
-// suites and gates on coverage bit-identity, asserts the template suite
-// is bit-identical for 1/2/4/8 workers, and records the campaign's
-// fast-path metrics, a bounded DAC test-path ILP probe at the small
-// sizes, and peak RSS. A second template pass per size runs against one
-// engine shared across the whole curve, measuring how many equivalence
-// classes later sizes reuse from earlier ones. An irregular-chip block
-// then classifies non-square grids with skewed port counts under both
-// candidate-port encodings — the port-relative (side+along) encoding in
-// use and the legacy anchor-relative one — recording the class collapse
-// the port-relative encoding buys where chip symmetry is broken.
-//
-// Two hard gates make the mode CI-enforceable (exit 1 on violation):
-// baseline and template coverage must be bit-identical wherever both run
-// (the largest size runs only the template engine and must fully cover),
-// and the template engine must be at least minSpeedup faster per vector
-// on the largest size both engines run (>= 32x32). The committed
-// BENCH_fpva.json is regenerated with:
-//
-//	go run ./cmd/bench -fpva -out BENCH_fpva.json
+// fpva.go is the fpva mode: the scaling curve of per-valve test
+// generation on parametric FPVA grids (case "NxN"). Per size it times the
+// template engine, single-worker with a fresh engine per op so ns per
+// vector compares algorithms on cold class solves; the per-valve baseline
+// engine, the reference, up to fpvaMaxBaseline (above it its superlinear
+// cost would dominate the run); and the fault campaign over the template
+// suite, with the fast-path counters that keep it near-linear. The
+// template record's gates: no valve uncovered, coverage bit-identical to
+// the baseline suite (or full where no baseline runs), and the suite
+// bit-identical at 1/2/4/8 workers. Its counters add a second pass against
+// one engine shared across the curve (how many classes smaller sizes
+// already solved), a bounded DAC test-path ILP probe and peak RSS. At the
+// largest size with both engines (>= 32x32) the template engine must be
+// minSpeedup faster per vector; that record is the one -baseline holds.
 
 import (
 	"bytes"
@@ -31,19 +21,16 @@ import (
 	"os"
 	"reflect"
 	"runtime"
-	"strconv"
 	"time"
 
 	"repro/internal/chip"
-	"repro/internal/cliutil"
 	"repro/internal/fault"
 	"repro/internal/ilp"
 	"repro/internal/testgen"
 )
 
 // fpvaSizes is the scaling curve. Sizes above fpvaMaxBaseline skip the
-// per-valve baseline leg (its superlinear cost would dominate the run);
-// sizes up to fpvaMaxILP run the bounded DAC test-path ILP probe.
+// per-valve baseline leg; sizes up to fpvaMaxILP run the ILP probe.
 var fpvaSizes = []int{8, 16, 32, 48, 64}
 
 const (
@@ -54,148 +41,6 @@ const (
 	// on the largest size both engines run.
 	minSpeedup = 5.0
 )
-
-// FPVADoc is the serialized scaling-curve report.
-type FPVADoc struct {
-	GoMaxProcs int   `json:"gomaxprocs"`
-	Seed       int64 `json:"seed"`
-	// GateSize and Speedup record the acceptance gate: template speedup
-	// at the largest size with both engine legs.
-	GateSize    int         `json:"gate_size"`
-	Speedup     float64     `json:"speedup_template_vs_baseline"`
-	MinSpeedup  float64     `json:"min_speedup_gate"`
-	CurvePoints []FPVAPoint `json:"curve"`
-	// Irregular classifies non-square, port-skewed grids under both
-	// candidate-port encodings.
-	Irregular []FPVAIrregular `json:"irregular"`
-}
-
-// FPVAIrregular is one irregular chip's class-count comparison between
-// the port-relative and the legacy anchor-relative port encoding.
-type FPVAIrregular struct {
-	W      int   `json:"w"`
-	H      int   `json:"h"`
-	Ports  int   `json:"ports"`
-	Seed   int64 `json:"seed"`
-	Valves int   `json:"valves"`
-	// PortRelClasses/LegacyClasses are the distinct equivalence-class
-	// counts under each encoding; Reduction is legacy/port-relative.
-	PortRelClasses int     `json:"port_rel_classes"`
-	LegacyClasses  int     `json:"legacy_classes"`
-	Reduction      float64 `json:"reduction"`
-}
-
-// FPVAPoint is one grid size on the scaling curve.
-type FPVAPoint struct {
-	Size    int `json:"size"` // the grid is Size x Size
-	Valves  int `json:"valves"`
-	Ports   int `json:"ports"`
-	Vectors int `json:"vectors"` // deduped suite vectors (template engine)
-
-	// Engine legs (absent baseline at the largest sizes).
-	Baseline *FPVAEngineLeg `json:"baseline,omitempty"`
-	Template *FPVAEngineLeg `json:"template"`
-
-	// SharedCacheHits/SharedClasses measure the cross-size template
-	// cache: generating this size against the engine shared across the
-	// whole curve, how many of its equivalence classes were already
-	// solved by earlier (smaller) sizes.
-	SharedCacheHits int64 `json:"shared_cache_hits"`
-	SharedClasses   int   `json:"shared_classes"`
-
-	// CoverageIdentical is the bit-identity gate result (true whenever
-	// the baseline leg ran; the largest sizes assert full coverage
-	// instead).
-	CoverageIdentical bool    `json:"coverage_identical"`
-	CoverageRatio     float64 `json:"coverage_ratio"`
-	WorkerInvariant   bool    `json:"worker_invariant"`
-
-	// Campaign is the fault-simulation leg over the template suite.
-	Campaign FPVACampaign `json:"campaign"`
-
-	// ILPNodes/ILPNsPerNode probe the paper's test-path ILP (bounded
-	// branch-and-bound) at the small sizes, for scale context.
-	ILPNodes     int   `json:"ilp_nodes,omitempty"`
-	ILPNsPerNode int64 `json:"ilp_ns_per_node,omitempty"`
-
-	// PeakRSSBytes is /proc/self/status VmHWM after this size's legs
-	// (0 where unsupported); HeapBytes is runtime.MemStats.HeapAlloc.
-	PeakRSSBytes int64  `json:"peak_rss_bytes,omitempty"`
-	HeapBytes    uint64 `json:"heap_bytes"`
-}
-
-// FPVAEngineLeg is one suite-generation engine's measurement at one size.
-type FPVAEngineLeg struct {
-	NsPerOp     int64 `json:"ns_per_op"`
-	NsPerVector int64 `json:"ns_per_vector"`
-	RawVectors  int   `json:"raw_vectors"`
-	SimEvals    int64 `json:"sim_evals"`
-	// Template-engine structure counters (zero for the baseline leg).
-	Classes      int   `json:"classes,omitempty"`
-	LineClasses  int   `json:"line_classes,omitempty"`
-	Instantiated int64 `json:"instantiated,omitempty"`
-	Fallbacks    int64 `json:"fallbacks,omitempty"`
-	PathSolves   int64 `json:"path_solves"`
-	CutSolves    int64 `json:"cut_solves"`
-}
-
-// FPVACampaign is the fault-simulation leg: the template suite against
-// every stuck-at fault, with the fast-path rule counters that explain why
-// the campaign stays near-linear.
-type FPVACampaign struct {
-	Faults         int     `json:"faults"`
-	NsPerOp        int64   `json:"ns_per_op"`
-	PressureSolves int64   `json:"pressure_solves"` // distinct fault-free vector simulations (memo misses)
-	ScreenSkips    int64   `json:"screen_skips"`
-	ReachChecks    int64   `json:"reach_checks"`
-	BridgeChecks   int64   `json:"bridge_checks"`
-	CoverageRatio  float64 `json:"coverage_ratio"`
-}
-
-// fpvaChip builds the curve's chip at one size (fixed seed, default
-// perimeter ports).
-func fpvaChip(n int) *chip.Chip {
-	return chip.MustGenerateFPVA(chip.FPVAParams{W: n, H: n, Seed: 1})
-}
-
-// timeSuite measures gen over enough iterations to damp timer noise at
-// the small sizes and returns (ns/op, last suite).
-func timeSuite(n int, gen func() (*testgen.Suite, error)) (int64, *testgen.Suite, error) {
-	iters := 1
-	if n <= 16 {
-		iters = 5
-	}
-	var s *testgen.Suite
-	var err error
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		s, err = gen()
-		if err != nil {
-			return 0, nil, err
-		}
-	}
-	return time.Since(start).Nanoseconds() / int64(iters), s, nil
-}
-
-// engineLeg folds a timed suite into its serialized leg.
-func engineLeg(nsPerOp int64, s *testgen.Suite) *FPVAEngineLeg {
-	nv := len(s.Paths) + len(s.Cuts)
-	leg := &FPVAEngineLeg{
-		NsPerOp:      nsPerOp,
-		RawVectors:   s.Stats.RawVectors,
-		SimEvals:     s.Stats.SimEvals,
-		Classes:      s.Stats.Classes,
-		LineClasses:  s.Stats.LineClasses,
-		Instantiated: s.Stats.Instantiated,
-		Fallbacks:    s.Stats.Fallbacks,
-		PathSolves:   s.Stats.PathSolves,
-		CutSolves:    s.Stats.CutSolves,
-	}
-	if nv > 0 {
-		leg.NsPerVector = nsPerOp / int64(nv)
-	}
-	return leg
-}
 
 // canonicalSuite reduces a suite to the fields the bit-identity checks
 // compare (everything except generation statistics).
@@ -210,211 +55,148 @@ func canonicalSuite(s *testgen.Suite) any {
 // peakRSSBytes reads VmHWM (peak resident set) from /proc/self/status;
 // 0 where the file or field is unavailable.
 func peakRSSBytes() int64 {
-	data, err := os.ReadFile("/proc/self/status")
+	data, _ := os.ReadFile("/proc/self/status")
+	var kb int64
+	if _, rest, ok := bytes.Cut(data, []byte("VmHWM:")); ok {
+		fmt.Sscan(string(rest), &kb)
+	}
+	return kb * 1024
+}
+
+// suiteRecord times one suite-generation engine and returns its record,
+// with the suite's structure counters, and the suite of the last op.
+func suiteRecord(cs, variant string, gen func() (*testgen.Suite, error)) (Record, *testgen.Suite, error) {
+	var s *testgen.Suite
+	r, err := measure(cs, variant, func() (err error) {
+		s, err = gen()
+		return err
+	})
 	if err != nil {
-		return 0
+		return r, nil, err
 	}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if !bytes.HasPrefix(line, []byte("VmHWM:")) {
-			continue
-		}
-		fields := bytes.Fields(line[len("VmHWM:"):])
-		if len(fields) < 1 {
-			return 0
-		}
-		kb, err := strconv.ParseInt(string(fields[0]), 10, 64)
-		if err != nil {
-			return 0
-		}
-		return kb * 1024
+	st := s.Stats
+	nv := float64(len(s.Paths) + len(s.Cuts))
+	r.Counters = map[string]float64{
+		"vectors":      nv,
+		"ns_vector":    float64(r.NsOp) / nv,
+		"raw_vectors":  float64(st.RawVectors),
+		"sim_evals":    float64(st.SimEvals),
+		"path_solves":  float64(st.PathSolves),
+		"cut_solves":   float64(st.CutSolves),
+		"classes":      float64(st.Classes),
+		"line_classes": float64(st.LineClasses),
+		"instantiated": float64(st.Instantiated),
+		"fallbacks":    float64(st.Fallbacks),
 	}
-	return 0
+	return r, s, nil
 }
 
-// fpvaIrregularParams are the irregular-chip block's shapes: non-square
-// grids with port counts that break the even default spacing, where the
-// legacy anchor-relative encoding fractures translation classes.
-// Elongated grids with sparse perimeter ports are where the encodings
-// diverge: interior tile classes far from the short walls see identical
-// clamped neighbourhoods but different absolute distances to the far
-// port wall, which the anchor-relative encoding leaks into the key.
-var fpvaIrregularParams = []chip.FPVAParams{
-	{W: 64, H: 12, Ports: 5, Seed: 3},
-	{W: 80, H: 14, Ports: 5, Seed: 3},
-	{W: 96, H: 14, Ports: 7, Seed: 3},
-}
-
-// runFPVAIrregular fills doc.Irregular with the class-count comparison
-// on the irregular shapes.
-func runFPVAIrregular(doc *FPVADoc) error {
-	for _, p := range fpvaIrregularParams {
-		c, err := chip.GenerateFPVA(p)
-		if err != nil {
-			return err
-		}
-		portRel, legacy := testgen.ClassCounts(c)
-		ir := FPVAIrregular{
-			W: p.W, H: p.H, Ports: p.Ports, Seed: p.Seed,
-			Valves:         c.NumValves(),
-			PortRelClasses: portRel,
-			LegacyClasses:  legacy,
-		}
-		if portRel > legacy {
-			return fmt.Errorf("fpva irregular %dx%d/%dp: port-relative encoding expanded classes: %d > %d",
-				p.W, p.H, p.Ports, portRel, legacy)
-		}
-		if portRel > 0 {
-			ir.Reduction = float64(legacy) / float64(portRel)
-		}
-		doc.Irregular = append(doc.Irregular, ir)
-		fmt.Fprintf(os.Stderr, "irregular %2dx%-2d %2d ports: %4d classes port-relative vs %4d legacy (%.2fx)\n",
-			p.W, p.H, p.Ports, portRel, legacy, ir.Reduction)
-	}
-	return nil
-}
-
-func runFPVA(outFile, baselineFile string) int {
-	doc := FPVADoc{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Seed:       1,
-		MinSpeedup: minSpeedup,
-	}
-	shared := testgen.NewTemplateEngine()
-	var gateBaseNs, gateTmplNs int64
-	for _, n := range fpvaSizes {
-		c := fpvaChip(n)
-		pt := FPVAPoint{Size: n, Valves: c.NumValves(), Ports: len(c.Ports)}
-
-		// Template leg: a fresh engine per iteration, so the measurement
-		// is the cold class-solve + instantiate cost.
-		tmplNs, tmplSuite, err := timeSuite(n, func() (*testgen.Suite, error) {
-			return testgen.GenerateTemplates(c, testgen.SuiteOptions{Workers: 1})
-		})
-		if err != nil {
-			return cliutil.Fail(tool, err)
-		}
-		if len(tmplSuite.Uncovered) > 0 {
-			return cliutil.Fail(tool, fmt.Errorf("fpva %dx%d: template suite left %d valves uncovered", n, n, len(tmplSuite.Uncovered)))
-		}
-		pt.Template = engineLeg(tmplNs, tmplSuite)
-		pt.Vectors = len(tmplSuite.Paths) + len(tmplSuite.Cuts)
-
-		// Baseline leg + coverage bit-identity gate.
-		tmplCov := tmplSuite.Coverage(0)
-		pt.CoverageRatio = tmplCov.Ratio()
-		if n <= fpvaMaxBaseline {
-			baseNs, baseSuite, err := timeSuite(n, func() (*testgen.Suite, error) {
-				return testgen.GenerateBaseline(c, testgen.SuiteOptions{Workers: 1})
-			})
-			if err != nil {
-				return cliutil.Fail(tool, err)
-			}
-			pt.Baseline = engineLeg(baseNs, baseSuite)
-			baseCov := baseSuite.Coverage(0)
-			pt.CoverageIdentical = reflect.DeepEqual(tmplCov, baseCov)
-			if !pt.CoverageIdentical {
-				return cliutil.Fail(tool, fmt.Errorf(
-					"fpva %dx%d: coverage gate failed: template %v, baseline %v", n, n, tmplCov, baseCov))
-			}
-			gateBaseNs, gateTmplNs = pt.Baseline.NsPerVector, pt.Template.NsPerVector
-			doc.GateSize = n
-		} else if !tmplCov.Full() {
-			return cliutil.Fail(tool, fmt.Errorf("fpva %dx%d: template coverage not full: %v", n, n, tmplCov))
-		} else {
-			pt.CoverageIdentical = true // vacuous: full coverage, no baseline leg
-		}
-
-		// Worker-count invariance of the template suite.
-		want := canonicalSuite(tmplSuite)
-		pt.WorkerInvariant = true
-		for _, w := range []int{2, 4, 8} {
-			s, err := testgen.GenerateTemplates(c, testgen.SuiteOptions{Workers: w})
-			if err != nil {
-				return cliutil.Fail(tool, err)
-			}
-			if !reflect.DeepEqual(want, canonicalSuite(s)) {
-				return cliutil.Fail(tool, fmt.Errorf("fpva %dx%d: suite differs at %d workers", n, n, w))
-			}
-		}
-
-		// Cross-size shared-cache leg: how much of this size's class set
-		// was already solved by the smaller sizes.
-		ss, err := shared.Generate(c, testgen.SuiteOptions{Workers: 1})
-		if err != nil {
-			return cliutil.Fail(tool, err)
-		}
-		pt.SharedCacheHits = ss.Stats.TemplateHits
-		pt.SharedClasses = ss.Stats.Classes
-
-		// Campaign leg with the fast-path metrics attached.
+// campaignRecord times a cold fault campaign of vectors on c (a fresh
+// simulator per op) and records the last op's fast-path counters.
+func campaignRecord(cs string, c *chip.Chip, vectors []fault.Vector) (Record, error) {
+	faults := fault.AllFaults(c)
+	var snap fault.MetricsSnapshot
+	var cov fault.Coverage
+	r, err := measure(cs, "campaign", func() error {
 		metrics := fault.NewMetrics()
 		sim, err := fault.NewSimulator(c, chip.IndependentControl(c))
 		if err != nil {
-			return cliutil.Fail(tool, err)
+			return err
 		}
 		sim.SetMetrics(metrics)
-		faults := fault.AllFaults(c)
-		campStart := time.Now()
-		cov := fault.NewEngine(sim, 0).EvaluateCoverage(tmplSuite.Vectors(), faults)
-		snap := metrics.Snapshot()
-		pt.Campaign = FPVACampaign{
-			Faults:         len(faults),
-			NsPerOp:        time.Since(campStart).Nanoseconds(),
-			PressureSolves: snap.MemoMisses,
-			ScreenSkips:    snap.ScreenSkips,
-			ReachChecks:    snap.ReachChecks,
-			BridgeChecks:   snap.BridgeChecks,
-			CoverageRatio:  cov.Ratio(),
+		cov = fault.NewEngine(sim, 0).EvaluateCoverage(vectors, faults)
+		snap = metrics.Snapshot()
+		return nil
+	})
+	r.Counters = map[string]float64{
+		"faults":          float64(len(faults)),
+		"pressure_solves": float64(snap.MemoMisses), // distinct fault-free vector simulations
+		"screen_skips":    float64(snap.ScreenSkips),
+		"reach_checks":    float64(snap.ReachChecks),
+		"bridge_checks":   float64(snap.BridgeChecks),
+		"coverage_ratio":  cov.Ratio(),
+	}
+	return r, err
+}
+
+func runFPVA() ([]Record, error) {
+	shared := testgen.NewTemplateEngine()
+	one := testgen.SuiteOptions{Workers: 1}
+	var recs []Record
+	// gate indexes the template record at the largest size with both
+	// engines; it is appended after its baseline record.
+	gate, gateSize := -1, 0
+	for _, n := range fpvaSizes {
+		c := chip.MustGenerateFPVA(chip.FPVAParams{W: n, H: n, Seed: 1})
+		cs := fmt.Sprintf("%dx%d", n, n)
+		tmpl, suite, err := suiteRecord(cs, "template", func() (*testgen.Suite, error) {
+			return testgen.GenerateTemplates(c, one)
+		})
+		if err != nil {
+			return nil, err
+		}
+		cov := suite.Coverage(0)
+		tmpl.Counters["valves"] = float64(c.NumValves())
+		tmpl.Counters["ports"] = float64(len(c.Ports))
+		tmpl.Counters["coverage_ratio"] = cov.Ratio()
+		tmpl.Gates = map[string]bool{"covered": len(suite.Uncovered) == 0}
+		if n <= fpvaMaxBaseline {
+			base, baseSuite, err := suiteRecord(cs, "baseline", func() (*testgen.Suite, error) {
+				return testgen.GenerateBaseline(c, one)
+			})
+			if err != nil {
+				return nil, err
+			}
+			tmpl.Gates["coverage_identical"] = reflect.DeepEqual(cov, baseSuite.Coverage(0))
+			recs = append(recs, base)
+			gate, gateSize = len(recs), n
+		} else {
+			tmpl.Gates["full_coverage"] = cov.Full()
 		}
 
-		// Bounded DAC test-path ILP probe for scale context.
+		want := canonicalSuite(suite)
+		invariant := true
+		for _, w := range []int{2, 4, 8} {
+			s, err := testgen.GenerateTemplates(c, testgen.SuiteOptions{Workers: w})
+			if err != nil {
+				return nil, err
+			}
+			invariant = invariant && reflect.DeepEqual(want, canonicalSuite(s))
+		}
+		tmpl.Gates["worker_invariant"] = invariant
+
+		ss, err := shared.Generate(c, one)
+		if err != nil {
+			return nil, err
+		}
+		tmpl.Counters["shared_cache_hits"] = float64(ss.Stats.TemplateHits)
+		tmpl.Counters["shared_classes"] = float64(ss.Stats.Classes)
+
 		if n <= fpvaMaxILP {
 			m, lazy := testgen.PathILPModel(c, 2)
-			probeStart := time.Now()
+			start := time.Now()
 			res, err := m.Solve(ilp.Options{MaxNodes: fpvaILPNodes, Lazy: lazy})
 			if err == nil && res.Nodes > 0 {
-				pt.ILPNodes = res.Nodes
-				pt.ILPNsPerNode = time.Since(probeStart).Nanoseconds() / int64(res.Nodes)
+				tmpl.Counters["ilp_nodes"] = float64(res.Nodes)
+				tmpl.Counters["ilp_ns_node"] = float64(time.Since(start).Nanoseconds()) / float64(res.Nodes)
 			}
 		}
 
+		camp, err := campaignRecord(cs, c, suite.Vectors())
+		if err != nil {
+			return nil, err
+		}
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		pt.HeapBytes = ms.HeapAlloc
-		pt.PeakRSSBytes = peakRSSBytes()
-
-		doc.CurvePoints = append(doc.CurvePoints, pt)
-		fmt.Fprintf(os.Stderr, "%2dx%-2d %5d valves %5d vectors  tmpl %8d ns/vec  classes %d (%d line)",
-			n, n, pt.Valves, pt.Vectors, pt.Template.NsPerVector, pt.Template.Classes, pt.Template.LineClasses)
-		if pt.Baseline != nil {
-			fmt.Fprintf(os.Stderr, "  base %8d ns/vec (%.1fx)",
-				pt.Baseline.NsPerVector, float64(pt.Baseline.NsPerVector)/float64(pt.Template.NsPerVector))
-		}
-		fmt.Fprintln(os.Stderr)
+		tmpl.Counters["heap_mb"] = float64(ms.HeapAlloc) / (1 << 20)
+		tmpl.Counters["peak_rss_mb"] = float64(peakRSSBytes()) / (1 << 20)
+		recs = append(recs, tmpl, camp)
 	}
-
-	// Speedup acceptance gate at the largest size with both legs.
-	if gateTmplNs > 0 {
-		doc.Speedup = float64(gateBaseNs) / float64(gateTmplNs)
+	setSpeedups(recs, "baseline", "vectors")
+	if gate < 0 {
+		return nil, fmt.Errorf("no FPVA size runs both engines")
 	}
-	if doc.GateSize < 32 || doc.Speedup < minSpeedup {
-		return cliutil.Fail(tool, fmt.Errorf(
-			"fpva speedup gate failed: %.1fx at %dx%d (need >= %.0fx at >= 32x32)",
-			doc.Speedup, doc.GateSize, doc.GateSize, minSpeedup))
-	}
-	fmt.Fprintf(os.Stderr, "gate: %.1fx template speedup at %dx%d (>= %.0fx required)\n",
-		doc.Speedup, doc.GateSize, doc.GateSize, minSpeedup)
-	if err := runFPVAIrregular(&doc); err != nil {
-		return cliutil.Fail(tool, err)
-	}
-	if baselineFile != "" {
-		var base FPVADoc
-		if err := readBaseline(baselineFile, &base); err != nil {
-			return cliutil.Fail(tool, err)
-		}
-		if err := gateRatio("template speedup", doc.Speedup, base.Speedup); err != nil {
-			return cliutil.Fail(tool, err)
-		}
-	}
-	return writeBenchArtifact(outFile, doc)
+	recs[gate].Gated = true
+	recs[gate].Gates["min_speedup"] = gateSize >= 32 && recs[gate].Speedup >= minSpeedup
+	return recs, nil
 }

@@ -1,68 +1,25 @@
 package main
 
-// ilp.go is the -ilp mode: it benchmarks the branch-and-bound engine on
-// the paper's real models — the test-path generation ILP (eqs. (1)-(6))
-// and the test-cut set-cover ILP of both example chips — comparing the
-// preserved seed serial solver against the production engine at 1/2/4/8
-// workers. Because the instances differ in how many nodes each engine
-// explores (the production search prunes strictly to stay deterministic),
-// the headline metric is per-node: ns/node and allocs/node, with
-// speedup_vs_serial computed on ns/node against the seed. The committed
-// BENCH_ilp.json is regenerated with:
-//
-//	go run ./cmd/bench -ilp -out BENCH_ilp.json
+// ilp.go is the ilp mode: the branch-and-bound engine on the paper's real
+// models — the test-path generation ILP (eqs. (1)-(6)) and the test-cut
+// set-cover ILP of both example chips — at 1, 2, 4 and 8 workers. Worker
+// counts can explore different numbers of nodes on the same instance, so
+// speedups compare ns per node against workers-1.
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"runtime"
-	"testing"
 
 	"repro/internal/chip"
-	"repro/internal/cliutil"
 	"repro/internal/ilp"
 	"repro/internal/lp"
 	"repro/internal/testgen"
 )
 
-// ILPDoc is the serialized ILP benchmark report.
-type ILPDoc struct {
-	GoMaxProcs int        `json:"gomaxprocs"`
-	Models     []ILPModel `json:"models"`
-}
-
-// ILPModel is one benchmark instance: a chip plus which of the paper's two
-// ILPs it is.
-type ILPModel struct {
-	Chip        string      `json:"chip"`
-	Model       string      `json:"model"` // "test-path" or "test-cut"
-	Vars        int         `json:"vars"`
-	Constraints int         `json:"constraints"`
-	MaxNodes    int         `json:"max_nodes"`
-	Results     []ILPResult `json:"results"`
-}
-
-// ILPResult is one engine variant's measurement on one model.
-type ILPResult struct {
-	Name          string  `json:"name"`
-	Iterations    int     `json:"iterations"`
-	NsPerOp       int64   `json:"ns_per_op"`
-	BytesPerOp    int64   `json:"bytes_per_op"`
-	AllocsPerOp   int64   `json:"allocs_per_op"`
-	Nodes         int     `json:"nodes"`
-	NsPerNode     int64   `json:"ns_per_node"`
-	AllocsPerNode float64 `json:"allocs_per_node"`
-	// SpeedupVs compares ns/node against the seed-serial variant of the
-	// same model.
-	SpeedupVs float64 `json:"speedup_vs_serial,omitempty"`
-}
-
 // ilpBenchCase builds a fresh model per solve (the lazy callback adds cuts,
 // mutating the model, so iterations must not share one).
 type ilpBenchCase struct {
-	chip     string
-	model    string
+	name     string // <chip>/<model>
 	maxNodes int
 	build    func() (*ilp.Model, func([]float64) []lp.Constraint)
 }
@@ -79,13 +36,11 @@ func ilpCases() ([]ilpBenchCase, error) {
 		if c.Name == "mRNA_chip" {
 			maxNodes = 40
 		}
-		cc := c
 		cases = append(cases, ilpBenchCase{
-			chip:     c.Name,
-			model:    "test-path",
+			name:     c.Name + "/test-path",
 			maxNodes: maxNodes,
 			build: func() (*ilp.Model, func([]float64) []lp.Constraint) {
-				return testgen.PathILPModel(cc, 2)
+				return testgen.PathILPModel(c, 2)
 			},
 		})
 
@@ -98,8 +53,7 @@ func ilpCases() ([]ilpBenchCase, error) {
 			return nil, fmt.Errorf("augment %s: %w", c.Name, err)
 		}
 		cases = append(cases, ilpBenchCase{
-			chip:     c.Name,
-			model:    "test-cut",
+			name:     c.Name + "/test-cut",
 			maxNodes: ilp.DefaultMaxNodes,
 			build: func() (*ilp.Model, func([]float64) []lp.Constraint) {
 				m, err := testgen.CutCoverILPModel(aug.Chip, aug.Source, aug.Meter)
@@ -113,80 +67,39 @@ func ilpCases() ([]ilpBenchCase, error) {
 	return cases, nil
 }
 
-func runILP(outFile string) int {
-	type variant struct {
-		name    string
-		workers int
-		seed    bool
-	}
-	variants := []variant{
-		{"seed-serial", 1, true},
-		{"workers-1", 1, false},
-		{"workers-2", 2, false},
-		{"workers-4", 4, false},
-		{"workers-8", 8, false},
-	}
-
+func runILP() ([]Record, error) {
 	cases, err := ilpCases()
 	if err != nil {
-		return cliutil.Fail(tool, err)
+		return nil, err
 	}
-	doc := ILPDoc{GoMaxProcs: runtime.GOMAXPROCS(0)}
 	ctx := context.Background()
+	var recs []Record
 	for _, bc := range cases {
 		probe, _ := bc.build()
-		im := ILPModel{
-			Chip:        bc.chip,
-			Model:       bc.model,
-			Vars:        probe.P.NumVars(),
-			Constraints: probe.P.NumConstraints(),
-			MaxNodes:    bc.maxNodes,
-		}
-		var serialNsPerNode float64
-		for _, v := range variants {
-			v := v
+		for _, workers := range []int{1, 2, 4, 8} {
 			var nodes int
-			solve := func() (ilp.Result, error) {
+			r, err := measure(bc.name, fmt.Sprintf("workers-%d", workers), func() error {
 				m, lazy := bc.build()
-				opts := ilp.Options{MaxNodes: bc.maxNodes, Workers: v.workers, Lazy: lazy}
-				if v.seed {
-					return m.SolveBaselineCtx(ctx, opts)
-				}
-				return m.SolveCtx(ctx, opts)
-			}
-			br := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := solve()
-					if err != nil {
-						b.Fatal(err)
-					}
-					nodes = res.Nodes
-				}
+				res, err := m.SolveCtx(ctx, ilp.Options{MaxNodes: bc.maxNodes, Workers: workers, Lazy: lazy})
+				nodes = res.Nodes
+				return err
 			})
-			r := ILPResult{
-				Name:        v.name,
-				Iterations:  br.N,
-				NsPerOp:     br.NsPerOp(),
-				BytesPerOp:  br.AllocedBytesPerOp(),
-				AllocsPerOp: br.AllocsPerOp(),
-				Nodes:       nodes,
+			if err != nil {
+				return nil, err
+			}
+			r.Counters = map[string]float64{
+				"vars":        float64(probe.P.NumVars()),
+				"constraints": float64(probe.P.NumConstraints()),
+				"max_nodes":   float64(bc.maxNodes),
+				"nodes":       float64(nodes),
 			}
 			if nodes > 0 {
-				r.NsPerNode = r.NsPerOp / int64(nodes)
-				r.AllocsPerNode = float64(r.AllocsPerOp) / float64(nodes)
+				r.Counters["ns_node"] = float64(r.NsOp) / float64(nodes)
+				r.Counters["allocs_node"] = float64(r.AllocsOp) / float64(nodes)
 			}
-			if v.seed {
-				serialNsPerNode = float64(r.NsPerNode)
-			} else if serialNsPerNode > 0 && r.NsPerNode > 0 {
-				r.SpeedupVs = serialNsPerNode / float64(r.NsPerNode)
-			}
-			im.Results = append(im.Results, r)
-			fmt.Fprintf(os.Stderr, "%-5s %-9s %-11s %12d ns/op %6d nodes %10d ns/node %8.1f allocs/node\n",
-				bc.chip, bc.model, v.name, r.NsPerOp, r.Nodes, r.NsPerNode, r.AllocsPerNode)
+			recs = append(recs, r)
 		}
-		doc.Models = append(doc.Models, im)
 	}
-
-	return writeBenchArtifact(outFile, doc)
+	setSpeedups(recs, "workers-1", "nodes")
+	return recs, nil
 }

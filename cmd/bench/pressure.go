@@ -1,61 +1,20 @@
 package main
 
-// pressure.go is the -pressure mode: it benchmarks the node-pressure
-// solvers on every bundled design under a leakage-campaign-shaped
-// workload — the all-open conductance state followed by one single-valve
-// leaky variant per valve, so consecutive solves differ in at most two
-// entries. Four variants sweep the same vector sequence: the preserved
-// dense baseline, the sparse engine refactorizing every state
-// (sparse-cold, rank budget disabled), the sparse engine with
-// Sherman–Morrison–Woodbury warm updates (sparse-warm), and the batched
-// worker-pool EvaluateAll (parallel). The headline metric is ns/solve
-// with speedup_vs_dense, plus allocs/solve (0 on the warm path). The
-// committed BENCH_pressure.json is regenerated with:
-//
-//	go run ./cmd/bench -pressure -out BENCH_pressure.json
+// pressure.go is the pressure mode: the node-pressure solvers on every
+// bundled design under a leakage-campaign-shaped workload — the all-open
+// conductance state, then one single-valve leaky variant per valve, so
+// consecutive solves differ in at most two entries. An op sweeps that
+// sequence through the sparse engine refactorizing every state
+// (sparse-cold, rank budget disabled, the reference), with
+// Sherman–Morrison–Woodbury warm updates (sparse-warm), and through the
+// batched worker-pool EvaluateAll (parallel).
 
 import (
 	"context"
-	"fmt"
-	"os"
-	"runtime"
-	"testing"
 
 	"repro/internal/chip"
-	"repro/internal/cliutil"
 	"repro/internal/pressure"
 )
-
-// PressureDoc is the serialized pressure benchmark report.
-type PressureDoc struct {
-	GoMaxProcs int              `json:"gomaxprocs"`
-	Designs    []PressureDesign `json:"designs"`
-}
-
-// PressureDesign is one chip's measurements.
-type PressureDesign struct {
-	Chip     string           `json:"chip"`
-	Valves   int              `json:"valves"`
-	Unknowns int              `json:"unknowns"`
-	Vectors  int              `json:"vectors"`
-	Results  []PressureResult `json:"results"`
-}
-
-// PressureResult is one solver variant's measurement. An op is one sweep
-// of the design's whole vector sequence; per-solve numbers divide by the
-// sequence length.
-type PressureResult struct {
-	Name           string  `json:"name"`
-	Iterations     int     `json:"iterations"`
-	NsPerOp        int64   `json:"ns_per_op"`
-	NsPerSolve     int64   `json:"ns_per_solve"`
-	BytesPerOp     int64   `json:"bytes_per_op"`
-	AllocsPerOp    int64   `json:"allocs_per_op"`
-	AllocsPerSolve float64 `json:"allocs_per_solve"`
-	// SpeedupVs compares ns/solve against the dense baseline on the same
-	// design.
-	SpeedupVs float64 `json:"speedup_vs_dense,omitempty"`
-}
 
 // leakageSweep builds the campaign-shaped vector sequence: the fault-free
 // all-open state, then one variant per valve with that valve leaky-closed.
@@ -74,106 +33,64 @@ func leakageSweep(c *chip.Chip) [][]float64 {
 	return vectors
 }
 
-func runPressure(outFile string) int {
-	doc := PressureDoc{GoMaxProcs: runtime.GOMAXPROCS(0)}
+func runPressure() ([]Record, error) {
 	ctx := context.Background()
+	var recs []Record
 	for _, c := range chip.Benchmarks() {
 		src, mtr := c.Ports[0].Node, c.Ports[len(c.Ports)-1].Node
 		vectors := leakageSweep(c)
 
-		// Engines and dedicated solvers are built (and warmed) outside the
-		// timed ops, so the steady-state measurements see only solve work —
-		// exactly how a campaign uses them.
-		coldEng, err := pressure.NewEngine(c, src, mtr, pressure.EngineOptions{RankBudget: -1})
-		if err != nil {
-			return cliutil.Fail(tool, err)
+		// Engines and solvers are built and warmed outside the timed ops,
+		// so these see only solve work, as a campaign does.
+		var engs [3]*pressure.Engine // sparse-cold (no rank budget), sparse-warm, parallel
+		for i, budget := range []int{-1, 0, 0} {
+			var err error
+			if engs[i], err = pressure.NewEngine(c, src, mtr, pressure.EngineOptions{RankBudget: budget}); err != nil {
+				return nil, err
+			}
 		}
-		warmEng, err := pressure.NewEngine(c, src, mtr, pressure.EngineOptions{})
-		if err != nil {
-			return cliutil.Fail(tool, err)
-		}
-		parEng, err := pressure.NewEngine(c, src, mtr, pressure.EngineOptions{})
-		if err != nil {
-			return cliutil.Fail(tool, err)
-		}
-		coldSolver := coldEng.NewSolver()
+		coldEng, warmEng, parEng := engs[0], engs[1], engs[2]
 		warmSolver := warmEng.NewSolver()
 		if _, err := warmSolver.Solve(vectors[0]); err != nil {
-			return cliutil.Fail(tool, err)
+			return nil, err
 		}
-
-		variants := []struct {
+		sweep := func(s *pressure.Solver) func() error {
+			return func() error {
+				for _, v := range vectors {
+					if _, err := s.Solve(v); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+		}
+		legs := []struct {
 			name string
-			run  func() error
+			op   func() error
 		}{
-			{"dense", func() error {
-				for _, v := range vectors {
-					if _, err := pressure.SolveBaseline(c, v, src, mtr); err != nil {
-						return err
-					}
-				}
-				return nil
-			}},
-			{"sparse-cold", func() error {
-				for _, v := range vectors {
-					if _, err := coldSolver.Solve(v); err != nil {
-						return err
-					}
-				}
-				return nil
-			}},
-			{"sparse-warm", func() error {
-				for _, v := range vectors {
-					if _, err := warmSolver.Solve(v); err != nil {
-						return err
-					}
-				}
-				return nil
-			}},
+			{"sparse-cold", sweep(coldEng.NewSolver())},
+			{"sparse-warm", sweep(warmSolver)},
 			{"parallel", func() error {
 				_, err := parEng.EvaluateAll(ctx, vectors)
 				return err
 			}},
 		}
-
-		pd := PressureDesign{
-			Chip:     c.Name,
-			Valves:   c.NumValves(),
-			Unknowns: warmEng.Unknowns(),
-			Vectors:  len(vectors),
-		}
-		var denseNsPerSolve float64
-		for _, v := range variants {
-			run := v.run
-			br := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := run(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			n := int64(len(vectors))
-			r := PressureResult{
-				Name:           v.name,
-				Iterations:     br.N,
-				NsPerOp:        br.NsPerOp(),
-				NsPerSolve:     br.NsPerOp() / n,
-				BytesPerOp:     br.AllocedBytesPerOp(),
-				AllocsPerOp:    br.AllocsPerOp(),
-				AllocsPerSolve: float64(br.AllocsPerOp()) / float64(n),
+		n := float64(len(vectors))
+		for _, leg := range legs {
+			r, err := measure(c.Name, leg.name, leg.op)
+			if err != nil {
+				return nil, err
 			}
-			if v.name == "dense" {
-				denseNsPerSolve = float64(r.NsPerSolve)
-			} else if denseNsPerSolve > 0 && r.NsPerSolve > 0 {
-				r.SpeedupVs = denseNsPerSolve / float64(r.NsPerSolve)
+			r.Counters = map[string]float64{
+				"valves":       float64(c.NumValves()),
+				"unknowns":     float64(warmEng.Unknowns()),
+				"vectors":      n,
+				"ns_solve":     float64(r.NsOp) / n,
+				"allocs_solve": float64(r.AllocsOp) / n,
 			}
-			pd.Results = append(pd.Results, r)
-			fmt.Fprintf(os.Stderr, "%-10s %-12s %10d ns/solve %8.1f allocs/solve %8.1fx vs dense\n",
-				c.Name, v.name, r.NsPerSolve, r.AllocsPerSolve, r.SpeedupVs)
+			recs = append(recs, r)
 		}
-		doc.Designs = append(doc.Designs, pd)
 	}
-
-	return writeBenchArtifact(outFile, doc)
+	setSpeedups(recs, "sparse-cold", "")
+	return recs, nil
 }

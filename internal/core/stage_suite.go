@@ -77,8 +77,8 @@ func RunSuite(c *chip.Chip, opts SuiteRunOptions) (*SuiteRunResult, error) {
 // the template engine (testgen.TemplateEngine) and fault-simulates it, as
 // an observable two-stage flowstage pipeline (suitegen → suitecampaign).
 // Stage counters attribute the template engine's class/cache/fallback
-// traffic and the campaign's fast-path rule usage, so scaling sweeps
-// (cmd/bench -fpva) can report where time goes.
+// traffic and the campaign's fast-path rule usage, so scaling sweeps (the
+// repository benchmark's suite_fpva workload) can report where time goes.
 func RunSuiteCtx(ctx context.Context, c *chip.Chip, opts SuiteRunOptions) (*SuiteRunResult, error) {
 	start := time.Now()
 	var digest artifact.Digest

@@ -5,7 +5,7 @@ import "repro/internal/chip"
 // This file preserves the seed's serial recomputation path: Detects
 // re-derived the fault-free valve states and meter readings for every
 // (vector, fault) pair. It is the comparison baseline for the memoized
-// engine — benchmarks (internal and cmd/bench) measure it, and tests pin
+// engine — BenchmarkEvaluateCoverage/serial measures it, and tests pin
 // result equivalence against it. It is not used by the production flow.
 
 func (s *Simulator) detectsNoMemo(v Vector, f Fault) bool {

@@ -42,7 +42,7 @@ func TestNodeAllocBudget(t *testing.T) {
 
 // BenchmarkSolvePerNode and BenchmarkSolveBaselinePerNode expose the
 // per-node cost of the production engine against the preserved seed engine
-// on the same model (cmd/bench -ilp reports the same comparison on the
+// on the same model (cmd/bench -mode ilp compares worker counts on the
 // paper's chips).
 func BenchmarkSolvePerNode(b *testing.B) {
 	m := NewModel(hardKnapsack(20))

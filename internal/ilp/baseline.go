@@ -3,10 +3,10 @@ package ilp
 // baseline.go preserves the seed branch-and-bound exactly as shipped: a
 // serial DFS whose nodes copy their fixed-variable lists, rebuild the
 // override slice and solve the relaxation with the seed row-based simplex
-// (lp.SolveBaselineCtx). cmd/bench reports the production engine's
-// per-node speedup and allocation reduction against this implementation,
-// and equivalence tests cross-check the two searches on models with
-// unique optima.
+// (lp.SolveBaselineCtx). BenchmarkSolveBaselinePerNode measures the
+// production engine's per-node speedup and allocation reduction against
+// this implementation, and equivalence tests cross-check the two searches
+// on models with unique optima.
 
 import (
 	"context"

@@ -4,9 +4,10 @@ package lp
 // implementation: a classic two-phase dense simplex where every finite
 // upper bound becomes an explicit `y_i <= ub-lb` row and every solve
 // allocates a fresh tableau. It is kept (like
-// fault.EvaluateCoverageBaseline) so cmd/bench can report the production
-// engine's speedup against the exact seed behaviour and so equivalence
-// tests can cross-check the bounded-variable engine in bounded.go.
+// fault.EvaluateCoverageBaseline) so equivalence tests can cross-check the
+// bounded-variable engine in bounded.go against the exact seed behaviour,
+// and so the seed branch-and-bound (ilp/baseline.go) it backs stays
+// measurable with go test -bench.
 
 import (
 	"context"

@@ -43,7 +43,8 @@ const DefaultRankBudget = 8
 type EngineOptions struct {
 	// RankBudget is the maximum SMW update rank (0 = DefaultRankBudget;
 	// negative disables warm updates entirely, forcing a refactorization
-	// per state change — the "sparse-cold" reference of cmd/bench).
+	// per state change — the "sparse-cold" reference of
+	// cmd/bench -mode pressure).
 	RankBudget int
 	// Workers sizes the EvaluateAll worker pool (0 = runtime.GOMAXPROCS).
 	Workers int

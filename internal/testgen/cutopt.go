@@ -146,7 +146,7 @@ func buildCutCoverILP(c *chip.Chip, src, dst int) (*lp.Problem, []cutCandidate, 
 
 // CutCoverILPModel builds the test-cut set-cover ILP between ports src and
 // dst. Like PathILPModel it exists for benchmarking the branch-and-bound
-// engine on the paper's real models (cmd/bench -ilp).
+// engine on the paper's real models (cmd/bench -mode ilp).
 func CutCoverILPModel(c *chip.Chip, src, dst int) (*ilp.Model, error) {
 	p, _, _, err := buildCutCoverILP(c, src, dst)
 	if err != nil {

@@ -188,7 +188,7 @@ func buildPathILP(c *chip.Chip, srcNode, dstNode, nPaths int, opts Options) (*lp
 // PathILPModel builds the test-path generation ILP of the chip's paper
 // test-port pair with |P| = nPaths, returning the model and its lazy
 // loop-exclusion callback. It exists for benchmarking the branch-and-bound
-// engine on the paper's real models (cmd/bench -ilp); the lazy callback
+// engine on the paper's real models (cmd/bench -mode ilp); the lazy callback
 // adds cuts to the model, so callers must build a fresh model per solve.
 func PathILPModel(c *chip.Chip, nPaths int) (*ilp.Model, func(x []float64) []lp.Constraint) {
 	_, _, srcNode, dstNode := testPorts(c)
