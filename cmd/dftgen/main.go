@@ -5,14 +5,13 @@
 //	dftgen -chip IVD_chip -assay IVD [-seed N] [-iters N] [-particles N] [-ilp]
 //	       [-diagnose] [-reconfigure] [-diagnose-budget N]
 //	       [-timeout 30s] [-inject exact:timeout,heuristic:panic] [-json] [-stats]
-//	       [-cache-dir DIR] [-cache-mb N] [-memo-mb N]
+//	       [-cache-dir DIR] [-cache-mb N]
 //	dftgen -fpva 16x16 [-fpva-seed N] [-fpva-ports N] [-fpva-ops N] [...]
 //
 // -cache-dir enables the persistent content-addressed artifact cache: a
 // rerun with identical inputs loads the finalized result from disk and
 // skips every solve stage (the synthesized "artifact" stage in -stats
-// shows the hit tier). -cache-mb bounds the in-memory tier and -memo-mb
-// the per-flow memoization caches.
+// shows the hit tier). -cache-mb bounds the in-memory tier.
 //
 // -fpva WxH generates a parametric fully-programmable-valve-array grid
 // chip (deterministic in -fpva-seed, perimeter ports per -fpva-ports)
@@ -136,7 +135,6 @@ func run() int {
 		DiagnoseBudget: *budget,
 		Reconfigure:    *reconf,
 		Cache:          cache,
-		MemoBytes:      rf.MemoBytes(),
 	})
 	if err != nil {
 		return cliutil.Fail(tool, err)

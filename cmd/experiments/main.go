@@ -21,8 +21,7 @@
 // -cache-dir enables the persistent artifact cache: on a warm rerun with
 // identical PSO/solver parameters every flow result loads from disk and
 // the whole report regenerates in milliseconds, bit-identical to a cold
-// run. -cache-mb bounds the in-memory tier; -memo-mb bounds the flow's
-// fault-simulation memo tables.
+// run. -cache-mb bounds the in-memory tier.
 package main
 
 import (
@@ -87,13 +86,12 @@ func main() {
 		os.Exit(cliutil.Fail("experiments", err))
 	}
 	opts := core.Options{
-		Outer:     pso.Config{Particles: *particles, Iterations: *iters},
-		Inner:     pso.Config{Particles: *particles, Iterations: 8},
-		Seed:      *seed,
-		UseILP:    *useILP,
-		Workers:   rf.Workers,
-		Cache:     artCache,
-		MemoBytes: rf.MemoBytes(),
+		Outer:   pso.Config{Particles: *particles, Iterations: *iters},
+		Inner:   pso.Config{Particles: *particles, Iterations: 8},
+		Seed:    *seed,
+		UseILP:  *useILP,
+		Workers: rf.Workers,
+		Cache:   artCache,
 	}
 
 	ctx, stop := rf.Context()

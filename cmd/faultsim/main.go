@@ -15,10 +15,10 @@
 // The campaign runs on the parallel memoized engine; -workers sizes the
 // worker pool (default: all CPU cores). Coverage output is bit-identical
 // for any worker count. -stats prints a per-stage breakdown of the
-// campaign (augment → cuts → campaign) including the simulator's
-// memo-cache hit rate. -leakage appends a quantitative leakage stage:
-// the cut vectors rerun through the sparse pressure engine to report
-// which closed-valve leaks a threshold meter actually registers.
+// campaign (testset → campaign) including the simulator's memo-cache hit
+// rate. -leakage appends a quantitative leakage stage: the cut vectors
+// rerun through the sparse pressure engine to report which closed-valve
+// leaks a threshold meter actually registers.
 //
 // -diagnose appends an adaptive fault-diagnosis stage: every modeled
 // fault is localized by greedily applying the test vector with maximal
@@ -104,11 +104,10 @@ func run() int {
 		return cliutil.Fail(tool, err)
 	}
 
-	// The campaign runs as an instrumented three-stage pipeline so -stats
+	// The campaign runs as an instrumented two-stage pipeline so -stats
 	// can attribute wall-clock and memo-cache traffic per phase.
 	metrics := fault.NewMetrics()
 	var (
-		ts      *dft.TestSet
 		aug     *dft.Augmentation
 		cuts    []dft.Vector
 		vectors []dft.Vector
@@ -128,46 +127,20 @@ func run() int {
 		st.Count("fault_memo_misses", d.MemoMisses)
 	}
 	pipe := &flowstage.Pipeline{Stages: []flowstage.Stage{
-		{Name: "augment", Run: func(ctx context.Context, st *flowstage.StageStats) error {
-			var err error
+		{Name: "testset", Run: func(ctx context.Context, st *flowstage.StageStats) error {
+			ts, err := dft.BuildTestSetCtx(ctx, c, *optimal, rf.Workers, cache)
+			if err != nil {
+				return err
+			}
+			aug, cuts = ts.Aug, ts.Cuts
 			if cache != nil {
-				// The cached path builds augmentation AND cut cover as one
-				// content-addressed artifact: a warm rerun (same chip and
-				// -optimal flag) skips both solves.
-				ts, err = dft.BuildTestSetCtx(ctx, c, *optimal, rf.Workers, cache)
-				if err != nil {
-					return err
-				}
-				aug, cuts = ts.Aug, ts.Cuts
 				if ts.Tier != "" {
 					st.Count("art_"+ts.Tier+"_hits", 1)
 				} else {
 					st.Count("art_miss", 1)
 				}
-				st.Count("dft_valves", int64(aug.Chip.NumDFTValves()))
-				return nil
-			}
-			aug, err = dft.AugmentCtx(ctx, c, false)
-			if err != nil {
-				return err
 			}
 			st.Count("dft_valves", int64(aug.Chip.NumDFTValves()))
-			return nil
-		}},
-		{Name: "cuts", Run: func(ctx context.Context, st *flowstage.StageStats) error {
-			if ts != nil {
-				st.Count("cut_vectors", int64(len(cuts)))
-				return nil
-			}
-			var err error
-			if *optimal {
-				cuts, err = dft.GenerateCutsOptimalCtx(ctx, aug.Chip, aug.Source, aug.Meter, dft.AugmentOptions{Workers: rf.Workers})
-			} else {
-				cuts, err = dft.GenerateCutsCtx(ctx, aug.Chip, aug.Source, aug.Meter)
-			}
-			if err != nil {
-				return err
-			}
 			st.Count("cut_vectors", int64(len(cuts)))
 			return nil
 		}},

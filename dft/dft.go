@@ -325,9 +325,6 @@ type (
 	BatchOptions = core.BatchOptions
 )
 
-// ErrBatchSaturated rejects batch jobs beyond BatchOptions.MaxPending.
-var ErrBatchSaturated = core.ErrBatchSaturated
-
 // NewArtifactCache builds an artifact cache; with a Dir the persistent
 // disk tier is opened (created if missing).
 func NewArtifactCache(cfg ArtifactCacheConfig) (*ArtifactCache, error) {

@@ -146,24 +146,6 @@ func (c *Cache[V]) Len() int {
 // Bytes returns the approximate resident size.
 func (c *Cache[V]) Bytes() int64 { return c.used.Load() }
 
-// Range calls fn for every fully-computed entry, in unspecified order.
-func (c *Cache[V]) Range(fn func(key string, val V)) {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		keys := make([]string, 0, len(s.m))
-		for k := range s.m {
-			keys = append(keys, k)
-		}
-		s.mu.Unlock()
-		for _, k := range keys {
-			if v, ok := c.Get(k); ok {
-				fn(k, v)
-			}
-		}
-	}
-}
-
 // SortedKeys returns every resident key in lexicographic order.
 func (c *Cache[V]) SortedKeys() []string {
 	var keys []string

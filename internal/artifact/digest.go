@@ -143,17 +143,6 @@ func (h *Hasher) Sum() Digest {
 	return d
 }
 
-// SortedStrs hashes a set of strings independent of input order.
-func (h *Hasher) SortedStrs(v []string) {
-	s := append([]string(nil), v...)
-	sort.Strings(s)
-	h.tag('S')
-	h.u64(uint64(len(s)))
-	for _, x := range s {
-		h.Str(x)
-	}
-}
-
 // HashChip digests a chip: name, grid dimensions, devices, ports, and
 // every valve (original and DFT) with its guarded edge. Two chips with
 // identical content always digest identically regardless of how they

@@ -130,9 +130,6 @@ type RunFlags struct {
 	CacheDir string
 	// CacheMB bounds the in-memory artifact tier (0 = library default).
 	CacheMB int64
-	// MemoMB bounds the flow's in-flight memoization caches (0 =
-	// unbounded, the historical behavior).
-	MemoMB int64
 }
 
 // AddRunFlags registers the shared execution flags on the default flag
@@ -147,8 +144,6 @@ func AddRunFlags() *RunFlags {
 		"persistent artifact-cache directory; warm reruns skip solved stages (empty = no disk tier)")
 	flag.Int64Var(&rf.CacheMB, "cache-mb", 0,
 		"in-memory artifact-cache budget in MiB (0 = default 256)")
-	flag.Int64Var(&rf.MemoMB, "memo-mb", 0,
-		"per-flow memoization budget in MiB (0 = unbounded)")
 	return rf
 }
 
@@ -165,6 +160,3 @@ func (rf *RunFlags) OpenCache() (*core.Cache, error) {
 	}
 	return core.NewCache(core.CacheConfig{Dir: rf.CacheDir, BudgetBytes: rf.CacheMB << 20})
 }
-
-// MemoBytes converts the -memo-mb flag to bytes.
-func (rf *RunFlags) MemoBytes() int64 { return rf.MemoMB << 20 }

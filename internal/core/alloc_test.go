@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/assay"
 	"repro/internal/chip"
 	"repro/internal/fault"
@@ -27,7 +28,9 @@ func TestSharingEvalAllocBudget(t *testing.T) {
 	}
 	c, a := chip.MRNA(), assay.CPA()
 	f := &flow{orig: c, graph: a, opts: Options{}.withDefaults(),
-		augCache: newAugCache(0), innerCache: newInnerCache(0)}
+		augCache:   artifact.NewCache[*augEval](0, nil),
+		innerCache: artifact.NewCache[float64](0, nil),
+	}
 	aug, err := testgen.AugmentHeuristic(c, testgen.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -152,10 +152,10 @@ func flowCacheable(opts Options) bool {
 }
 
 // flowDigest is the content address of a flow submission. Semantic
-// inputs only: Workers, Observer, Cache and MemoBytes never change the
-// Result (worker-count invariance is the engines' defining property), so
-// they are excluded — two submissions differing only in execution knobs
-// share one solve.
+// inputs only: Workers, Observer and Cache never change the canonical
+// encoding of the Result (worker-count invariance is the engines' defining
+// property), so they are excluded — two submissions differing only in
+// execution knobs share one solve.
 func flowDigest(c *chip.Chip, g *assay.Graph, opts Options) artifact.Digest {
 	h := artifact.NewHasher("flow")
 	h.Digest(artifact.HashChip(c))

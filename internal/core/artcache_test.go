@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -102,36 +101,6 @@ func TestFlowCacheSkipsUncacheable(t *testing.T) {
 	}
 }
 
-// Memo eviction under a tiny MemoBytes budget must not change the Result:
-// all selection state lives in the non-evictable summary registry and
-// recomputes are pure.
-func TestFlowMemoEvictionInvariant(t *testing.T) {
-	unbounded, err := RunDFTFlow(chip.IVD(), assay.IVD(), smallOpts(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight := smallOpts(13)
-	tight.MemoBytes = 4 << 10 // a few entries at most
-	bounded, err := RunDFTFlow(chip.IVD(), assay.IVD(), tight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := EncodeResult(unbounded)
-	b, _ := EncodeResult(bounded)
-	if !bytes.Equal(a, b) {
-		t.Fatal("bounded-memo run differs from unbounded run")
-	}
-	evicted := false
-	for _, st := range bounded.Stats.Stages {
-		if st.Counters["memo_evictions"] > 0 {
-			evicted = true
-		}
-	}
-	if !evicted {
-		t.Skip("budget did not trigger eviction on this design; invariant vacuous")
-	}
-}
-
 // RunBatch must collapse duplicate submissions to one solve and fan out
 // results bit-identical to serial runs, for every worker count, with
 // identical deterministic cache counters.
@@ -189,26 +158,6 @@ func TestRunBatchDedupDeterministic(t *testing.T) {
 	}
 	if wantMetrics.Misses != int64(len(seeds)) || wantMetrics.Stores != int64(len(seeds)) {
 		t.Fatalf("batch should miss+store once per unique digest: %+v", *wantMetrics)
-	}
-}
-
-// Admission control: unique solves beyond MaxPending are rejected with
-// ErrBatchSaturated; duplicates of admitted solves always pass.
-func TestRunBatchSaturation(t *testing.T) {
-	jobs := []BatchJob{
-		{Chip: chip.IVD(), Assay: assay.IVD(), Opts: smallOpts(31)},
-		{Chip: chip.IVD(), Assay: assay.IVD(), Opts: smallOpts(31)}, // dup of 0
-		{Chip: chip.IVD(), Assay: assay.IVD(), Opts: smallOpts(32)}, // 2nd unique: rejected
-	}
-	out := RunBatch(jobs, BatchOptions{MaxPending: 1})
-	if out[0].Err != nil || out[1].Err != nil {
-		t.Fatalf("admitted jobs failed: %v / %v", out[0].Err, out[1].Err)
-	}
-	if !out[1].Shared {
-		t.Fatal("duplicate job not marked shared")
-	}
-	if !errors.Is(out[2].Err, ErrBatchSaturated) {
-		t.Fatalf("job 2: got %v, want ErrBatchSaturated", out[2].Err)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -10,11 +9,6 @@ import (
 	"repro/internal/assay"
 	"repro/internal/chip"
 )
-
-// ErrBatchSaturated rejects jobs beyond BatchOptions.MaxPending unique
-// solves — the admission-control backpressure a serving layer maps to
-// HTTP 503.
-var ErrBatchSaturated = errors.New("core: batch queue saturated")
 
 // BatchJob is one (chip, assay, options) flow submission.
 type BatchJob struct {
@@ -27,8 +21,8 @@ type BatchJob struct {
 type BatchResult struct {
 	// Result is the flow result (nil when Err is set).
 	Result *Result
-	// Err is the job's failure: the solve's error, or ErrBatchSaturated
-	// when admission control rejected it.
+	// Err is the job's failure: the solve's error, or for a duplicate the
+	// failure to make its own copy of the result.
 	Err error
 	// Key is the job's content digest (hex), "" for uncacheable options
 	// (injections, optional stages, baseline modes — those never dedup).
@@ -44,10 +38,6 @@ type BatchOptions struct {
 	// Parallel bounds concurrent solves (0 = runtime.GOMAXPROCS). Results
 	// and cache hit/miss counters are bit-identical for any value.
 	Parallel int
-	// MaxPending is the admission-control bound on unique solves accepted
-	// per batch (0 = unlimited); jobs collapsing onto an admitted solve
-	// are always accepted — duplicates are free.
-	MaxPending int
 	// Cache, when set, overrides every job's Options.Cache: lookups and
 	// stores go through it, so a batch warms the cross-run tiers.
 	Cache *Cache
@@ -93,22 +83,13 @@ func RunBatchCtx(ctx context.Context, jobs []BatchJob, bo BatchOptions) []BatchR
 		}
 		g.members = append(g.members, i)
 	}
-	admitted := order
-	if bo.MaxPending > 0 && len(order) > bo.MaxPending {
-		admitted = order[:bo.MaxPending]
-		for _, g := range order[bo.MaxPending:] {
-			for _, i := range g.members {
-				out[i] = BatchResult{Err: ErrBatchSaturated, Key: publicKey(g.key)}
-			}
-		}
-	}
 	par := bo.Parallel
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
-	for _, g := range admitted {
+	for _, g := range order {
 		wg.Add(1)
 		go func(g *group) {
 			defer wg.Done()

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -125,7 +124,10 @@ type Options struct {
 	// (0 = runtime.GOMAXPROCS). Coverage results are bit-identical for any
 	// worker count, and so are exhausted ILP solves (see package ilp for
 	// the exact guarantee) and the PSO trajectories (see package pso) —
-	// the whole Result is worker-count invariant.
+	// the Result is worker-count invariant except for Stats and
+	// Leakage.Solves: the pressure engine's warm/cold solve split depends
+	// on how the cut vectors are blocked over the workers and on which
+	// pooled solver each block reuses.
 	Workers int
 	// Observer receives live pipeline events: stage boundaries, solver
 	// iteration ticks, chain tier transitions, cache-hit deltas. nil
@@ -141,14 +143,6 @@ type Options struct {
 	// "artifact" stage with art_* counters instead of the solve stages.
 	// Caches never affect solved results — only whether the solve runs.
 	Cache *Cache
-	// MemoBytes bounds the flow's in-flight memoization (the
-	// per-configuration artifact cache and the sharing-fitness memo)
-	// to an approximate byte budget; cold entries evict at stage
-	// boundaries, deterministically for any worker count, and evicted
-	// values are recomputed on next use (pure functions of their keys,
-	// so the Result never changes). 0 = unbounded (the historical
-	// behavior).
-	MemoBytes int64
 }
 
 func (o Options) withDefaults() Options {
@@ -198,7 +192,9 @@ type Result struct {
 	ExecIndependent int
 
 	// Trace is the outer PSO's global-best execution time after each
-	// iteration (Fig. 9's convergence curves).
+	// iteration (Fig. 9's convergence curves). The flow's final choice may
+	// come from the ban-loop seeds or the post-PSO search, so the last
+	// entry can lie above ExecPSO.
 	Trace []float64
 
 	// NumDFTValves and NumShared reproduce Table 1's first-row counts.
@@ -293,28 +289,17 @@ type flow struct {
 	// generation barrier before a stage ends).
 	statMu sync.Mutex
 
-	// augCache memoizes per-configuration artifacts by content key
-	// (augKey); innerCache memoizes sharing fitnesses by
-	// configuration+partner key. Both are bounded singleflight caches
+	// augCache memoizes per-configuration artifacts and search state by
+	// content key (augKey); innerCache memoizes sharing fitnesses by
+	// configuration+partner key. Both are unbounded singleflight once-maps
 	// (internal/artifact): concurrent swarm workers racing on a key
 	// compute it exactly once, and since every value is a pure function
 	// of its key the cache contents are deterministic for any worker
-	// count. Under Options.MemoBytes cold entries evict at stage
-	// boundaries and are transparently recomputed on next use — the
-	// flow's selection state lives in the non-evictable summaries
-	// registry below, so eviction never changes a Result.
+	// count. augCache's keys are the set of configurations the flow has
+	// evaluated, which the selection logic (bestEvalSeen, the
+	// partial-sharing retry) walks in sorted order.
 	augCache   *artifact.Cache[*augEval]
 	innerCache *artifact.Cache[float64]
-
-	// summaries is the non-evictable per-configuration search registry:
-	// one light augSummary per configuration ever evaluated, holding the
-	// inner-search outcome (searched/bestFit/bestPartners) and the worst
-	// valid full-sharing fitness seen. The selection logic (bestEvalSeen,
-	// the partial-sharing retry, worstValidSharing) reads only this
-	// registry, never cache residency, so a bounded augCache/innerCache
-	// is invisible to the flow's choices.
-	sumMu     sync.Mutex
-	summaries map[string]*augSummary
 
 	// Typed artifacts handed between pipeline stages.
 	chainOut flowstage.Artifact[solve.Outcome[*testgen.Augmentation]]
@@ -324,7 +309,8 @@ type flow struct {
 	final    flowstage.Artifact[*Result]
 }
 
-// augEval caches the expensive per-configuration artifacts.
+// augEval is the flow's one record per configuration: the expensive
+// artifacts and the inner search's outcome.
 type augEval struct {
 	aug     *testgen.Augmentation
 	key     string // the augCache content key (augKey(aug))
@@ -342,21 +328,6 @@ type augEval struct {
 	// gap (non-zero only for partial repair-tier configurations). Sharing
 	// schemes are penalized only for coverage lost beyond this gap.
 	baselineUndetected int
-
-	// sum is the configuration's non-evictable search summary. Every
-	// augEval instance for one content key (the original and any
-	// recomputed-after-eviction successor) shares the same summary.
-	sum *augSummary
-}
-
-// augSummary is the per-configuration search state that must survive
-// cache eviction: which configurations were inner-searched and with what
-// outcome. It is a few dozen bytes plus the configuration itself —
-// the heavy artifacts (test vectors, detection matrices) stay in the
-// evictable augEval.
-type augSummary struct {
-	key string
-	aug *testgen.Augmentation
 
 	// mu guards the inner-search fields: concurrent outer particles that
 	// land on the same configuration serialize on it, so the inner
@@ -376,95 +347,16 @@ type augSummary struct {
 
 // noteValid records a computed sharing fitness when it is a valid FULL
 // sharing (below the partial band): worstValidSharing reports the
-// maximum such value as the unoptimized reference. Recording at compute
-// time (rather than scanning innerCache at finalize) keeps the value
-// exact even after the memo evicts entries.
-func (s *augSummary) noteValid(fit float64) {
+// maximum such value as the unoptimized reference.
+func (ev *augEval) noteValid(fit float64) {
 	if fit >= partialBand {
 		return
 	}
-	s.vmu.Lock()
-	if !s.hasValid || fit > s.worstValid {
-		s.worstValid, s.hasValid = fit, true
+	ev.vmu.Lock()
+	if !ev.hasValid || fit > ev.worstValid {
+		ev.worstValid, ev.hasValid = fit, true
 	}
-	s.vmu.Unlock()
-}
-
-// summaryFor returns the configuration's summary, creating it on first
-// sight. Safe from concurrent PSO workers; hand-built flows (tests) may
-// leave f.summaries nil.
-func (f *flow) summaryFor(key string, aug *testgen.Augmentation) *augSummary {
-	f.sumMu.Lock()
-	defer f.sumMu.Unlock()
-	if f.summaries == nil {
-		f.summaries = make(map[string]*augSummary)
-	}
-	s, ok := f.summaries[key]
-	if !ok {
-		s = &augSummary{key: key, aug: aug, bestFit: math.Inf(1)}
-		f.summaries[key] = s
-	}
-	return s
-}
-
-// summary returns the configuration's summary, or nil when it was never
-// evaluated.
-func (f *flow) summary(key string) *augSummary {
-	f.sumMu.Lock()
-	defer f.sumMu.Unlock()
-	return f.summaries[key]
-}
-
-// sortedSummaryKeys returns every evaluated configuration key in
-// lexicographic order — the deterministic iteration order the selection
-// logic uses.
-func (f *flow) sortedSummaryKeys() []string {
-	f.sumMu.Lock()
-	keys := make([]string, 0, len(f.summaries))
-	for k := range f.summaries {
-		keys = append(keys, k)
-	}
-	f.sumMu.Unlock()
-	sort.Strings(keys)
-	return keys
-}
-
-// numSummaries returns how many configurations were ever evaluated.
-func (f *flow) numSummaries() int {
-	f.sumMu.Lock()
-	defer f.sumMu.Unlock()
-	return len(f.summaries)
-}
-
-// newAugCache and newInnerCache build the flow's bounded memo caches;
-// budget is Options.MemoBytes (0 = unbounded). The per-configuration
-// cache gets three quarters of the budget (its entries carry the test
-// vectors), the fitness memo the rest.
-func newAugCache(budget int64) *artifact.Cache[*augEval] {
-	return artifact.NewCache[*augEval](budget*3/4, augEvalSize)
-}
-
-func newInnerCache(budget int64) *artifact.Cache[float64] {
-	return artifact.NewCache[float64](budget/4, func(float64) int64 { return 8 })
-}
-
-// augEvalSize approximates an augEval's resident bytes: the vector
-// payloads and the validation check's matrix and membership table.
-func augEvalSize(ev *augEval) int64 {
-	size := int64(256)
-	if ev.check != nil {
-		m := ev.check.matrix
-		size += int64(m.NumVectors()) * (8*int64(m.Words()) + int64(ev.aug.Chip.NumValves()))
-	}
-	for i := range ev.paths {
-		v := &ev.paths[i]
-		size += 80 + 8*int64(len(v.Valves)+len(v.Sources)+len(v.Meters))
-	}
-	for i := range ev.cuts {
-		v := &ev.cuts[i]
-		size += 80 + 8*int64(len(v.Valves)+len(v.Sources)+len(v.Meters))
-	}
-	return size
+	ev.vmu.Unlock()
 }
 
 // RunDFTFlow runs the complete two-level PSO DFT flow for one chip-assay
@@ -541,9 +433,8 @@ func runDFTFlowSolve(ctx context.Context, c *chip.Chip, g *assay.Graph, opts Opt
 		metrics:      fault.NewMetrics(),
 		diagInject:   diagInject,
 		reconfInject: reconfInject,
-		augCache:     newAugCache(opts.MemoBytes),
-		innerCache:   newInnerCache(opts.MemoBytes),
-		summaries:    make(map[string]*augSummary),
+		augCache:     artifact.NewCache[*augEval](0, nil),
+		innerCache:   artifact.NewCache[float64](0, nil),
 		schedMetrics: sched.NewMetrics(),
 		schedEngines: make(map[*chip.Chip]*schedEngineEntry),
 	}
@@ -623,21 +514,6 @@ func (f *flow) leaveStage(st *flowstage.StageStats) {
 	st.Count("sched_candidate_hits", sd.CandidateHits)
 	st.Count("sched_fallback_reroutes", sd.FallbackReroutes)
 	st.Count("sched_livelocks", sd.Livelocks)
-	// Stage boundaries are the flow's serial points: advance the memo
-	// caches' recency epoch and trim them to the MemoBytes budget
-	// (no-ops when unbounded). Evictions never change the Result — the
-	// selection state lives in the summaries registry and every cached
-	// value is a pure function of its key.
-	if f.augCache != nil && f.innerCache != nil {
-		f.augCache.AdvanceEpoch()
-		f.innerCache.AdvanceEpoch()
-		if ev := f.augCache.Stats().Evictions + f.innerCache.Stats().Evictions; ev > 0 {
-			if st.Counters == nil {
-				st.Counters = map[string]int64{}
-			}
-			st.Counters["memo_evictions"] = ev // cumulative, not a delta
-		}
-	}
 	f.cur = nil
 }
 
@@ -723,7 +599,7 @@ func (f *flow) augment(weights []float64) (*testgen.Augmentation, error) {
 func (f *flow) evalAug(aug *testgen.Augmentation) *augEval {
 	key := augKey(aug)
 	ev, hit := f.augCache.Do(key, func() *augEval {
-		ev := &augEval{aug: aug, key: key, sum: f.summaryFor(key, aug)}
+		ev := &augEval{aug: aug, key: key, bestFit: math.Inf(1)}
 		ev.paths = aug.PathVectors()
 		ev.cuts, ev.cutsErr = testgen.GenerateCuts(aug.Chip, aug.Source, aug.Meter)
 		if ev.cutsErr != nil && len(aug.Uncovered) > 0 {
@@ -747,13 +623,12 @@ func (f *flow) bestSharingFitness(ev *augEval) float64 {
 	if ev.cutsErr != nil {
 		return math.Inf(1)
 	}
-	sum := ev.sum
-	sum.mu.Lock()
-	defer sum.mu.Unlock()
-	if sum.searched {
-		return sum.bestFit
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
+	if ev.searched {
+		return ev.bestFit
 	}
-	sum.searched = true
+	ev.searched = true
 	nDFT := ev.aug.Chip.NumDFTValves()
 	innerCfg := f.opts.Inner
 	innerCfg.Seed = f.opts.Seed ^ int64(len(ev.key)) ^ hashString(ev.key)
@@ -764,9 +639,9 @@ func (f *flow) bestSharingFitness(ev *augEval) float64 {
 		return f.sharingFitness(ev, partners)
 	}, innerCfg)
 	f.countStage("pso_inner_evals", int64(res.Evaluations))
-	if res.BestFitness < sum.bestFit {
-		sum.bestFit = res.BestFitness
-		sum.bestPartners = f.decodePartners(ev.aug.Chip, res.BestX)
+	if res.BestFitness < ev.bestFit {
+		ev.bestFit = res.BestFitness
+		ev.bestPartners = f.decodePartners(ev.aug.Chip, res.BestX)
 	}
 	if f.allowPartial {
 		// Guaranteed baseline: every DFT valve on its own line is always
@@ -776,12 +651,12 @@ func (f *flow) bestSharingFitness(ev *augEval) float64 {
 		for i := range allOwn {
 			allOwn[i] = -1
 		}
-		if fit := f.sharingFitness(ev, allOwn); fit < sum.bestFit {
-			sum.bestFit = fit
-			sum.bestPartners = allOwn
+		if fit := f.sharingFitness(ev, allOwn); fit < ev.bestFit {
+			ev.bestFit = fit
+			ev.bestPartners = allOwn
 		}
 	}
-	return sum.bestFit
+	return ev.bestFit
 }
 
 // decodePartners maps a continuous inner-PSO position to an injective
@@ -828,25 +703,20 @@ func (f *flow) decodePartners(c *chip.Chip, x []float64) []int {
 func (f *flow) sharingFitness(ev *augEval, partners []int) float64 {
 	fit, hit := f.innerCache.Do(innerKey(ev, partners), func() float64 {
 		fit := f.computeSharingFitness(ev, partners)
-		ev.sum.noteValid(fit)
+		ev.noteValid(fit)
 		return fit
 	})
 	f.noteCache("inner_cache", hit)
 	return fit
 }
 
-// innerKey is the innerCache content key of a sharing scheme; the
-// configuration key prefix keeps worstValidSharing's per-configuration
-// scan possible (see innerKeyPrefix).
+// innerKey is the innerCache content key of a sharing scheme. The "|p"
+// separator cannot occur inside augKey's own structure (path segments
+// start with "|["), so schemes of different configurations never share
+// a key.
 func innerKey(ev *augEval, partners []int) string {
-	return innerKeyPrefix(ev) + intsKey(partners)
+	return ev.key + "|p" + intsKey(partners)
 }
-
-// innerKeyPrefix returns the key prefix shared by every sharing scheme of
-// one configuration. The "|p" separator cannot occur inside augKey's own
-// structure (path segments start with "|["), so no configuration key is a
-// prefix of another configuration's scheme keys.
-func innerKeyPrefix(ev *augEval) string { return ev.key + "|p" }
 
 // Invalid positions get graded penalties above penaltyBase instead of a
 // flat ∞, so the swarm can climb towards validity (fewer uncovered faults
@@ -962,26 +832,14 @@ func (f *flow) computeSharingFitness(ev *augEval, partners []int) float64 {
 func (f *flow) bestEvalSeen(ref *augEval) *augEval {
 	best := ref
 	bestFit := f.bestSharingFitness(ref)
-	var bestSum *augSummary
-	for _, k := range f.sortedSummaryKeys() {
-		sum := f.summary(k)
-		sum.mu.Lock()
-		searched, fit := sum.searched, sum.bestFit
-		sum.mu.Unlock()
-		if !searched {
-			continue
+	for _, k := range f.augCache.SortedKeys() {
+		ev, _ := f.augCache.Get(k)
+		ev.mu.Lock()
+		searched, fit := ev.searched, ev.bestFit
+		ev.mu.Unlock()
+		if searched && fit < bestFit {
+			best, bestFit = ev, fit
 		}
-		if fit < bestFit {
-			bestSum, bestFit = sum, fit
-		}
-	}
-	if bestSum != nil {
-		// Re-materialize the winner's artifacts: the resident entry when
-		// cached, a pure recompute when the memo evicted them.
-		if ev, ok := f.augCache.Get(bestSum.key); ok {
-			return ev
-		}
-		best = f.evalAug(bestSum.aug)
 	}
 	return best
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/assay"
 	"repro/internal/chip"
 	"repro/internal/fault"
@@ -188,8 +189,8 @@ func TestFirstValidSharingRotation(t *testing.T) {
 	}
 	f := &flow{
 		orig: c, graph: g, opts: Options{}.withDefaults(),
-		augCache:   newAugCache(0),
-		innerCache: newInnerCache(0),
+		augCache:   artifact.NewCache[*augEval](0, nil),
+		innerCache: artifact.NewCache[float64](0, nil),
 	}
 	ev := f.evalAug(aug)
 	if ev.cutsErr != nil {

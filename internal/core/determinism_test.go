@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/assay"
 	"repro/internal/chip"
 )
@@ -13,15 +14,13 @@ import (
 // content-key order, so ties resolve to the reference first and to the
 // smallest key among cached configurations.
 func TestBestEvalSeenDeterministicTieBreak(t *testing.T) {
-	f := &flow{augCache: newAugCache(0), innerCache: newInnerCache(0)}
+	f := &flow{augCache: artifact.NewCache[*augEval](0, nil)}
 	mk := func(key string, fit float64) *augEval {
-		sum := f.summaryFor(key, nil)
-		sum.searched, sum.bestFit = true, fit
-		ev := &augEval{key: key, sum: sum}
+		ev := &augEval{key: key, searched: true, bestFit: fit}
 		f.augCache.Do(key, func() *augEval { return ev })
 		return ev
 	}
-	ref := &augEval{key: "zz-ref", sum: &augSummary{key: "zz-ref", searched: true, bestFit: 100}}
+	ref := &augEval{key: "zz-ref", searched: true, bestFit: 100}
 	b := mk("b-key", 100)
 	a := mk("a-key", 100)
 	// Three-way tie: the reference wins.
@@ -32,20 +31,20 @@ func TestBestEvalSeenDeterministicTieBreak(t *testing.T) {
 	}
 	// Two cached configurations tied strictly below the reference: the
 	// lexicographically smallest key wins, on every call.
-	a.sum.bestFit, b.sum.bestFit = 90, 90
+	a.bestFit, b.bestFit = 90, 90
 	for i := 0; i < 20; i++ {
 		if got := f.bestEvalSeen(ref); got != a {
 			t.Fatalf("call %d: tie broke to %q, want %q", i, got.key, a.key)
 		}
 	}
 	// A strictly better configuration always displaces the incumbent.
-	b.sum.bestFit = 80
+	b.bestFit = 80
 	if got := f.bestEvalSeen(ref); got != b {
 		t.Fatalf("strictly best configuration not selected: got %q", got.key)
 	}
 	// Unsearched entries never participate.
 	c := mk("0-key", 1)
-	c.sum.searched = false
+	c.searched = false
 	if got := f.bestEvalSeen(ref); got != b {
 		t.Fatalf("unsearched configuration selected: got %q", got.key)
 	}

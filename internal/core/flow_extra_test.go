@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/assay"
 	"repro/internal/chip"
 	"repro/internal/fault"
@@ -79,7 +80,9 @@ func TestWorstValidSharing(t *testing.T) {
 	c := chip.IVD()
 	g := assay.CPA()
 	f := &flow{orig: c, graph: g, opts: Options{}.withDefaults(),
-		augCache: newAugCache(0), innerCache: newInnerCache(0)}
+		augCache:   artifact.NewCache[*augEval](0, nil),
+		innerCache: artifact.NewCache[float64](0, nil),
+	}
 	aug, err := testgen.AugmentHeuristic(c, testgen.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/assay"
 	"repro/internal/chip"
 	"repro/internal/fault"
@@ -77,7 +78,9 @@ func TestSharingCheckExact(t *testing.T) {
 		{chip.MRNA(), assay.CPA()},
 	} {
 		f := &flow{orig: d.chip, graph: d.assay, opts: Options{}.withDefaults(),
-			augCache: newAugCache(0), innerCache: newInnerCache(0), cur: st}
+			augCache:   artifact.NewCache[*augEval](0, nil),
+			innerCache: artifact.NewCache[float64](0, nil),
+			cur:        st}
 		for cfg := 0; cfg < configs; cfg++ {
 			weights := make([]float64, d.chip.Grid.NumEdges())
 			for _, e := range f.freeEdges() {

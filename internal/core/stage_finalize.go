@@ -38,12 +38,12 @@ func (f *flow) runFinalizeStage(ctx context.Context, st *flowstage.StageStats) e
 		// guided search to find one); report the worst valid scheme the
 		// search encountered as the unoptimized reference.
 		noPSOExec = f.worstValidSharing(bestEval)
-	} else if float64(noPSOExec) < bestEval.sum.bestFit {
-		bestEval.sum.bestFit = float64(noPSOExec)
-		bestEval.sum.bestPartners = noPSOPartners
+	} else if float64(noPSOExec) < bestEval.bestFit {
+		bestEval.bestFit = float64(noPSOExec)
+		bestEval.bestPartners = noPSOPartners
 	}
 
-	partners := bestEval.sum.bestPartners
+	partners := bestEval.bestPartners
 	ctrl, err := chip.SharedControl(bestEval.aug.Chip, partners)
 	if err != nil {
 		return err
@@ -102,15 +102,6 @@ func (f *flow) runFinalizeStage(ctx context.Context, st *flowstage.StageStats) e
 		st.Count("leakage_detectable", int64(leakage.Detectable))
 	}
 
-	// The trace records the outer swarm's global best per iteration; the
-	// framework's final choice may come from the ban-loop seeds or the
-	// post-PSO search, so close the trace with the best value actually
-	// achieved (the paper's Fig. 9 plots the framework result).
-	trace := append([]float64(nil), outer.Trace...)
-	if n := len(trace); n > 0 && bestEval.sum.bestFit < trace[n-1] {
-		trace[n-1] = bestEval.sum.bestFit
-	}
-
 	st.Count("final_vectors", int64(len(finalPaths)+len(finalCuts)))
 	f.final.Set(&Result{
 		Aug:             bestEval.aug,
@@ -162,14 +153,13 @@ func (f *flow) firstValidSharing(ev *augEval) (int, []int, error) {
 // validated, the best one's penalty is stripped to recover its schedule
 // length.
 func (f *flow) worstValidSharing(ev *augEval) int {
-	s := ev.sum
-	s.vmu.Lock()
-	worst, has := s.worstValid, s.hasValid
-	s.vmu.Unlock()
+	ev.vmu.Lock()
+	worst, has := ev.worstValid, ev.hasValid
+	ev.vmu.Unlock()
 	if !has {
-		s.mu.Lock()
-		w := s.bestFit
-		s.mu.Unlock()
+		ev.mu.Lock()
+		w := ev.bestFit
+		ev.mu.Unlock()
 		for w >= partialBand && w < validThreshold {
 			w -= partialBand
 		}

@@ -62,31 +62,24 @@ func (f *flow) runOuterStage(ctx context.Context, st *flowstage.StageStats) erro
 		// lines (still penalized, so every shareable valve shares).
 		f.allowPartial = true
 		st.Count("partial_fallback", 1)
-		keys := f.sortedSummaryKeys()
+		keys := f.augCache.SortedKeys()
 		for _, k := range keys {
-			if sum := f.summary(k); sum != nil {
-				sum.mu.Lock()
-				sum.searched = false
-				sum.bestFit = math.Inf(1)
-				sum.bestPartners = nil
-				sum.mu.Unlock()
-			}
+			ev, _ := f.augCache.Get(k)
+			ev.mu.Lock()
+			ev.searched, ev.bestFit, ev.bestPartners = false, math.Inf(1), nil
+			ev.mu.Unlock()
 		}
 		const retryConfigs = 8
-		for i, k := range keys {
-			if i >= retryConfigs {
-				break
-			}
-			if sum := f.summary(k); sum != nil {
-				f.bestSharingFitness(f.evalAug(sum.aug))
-			}
+		for _, k := range keys[:min(len(keys), retryConfigs)] {
+			ev, _ := f.augCache.Get(k)
+			f.bestSharingFitness(f.evalAug(ev.aug))
 		}
 		bestEval = f.bestEvalSeen(refEval)
 		if f.bestSharingFitness(bestEval) >= validThreshold {
 			return fmt.Errorf("core: no valid sharing scheme found for %s/%s", c.Name, f.graph.Name)
 		}
 	}
-	st.Count("configs_evaluated", int64(f.numSummaries()))
+	st.Count("configs_evaluated", int64(f.augCache.Len()))
 	f.bestEval.Set(bestEval)
 	return nil
 }

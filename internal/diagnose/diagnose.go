@@ -132,9 +132,6 @@ func NewSession(m *fault.DetectionMatrix, oracle Oracle) *Session {
 	return s
 }
 
-// Candidates returns the current candidate count.
-func (s *Session) Candidates() int { return s.n }
-
 // splitCount returns how many current candidates vector v detects. The
 // hot loop of selection: word-parallel AND + popcount, no allocation.
 func (s *Session) splitCount(v int) int {

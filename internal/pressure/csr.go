@@ -39,7 +39,6 @@ type adjEntry struct {
 type system struct {
 	c      *chip.Chip
 	source int
-	meter  int
 
 	m        int     // number of unknowns
 	unknowns []int32 // unknown index -> grid node
@@ -79,7 +78,7 @@ func newSystem(c *chip.Chip, sourceNode, meterNode int) (*system, error) {
 	if sourceNode == meterNode {
 		return nil, fmt.Errorf("pressure: source and meter coincide")
 	}
-	s := &system{c: c, source: sourceNode, meter: meterNode}
+	s := &system{c: c, source: sourceNode}
 
 	// Unknown indexing over channel nodes (nodes with >=1 valve edge).
 	onChannel := make([]bool, n)

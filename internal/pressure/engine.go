@@ -122,12 +122,6 @@ func NewEngine(c *chip.Chip, sourceNode, meterNode int, opts EngineOptions) (*En
 // Chip returns the chip the engine solves.
 func (e *Engine) Chip() *chip.Chip { return e.sys.c }
 
-// SourceNode and MeterNode return the rig's terminal grid nodes.
-func (e *Engine) SourceNode() int { return e.sys.source }
-
-// MeterNode returns the rig's meter grid node.
-func (e *Engine) MeterNode() int { return e.sys.meter }
-
 // Unknowns returns the size of the solved system (channel nodes minus the
 // two terminals).
 func (e *Engine) Unknowns() int { return e.sys.m }

@@ -83,14 +83,13 @@ type SolverInfo struct {
 
 // LeakageInfo is the serialized form of fault.LeakageReport: how many
 // closed-valve leaks the cut vectors expose under the quantitative
-// pressure model, plus the engine's solve counters.
+// pressure model. The engine's solve counters are left to the -stats
+// stage counters: their warm/cold split depends on the worker count.
 type LeakageInfo struct {
 	Examined     int   `json:"examined"`
 	Detectable   int   `json:"detectable"`
 	Undetectable []int `json:"undetectable,omitempty"`
 	Vectors      int   `json:"vectors"`
-	Solves       int64 `json:"pressure_solves"`
-	WarmSolves   int64 `json:"pressure_warm_solves"`
 }
 
 // SolverAttempt is one tier execution of the augmentation chain.
@@ -205,8 +204,6 @@ func Build(res *core.Result) Document {
 			Detectable:   l.Detectable,
 			Undetectable: append([]int(nil), l.Undetectable...),
 			Vectors:      l.Vectors,
-			Solves:       l.Solves.Solves,
-			WarmSolves:   l.Solves.Warm,
 		}
 	}
 	if d := res.Diagnosis; d != nil {

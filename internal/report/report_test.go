@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -11,12 +12,13 @@ import (
 	"repro/internal/pso"
 )
 
-func flowResult(t *testing.T) *core.Result {
+func flowResult(t *testing.T, workers int) *core.Result {
 	t.Helper()
 	res, err := core.RunDFTFlow(chip.IVD(), assay.IVD(), core.Options{
-		Outer: pso.Config{Particles: 3, Iterations: 4},
-		Inner: pso.Config{Particles: 3, Iterations: 4},
-		Seed:  11,
+		Outer:   pso.Config{Particles: 3, Iterations: 4},
+		Inner:   pso.Config{Particles: 3, Iterations: 4},
+		Seed:    11,
+		Workers: workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +27,7 @@ func flowResult(t *testing.T) *core.Result {
 }
 
 func TestBuildDocument(t *testing.T) {
-	res := flowResult(t)
+	res := flowResult(t, 0)
 	doc := Build(res)
 	if doc.Chip.Name != "IVD_chip" {
 		t.Fatalf("chip name %q", doc.Chip.Name)
@@ -47,8 +49,38 @@ func TestBuildDocument(t *testing.T) {
 	}
 }
 
+// TestDocumentWorkerInvariant: a flow's JSON document is the same at any
+// worker count once the wall-clock fields are masked.
+func TestDocumentWorkerInvariant(t *testing.T) {
+	var want []byte
+	for _, workers := range []int{1, 2, 4, 8} {
+		doc := Build(flowResult(t, workers))
+		doc.RuntimeMS = 0
+		for i := range doc.Solver.Attempts {
+			doc.Solver.Attempts[i].ElapsedMS = 0
+		}
+		got, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := range g {
+			if i >= len(w) || g[i] != w[i] {
+				t.Fatalf("workers=%d document differs from workers=1 at line %d: %q", workers, i+1, g[i])
+			}
+		}
+		if len(g) != len(w) {
+			t.Fatalf("workers=%d document has %d lines, workers=1 %d", workers, len(g), len(w))
+		}
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
-	res := flowResult(t)
+	res := flowResult(t, 0)
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, res); err != nil {
 		t.Fatal(err)
@@ -72,7 +104,7 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestSummaryMentionsKeyNumbers(t *testing.T) {
-	res := flowResult(t)
+	res := flowResult(t, 0)
 	var buf bytes.Buffer
 	Summary(&buf, res)
 	s := buf.String()
@@ -121,7 +153,7 @@ func TestDiagnosisBlocksRoundTrip(t *testing.T) {
 	}
 
 	// Without the options the keys must be absent.
-	plain := flowResult(t)
+	plain := flowResult(t, 0)
 	buf.Reset()
 	if err := WriteJSON(&buf, plain); err != nil {
 		t.Fatal(err)
@@ -132,7 +164,7 @@ func TestDiagnosisBlocksRoundTrip(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	res := flowResult(t)
+	res := flowResult(t, 0)
 	doc := Build(res)
 	bad := doc
 	bad.Chip.Name = ""

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -77,13 +76,6 @@ func BuildStats(stats *flowstage.Stats) StatsDocument {
 		doc.Stages = append(doc.Stages, s)
 	}
 	return doc
-}
-
-// WriteStatsJSON writes the per-stage breakdown as indented JSON.
-func WriteStatsJSON(w io.Writer, stats *flowstage.Stats) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(BuildStats(stats))
 }
 
 // WriteStatsTable writes the per-stage breakdown as an aligned text

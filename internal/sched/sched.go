@@ -174,16 +174,6 @@ func ExecutionTime(c *chip.Chip, ctrl *chip.Control, g *assay.Graph, params Para
 	return sch.ExecutionTime, true
 }
 
-// ExecutionTimeCtx is ExecutionTime with cooperative cancellation; an
-// expired context reports ok=false.
-func ExecutionTimeCtx(ctx context.Context, c *chip.Chip, ctrl *chip.Control, g *assay.Graph, params Params) (int, bool) {
-	sch, err := RunCtx(ctx, c, ctrl, g, params)
-	if err != nil {
-		return 0, false
-	}
-	return sch.ExecutionTime, true
-}
-
 // --- locations ---------------------------------------------------------------
 
 type locKind int

@@ -447,15 +447,6 @@ func (p *suitePre) solveTemplate(rep int, anchor grid.Coord) *template {
 	return t
 }
 
-// templateSize estimates a solved template's resident bytes for the
-// bounded once-map.
-func templateSize(t *template) int64 {
-	if t == nil {
-		return 16
-	}
-	return 64 + int64(len(t.Path.Edges)+len(t.Cut.Edges))*24
-}
-
 // tmplSchema versions the on-disk template encoding (inside the store's
 // own container framing).
 const tmplSchema = 1
@@ -481,16 +472,9 @@ type TemplateEngine struct {
 }
 
 // NewTemplateEngine returns an engine with an empty unbounded template
-// cache (class populations are small; bound with NewTemplateEngineBudget
-// for open-ended sweeps).
-func NewTemplateEngine() *TemplateEngine { return NewTemplateEngineBudget(0) }
-
-// NewTemplateEngineBudget bounds the engine's class cache to roughly
-// budget bytes (<= 0 = unbounded). Eviction never changes generated
-// suites: templates are pure functions of their signature and evicted
-// classes are re-solved on next use.
-func NewTemplateEngineBudget(budget int64) *TemplateEngine {
-	return &TemplateEngine{cache: artifact.NewCache[*template](budget, templateSize)}
+// cache (class populations are small).
+func NewTemplateEngine() *TemplateEngine {
+	return &TemplateEngine{cache: artifact.NewCache[*template](0, nil)}
 }
 
 // SetStore attaches a disk tier: solved tile classes are persisted and
@@ -500,10 +484,6 @@ func (e *TemplateEngine) SetStore(s *artifact.Store) { e.store.Store(s) }
 // CachedTemplates returns the number of solved classes resident in the
 // memory cache.
 func (e *TemplateEngine) CachedTemplates() int { return e.cache.Len() }
-
-// Trim advances the class cache's recency epoch and evicts to budget.
-// Call between Generate calls (serial points), never during one.
-func (e *TemplateEngine) Trim() { e.cache.AdvanceEpoch() }
 
 // loadTemplate fetches a persisted class solve; any miss or corruption
 // just re-solves.
