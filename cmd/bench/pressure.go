@@ -5,13 +5,11 @@ package main
 // conductance state, then one single-valve leaky variant per valve, so
 // consecutive solves differ in at most two entries. An op sweeps that
 // sequence through the sparse engine refactorizing every state
-// (sparse-cold, rank budget disabled, the reference), with
-// Sherman–Morrison–Woodbury warm updates (sparse-warm), and through the
-// batched worker-pool EvaluateAll (parallel).
+// (sparse-cold, rank budget disabled, the reference) and with
+// Sherman–Morrison–Woodbury warm updates (sparse-warm), the path
+// Engine.EvaluateAll and the leakage campaign take.
 
 import (
-	"context"
-
 	"repro/internal/chip"
 	"repro/internal/pressure"
 )
@@ -34,7 +32,6 @@ func leakageSweep(c *chip.Chip) [][]float64 {
 }
 
 func runPressure() ([]Record, error) {
-	ctx := context.Background()
 	var recs []Record
 	for _, c := range chip.Benchmarks() {
 		src, mtr := c.Ports[0].Node, c.Ports[len(c.Ports)-1].Node
@@ -42,14 +39,14 @@ func runPressure() ([]Record, error) {
 
 		// Engines and solvers are built and warmed outside the timed ops,
 		// so these see only solve work, as a campaign does.
-		var engs [3]*pressure.Engine // sparse-cold (no rank budget), sparse-warm, parallel
-		for i, budget := range []int{-1, 0, 0} {
+		var engs [2]*pressure.Engine // sparse-cold (no rank budget), sparse-warm
+		for i, budget := range []int{-1, 0} {
 			var err error
 			if engs[i], err = pressure.NewEngine(c, src, mtr, pressure.EngineOptions{RankBudget: budget}); err != nil {
 				return nil, err
 			}
 		}
-		coldEng, warmEng, parEng := engs[0], engs[1], engs[2]
+		coldEng, warmEng := engs[0], engs[1]
 		warmSolver := warmEng.NewSolver()
 		if _, err := warmSolver.Solve(vectors[0]); err != nil {
 			return nil, err
@@ -70,10 +67,6 @@ func runPressure() ([]Record, error) {
 		}{
 			{"sparse-cold", sweep(coldEng.NewSolver())},
 			{"sparse-warm", sweep(warmSolver)},
-			{"parallel", func() error {
-				_, err := parEng.EvaluateAll(ctx, vectors)
-				return err
-			}},
 		}
 		n := float64(len(vectors))
 		for _, leg := range legs {

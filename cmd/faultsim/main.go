@@ -169,7 +169,7 @@ func run() int {
 			Name: "leakage",
 			Run: func(ctx context.Context, st *flowstage.StageStats) error {
 				var err error
-				leakRep, err = dft.QuantifyLeakage(ctx, sim, cuts, dft.LeakageOptions{Workers: rf.Workers})
+				leakRep, err = dft.QuantifyLeakage(ctx, sim, cuts, dft.LeakageOptions{})
 				if err != nil {
 					return err
 				}

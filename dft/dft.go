@@ -152,22 +152,11 @@ func GenerateCuts(c *Chip, source, meter int) ([]Vector, error) {
 	return testgen.GenerateCuts(c, source, meter)
 }
 
-// GenerateCutsCtx is GenerateCuts with cooperative cancellation.
-func GenerateCutsCtx(ctx context.Context, c *Chip, source, meter int) ([]Vector, error) {
-	return testgen.GenerateCutsCtx(ctx, c, source, meter)
-}
-
 // GenerateCutsOptimal is GenerateCuts with an exact minimum-cardinality
 // set cover (candidate enumeration + the same branch-and-bound engine as
 // the path ILP) instead of the greedy cover.
 func GenerateCutsOptimal(c *Chip, source, meter int) ([]Vector, error) {
 	return testgen.GenerateCutsOptimal(c, source, meter)
-}
-
-// GenerateCutsOptimalCtx is GenerateCutsOptimal with cooperative
-// cancellation and a tunable branch-and-bound budget.
-func GenerateCutsOptimalCtx(ctx context.Context, c *Chip, source, meter int, opts testgen.Options) ([]Vector, error) {
-	return testgen.GenerateCutsOptimalCtx(ctx, c, source, meter, opts)
 }
 
 // BaselineVectors generates the multi-source multi-meter test set of an
@@ -253,12 +242,14 @@ type (
 	TestSuite = testgen.Suite
 	// TestSuiteOptions tunes suite generation (worker-pool size).
 	TestSuiteOptions = testgen.SuiteOptions
-	// TemplateEngine is the symmetry-exploiting suite generator: valves
-	// are grouped into translation-equivalence classes (closed-form line
-	// classes plus combinatorial tile classes), each class is solved
-	// once, and solved templates persist in a content-keyed cache across
-	// chips. Suites are bit-identical to GenerateSuite's per-valve
-	// fallback for any worker count.
+	// TemplateEngine is the symmetry-exploiting suite generator behind
+	// GenerateSuite and RunTestSuite: valves are grouped into
+	// translation-equivalence classes (closed-form line classes plus
+	// combinatorial tile classes), each class is solved once, and solved
+	// templates persist in a content-keyed cache across chips. Suites are
+	// bit-identical for any worker count, and their fault coverage equals
+	// that of an independent solve per valve (the vectors themselves may
+	// differ).
 	TemplateEngine = testgen.TemplateEngine
 	// SuiteRunOptions and SuiteRunResult belong to RunTestSuite, the
 	// observable two-stage pipeline (generate → campaign) over a suite.
@@ -275,16 +266,10 @@ func MustGenerateFPVA(p FPVAParams) *Chip      { return chip.MustGenerateFPVA(p)
 // operation count, sized for generated FPVA chips.
 func SyntheticAssay(ops int, seed int64) *Assay { return assay.Synthetic(ops, seed) }
 
-// GenerateSuite produces a per-valve test suite by solving every valve
-// independently (the baseline engine).
+// GenerateSuite produces a per-valve test suite through a fresh
+// template engine, the one RunTestSuite uses; build a TemplateEngine
+// directly to reuse its class cache across chips.
 func GenerateSuite(c *Chip, opts TestSuiteOptions) (*TestSuite, error) {
-	return testgen.GenerateBaseline(c, opts)
-}
-
-// GenerateSuiteTemplates produces the same suite through a fresh
-// symmetry-exploiting template engine; build a TemplateEngine directly to
-// reuse its class cache across chips.
-func GenerateSuiteTemplates(c *Chip, opts TestSuiteOptions) (*TestSuite, error) {
 	return testgen.GenerateTemplates(c, opts)
 }
 

@@ -5,10 +5,10 @@
 // (which the paper mentions but does not evaluate) need a sensitive meter.
 //
 // All solves go through the sparse pressure engine: the rig's system is
-// analysed and factorized once, batches run over a worker pool, and
-// near-identical states (the leaky variants) are answered with low-rank
-// warm updates instead of refactorizations — the engine stats at the end
-// show the split.
+// analysed and factorized once, each batch is solved in order on one
+// solver, and near-identical states (the leaky variants) are answered
+// with low-rank warm updates instead of refactorizations — the engine
+// stats at the end show the split.
 //
 //	go run ./examples/pressure_analysis
 package main

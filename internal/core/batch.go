@@ -3,11 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/assay"
 	"repro/internal/chip"
+	"repro/internal/par"
 )
 
 // BatchJob is one (chip, assay, options) flow submission.
@@ -25,7 +24,7 @@ type BatchResult struct {
 	// failure to make its own copy of the result.
 	Err error
 	// Key is the job's content digest (hex), "" for uncacheable options
-	// (injections, optional stages, baseline modes — those never dedup).
+	// (injections and optional stages — those never dedup).
 	Key string
 	// Shared marks a deduplicated job: its Result was decoded from the
 	// canonical encoding of an identical earlier submission's solve
@@ -83,48 +82,38 @@ func RunBatchCtx(ctx context.Context, jobs []BatchJob, bo BatchOptions) []BatchR
 		}
 		g.members = append(g.members, i)
 	}
-	par := bo.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for _, g := range order {
-		wg.Add(1)
-		go func(g *group) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			first := g.members[0]
-			opts := jobs[first].Opts
-			if bo.Cache != nil {
-				opts.Cache = bo.Cache
-			}
-			res, err := RunDFTFlowCtx(ctx, jobs[first].Chip, jobs[first].Assay, opts)
-			var payload []byte
-			var encErr error
-			if err == nil && len(g.members) > 1 {
-				payload, encErr = EncodeResult(res)
-			}
-			for idx, i := range g.members {
-				r := BatchResult{Key: publicKey(g.key), Result: res, Err: err}
-				if err == nil && idx > 0 {
-					// Every duplicate gets its own decoded copy; one that
-					// cannot be made is the job's error, never an alias.
-					r.Shared = true
-					r.Result, r.Err = nil, encErr
-					if encErr == nil {
-						r.Result, r.Err = DecodeResult(jobs[i].Chip, payload)
-					}
-					if r.Result != nil {
-						r.Result.Interrupted = res.Interrupted
-					}
+	// The pool gets no ctx: every group runs, and a cancelled flow
+	// returns its Interrupted result or its error like a serial run.
+	_ = par.For(context.Background(), par.Workers(bo.Parallel), len(order), func(gi int) {
+		g := order[gi]
+		first := g.members[0]
+		opts := jobs[first].Opts
+		if bo.Cache != nil {
+			opts.Cache = bo.Cache
+		}
+		res, err := RunDFTFlowCtx(ctx, jobs[first].Chip, jobs[first].Assay, opts)
+		var payload []byte
+		var encErr error
+		if err == nil && len(g.members) > 1 {
+			payload, encErr = EncodeResult(res)
+		}
+		for idx, i := range g.members {
+			r := BatchResult{Key: publicKey(g.key), Result: res, Err: err}
+			if err == nil && idx > 0 {
+				// Every duplicate gets its own decoded copy; one that
+				// cannot be made is the job's error, never an alias.
+				r.Shared = true
+				r.Result, r.Err = nil, encErr
+				if encErr == nil {
+					r.Result, r.Err = DecodeResult(jobs[i].Chip, payload)
 				}
-				out[i] = r
+				if r.Result != nil {
+					r.Result.Interrupted = res.Interrupted
+				}
 			}
-		}(g)
-	}
-	wg.Wait()
+			out[i] = r
+		}
+	})
 	if bo.Cache != nil {
 		// The fan-in barrier is the batch's serial point: trim the shared
 		// memory tier to budget deterministically.

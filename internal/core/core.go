@@ -32,7 +32,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -42,6 +41,7 @@ import (
 	"repro/internal/chip"
 	"repro/internal/fault"
 	"repro/internal/flowstage"
+	"repro/internal/par"
 	"repro/internal/pso"
 	"repro/internal/sched"
 	"repro/internal/solve"
@@ -124,10 +124,7 @@ type Options struct {
 	// (0 = runtime.GOMAXPROCS). Coverage results are bit-identical for any
 	// worker count, and so are exhausted ILP solves (see package ilp for
 	// the exact guarantee) and the PSO trajectories (see package pso) —
-	// the Result is worker-count invariant except for Stats and
-	// Leakage.Solves: the pressure engine's warm/cold solve split depends
-	// on how the cut vectors are blocked over the workers and on which
-	// pooled solver each block reuses.
+	// the Result is worker-count invariant except for Stats.
 	Workers int
 	// Observer receives live pipeline events: stage boundaries, solver
 	// iteration ticks, chain tier transitions, cache-hit deltas. nil
@@ -575,12 +572,7 @@ func (f *flow) newSimulator(c *chip.Chip, ctrl *chip.Control) (*fault.Simulator,
 
 // workers resolves Options.Workers the way the solver engines do: 0
 // selects all CPU cores.
-func (f *flow) workers() int {
-	if f.opts.Workers > 0 {
-		return f.opts.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+func (f *flow) workers() int { return par.Workers(f.opts.Workers) }
 
 // --- shared search machinery (used by the banloop/outer/finalize stages) ----
 

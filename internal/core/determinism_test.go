@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/artifact"
@@ -118,7 +121,8 @@ func TestDecodePartnersNoOriginalValves(t *testing.T) {
 
 // TestFlowWorkerCountInvariance is the property test for the batch-
 // synchronous engine: the full flow's Result must be bit-identical for
-// 1, 2, 4 and 8 workers on every bundled design.
+// 1, 2, 4 and 8 workers on every bundled design, the leakage report and
+// the finalize stage's pressure counters included.
 func TestFlowWorkerCountInvariance(t *testing.T) {
 	combos := []struct {
 		name  string
@@ -144,7 +148,7 @@ func TestFlowWorkerCountInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				got := canonicalResult(res)
+				got := canonicalResult(res) + leakageReport(res)
 				if workers == 1 {
 					want = got
 					continue
@@ -155,6 +159,28 @@ func TestFlowWorkerCountInvariance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// leakageReport renders the leakage report, pressure-engine counters
+// included, and the finalize stage's pressure_* counters.
+func leakageReport(res *Result) string {
+	var b strings.Builder
+	if res.Leakage != nil {
+		fmt.Fprintf(&b, "leakage: %+v\n", *res.Leakage)
+	}
+	if st := res.Stats.Stage(StageFinalize); st != nil {
+		names := make([]string, 0, len(st.Counters))
+		for name := range st.Counters {
+			if strings.HasPrefix(name, "pressure_") {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s: %d\n", name, st.Counters[name])
+		}
+	}
+	return b.String()
 }
 
 // TestExplicitZeroOmegaPlumbsThrough pins the Options-level plumbing of

@@ -1,5 +1,5 @@
 // Diagnosis campaigns: run the degradation chain once per modeled fault
-// (simulated via InjectedOracle) across a worker pool. Sessions are
+// (simulated via InjectedOracle) across a par.For worker pool. Sessions are
 // independent per fault and results are assembled in fault order, so a
 // campaign is bit-identical for any worker count — the same determinism
 // contract as fault.Engine.
@@ -8,11 +8,9 @@ package diagnose
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/fault"
+	"repro/internal/par"
 	"repro/internal/solve"
 )
 
@@ -84,47 +82,8 @@ func (p *Planner) Campaign(ctx context.Context, workers int) ([]FaultDiagnosis, 
 		}
 	}
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > m.NumFaults() {
-		workers = m.NumFaults()
-	}
-	if workers <= 1 {
-		for f := 0; f < m.NumFaults(); f++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			run(f)
-		}
-	} else {
-		var next atomic.Int64
-		var stopped atomic.Bool
-		done := ctx.Done()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-done:
-						stopped.Store(true)
-						return
-					default:
-					}
-					f := int(next.Add(1)) - 1
-					if f >= m.NumFaults() {
-						return
-					}
-					run(f)
-				}
-			}()
-		}
-		wg.Wait()
-		if stopped.Load() {
-			return nil, ctx.Err()
-		}
+	if err := par.For(ctx, par.Workers(workers), m.NumFaults(), run); err != nil {
+		return nil, err
 	}
 
 	if p.OnAttempt != nil {

@@ -20,15 +20,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/assay"
 	"repro/internal/chip"
 	"repro/internal/fault"
+	"repro/internal/par"
 	"repro/internal/sched"
 	"repro/internal/solve"
 )
@@ -350,47 +349,8 @@ func (r *Reconfigurer) Campaign(ctx context.Context, suspectSets [][]fault.Fault
 		groups[g].Err = err
 	}
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	if workers <= 1 {
-		for g := range groups {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			run(g)
-		}
-	} else {
-		var next atomic.Int64
-		var stopped atomic.Bool
-		done := ctx.Done()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-done:
-						stopped.Store(true)
-						return
-					default:
-					}
-					g := int(next.Add(1)) - 1
-					if g >= len(groups) {
-						return
-					}
-					run(g)
-				}
-			}()
-		}
-		wg.Wait()
-		if stopped.Load() {
-			return nil, ctx.Err()
-		}
+	if err := par.For(ctx, par.Workers(workers), len(groups), run); err != nil {
+		return nil, err
 	}
 
 	if r.OnAttempt != nil {

@@ -3,9 +3,10 @@
 // A campaign evaluates |faults| x |vectors| pairs; the fault-free chip
 // behaviour depends only on the vector, so the engine computes it exactly
 // once per vector (phase 1, serial, shared with the Simulator's memo
-// cache) and then fans the per-fault detection scans out over a worker
-// pool (phase 2). Each worker owns its scratch buffers (faulty-state copy,
-// meter readings, BFS state), so the hot loop allocates nothing.
+// cache) and then fans the per-fault detection scans out over a par.For
+// worker pool (phase 2). Each worker owns its scratch buffers
+// (faulty-state copy, meter readings, BFS state), so the hot loop
+// allocates nothing.
 //
 // Determinism: faults are indexed, each fault's verdict is independent of
 // every other fault, and the Coverage is assembled in fault order after
@@ -15,9 +16,8 @@ package fault
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // Engine runs fault-simulation campaigns over a worker pool, memoizing
@@ -29,13 +29,10 @@ type Engine struct {
 }
 
 // NewEngine returns a campaign engine over sim with the given worker-pool
-// size. workers <= 0 selects runtime.GOMAXPROCS(0). Results are
+// size. workers <= 0 selects one worker per CPU (par.Workers). Results are
 // bit-identical for every worker count.
 func NewEngine(sim *Simulator, workers int) *Engine {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Engine{sim: sim, workers: workers}
+	return &Engine{sim: sim, workers: par.Workers(workers)}
 }
 
 // Simulator returns the simulator the engine drives.
@@ -80,50 +77,10 @@ func (e *Engine) EvaluateCoverageCtx(ctx context.Context, vectors []Vector, faul
 
 	// Phase 2: per-fault detection scans, one fault at a time per worker.
 	detected := make([]bool, len(faults))
-	workers := e.workers
-	if workers > len(faults) {
-		workers = len(faults)
-	}
-	if workers <= 1 {
-		sc := e.sim.getScratch()
-		for i, f := range faults {
-			if err := ctx.Err(); err != nil {
-				e.sim.putScratch(sc)
-				return Coverage{}, err
-			}
-			detected[i] = detectAny(e.sim, usable, f, sc)
-		}
-		e.sim.putScratch(sc)
-	} else {
-		var next atomic.Int64
-		var stopped atomic.Bool
-		done := ctx.Done()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := e.sim.getScratch()
-				defer e.sim.putScratch(sc)
-				for {
-					select {
-					case <-done:
-						stopped.Store(true)
-						return
-					default:
-					}
-					i := int(next.Add(1)) - 1
-					if i >= len(faults) {
-						return
-					}
-					detected[i] = detectAny(e.sim, usable, faults[i], sc)
-				}
-			}()
-		}
-		wg.Wait()
-		if stopped.Load() {
-			return Coverage{}, ctx.Err()
-		}
+	err := par.ForScratch(ctx, e.workers, len(faults), e.sim.getScratch, e.sim.putScratch,
+		func(sc *campaignScratch, i int) { detected[i] = detectAny(e.sim, usable, faults[i], sc) })
+	if err != nil {
+		return Coverage{}, err
 	}
 
 	cov := Coverage{Total: len(faults)}

@@ -13,7 +13,9 @@ package fault
 // per cut vector, the fault-free conductance state followed by one
 // single-valve perturbation per closed valve — consecutive solves differ
 // in at most two entries, so almost every solve takes the engine's warm
-// Sherman–Morrison–Woodbury path.
+// Sherman–Morrison–Woodbury path. The vectors of a rig are solved in
+// order on one solver, so the report, solve counters included, is the
+// same on every run.
 
 import (
 	"context"
@@ -27,8 +29,6 @@ type LeakageOptions struct {
 	// Params sets the physical model (open/leak conductance, meter
 	// threshold); the zero value uses the pressure package defaults.
 	Params pressure.Params
-	// Workers sizes the per-rig batch worker pool (0 = all CPU cores).
-	Workers int
 }
 
 // LeakageReport summarizes which closed-valve leaks the cut vectors
@@ -96,7 +96,7 @@ func QuantifyLeakage(ctx context.Context, sim *Simulator, cuts []Vector, opts Le
 		eng, ok := engines[key]
 		if !ok {
 			var err error
-			eng, err = pressure.NewEngine(c, key.src, key.mtr, pressure.EngineOptions{Workers: opts.Workers})
+			eng, err = pressure.NewEngine(c, key.src, key.mtr, pressure.EngineOptions{})
 			if err != nil {
 				return nil, err
 			}

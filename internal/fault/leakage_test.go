@@ -4,7 +4,6 @@ package fault_test
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"repro/internal/chip"
@@ -82,28 +81,6 @@ func TestQuantifyLeakageMeterSensitivity(t *testing.T) {
 	}
 	if fine.Detectable < coarse.Detectable {
 		t.Fatalf("sensitive meter detects less: fine %+v, coarse %+v", fine, coarse)
-	}
-}
-
-// TestQuantifyLeakageWorkerInvariance: the report is identical for any
-// worker count (the acceptance bar for threshold decisions).
-func TestQuantifyLeakageWorkerInvariance(t *testing.T) {
-	sim, cuts := leakageFixture(t, chip.MRNA())
-	var ref *fault.LeakageReport
-	for _, workers := range []int{1, 3, 8} {
-		rep, err := fault.QuantifyLeakage(context.Background(), sim, cuts, fault.LeakageOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep.Solves = pressure.EngineStats{} // solve counters vary with chunking
-		if ref == nil {
-			ref = rep
-			continue
-		}
-		if rep.Examined != ref.Examined || rep.Detectable != ref.Detectable ||
-			!reflect.DeepEqual(rep.Undetectable, ref.Undetectable) {
-			t.Fatalf("workers=%d diverged: %+v vs %+v", workers, rep, ref)
-		}
 	}
 }
 

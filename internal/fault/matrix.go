@@ -12,8 +12,8 @@ package fault
 import (
 	"context"
 	"math/bits"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // DetectionMatrix is the dense (vector, fault) detection relation of a
@@ -116,7 +116,7 @@ func (e *Engine) DetectionMatrix(ctx context.Context, vectors []Vector, faults [
 	// Phase 2: per-vector detection rows over the worker pool. Each row
 	// depends only on its own vector, so assembly order is fixed by the
 	// vector index and the result is worker-count independent.
-	fillRow := func(v int, sc *campaignScratch) {
+	fillRow := func(sc *campaignScratch, v int) {
 		if !evals[v].usable {
 			return
 		}
@@ -127,50 +127,8 @@ func (e *Engine) DetectionMatrix(ctx context.Context, vectors []Vector, faults [
 			}
 		}
 	}
-	workers := e.workers
-	if workers > len(vectors) {
-		workers = len(vectors)
-	}
-	if workers <= 1 {
-		sc := e.sim.getScratch()
-		for v := range vectors {
-			if err := ctx.Err(); err != nil {
-				e.sim.putScratch(sc)
-				return nil, err
-			}
-			fillRow(v, sc)
-		}
-		e.sim.putScratch(sc)
-		return m, nil
-	}
-	var next atomic.Int64
-	var stopped atomic.Bool
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := e.sim.getScratch()
-			defer e.sim.putScratch(sc)
-			for {
-				select {
-				case <-done:
-					stopped.Store(true)
-					return
-				default:
-				}
-				v := int(next.Add(1)) - 1
-				if v >= len(vectors) {
-					return
-				}
-				fillRow(v, sc)
-			}
-		}()
-	}
-	wg.Wait()
-	if stopped.Load() {
-		return nil, ctx.Err()
+	if err := par.ForScratch(ctx, e.workers, len(vectors), e.sim.getScratch, e.sim.putScratch, fillRow); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

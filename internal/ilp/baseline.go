@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/lp"
 )
@@ -26,9 +25,8 @@ func (m *Model) SolveBaseline(opts Options) (Result, error) {
 
 // SolveBaselineCtx is SolveBaseline with cooperative cancellation,
 // matching the seed SolveCtx contract (cancellation is a budget: nil
-// error, incumbent kept). Options.Workers and Options.HasIncumbent are
-// ignored — the seed solver is serial and carries the seed's
-// IncumbentObj zero-value ambiguity on purpose.
+// error, incumbent kept). Options.Workers is ignored — the seed solver is
+// serial.
 func (m *Model) SolveBaselineCtx(ctx context.Context, opts Options) (Result, error) {
 	n := m.P.NumVars()
 	for i := 0; i < n; i++ {
@@ -41,10 +39,6 @@ func (m *Model) SolveBaselineCtx(ctx context.Context, opts Options) (Result, err
 	if maxNodes <= 0 {
 		maxNodes = DefaultMaxNodes
 	}
-	deadline := time.Time{}
-	if opts.TimeLimit > 0 {
-		deadline = time.Now().Add(opts.TimeLimit)
-	}
 
 	sign := 1.0
 	if m.P.Sense() == lp.Maximize {
@@ -52,12 +46,6 @@ func (m *Model) SolveBaselineCtx(ctx context.Context, opts Options) (Result, err
 	}
 	bestObj := math.Inf(1)
 	var bestX []float64
-	if opts.IncumbentX != nil {
-		bestObj = sign * opts.IncumbentObj
-		bestX = append([]float64(nil), opts.IncumbentX...)
-	} else if opts.IncumbentObj != 0 && !math.IsInf(opts.IncumbentObj, 0) {
-		bestObj = sign * opts.IncumbentObj
-	}
 
 	type node struct {
 		fixedVar []int
@@ -70,10 +58,6 @@ func (m *Model) SolveBaselineCtx(ctx context.Context, opts Options) (Result, err
 	aborted := false
 	for len(stack) > 0 {
 		if res.Nodes >= maxNodes {
-			aborted = true
-			break
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
 			aborted = true
 			break
 		}

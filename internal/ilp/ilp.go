@@ -25,7 +25,6 @@ import (
 	"context"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/lp"
 )
@@ -53,9 +52,8 @@ func NewModel(p *lp.Problem) *Model { return &Model{P: p} }
 // Options tunes the branch-and-bound search.
 type Options struct {
 	// MaxNodes caps the number of branch-and-bound nodes (0 = default).
+	// Cancelling the SolveCtx context is the wall-clock backstop.
 	MaxNodes int
-	// TimeLimit caps wall-clock time (0 = no limit).
-	TimeLimit time.Duration
 	// Workers sets the number of concurrent search workers. 0 or 1 runs
 	// the search serially on the calling goroutine (no goroutines are
 	// spawned). On a fixed model the result is worker-count independent;
@@ -67,19 +65,6 @@ type Options struct {
 	// parallel solve the callback runs under the model's write lock (so it
 	// never races with relaxations) and must not call back into the model.
 	Lazy func(x []float64) []lp.Constraint
-	// IncumbentObj primes the search with a known objective bound
-	// (for minimization: an upper bound). The bound is honoured when
-	// IncumbentX is non-nil, when HasIncumbent is set, or — for
-	// compatibility — when IncumbentObj is non-zero and finite. Use
-	// HasIncumbent to prime a bound of exactly 0 without a solution
-	// vector; internally the search starts from a math.Inf(1) sentinel,
-	// so the zero Options value still means "none".
-	IncumbentObj float64
-	// IncumbentX optionally carries the solution achieving IncumbentObj.
-	IncumbentX []float64
-	// HasIncumbent marks IncumbentObj as meaningful even when it is zero
-	// and IncumbentX is nil (the zero-value ambiguity fix).
-	HasIncumbent bool
 }
 
 // DefaultMaxNodes bounds the search when Options.MaxNodes is zero.

@@ -68,28 +68,6 @@ func TestSolveCtxPreCancelledAborts(t *testing.T) {
 	}
 }
 
-func TestSolveCtxCancelledKeepsIncumbent(t *testing.T) {
-	// A primed incumbent must survive cancellation: the all-zeros vector is
-	// feasible for any knapsack, and a dead context means it is returned
-	// as-is with Status Feasible.
-	p := hardKnapsack(20)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	inc := make([]float64, p.NumVars())
-	res, err := NewModel(p).SolveCtx(ctx, Options{IncumbentObj: 0, IncumbentX: inc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != Feasible {
-		t.Fatalf("status = %v, want Feasible (incumbent kept)", res.Status)
-	}
-	for i, v := range res.X {
-		if v != 0 {
-			t.Fatalf("X[%d] = %v, want the primed incumbent (all zeros)", i, v)
-		}
-	}
-}
-
 func TestSolveCtxMidSearchCancellation(t *testing.T) {
 	// Probe how often the search polls the context on this instance, then
 	// cancel halfway: the solve must stop within one node, return a nil

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/lp"
 )
@@ -126,21 +125,6 @@ func TestNodeBudgetAborts(t *testing.T) {
 	}
 }
 
-func TestIncumbentPruning(t *testing.T) {
-	// Supplying the optimal incumbent should still return it.
-	p := lp.NewProblem(lp.Minimize)
-	a := p.AddBinaryVar(1, "a")
-	b := p.AddBinaryVar(2, "b")
-	p.AddConstraint(lp.Constraint{Terms: []lp.Term{lp.T(a, 1), lp.T(b, 1)}, Rel: lp.GE, RHS: 1})
-	res, err := NewModel(p).Solve(Options{IncumbentObj: 1, IncumbentX: []float64{1, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != Optimal || math.Abs(res.Obj-1) > 1e-6 || res.X[a] != 1 {
-		t.Fatalf("status=%v obj=%v x=%v", res.Status, res.Obj, res.X)
-	}
-}
-
 func TestNonBinaryBoundsRejected(t *testing.T) {
 	p := lp.NewProblem(lp.Minimize)
 	p.AddVar(1, 0, 5, "wide")
@@ -254,25 +238,6 @@ func TestStatusStrings(t *testing.T) {
 	}
 	if Status(42).String() != "unknown" {
 		t.Fatal("unknown status string")
-	}
-}
-
-func TestTimeLimitStopsSearch(t *testing.T) {
-	// A fractional model with a vanishing time limit must stop without
-	// claiming optimality.
-	p := lp.NewProblem(lp.Maximize)
-	var terms []lp.Term
-	for i := 0; i < 10; i++ {
-		v := p.AddBinaryVar(1, "v")
-		terms = append(terms, lp.Term{Var: v, Coef: 1})
-	}
-	p.AddConstraint(lp.Constraint{Terms: terms, Rel: lp.LE, RHS: 4.5})
-	res, err := NewModel(p).Solve(Options{TimeLimit: 1 * time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status == Optimal {
-		t.Fatalf("optimality claimed under a 1ns budget (nodes=%d)", res.Nodes)
 	}
 }
 

@@ -10,44 +10,6 @@ import (
 	"repro/internal/lp"
 )
 
-// A model whose only feasible point has objective 2: minimize 2a subject to
-// a >= 1. Priming the search with a proven bound of 0 must prune that point
-// and report infeasibility within the bound.
-func onlyPointCostsTwo() *Model {
-	p := lp.NewProblem(lp.Minimize)
-	a := p.AddBinaryVar(2, "a")
-	p.AddConstraint(lp.Constraint{Terms: []lp.Term{lp.T(a, 1)}, Rel: lp.GE, RHS: 1})
-	return NewModel(p)
-}
-
-// Regression for the IncumbentObj zero-value ambiguity: a bound of exactly 0
-// used to be indistinguishable from "no incumbent" when IncumbentX was nil,
-// so the solver would ignore it and return Optimal 2. HasIncumbent makes the
-// zero bound effective.
-func TestIncumbentZeroBoundHonored(t *testing.T) {
-	res, err := onlyPointCostsTwo().Solve(Options{IncumbentObj: 0, HasIncumbent: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The only feasible point costs 2 > 0, so under the primed bound the
-	// search exhausts without an acceptable solution.
-	if res.Status != Infeasible {
-		t.Fatalf("status = %v, want infeasible under primed zero bound", res.Status)
-	}
-}
-
-// The zero Options value must still mean "no incumbent": without
-// HasIncumbent (and without IncumbentX), IncumbentObj == 0 is ignored.
-func TestIncumbentZeroWithoutFlagIgnored(t *testing.T) {
-	res, err := onlyPointCostsTwo().Solve(Options{IncumbentObj: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != Optimal || math.Abs(res.Obj-2) > 1e-9 {
-		t.Fatalf("res = %+v, want optimal obj 2 (zero bound ignored)", res)
-	}
-}
-
 // mostFractional must break ties toward the lowest variable index.
 func TestMostFractionalTieBreak(t *testing.T) {
 	cases := []struct {

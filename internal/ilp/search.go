@@ -34,7 +34,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/lp"
 )
@@ -76,18 +75,6 @@ func (m *Model) SolveCtx(ctx context.Context, opts Options) (Result, error) {
 	}
 	if m.P.Sense() == lp.Maximize {
 		s.sign = -1 // compare in minimize space
-	}
-	if opts.TimeLimit > 0 {
-		s.deadline = time.Now().Add(opts.TimeLimit)
-	}
-	// Prime the incumbent. The sentinel is +Inf; see Options.IncumbentObj
-	// for when a caller-provided bound is honoured.
-	if opts.IncumbentX != nil || opts.HasIncumbent ||
-		(opts.IncumbentObj != 0 && !math.IsInf(opts.IncumbentObj, 0)) {
-		s.bestObj = s.sign * opts.IncumbentObj
-	}
-	if opts.IncumbentX != nil {
-		s.bestX = append([]float64(nil), opts.IncumbentX...)
 	}
 	s.bound.Store(math.Float64bits(s.bestObj))
 
@@ -246,7 +233,6 @@ type search struct {
 	n        int
 	sign     float64
 	maxNodes int64
-	deadline time.Time
 	front    *frontier
 	baseOv   [][2]float64
 
@@ -345,10 +331,6 @@ func (s *search) process(w *bbWorker, nd *bbNode) {
 		return
 	}
 	if s.ctx.Err() != nil {
-		s.abort()
-		return
-	}
-	if !s.deadline.IsZero() && time.Now().After(s.deadline) {
 		s.abort()
 		return
 	}

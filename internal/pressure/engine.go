@@ -2,7 +2,7 @@ package pressure
 
 // engine.go is the production pressure solver: a per-rig Engine that
 // caches the sparse LDLᵀ factorization of the grounded Laplacian and
-// serves repeated solves over a pool of Solvers.
+// serves repeated solves from reusable Solvers.
 //
 // The campaign-defining observation is that consecutive test vectors
 // differ in only a few valve states (a leakage sweep flips one valve per
@@ -27,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -46,8 +45,6 @@ type EngineOptions struct {
 	// per state change — the "sparse-cold" reference of
 	// cmd/bench -mode pressure).
 	RankBudget int
-	// Workers sizes the EvaluateAll worker pool (0 = runtime.GOMAXPROCS).
-	Workers int
 }
 
 // EngineStats is a snapshot of an Engine's solve counters.
@@ -93,9 +90,14 @@ type engineCounters struct {
 type Engine struct {
 	sys        *system
 	rankBudget int
-	workers    int
-	pool       sync.Pool // *Solver
 	counters   engineCounters
+
+	// idle holds the solvers not in use, the most recently returned last.
+	// Unlike a sync.Pool it never drops a solver or hides it on another
+	// P, so whether a solve starts warm, and with it every counter, is a
+	// function of the call sequence alone.
+	mu   sync.Mutex
+	idle []*Solver
 }
 
 // NewEngine analyzes the rig (unknown indexing, fill-reducing elimination
@@ -112,11 +114,7 @@ func NewEngine(c *chip.Chip, sourceNode, meterNode int, opts EngineOptions) (*En
 	case budget < 0:
 		budget = 0 // warm updates disabled
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Engine{sys: sys, rankBudget: budget, workers: workers}, nil
+	return &Engine{sys: sys, rankBudget: budget}, nil
 }
 
 // Chip returns the chip the engine solves.
@@ -140,7 +138,7 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// Solve answers one conductance state. It draws a pooled Solver (reusing
+// Solve answers one conductance state. It draws an idle Solver (reusing
 // whatever factorization it cached) and copies the pressures out, so the
 // Result remains valid indefinitely; hot loops that can tolerate the
 // aliasing contract should use a dedicated Solver instead.
@@ -154,112 +152,51 @@ func (e *Engine) Solve(conductance []float64) (Result, error) {
 	return res, err
 }
 
-// EvaluateAll solves every conductance vector and returns the meter flow
-// of each, fanning contiguous blocks out over the worker pool so each
-// worker's solver warm-updates along its block. Flow decisions against
-// any Params threshold match the dense baseline for every worker count;
-// the flows themselves may differ across worker counts in the last few
-// ulps (the warm/cold split depends on the block boundaries).
+// EvaluateAll solves every conductance vector in order on one solver, so
+// each state warm-updates from the one before it, and returns the meter
+// flow of each. Flow decisions against any Params threshold match the
+// dense baseline.
 func (e *Engine) EvaluateAll(ctx context.Context, vectors [][]float64) ([]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	s := e.getSolver()
+	defer e.putSolver(s)
 	flows := make([]float64, len(vectors))
-	workers := e.workers
-	if workers > len(vectors) {
-		workers = len(vectors)
-	}
-	if workers <= 1 {
-		s := e.getSolver()
-		defer e.putSolver(s)
-		for i, cond := range vectors {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			res, err := s.Solve(cond)
-			if err != nil {
-				return nil, fmt.Errorf("pressure: vector %d: %w", i, err)
-			}
-			flows[i] = res.MeterFlow
+	for i, cond := range vectors {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		return flows, nil
-	}
-
-	chunk := (len(vectors) + workers - 1) / workers
-	var (
-		stop    atomic.Bool
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		firstAt = len(vectors)
-		first   error
-	)
-	fail := func(i int, err error) {
-		stop.Store(true)
-		mu.Lock()
-		if i < firstAt {
-			firstAt, first = i, err
+		res, err := s.Solve(cond)
+		if err != nil {
+			return nil, fmt.Errorf("pressure: vector %d: %w", i, err)
 		}
-		mu.Unlock()
-	}
-	done := ctx.Done()
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(vectors) {
-			hi = len(vectors)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			s := e.getSolver()
-			defer e.putSolver(s)
-			for i := lo; i < hi; i++ {
-				if stop.Load() {
-					return
-				}
-				select {
-				case <-done:
-					stop.Store(true)
-					return
-				default:
-				}
-				res, err := s.Solve(vectors[i])
-				if err != nil {
-					fail(i, fmt.Errorf("pressure: vector %d: %w", i, err))
-					return
-				}
-				flows[i] = res.MeterFlow
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if first != nil {
-		return nil, first
+		flows[i] = res.MeterFlow
 	}
 	return flows, nil
 }
 
 // NewSolver returns a fresh dedicated solver for hot loops. Most callers
-// should let Engine.Solve / EvaluateAll manage pooled solvers instead.
+// should let Engine.Solve / EvaluateAll manage the engine's solvers
+// instead.
 func (e *Engine) NewSolver() *Solver { return newSolver(e) }
 
 func (e *Engine) getSolver() *Solver {
-	if s, ok := e.pool.Get().(*Solver); ok {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if n := len(e.idle); n > 0 {
+		s := e.idle[n-1]
+		e.idle = e.idle[:n-1]
 		return s
 	}
 	return newSolver(e)
 }
 
-func (e *Engine) putSolver(s *Solver) { e.pool.Put(s) }
+func (e *Engine) putSolver(s *Solver) {
+	e.mu.Lock()
+	e.idle = append(e.idle, s)
+	e.mu.Unlock()
+}
 
 // Solver answers pressure solves for one rig, caching the numeric
 // factorization of the last refactored conductance state and applying

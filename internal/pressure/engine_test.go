@@ -131,8 +131,7 @@ func TestEngineMatchesBaselineProperty(t *testing.T) {
 }
 
 // TestEvaluateAllMatchesBaseline checks the batch API against the dense
-// baseline for several worker counts: flows to 1e-9 and meter-threshold
-// decisions bit-equal.
+// baseline: flows to 1e-9 and meter-threshold decisions bit-equal.
 func TestEvaluateAllMatchesBaseline(t *testing.T) {
 	p := Params{}.WithDefaults()
 	for _, c := range testChips(t) {
@@ -144,31 +143,24 @@ func TestEvaluateAllMatchesBaseline(t *testing.T) {
 			vectors = append(vectors, cond)
 			cond = flipSome(rng, cond)
 		}
-		want := make([]float64, len(vectors))
-		for i, v := range vectors {
-			res, err := SolveBaseline(c, v, src, mtr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i] = res.MeterFlow
+		eng, err := NewEngine(c, src, mtr, EngineOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 3, 8} {
-			eng, err := NewEngine(c, src, mtr, EngineOptions{Workers: workers})
+		flows, err := eng.EvaluateAll(context.Background(), vectors)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		for i, v := range vectors {
+			want, err := SolveBaseline(c, v, src, mtr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			flows, err := eng.EvaluateAll(context.Background(), vectors)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", c.Name, workers, err)
+			if math.Abs(flows[i]-want.MeterFlow) > 1e-9 {
+				t.Fatalf("%s vector %d: flow %v, baseline %v", c.Name, i, flows[i], want.MeterFlow)
 			}
-			for i := range flows {
-				if math.Abs(flows[i]-want[i]) > 1e-9 {
-					t.Fatalf("%s workers=%d vector %d: flow %v, baseline %v",
-						c.Name, workers, i, flows[i], want[i])
-				}
-				if (flows[i] > p.MeterThreshold) != (want[i] > p.MeterThreshold) {
-					t.Fatalf("%s workers=%d vector %d: decision diverged", c.Name, workers, i)
-				}
+			if (flows[i] > p.MeterThreshold) != (want.MeterFlow > p.MeterThreshold) {
+				t.Fatalf("%s vector %d: decision diverged", c.Name, i)
 			}
 		}
 	}
@@ -176,7 +168,7 @@ func TestEvaluateAllMatchesBaseline(t *testing.T) {
 
 func TestEvaluateAllCancel(t *testing.T) {
 	c := chip.IVD()
-	eng, err := NewEngine(c, c.Ports[0].Node, c.Ports[2].Node, EngineOptions{Workers: 2})
+	eng, err := NewEngine(c, c.Ports[0].Node, c.Ports[2].Node, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +182,7 @@ func TestEvaluateAllCancel(t *testing.T) {
 
 func TestEvaluateAllBadVector(t *testing.T) {
 	c := chip.IVD()
-	eng, err := NewEngine(c, c.Ports[0].Node, c.Ports[2].Node, EngineOptions{Workers: 4})
+	eng, err := NewEngine(c, c.Ports[0].Node, c.Ports[2].Node, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,8 @@
 // cross-checks. The production path is the sparse Engine (engine.go): CSR
 // assembly, a cached LDLᵀ factorization under a fill-reducing elimination
 // order, Sherman–Morrison–Woodbury low-rank updates between test vectors
-// that differ in only a few valve states, and a batched parallel
-// EvaluateAll for whole leakage campaigns.
+// that differ in only a few valve states, and an in-order EvaluateAll
+// that sweeps a whole leakage campaign through one warm solver.
 package pressure
 
 import (
@@ -52,8 +52,7 @@ type Params struct {
 	LeakConductance float64
 	// HasLeakConductance marks LeakConductance as explicitly chosen, making
 	// a genuinely zero leak expressible: {LeakConductance: 0} alone would
-	// silently become the 0.05 default (the Options.IncumbentObj ambiguity,
-	// fixed the same way).
+	// silently become the 0.05 default.
 	HasLeakConductance bool
 	// MeterThreshold is the minimum inflow the meter registers as
 	// "pressure present" (default 1e-6).

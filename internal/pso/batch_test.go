@@ -55,7 +55,7 @@ func TestMinimizeParallelEvaluationCount(t *testing.T) {
 }
 
 // An explicit zero coefficient must mean zero, not "use the default"
-// (the ilp.HasIncumbent / pressure.HasLeakConductance convention).
+// (the pressure.HasLeakConductance convention).
 func TestConfigExplicitZeroCoefficients(t *testing.T) {
 	// HasVMax with VMax 0 pins every particle to its initial position:
 	// velocities are clamped into [-0, 0], so the trace is flat.

@@ -29,8 +29,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // Config tunes the swarm.
@@ -183,46 +183,22 @@ func MinimizeCtx(ctx context.Context, dim int, fitness func(x []float64) float64
 	evals := 0
 	fs := make([]float64, len(swarm))
 	done := make([]bool, len(swarm))
-	workers := cfg.Workers
-	if workers > len(swarm) {
-		workers = len(swarm)
-	}
 
-	// evalGen evaluates the current generation into fs, serially or over
-	// the worker pool, and reports whether any particle was skipped
-	// because the context expired. During initialization (init) the first
-	// particle is always evaluated so the result carries a real position.
+	// evalGen evaluates the current generation into fs over cfg.Workers
+	// goroutines (serially at 0 or 1) and reports whether any particle
+	// was skipped because the context expired. During initialization
+	// (init) the first particle is always evaluated so the result carries
+	// a real position.
 	evalGen := func(init bool) bool {
 		for i := range done {
 			done[i] = false
 		}
-		if workers > 1 && ctx.Err() == nil {
-			var next int64 = -1
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for ctx.Err() == nil {
-						i := int(atomic.AddInt64(&next, 1))
-						if i >= len(swarm) {
-							return
-						}
-						fs[i] = clampNaN(fitness(swarm[i].x))
-						done[i] = true
-					}
-				}()
-			}
-			wg.Wait()
-		} else if workers <= 1 {
-			for i := range swarm {
-				if ctx.Err() != nil && !(init && i == 0) {
-					break
-				}
-				fs[i] = clampNaN(fitness(swarm[i].x))
-				done[i] = true
-			}
-		}
+		// The error only repeats ctx.Err(): a skipped particle keeps
+		// done[i] false, which is what evalGen reports.
+		_ = par.For(ctx, cfg.Workers, len(swarm), func(i int) {
+			fs[i] = clampNaN(fitness(swarm[i].x))
+			done[i] = true
+		})
 		if init && !done[0] {
 			fs[0] = clampNaN(fitness(swarm[0].x))
 			done[0] = true

@@ -84,7 +84,7 @@ type SolverInfo struct {
 // LeakageInfo is the serialized form of fault.LeakageReport: how many
 // closed-valve leaks the cut vectors expose under the quantitative
 // pressure model. The engine's solve counters are left to the -stats
-// stage counters: their warm/cold split depends on the worker count.
+// stage counters, with the other solver-effort counters.
 type LeakageInfo struct {
 	Examined     int   `json:"examined"`
 	Detectable   int   `json:"detectable"`

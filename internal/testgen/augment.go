@@ -15,12 +15,12 @@ package testgen
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/chip"
 	"repro/internal/fault"
 	"repro/internal/ilp"
+	"repro/internal/par"
 )
 
 // Augmentation is a DFT configuration: the augmented chip plus the test
@@ -118,12 +118,7 @@ func (o Options) maxPaths() int {
 
 // ilpWorkers resolves Options.Workers the same way fault.NewEngine resolves
 // its pool size: 0 means one worker per CPU core.
-func (o Options) ilpWorkers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+func (o Options) ilpWorkers() int { return par.Workers(o.Workers) }
 
 // testPorts returns the paper's test port pair (most distant ports) and
 // their grid nodes.

@@ -10,15 +10,14 @@ package testgen
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/chip"
 	"repro/internal/fault"
 	"repro/internal/graphalg"
+	"repro/internal/par"
 )
 
 // SuiteOptions configure suite generation.
@@ -26,20 +25,6 @@ type SuiteOptions struct {
 	// Workers sizes the per-valve worker pool; <= 0 selects GOMAXPROCS.
 	// Results are bit-identical for any worker count.
 	Workers int
-}
-
-func (o SuiteOptions) workers(n int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Suite is a per-valve test suite over one chip.
@@ -364,49 +349,6 @@ func (p *suitePre) solveValve(valve int) valveVectors {
 	return vv
 }
 
-// forEachIndex fans fn over [0, n) with an atomic index claim, exactly the
-// fault engine's pool shape: results keyed by index are bit-identical for
-// any worker count.
-func forEachIndex(ctx context.Context, workers, n int, fn func(int)) error {
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i)
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var stopped atomic.Bool
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					stopped.Store(true)
-					return
-				default:
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if stopped.Load() {
-		return ctx.Err()
-	}
-	return nil
-}
-
 // suiteKey is the content key a suite dedups vectors by.
 func suiteKey(v fault.Vector) string {
 	buf := make([]byte, 0, 8+4*(len(v.Valves)+2))
@@ -482,7 +424,7 @@ func GenerateBaselineCtx(ctx context.Context, c *chip.Chip, opts SuiteOptions) (
 	}
 	pre := newSuitePre(c)
 	slots := make([]valveVectors, c.NumValves())
-	err := forEachIndex(ctx, opts.workers(len(slots)), len(slots), func(v int) {
+	err := par.For(ctx, par.Workers(opts.Workers), len(slots), func(v int) {
 		slots[v] = pre.solveValve(v)
 	})
 	if err != nil {

@@ -42,6 +42,7 @@ import (
 	"repro/internal/chip"
 	"repro/internal/fault"
 	"repro/internal/grid"
+	"repro/internal/par"
 )
 
 const (
@@ -560,7 +561,7 @@ func (e *TemplateEngine) GenerateCtx(ctx context.Context, c *chip.Chip, opts Sui
 	// Line classes need no solve: their recipe is closed-form.
 	tmpls := make([]*template, len(classes))
 	var hits, diskHits atomic.Int64
-	err := forEachIndex(ctx, opts.workers(len(classes)), len(classes), func(i int) {
+	err := par.For(ctx, par.Workers(opts.Workers), len(classes), func(i int) {
 		rep := repOf[classes[i]]
 		t, hit := e.cache.Do(classes[i], func() *template {
 			if classes[i][0] == 'L' {
@@ -591,7 +592,7 @@ func (e *TemplateEngine) GenerateCtx(ctx context.Context, c *chip.Chip, opts Sui
 	// the full solve when any step fails.
 	slots := make([]valveVectors, nv)
 	var instantiated, fallbacks atomic.Int64
-	err = forEachIndex(ctx, opts.workers(nv), nv, func(v int) {
+	err = par.For(ctx, par.Workers(opts.Workers), nv, func(v int) {
 		t := tmplOf[sigs[v]]
 		vv := &slots[v]
 		if t.HasPath {
