@@ -79,7 +79,7 @@ func measure(cs, variant string, op func() error) (Record, error) {
 // setSpeedups sets each record's speedup to the cost of the variant named
 // ref on the same case over its own. Cost is ns per op, or ns per unit of
 // the counter named per where variants do different amounts of work per
-// op (branch-and-bound nodes, suite vectors).
+// op (suite vectors).
 func setSpeedups(recs []Record, ref, per string) {
 	cost := func(r Record) float64 {
 		if per == "" {

@@ -2,9 +2,9 @@ package main
 
 // ilp.go is the ilp mode: the branch-and-bound engine on the paper's real
 // models — the test-path generation ILP (eqs. (1)-(6)) and the test-cut
-// set-cover ILP of both example chips — at 1, 2, 4 and 8 workers. Worker
-// counts can explore different numbers of nodes on the same instance, so
-// speedups compare ns per node against workers-1.
+// set-cover ILP of both example chips. The search is serial and
+// deterministic, so each case is one record whose node, lazy-cut and LP
+// pivot counts are functions of the model; ns_node is the per-node cost.
 
 import (
 	"context"
@@ -76,30 +76,30 @@ func runILP() ([]Record, error) {
 	var recs []Record
 	for _, bc := range cases {
 		probe, _ := bc.build()
-		for _, workers := range []int{1, 2, 4, 8} {
-			var nodes int
-			r, err := measure(bc.name, fmt.Sprintf("workers-%d", workers), func() error {
-				m, lazy := bc.build()
-				res, err := m.SolveCtx(ctx, ilp.Options{MaxNodes: bc.maxNodes, Workers: workers, Lazy: lazy})
-				nodes = res.Nodes
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			r.Counters = map[string]float64{
-				"vars":        float64(probe.P.NumVars()),
-				"constraints": float64(probe.P.NumConstraints()),
-				"max_nodes":   float64(bc.maxNodes),
-				"nodes":       float64(nodes),
-			}
-			if nodes > 0 {
-				r.Counters["ns_node"] = float64(r.NsOp) / float64(nodes)
-				r.Counters["allocs_node"] = float64(r.AllocsOp) / float64(nodes)
-			}
-			recs = append(recs, r)
+		var res ilp.Result
+		r, err := measure(bc.name, "warm", func() error {
+			m, lazy := bc.build()
+			var err error
+			res, err = m.SolveCtx(ctx, ilp.Options{MaxNodes: bc.maxNodes, Lazy: lazy})
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
+		r.Counters = map[string]float64{
+			"vars":          float64(probe.P.NumVars()),
+			"constraints":   float64(probe.P.NumConstraints()),
+			"max_nodes":     float64(bc.maxNodes),
+			"nodes":         float64(res.Nodes),
+			"lazy_cuts":     float64(res.LazyCuts),
+			"lp_pivots":     float64(res.Stats.LPPivots),
+			"lp_max_pivots": float64(res.Stats.LPMaxPivots),
+		}
+		if res.Nodes > 0 {
+			r.Counters["ns_node"] = float64(r.NsOp) / float64(res.Nodes)
+			r.Counters["allocs_node"] = float64(r.AllocsOp) / float64(res.Nodes)
+		}
+		recs = append(recs, r)
 	}
-	setSpeedups(recs, "workers-1", "nodes")
 	return recs, nil
 }

@@ -44,7 +44,7 @@ var modes = []struct {
 	run        func() ([]Record, error)
 }{
 	{"fault", "fault-simulation campaign on mRNA: memoized engine vs worker pool", runFault},
-	{"ilp", "branch-and-bound ILP engine at 1/2/4/8 workers on the paper's test-path and test-cut models", runILP},
+	{"ilp", "serial warm-started branch-and-bound ILP engine on the paper's test-path and test-cut models", runILP},
 	{"pressure", "node-pressure solvers (sparse cold vs warm) on a leakage sweep per design", runPressure},
 	{"diagnose", "adaptive fault diagnosis vs exhaustive replay per design", runDiagnose},
 	{"pso", "two-level PSO fitness engine at 1/2/4/8 workers per chip/assay combo", runPSO},

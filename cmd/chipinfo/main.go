@@ -47,7 +47,7 @@ func run() int {
 		if err != nil {
 			return cliutil.Fail(tool, err)
 		}
-		ts, err = dft.BuildTestSetCtx(ctx, c, false, rf.Workers, cache)
+		ts, err = dft.BuildTestSetCtx(ctx, c, false, cache)
 		if err != nil {
 			return cliutil.Fail(tool, err)
 		}

@@ -128,7 +128,7 @@ func run() int {
 	}
 	pipe := &flowstage.Pipeline{Stages: []flowstage.Stage{
 		{Name: "testset", Run: func(ctx context.Context, st *flowstage.StageStats) error {
-			ts, err := dft.BuildTestSetCtx(ctx, c, *optimal, rf.Workers, cache)
+			ts, err := dft.BuildTestSetCtx(ctx, c, *optimal, cache)
 			if err != nil {
 				return err
 			}

@@ -330,13 +330,13 @@ func RunBatchCtx(ctx context.Context, jobs []BatchJob, opts BatchOptions) []Batc
 
 // BuildTestSet augments a chip heuristically and generates its cut cover
 // (exact when optimal), consulting the artifact cache when non-nil.
-func BuildTestSet(c *Chip, optimal bool, workers int, cache *ArtifactCache) (*TestSet, error) {
-	return core.BuildTestSet(c, optimal, workers, cache)
+func BuildTestSet(c *Chip, optimal bool, cache *ArtifactCache) (*TestSet, error) {
+	return core.BuildTestSet(c, optimal, cache)
 }
 
 // BuildTestSetCtx is BuildTestSet with cooperative cancellation.
-func BuildTestSetCtx(ctx context.Context, c *Chip, optimal bool, workers int, cache *ArtifactCache) (*TestSet, error) {
-	return core.BuildTestSetCtx(ctx, c, optimal, workers, cache)
+func BuildTestSetCtx(ctx context.Context, c *Chip, optimal bool, cache *ArtifactCache) (*TestSet, error) {
+	return core.BuildTestSetCtx(ctx, c, optimal, cache)
 }
 
 // EncodeResult renders a Result in the canonical encoding the cache

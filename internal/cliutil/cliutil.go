@@ -123,8 +123,8 @@ func LoadAssay(name, file string) (*assay.Graph, error) {
 type RunFlags struct {
 	// Timeout bounds the run's wall clock (0 = none).
 	Timeout time.Duration
-	// Workers sizes the fault-simulation/ILP/PSO worker pools (0 = all
-	// CPU cores). Results are bit-identical for any value.
+	// Workers sizes the fault-simulation, diagnosis and PSO worker pools
+	// (0 = all CPU cores). Results are bit-identical for any value.
 	Workers int
 	// CacheDir roots the persistent artifact store ("" = no disk tier).
 	CacheDir string
@@ -139,7 +139,7 @@ func AddRunFlags() *RunFlags {
 	flag.DurationVar(&rf.Timeout, "timeout", 0,
 		"overall wall-clock budget (0 = none)")
 	flag.IntVar(&rf.Workers, "workers", 0,
-		"fault-simulation, pressure-solve, ILP and PSO worker-pool size (0 = all CPU cores; results are identical for any value)")
+		"fault-simulation, diagnosis and PSO worker-pool size (0 = all CPU cores; results are identical for any value)")
 	flag.StringVar(&rf.CacheDir, "cache-dir", "",
 		"persistent artifact-cache directory; warm reruns skip solved stages (empty = no disk tier)")
 	flag.Int64Var(&rf.CacheMB, "cache-mb", 0,

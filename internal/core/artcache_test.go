@@ -240,13 +240,13 @@ func TestBuildTestSetCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := BuildTestSet(chip.IVD(), false, 0, nil)
+	fresh, err := BuildTestSet(chip.IVD(), false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := EncodeTestSet(fresh)
 
-	cold, err := BuildTestSet(chip.IVD(), false, 0, cc)
+	cold, err := BuildTestSet(chip.IVD(), false, cc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestBuildTestSetCache(t *testing.T) {
 	if !bytes.Equal(coldEnc, want) {
 		t.Fatal("cold cached test set differs from fresh")
 	}
-	mem, err := BuildTestSet(chip.IVD(), false, 0, cc)
+	mem, err := BuildTestSet(chip.IVD(), false, cc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestBuildTestSetCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := BuildTestSet(chip.IVD(), false, 0, cc2)
+	disk, err := BuildTestSet(chip.IVD(), false, cc2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestBuildTestSetCache(t *testing.T) {
 		t.Fatal("disk-tier test set differs from fresh")
 	}
 	// The optimal flag is part of the digest: no false sharing.
-	opt, err := BuildTestSet(chip.IVD(), true, 0, cc2)
+	opt, err := BuildTestSet(chip.IVD(), true, cc2)
 	if err != nil {
 		t.Fatal(err)
 	}

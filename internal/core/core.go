@@ -119,12 +119,11 @@ type Options struct {
 	// (0 = solve.DefaultExactBudget). Only meaningful with UseILP.
 	ExactBudget time.Duration
 	// Workers sets the worker-pool size shared by every coverage check in
-	// the flow, by the branch-and-bound search of the exact-ILP tiers, and
-	// by both PSO levels' batch-synchronous generation evaluation
-	// (0 = runtime.GOMAXPROCS). Coverage results are bit-identical for any
-	// worker count, and so are exhausted ILP solves (see package ilp for
-	// the exact guarantee) and the PSO trajectories (see package pso) —
-	// the Result is worker-count invariant except for Stats.
+	// the flow and by both PSO levels' batch-synchronous generation
+	// evaluation (0 = runtime.GOMAXPROCS). Coverage results are
+	// bit-identical for any worker count, and so are the PSO trajectories
+	// (see package pso); the exact-ILP tier is serial. The Result is
+	// worker-count invariant except for Stats.
 	Workers int
 	// Observer receives live pipeline events: stage boundaries, solver
 	// iteration ticks, chain tier transitions, cache-hit deltas. nil

@@ -122,17 +122,20 @@ func TestDecodePartnersNoOriginalValves(t *testing.T) {
 // TestFlowWorkerCountInvariance is the property test for the batch-
 // synchronous engine: the full flow's Result must be bit-identical for
 // 1, 2, 4 and 8 workers on every bundled design, the leakage report and
-// the finalize stage's pressure counters included.
+// the finalize stage's pressure counters included. With the exact tier
+// on IVD, so must the reference stage's ilp_* counters.
 func TestFlowWorkerCountInvariance(t *testing.T) {
 	combos := []struct {
-		name  string
-		chip  *chip.Chip
-		assay *assay.Graph
-		long  bool
+		name     string
+		chip     *chip.Chip
+		assay    *assay.Graph
+		long     bool
+		exactILP bool
 	}{
-		{"ivd_ivd", chip.IVD(), assay.IVD(), false},
-		{"ra30_pid", chip.RA30(), assay.PID(), true},
-		{"mrna_cpa", chip.MRNA(), assay.CPA(), true},
+		{"ivd_ivd", chip.IVD(), assay.IVD(), false, false},
+		{"ivd_ivd_ilp", chip.IVD(), assay.IVD(), false, true},
+		{"ra30_pid", chip.RA30(), assay.PID(), true, false},
+		{"mrna_cpa", chip.MRNA(), assay.CPA(), true, false},
 	}
 	for _, combo := range combos {
 		combo := combo
@@ -144,11 +147,12 @@ func TestFlowWorkerCountInvariance(t *testing.T) {
 			for _, workers := range []int{1, 2, 4, 8} {
 				opts := smallOpts(11)
 				opts.Workers = workers
+				opts.UseILP = combo.exactILP
 				res, err := RunDFTFlow(combo.chip, combo.assay, opts)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				got := canonicalResult(res) + leakageReport(res)
+				got := canonicalResult(res) + leakageReport(res) + ilpCounters(res)
 				if workers == 1 {
 					want = got
 					continue
@@ -159,6 +163,27 @@ func TestFlowWorkerCountInvariance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// ilpCounters renders the reference stage's ilp_* counters: the exact
+// tier's node, lazy-cut and LP pivot counts.
+func ilpCounters(res *Result) string {
+	st := res.Stats.Stage(StageReference)
+	if st == nil {
+		return ""
+	}
+	var names []string
+	for name := range st.Counters {
+		if strings.HasPrefix(name, "ilp_") {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		fmt.Fprintf(&b, "%s: %d\n", name, st.Counters[name])
+	}
+	return b.String()
 }
 
 // leakageReport renders the leakage report, pressure-engine counters

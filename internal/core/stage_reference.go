@@ -25,7 +25,6 @@ func (f *flow) runReferenceStage(ctx context.Context, st *flowstage.StageStats) 
 		ExactBudget: f.opts.ExactBudget,
 		Inject:      f.opts.Inject,
 		Options: testgen.Options{
-			Workers: f.opts.Workers,
 			OnILPAttempt: func(paths, nodes, lazyCuts int) {
 				st.Count("ilp_attempts", 1)
 				st.Count("ilp_nodes", int64(nodes))
@@ -33,13 +32,6 @@ func (f *flow) runReferenceStage(ctx context.Context, st *flowstage.StageStats) 
 				obs.ILPAttempt(st.Name, paths, nodes, lazyCuts)
 			},
 			OnILPStats: func(s ilp.SolveStats) {
-				// The resolved worker count is a configuration fact, not an
-				// accumulating quantity: record it once per stage.
-				if st.Counter("ilp_workers") == 0 {
-					st.Count("ilp_workers", int64(s.Workers))
-				}
-				st.Count("ilp_steals", int64(s.Steals))
-				st.Count("ilp_idle_waits", int64(s.IdleWaits))
 				st.Count("ilp_requeued", int64(s.Requeued))
 				st.Count("ilp_lp_pivots", int64(s.LPPivots))
 				// A maximum over the stage's solves, kept by counting up

@@ -98,17 +98,16 @@ func DecodeTestSet(orig *chip.Chip, payload []byte) (*TestSet, error) {
 }
 
 // BuildTestSet is BuildTestSetCtx with background context.
-func BuildTestSet(c *chip.Chip, optimal bool, workers int, cc *Cache) (*TestSet, error) {
-	return BuildTestSetCtx(context.Background(), c, optimal, workers, cc)
+func BuildTestSet(c *chip.Chip, optimal bool, cc *Cache) (*TestSet, error) {
+	return BuildTestSetCtx(context.Background(), c, optimal, cc)
 }
 
 // BuildTestSetCtx augments the chip with the heuristic engine and
 // generates its cut cover (exact set cover when optimal), consulting the
 // artifact cache when one is supplied: a hit skips both solves and
 // returns a decoded set bit-identical to a fresh one under the canonical
-// encoding. The result is a pure function of (chip, optimal), so every
-// worker count shares one entry.
-func BuildTestSetCtx(ctx context.Context, c *chip.Chip, optimal bool, workers int, cc *Cache) (*TestSet, error) {
+// encoding. The result is a pure function of (chip, optimal).
+func BuildTestSetCtx(ctx context.Context, c *chip.Chip, optimal bool, cc *Cache) (*TestSet, error) {
 	var digest artifact.Digest
 	if cc != nil {
 		digest = testSetDigest(c, optimal)
@@ -125,8 +124,7 @@ func BuildTestSetCtx(ctx context.Context, c *chip.Chip, optimal bool, workers in
 	}
 	var cuts []fault.Vector
 	if optimal {
-		cuts, err = testgen.GenerateCutsOptimalCtx(ctx, aug.Chip, aug.Source, aug.Meter,
-			testgen.Options{Workers: workers})
+		cuts, err = testgen.GenerateCutsOptimalCtx(ctx, aug.Chip, aug.Source, aug.Meter, testgen.Options{})
 	} else {
 		cuts, err = testgen.GenerateCutsCtx(ctx, aug.Chip, aug.Source, aug.Meter)
 	}

@@ -22,9 +22,9 @@ import (
 //   - ChainAttempt fires once per degradation-chain tier attempt
 //     (exact → heuristic → repair) with the attempt's outcome.
 //   - ILPAttempt fires once per ILP |P|-iteration with branch-and-bound
-//     node and lazy-cut counts. The parallel-search statistics of those
-//     solves (worker count, steals, idle waits, requeues) arrive as
-//     ilp_* stage counters in the StageStats passed to StageEnd.
+//     node and lazy-cut counts. The other statistics of those solves
+//     (requeues, LP pivots) arrive as ilp_* stage counters in the
+//     StageStats passed to StageEnd.
 //   - CacheDelta fires at stage end, once per cache the stage touched.
 type Observer interface {
 	StageStart(stage string)

@@ -8,39 +8,31 @@
 // found, a callback may reject it by returning additional constraints,
 // which are added to the model before the search continues.
 //
-// The search (search.go) is a deterministic parallel branch and bound: a
-// worker pool explores subtrees from a shared LIFO frontier under an
-// atomically shared incumbent bound. Determinism is part of the contract:
-// on a fixed model (no lazy cuts) an exhausted search returns bit-identical
-// (Status, X, Obj) for every worker count, because nodes are pruned only
-// when their relaxation is strictly worse than the bound and equal-objective
+// The search (search.go) is a serial depth-first branch and bound whose
+// nodes re-solve their relaxations warm, from the basis of the node
+// before, with the dual simplex of package lp. It is deterministic by
+// construction: the tree, its node, lazy-cut and LP pivot counts and the
+// result are functions of the model. Nodes are pruned only when their
+// relaxation is strictly worse than the bound and equal-objective
 // incumbents are resolved to the lexicographically smallest rounded
-// solution (see DESIGN.md §11 for the argument). Node counts and parallel
-// statistics do vary with scheduling, as do budget-truncated (Feasible/
-// Aborted) results. The seed serial solver is preserved in baseline.go for
-// benchmarks and cross-checks.
+// solution, so an exhausted search returns the same (Status, X, Obj)
+// whichever order it visits the optimal leaves in (see DESIGN.md §11).
+// The seed serial solver is preserved in baseline.go as a test oracle.
 package ilp
 
 import (
 	"context"
 	"math"
-	"sync"
 
 	"repro/internal/lp"
 )
 
 // Model wraps an lp.Problem whose variables are all binary (bounds must be
-// within [0,1]); Solve enforces integrality on every variable. A Model must
-// not be copied after first use (it embeds the lock that serializes lazy
-// constraint insertion against concurrent LP relaxations).
+// within [0,1]); Solve enforces integrality on every variable.
 type Model struct {
 	P *lp.Problem
 
-	// mu guards P during a parallel solve: relaxations take the read
-	// side, lazy-cut insertion the write side.
-	mu sync.RWMutex
-
-	// relax solves one node's LP relaxation; nil means P.SolveTab. Tests
+	// relax solves one node's LP relaxation; nil means P.SolveWarm. Tests
 	// substitute it to inject relaxation outcomes.
 	relax func(ctx context.Context, ov [][2]float64, tab *lp.Tableau) (lp.Solution, error)
 }
@@ -54,35 +46,17 @@ type Options struct {
 	// MaxNodes caps the number of branch-and-bound nodes (0 = default).
 	// Cancelling the SolveCtx context is the wall-clock backstop.
 	MaxNodes int
-	// Workers sets the number of concurrent search workers. 0 or 1 runs
-	// the search serially on the calling goroutine (no goroutines are
-	// spawned). On a fixed model the result is worker-count independent;
-	// see the package comment for the exact guarantee.
-	Workers int
 	// Lazy, if non-nil, is invoked on every integer-feasible candidate. It
 	// returns constraints violated by the candidate; returning none accepts
-	// the candidate as feasible. Added constraints apply globally. During a
-	// parallel solve the callback runs under the model's write lock (so it
-	// never races with relaxations) and must not call back into the model.
+	// the candidate as feasible. Added constraints apply globally.
 	Lazy func(x []float64) []lp.Constraint
 }
 
 // DefaultMaxNodes bounds the search when Options.MaxNodes is zero.
 const DefaultMaxNodes = 20000
 
-// SolveStats describes how one branch-and-bound run used its workers.
+// SolveStats describes the effort of one branch-and-bound run.
 type SolveStats struct {
-	// Workers is the resolved worker count of the solve.
-	Workers int
-	// NodesPerWorker counts the nodes each worker processed; the entries
-	// sum to Result.Nodes.
-	NodesPerWorker []int
-	// Steals counts frontier pops that took a node pushed by a different
-	// worker — cross-worker load balancing events.
-	Steals int
-	// IdleWaits counts the times a worker blocked on an empty frontier
-	// while siblings were still expanding nodes.
-	IdleWaits int
 	// Requeued counts nodes pushed back after a lazy-cut rejection.
 	Requeued int
 
@@ -103,11 +77,9 @@ type Result struct {
 	Status   Status
 	X        []float64 // integral values (0/1) when Status is Optimal or Feasible
 	Obj      float64
-	Nodes    int // branch-and-bound nodes explored
-	LazyCuts int // lazy constraints added during the search
-	// Stats carries the parallel-search statistics of the solve (Workers
-	// is 1 and Steals/IdleWaits are 0 for a serial run).
-	Stats SolveStats
+	Nodes    int        // branch-and-bound nodes explored
+	LazyCuts int        // lazy constraints added during the search
+	Stats    SolveStats // requeues and LP effort
 }
 
 // Status classifies an ILP result.
@@ -151,7 +123,7 @@ func (m *Model) Solve(opts Options) (Result, error) {
 // maximum) — or -1 if all values are integral within tolerance. The rule
 // is deterministic in x, which together with the deterministic LP solver
 // makes the branch-and-bound tree of a fixed model a function of the model
-// alone (the serial-search determinism property pinned by tests).
+// alone (the determinism property pinned by tests).
 func mostFractional(x []float64) int {
 	best := -1
 	bestDist := intTol

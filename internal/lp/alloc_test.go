@@ -31,7 +31,8 @@ func smallCover() *lp.Problem {
 // was first sized by, nor — once grown from it — solving IVD's test-path
 // ILP under branch-and-bound fixings, where the matrix, its bitmaps and
 // the per-iteration index lists are at real size, alternating with the
-// small model again.
+// small model again. Nor may SolveWarm, re-solving IVD's ILP from the
+// basis of the previous fixings.
 func TestSolveTabWarmAllocFree(t *testing.T) {
 	ctx := context.Background()
 	tab := lp.NewTableau()
@@ -62,5 +63,16 @@ func TestSolveTabWarmAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("warm SolveTab allocates %v objects per IVD+small solve pair, want 0", allocs)
+	}
+
+	solve(ivd.P, nil) // an optimal root leaves the basis warm
+	allocs = testing.AllocsPerRun(20, func() {
+		if _, err := ivd.P.SolveWarm(ctx, fixings[k%len(fixings)], tab); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	if allocs > 0 {
+		t.Fatalf("SolveWarm allocates %v objects per IVD re-solve, want 0", allocs)
 	}
 }

@@ -10,8 +10,8 @@ package lp
 // handled by the standard nonbasic-at-lower/nonbasic-at-upper technique
 // with a bound-flip ratio test, which keeps only the true constraint
 // rows. The scratch is re-populated in place on every solve, so a warm
-// Tableau performs no allocations; package ilp keeps one per
-// branch-and-bound worker.
+// Tableau performs no allocations; package ilp keeps one per search and
+// re-solves each node from the previous node's basis (warm.go).
 //
 // Sparse-aware pivots. The matrix stays dense, but per-row and per-column
 // bitmaps hold a superset of its nonzeros, so an iteration visits only
@@ -32,11 +32,11 @@ import (
 	"math/bits"
 )
 
-// Tableau is reusable scratch storage for SolveTab. The zero value is
-// ready to use (NewTableau is provided for clarity); a Tableau grows to
-// the largest problem it has seen and is then allocation-free. It is not
-// safe for concurrent use — callers that solve in parallel keep one
-// Tableau per worker.
+// Tableau is reusable scratch storage for SolveTab and SolveWarm. The
+// zero value is ready to use (NewTableau is provided for clarity); a
+// Tableau grows to the largest problem it has seen and is then
+// allocation-free. After a solve that ends Optimal it keeps its basis,
+// which SolveWarm re-solves from. It is not safe for concurrent use.
 type Tableau struct {
 	m        int // constraint rows
 	nOrig    int // original variable count
@@ -52,6 +52,7 @@ type Tableau struct {
 	rw, cw           int
 
 	b       []float64 // current value of each row's basic variable
+	lo      []float64 // working lower bound per column (shifted space); zero after load
 	u       []float64 // working upper bound per column (shifted space)
 	z       []float64 // reduced costs
 	score   []float64 // pricing score: 0 if basic or fixed, else -z at lower, z at upper
@@ -60,7 +61,7 @@ type Tableau struct {
 	basis   []int     // basic column per row
 	basic   []bool    // column-is-basic flags
 	atUpper []bool    // nonbasic-at-upper flags
-	lb, ub  []float64 // working bounds of the original variables
+	lb, ub  []float64 // working bounds of the original variables; lb is the loaded shift
 	x       []float64 // decoded solution (aliased by Solution.X)
 	flip    []bool    // row-negated flags from RHS normalization
 	rel     []Rel     // normalized row relations
@@ -78,6 +79,16 @@ type Tableau struct {
 	pivots, flips int  // effort counters of the current solve
 	bland         bool // a phase switched to Bland's rule
 
+	// prob is the problem load built the tableau for; warm reports that
+	// the basis, b and z are a dual-feasible state of it (see warm.go).
+	prob *Problem
+	warm bool
+	aged int // warm pivots since the last load
+	// drop is the magnitude below which eliminate zeroes an updated
+	// entry: 0 on a cold solve, which stays bit for bit, and dropTol on
+	// a warm one.
+	drop float64
+
 	ctx context.Context
 }
 
@@ -93,6 +104,7 @@ func (p *Problem) SolveTab(ctx context.Context, overrides [][2]float64, t *Table
 	if t == nil {
 		t = NewTableau()
 	}
+	t.warm, t.aged, t.drop = false, 0, 0
 	n := len(p.obj)
 	if overrides != nil && len(overrides) != n {
 		return Solution{}, errors.New("lp: overrides length mismatch")
@@ -125,6 +137,7 @@ func (p *Problem) SolveTab(ctx context.Context, overrides [][2]float64, t *Table
 	}
 	t.ctx = ctx
 	sol := t.run(p)
+	t.warm = sol.Status == Optimal
 	if sol.Status == Canceled {
 		return sol, ctx.Err()
 	}
@@ -150,7 +163,8 @@ func (t *Tableau) setBit(i, j int) {
 // bounds t.lb/t.ub. Variables are shifted by their lower bound (y = x-lb)
 // so every column lives in [0, u]; rows are normalized to nonnegative RHS
 // with relation flips; slack/surplus columns are added per row and
-// artificial columns for >=/= rows.
+// artificial columns for >=/= rows. t.lb stays the shift of the loaded
+// tableau until the next load.
 func (t *Tableau) load(p *Problem) {
 	// Zero the previous solve's entries through its own layout, which
 	// leaves the whole backing array zero.
@@ -165,6 +179,7 @@ func (t *Tableau) load(p *Problem) {
 
 	n := len(p.obj)
 	m := len(p.cons)
+	t.prob = p
 	t.nOrig = n
 	t.m = m
 	t.rhs = grow(t.rhs, m)
@@ -216,6 +231,8 @@ func (t *Tableau) load(p *Problem) {
 	t.colVals = grow(t.colVals, m)[:0]
 	t.rowCols = grow(t.rowCols, t.nTot)[:0]
 	t.b = grow(t.b, m)
+	t.lo = grow(t.lo, t.nTot)
+	clear(t.lo)
 	t.u = grow(t.u, t.nTot)
 	t.basis = grow(t.basis, m)
 	t.basic = grow(t.basic, t.nTot)
@@ -314,10 +331,15 @@ func (t *Tableau) solve(p *Problem) Solution {
 	case Canceled:
 		return Solution{Status: Canceled}
 	}
-	// Decode: nonbasic columns sit at a bound, basic ones carry b.
+	return t.decode(p)
+}
+
+// decode reads the solution off an optimal tableau: nonbasic columns sit
+// at a bound, basic ones carry b, and the shift is added back.
+func (t *Tableau) decode(p *Problem) Solution {
 	t.x = grow(t.x, t.nOrig)
 	for j := 0; j < t.nOrig; j++ {
-		v := 0.0
+		v := t.lo[j]
 		if !t.basic[j] && t.atUpper[j] {
 			v = t.u[j]
 		}
@@ -519,14 +541,14 @@ func (t *Tableau) gatherColumn(j int) {
 	}
 }
 
-// clampRow snaps a tiny negative basic value in row i (numerical drift
-// from the manual value updates) back onto the feasible box. Only rows
+// clampRow snaps a basic value in row i that lies just outside its box
+// (numerical drift from the manual value updates) back onto it. Only rows
 // whose value or basic column changed can need it, so each iteration
 // clamps just the rows of its entering column.
 func (t *Tableau) clampRow(i int) {
 	v := t.b[i]
-	if v < 0 && v > -eps {
-		t.b[i] = 0
+	if lo := t.lo[t.basis[i]]; v < lo && v > lo-eps {
+		t.b[i] = lo
 		return
 	}
 	if ub := t.u[t.basis[i]]; !math.IsInf(ub, 1) && v > ub && v < ub+eps {
@@ -562,6 +584,8 @@ func (t *Tableau) pivotStep(leave, enter int, d, step float64, leaveAtUpper bool
 	vE := d * step
 	if t.atUpper[enter] {
 		vE = t.u[enter] + d*step
+	} else if lo := t.lo[enter]; lo != 0 {
+		vE = lo + d*step
 	}
 	r := t.basis[leave]
 	t.basic[r] = false
@@ -628,8 +652,18 @@ func (t *Tableau) eliminate(leave, enter int) {
 			continue
 		}
 		ri := t.a[i*n : (i+1)*n]
-		for _, j := range t.rowCols {
-			ri[j] -= f * row[j]
+		if drop := t.drop; drop == 0 {
+			for _, j := range t.rowCols {
+				ri[j] -= f * row[j]
+			}
+		} else {
+			for _, j := range t.rowCols {
+				v := ri[j] - f*row[j]
+				if v < drop && v > -drop {
+					v = 0
+				}
+				ri[j] = v
+			}
 		}
 		ri[enter] = 0
 		dst := t.rowBits[i*t.rw : (i+1)*t.rw]

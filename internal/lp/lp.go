@@ -1,6 +1,7 @@
 // Package lp implements a two-phase primal simplex solver for linear
 // programs with bounded variables, over a dense tableau whose pivots visit
-// only nonzeros.
+// only nonzeros, and a bounded dual simplex that re-solves a problem from
+// the basis its tableau kept after the variable bounds change.
 //
 // The DAC'18 DFT paper formulates test-path generation as a 0-1 integer
 // linear program (eqs. (1)-(6)); the authors used a commercial solver from
@@ -11,14 +12,16 @@
 // The solver targets the instance sizes that occur in biochip DFT —
 // hundreds of variables and constraints — with numerical robustness
 // (Bland's rule fallback, explicit tolerances) and a branch-and-bound
-// friendly hot path: the production engine (bounded.go) treats finite
-// upper bounds implicitly and solves into a reusable Tableau scratch, so
-// a warm re-solve performs no allocations. The paper's models are sparse
-// (a pivot row is about 2% nonzero), so the tableau keeps row and column
-// bitmaps of its nonzeros and each iteration touches only those, with the
-// same floating-point operations in the same order as a full sweep; the
+// friendly hot path: the cold engine (SolveTab, bounded.go) treats finite
+// upper bounds implicitly and solves into a reusable Tableau scratch, and
+// SolveWarm (warm.go) re-solves a branch-and-bound node from the previous
+// node's optimal basis without phase 1; neither allocates once the
+// Tableau has grown. The paper's models are sparse (a pivot row is about
+// 2% nonzero), so the tableau keeps row and column bitmaps of its
+// nonzeros and each iteration touches only those, with the same
+// floating-point operations in the same order as a full sweep; the cold
 // pivot sequence is pinned by testdata/lp_fixture.txt. The seed row-based
-// simplex is preserved in baseline.go for benchmarks and cross-checks.
+// simplex is preserved in baseline.go as a test oracle.
 package lp
 
 import (

@@ -37,9 +37,9 @@ type StageStatsJSON struct {
 	CacheMisses  int64   `json:"cache_misses,omitempty"`
 	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
 	// Counters carries the stage's named counters (ban_rounds, ilp_nodes,
-	// ilp_workers, ilp_steals, ilp_idle_waits, ilp_requeued,
-	// fault_memo_hits, pressure_solves, pressure_warm, pressure_cold,
-	// leakage_examined, ...), sorted by name in table output.
+	// ilp_lp_pivots, ilp_requeued, fault_memo_hits, pressure_solves,
+	// pressure_warm, pressure_cold, leakage_examined, ...), sorted by name
+	// in table output.
 	Counters map[string]int64 `json:"counters,omitempty"`
 	// Error is set when the stage failed (the pipeline stops there).
 	Error string `json:"error,omitempty"`

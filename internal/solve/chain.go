@@ -18,9 +18,7 @@ type ChainConfig struct {
 	ExactBudget     time.Duration
 	HeuristicBudget time.Duration
 	RepairBudget    time.Duration
-	// Options is forwarded to every testgen engine. Options.Workers sizes
-	// the branch-and-bound worker pool of the exact tier's ILP solves
-	// (0 = all CPU cores).
+	// Options is forwarded to every testgen engine.
 	Options testgen.Options
 	// Inject lists deterministic faults for the chain's Runner.
 	Inject []Injection

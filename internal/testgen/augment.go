@@ -20,7 +20,6 @@ import (
 	"repro/internal/chip"
 	"repro/internal/fault"
 	"repro/internal/ilp"
-	"repro/internal/par"
 )
 
 // Augmentation is a DFT configuration: the augmented chip plus the test
@@ -94,15 +93,10 @@ type Options struct {
 	// the observability hook for the exact engine. It never affects the
 	// solve.
 	OnILPAttempt func(paths, nodes, lazyCuts int)
-	// Workers sets the branch-and-bound worker-pool size for the ILP
-	// solves (0 = all CPU cores, mirroring core.Options.Workers; 1 =
-	// serial). The result is worker-count independent — see package ilp.
-	Workers int
 	// OnILPStats, when non-nil, is called after every ILP solve with the
-	// statistics of that solve: the parallel-search counters (resolved
-	// worker count, steals, idle waits, lazy-cut requeues) and the LP
-	// effort of its relaxations (pivots, Bland trips, iteration-limit
-	// hits). It never affects the solve.
+	// statistics of that solve: its lazy-cut requeues and the LP effort of
+	// its relaxations (pivots, Bland trips, iteration-limit hits). It
+	// never affects the solve.
 	OnILPStats func(ilp.SolveStats)
 }
 
@@ -115,10 +109,6 @@ func (o Options) maxPaths() int {
 	}
 	return DefaultMaxPaths
 }
-
-// ilpWorkers resolves Options.Workers the same way fault.NewEngine resolves
-// its pool size: 0 means one worker per CPU core.
-func (o Options) ilpWorkers() int { return par.Workers(o.Workers) }
 
 // testPorts returns the paper's test port pair (most distant ports) and
 // their grid nodes.

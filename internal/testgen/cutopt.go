@@ -42,10 +42,7 @@ func GenerateCutsOptimalCtx(ctx context.Context, c *chip.Chip, src, dst int, opt
 	if maxNodes <= 0 {
 		maxNodes = DefaultCutILPMaxNodes
 	}
-	res, err := ilp.NewModel(p).SolveCtx(ctx, ilp.Options{
-		MaxNodes: maxNodes,
-		Workers:  opts.ilpWorkers(),
-	})
+	res, err := ilp.NewModel(p).SolveCtx(ctx, ilp.Options{MaxNodes: maxNodes})
 	if err != nil {
 		return nil, err
 	}

@@ -23,13 +23,18 @@ func AugmentILP(c *chip.Chip, opts Options) (*Augmentation, error) {
 // threaded into every branch-and-bound node and LP relaxation, so an
 // expired deadline or a Ctrl-C stops the solve within one node. A
 // cancelled solve returns the context's error (wrapped); an instance that
-// is genuinely uncoverable returns an error wrapping ErrInfeasible.
+// is genuinely uncoverable returns an error wrapping ErrInfeasible; an
+// augmentation whose valves cannot all be cut-tested returns the cut
+// generator's error.
 func AugmentILPCtx(ctx context.Context, c *chip.Chip, opts Options) (*Augmentation, error) {
 	srcPort, dstPort, srcNode, dstNode := testPorts(c)
 	var lastErr error = ErrInfeasible
 	for nPaths := 2; nPaths <= opts.maxPaths(); nPaths++ {
 		aug, err := solvePathILP(ctx, c, srcPort, dstPort, srcNode, dstNode, nPaths, opts)
 		if err == nil {
+			if err := requireCuts(ctx, aug); err != nil {
+				return nil, err
+			}
 			return aug, nil
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -39,6 +44,19 @@ func AugmentILPCtx(ctx context.Context, c *chip.Chip, opts Options) (*Augmentati
 		lastErr = err
 	}
 	return nil, fmt.Errorf("testgen: no DFT configuration with up to %d paths: %w", opts.maxPaths(), lastErr)
+}
+
+// requireCuts rejects an augmentation whose valves cannot all be
+// cut-tested. The path ILP models only the test paths, so an augmentation
+// it returns — a budget-truncated incumbent in particular — can leave a
+// valve with no detecting cut. The error does not wrap ErrInfeasible: the
+// instance is not proved uncoverable, and a degradation chain goes on to
+// its next tier.
+func requireCuts(ctx context.Context, aug *Augmentation) error {
+	if _, err := GenerateCutsCtx(ctx, aug.Chip, aug.Source, aug.Meter); err != nil {
+		return fmt.Errorf("testgen: ILP augmentation with %d added edges: %w", len(aug.AddedEdges), err)
+	}
+	return nil
 }
 
 // ErrInfeasible marks augmentation instances (or |P| values) that admit no
@@ -208,7 +226,6 @@ func solvePathILP(ctx context.Context, c *chip.Chip, srcPort, dstPort, srcNode, 
 	}
 	res, err := ilp.NewModel(prob).SolveCtx(ctx, ilp.Options{
 		MaxNodes: maxNodes,
-		Workers:  opts.ilpWorkers(),
 		Lazy:     lazy,
 	})
 	if err != nil {

@@ -1,6 +1,8 @@
 package testgen
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/chip"
@@ -93,19 +95,47 @@ func TestILPAugmentIVD(t *testing.T) {
 	}
 }
 
-// The serial IVD |P|=2 path ILP pins the branch-and-bound tree and the LP
-// kernel's pivot sequence together: a change to either moves the node,
-// lazy-cut or pivot count.
+// A budget-truncated path-ILP incumbent covers every channel with test
+// paths yet can leave a valve that no cut detects; this 28-edge RA30
+// augmentation is one. AugmentILPCtx must reject it, and not as
+// infeasible, so a degradation chain moves on to the heuristic tier.
+func TestRequireCutsRejectsUncuttableAugmentation(t *testing.T) {
+	c := chip.RA30()
+	src, dst, _, _ := testPorts(c)
+	added := []int{0, 1, 3, 4, 5, 7, 8, 9, 11, 14, 15, 19, 21, 24, 33, 38, 41, 44, 46, 49, 50, 51, 59, 60, 64, 71, 73, 75}
+	augChip, err := applyAugmentation(c, added)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = requireCuts(context.Background(), &Augmentation{Chip: augChip, AddedEdges: added, Source: src, Meter: dst})
+	if err == nil {
+		t.Fatal("requireCuts accepted an augmentation with an untestable valve")
+	}
+	if errors.Is(err, ErrInfeasible) {
+		t.Fatalf("requireCuts error %v reads as infeasible", err)
+	}
+	h, err := AugmentHeuristic(c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := requireCuts(context.Background(), h); err != nil {
+		t.Fatalf("heuristic augmentation rejected: %v", err)
+	}
+}
+
+// The IVD |P|=2 path ILP pins the branch-and-bound tree and the LP
+// kernel's pivot sequences, cold and warm, together: a change to either
+// moves the node, lazy-cut or pivot count.
 func TestPathILPEffortIVD(t *testing.T) {
 	m, lazy := PathILPModel(chip.IVD(), 2)
-	res, err := m.Solve(ilp.Options{MaxNodes: 4000, Workers: 1, Lazy: lazy})
+	res, err := m.Solve(ilp.Options{MaxNodes: 4000, Lazy: lazy})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := res.Stats
-	if res.Status != ilp.Optimal || res.Nodes != 1990 || res.LazyCuts != 18 ||
-		st.LPPivots != 494580 || st.LPMaxPivots != 306 || st.BlandTrips != 0 || st.IterLimits != 0 {
-		t.Fatalf("status=%v nodes=%d lazy=%d stats=%+v, want optimal, 1990 nodes, 18 cuts, 494580 pivots (max 306), no Bland trips or limit hits",
+	if res.Status != ilp.Optimal || res.Nodes != 1743 || res.LazyCuts != 20 ||
+		st.LPPivots != 18266 || st.LPMaxPivots != 309 || st.BlandTrips != 0 || st.IterLimits != 0 {
+		t.Fatalf("status=%v nodes=%d lazy=%d stats=%+v, want optimal, 1743 nodes, 20 cuts, 18266 pivots (max 309), no Bland trips or limit hits",
 			res.Status, res.Nodes, res.LazyCuts, st)
 	}
 }
