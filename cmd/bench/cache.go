@@ -193,7 +193,7 @@ func cacheBatch() ([]Record, error) {
 
 	var ref [4]int64
 	for _, par := range []int{0, 1, 2, 4, 8} {
-		cc, err := core.NewCache(core.CacheConfig{BudgetBytes: 64 << 20})
+		cc, err := core.NewCache(core.CacheConfig{})
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,7 @@
 // benchmark chip's connection grid.
 //
 //	chipinfo -chip IVD_chip [-dft] [-timeout 10s] [-workers 4]
-//	         [-cache-dir DIR] [-cache-mb N]
+//	         [-cache-dir DIR]
 //
 // With -dft the chip is first augmented for single-source single-meter
 // testability; added channels render as == and :, and the test set's

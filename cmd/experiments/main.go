@@ -21,7 +21,7 @@
 // -cache-dir enables the persistent artifact cache: on a warm rerun with
 // identical PSO/solver parameters every flow result loads from disk and
 // the whole report regenerates in milliseconds, bit-identical to a cold
-// run. -cache-mb bounds the in-memory tier.
+// run.
 package main
 
 import (

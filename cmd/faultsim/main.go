@@ -5,7 +5,7 @@
 //
 //	faultsim -chip RA30_chip [-matrix] [-baseline] [-leakage] [-diagnose] [-reconfigure]
 //	         [-assay PID] [-budget 8] [-min-coverage 0.95] [-timeout 30s] [-workers 4] [-stats]
-//	         [-cache-dir DIR] [-cache-mb N]
+//	         [-cache-dir DIR]
 //
 // -cache-dir enables the persistent artifact cache: the augmentation and
 // cut cover (one content-addressed test-set artifact, keyed by chip and
@@ -49,6 +49,7 @@ import (
 
 	"repro/dft"
 	"repro/internal/cliutil"
+	"repro/internal/core"
 	"repro/internal/diagnose"
 	"repro/internal/fault"
 	"repro/internal/flowstage"
@@ -108,16 +109,15 @@ func run() int {
 	// can attribute wall-clock and memo-cache traffic per phase.
 	metrics := fault.NewMetrics()
 	var (
-		aug     *dft.Augmentation
-		cuts    []dft.Vector
-		vectors []dft.Vector
-		sim     *fault.Simulator
-		faults  []dft.Fault
-		cov     dft.Coverage
-		leakRep *dft.LeakageReport
-		dm      *dft.DetectionMatrix
-		diags   []dft.FaultDiagnosis
-		groups  []diagnose.SetReconfig
+		aug       *dft.Augmentation
+		cuts      []dft.Vector
+		vectors   []dft.Vector
+		sim       *fault.Simulator
+		faults    []dft.Fault
+		cov       dft.Coverage
+		leakRep   *dft.LeakageReport
+		diagSum   *core.DiagnosisSummary
+		reconfSum *core.ReconfigSummary
 	)
 	memoInto := func(st *flowstage.StageStats, base fault.MetricsSnapshot) {
 		d := metrics.Snapshot().Sub(base)
@@ -190,29 +190,20 @@ func run() int {
 			Run: func(ctx context.Context, st *flowstage.StageStats) error {
 				base := metrics.Snapshot()
 				defer memoInto(st, base)
-				var err error
-				dm, err = dft.NewEngine(sim, rf.Workers).DetectionMatrix(ctx, vectors, faults)
+				dm, err := dft.NewEngine(sim, rf.Workers).DetectionMatrix(ctx, vectors, faults)
 				if err != nil {
 					return err
 				}
 				planner := &diagnose.Planner{Matrix: dm, VectorBudget: *budget}
-				diags, err = planner.Campaign(ctx, rf.Workers)
+				diags, err := planner.Campaign(ctx, rf.Workers)
 				if err != nil {
 					return err
 				}
-				localized, applied := 0, 0
-				for _, d := range diags {
-					if d.Localized() {
-						localized++
-					}
-					if d.Result != nil {
-						applied += d.Result.VectorsApplied()
-					}
-				}
-				st.Count("diagnose_faults", int64(len(diags)))
-				st.Count("diagnose_localized", int64(localized))
-				st.Count("diagnose_vectors_applied", int64(applied))
-				st.Count("diagnose_exhaustive", int64(dm.NumUsable()))
+				diagSum = core.SummarizeDiagnosis(diags, dm.NumUsable())
+				st.Count("diagnose_faults", int64(diagSum.Faults))
+				st.Count("diagnose_localized", int64(diagSum.Localized))
+				st.Count("diagnose_vectors_applied", int64(diagSum.TotalVectors))
+				st.Count("diagnose_exhaustive", int64(diagSum.ExhaustiveVectors))
 				return nil
 			},
 		})
@@ -221,12 +212,7 @@ func run() int {
 		pipe.Stages = append(pipe.Stages, flowstage.Stage{
 			Name: "reconfigure",
 			Run: func(ctx context.Context, st *flowstage.StageStats) error {
-				sets := make([][]dft.Fault, 0, len(diags))
-				for _, d := range diags {
-					if d.Result != nil && len(d.Result.Suspects) > 0 {
-						sets = append(sets, d.Result.Suspects)
-					}
-				}
+				sets := diagSum.SuspectSets()
 				sm := sched.NewMetrics()
 				r := &diagnose.Reconfigurer{
 					Chip:    aug.Chip,
@@ -234,13 +220,13 @@ func run() int {
 					Assay:   asy,
 					Metrics: sm,
 				}
-				var err error
-				groups, err = r.Campaign(ctx, sets, rf.Workers)
+				groups, err := r.Campaign(ctx, sets, rf.Workers)
 				if err != nil {
 					return err
 				}
-				st.Count("reconf_sets", int64(len(sets)))
-				st.Count("reconf_groups", int64(len(groups)))
+				reconfSum = core.SummarizeReconfig(sets, groups)
+				st.Count("reconf_sets", int64(reconfSum.SuspectSets))
+				st.Count("reconf_groups", int64(reconfSum.Groups))
 				snap := sm.Snapshot()
 				st.Count("sched_engine_builds", snap.EngineBuilds)
 				st.Count("sched_warm_runs", snap.WarmRuns)
@@ -295,60 +281,25 @@ func run() int {
 		}
 	}
 
-	if diags != nil {
-		localized, applied, maxApplied, suspects, maxSuspects, degraded := 0, 0, 0, 0, 0, 0
-		for _, d := range diags {
-			if d.Localized() {
-				localized++
-			}
-			if d.Provenance.Degraded {
-				degraded++
-			}
-			if d.Result == nil {
-				continue
-			}
-			v := d.Result.VectorsApplied()
-			applied += v
-			if v > maxApplied {
-				maxApplied = v
-			}
-			ns := len(d.Result.Suspects)
-			suspects += ns
-			if ns > maxSuspects {
-				maxSuspects = ns
-			}
-		}
+	if ds := diagSum; ds != nil {
 		fmt.Printf("\nadaptive diagnosis: %d/%d faults localized, %.1f vectors/fault mean (max %d) vs %d exhaustive, %.2f suspects/fault mean (max %d), %d degraded\n",
-			localized, len(diags), float64(applied)/float64(len(diags)), maxApplied,
-			dm.NumUsable(), float64(suspects)/float64(len(diags)), maxSuspects, degraded)
+			ds.Localized, ds.Faults, ds.MeanVectors, ds.MaxVectors,
+			ds.ExhaustiveVectors, ds.MeanSuspects, ds.MaxSuspects, ds.Degraded)
 	}
 
-	if groups != nil {
-		feasible, infeasible, failed, maxPen := 0, 0, 0, 0
-		totPen, baselineT := 0, 0
-		for _, g := range groups {
-			switch {
-			case g.Err == nil && g.Reconfig != nil:
-				feasible++
-				totPen += g.Reconfig.Penalty
-				if g.Reconfig.Penalty > maxPen {
-					maxPen = g.Reconfig.Penalty
-				}
-				baselineT = g.Reconfig.Baseline
-			case errors.Is(g.Err, diagnose.ErrInfeasible):
-				infeasible++
+	if rs := reconfSum; rs != nil {
+		for _, g := range rs.Entries {
+			if g.Err == nil && g.Reconfig != nil {
+				continue
+			}
+			if errors.Is(g.Err, diagnose.ErrInfeasible) {
 				fmt.Printf("  INFEASIBLE: ban closed %v open %v\n", g.BanClosed, g.BanOpen)
-			default:
-				failed++
+			} else {
 				fmt.Printf("  FAILED: ban closed %v open %v: %v\n", g.BanClosed, g.BanOpen, g.Err)
 			}
 		}
-		meanPen := 0.0
-		if feasible > 0 {
-			meanPen = float64(totPen) / float64(feasible)
-		}
 		fmt.Printf("\ntest-around-fault reconfiguration (%s): %d/%d ban groups feasible (%d infeasible, %d failed), penalty mean %.1f s / max %d s over baseline %d s\n",
-			asy.Name, feasible, len(groups), infeasible, failed, meanPen, maxPen, baselineT)
+			asy.Name, rs.Feasible, rs.Groups, rs.Infeasible, rs.Failed, rs.MeanPenalty, rs.MaxPenalty, rs.Baseline)
 	}
 
 	if *baseline {

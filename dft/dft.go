@@ -246,7 +246,8 @@ type (
 	// GenerateSuite and RunTestSuite: valves are grouped into
 	// translation-equivalence classes (closed-form line classes plus
 	// combinatorial tile classes), each class is solved once, and solved
-	// templates persist in a content-keyed cache across chips. Suites are
+	// templates stay in the engine's content-keyed memory cache across
+	// chips. Suites are
 	// bit-identical for any worker count, and their fault coverage equals
 	// that of an independent solve per valve (the vectors themselves may
 	// differ).
@@ -290,9 +291,10 @@ func RunTestSuiteCtx(ctx context.Context, c *Chip, opts SuiteRunOptions) (*Suite
 
 // Content-addressed artifact caching and batch submission (see
 // internal/core and internal/artifact). An ArtifactCache memoizes
-// finalized flow Results, test suites and test sets by content digest,
-// with an optional persistent disk tier; RunBatch collapses duplicate
-// submissions to one solve on a bounded worker pool.
+// finalized flow Results, test suites and test sets by content digest in
+// an unbounded memory tier over an optional persistent disk tier;
+// RunBatch collapses duplicate submissions to one solve on a bounded
+// worker pool.
 type (
 	// ArtifactCache is the two-tier (memory + optional disk) cache; pass
 	// it on Options.Cache / SuiteRunOptions.Cache or BatchOptions.Cache.

@@ -10,18 +10,22 @@ import (
 // Singleflight: concurrent Do calls for one key run compute exactly once
 // and all share the value.
 func TestCacheSingleflight(t *testing.T) {
-	c := NewCache[int](0, nil)
-	var computes atomic.Int64
+	c := NewCache[int]()
+	var computes, hits atomic.Int64
 	var wg sync.WaitGroup
 	vals := make([]int, 32)
 	for i := range vals {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i], _ = c.Do("k", func() int {
+			var hit bool
+			vals[i], hit = c.Do("k", func() int {
 				computes.Add(1)
 				return 42
 			})
+			if hit {
+				hits.Add(1)
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -33,89 +37,14 @@ func TestCacheSingleflight(t *testing.T) {
 			t.Fatalf("caller %d got %d", i, v)
 		}
 	}
-	st := c.Stats()
-	if st.Misses != 1 || st.Hits != 31 {
-		t.Fatalf("hits/misses = %d/%d, want 31/1", st.Hits, st.Misses)
+	if n := hits.Load(); n != 31 {
+		t.Fatalf("hits = %d, want 31", n)
 	}
 }
 
-// Eviction order is deterministic: coldest epoch first, ties broken by
-// key, and the same access pattern always evicts the same entries.
-func TestCacheDeterministicEviction(t *testing.T) {
-	run := func() ([]string, CacheStats) {
-		// Each entry costs ~entryOverhead+len(key)+8; budget fits ~3.
-		c := NewCache[int](3*(entryOverhead+10), func(int) int64 { return 8 })
-		for _, k := range []string{"a1", "b1", "c1", "d1"} {
-			c.Do(k, func() int { return 1 })
-		}
-		c.AdvanceEpoch() // epoch 1; all entries are epoch-0 cold
-		c.Do("b1", func() int { return 1 })
-		c.Do("e1", func() int { return 1 })
-		c.AdvanceEpoch()
-		return c.SortedKeys(), c.Stats()
-	}
-	keys1, st1 := run()
-	keys2, st2 := run()
-	if fmt.Sprint(keys1) != fmt.Sprint(keys2) || st1.Evictions != st2.Evictions {
-		t.Fatalf("eviction nondeterministic: %v (%d) vs %v (%d)", keys1, st1.Evictions, keys2, st2.Evictions)
-	}
-	// b1 was touched in epoch 1, so the epoch-0 leftovers go first in key
-	// order; b1 and e1 (newest) must survive.
-	for _, want := range []string{"b1", "e1"} {
-		found := false
-		for _, k := range keys1 {
-			if k == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("warm key %s evicted; resident: %v", want, keys1)
-		}
-	}
-	if st1.Evictions == 0 {
-		t.Fatal("budget never triggered eviction")
-	}
-}
-
-// An evicted key is recomputed on next access (transparent for pure
-// computes), and unbounded caches never evict.
-func TestCacheEvictionRecompute(t *testing.T) {
-	c := NewCache[int](1, func(int) int64 { return 1 << 20 })
-	computes := 0
-	c.Do("k", func() int { computes++; return 7 })
-	c.AdvanceEpoch()
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("over-budget entry survived trim")
-	}
-	v, hit := c.Do("k", func() int { computes++; return 7 })
-	if hit || v != 7 || computes != 2 {
-		t.Fatalf("recompute after eviction: v=%d hit=%v computes=%d", v, hit, computes)
-	}
-
-	u := NewCache[int](0, func(int) int64 { return 1 << 30 })
-	for i := 0; i < 10; i++ {
-		u.Do(fmt.Sprint(i), func() int { return i })
-	}
-	u.AdvanceEpoch()
-	if u.Len() != 10 || u.Stats().Evictions != 0 {
-		t.Fatalf("unbounded cache evicted: len=%d stats=%+v", u.Len(), u.Stats())
-	}
-}
-
-// Byte accounting: used bytes match the sum of sizeOf + key + overhead
-// and drop on eviction.
-func TestCacheByteAccounting(t *testing.T) {
-	c := NewCache[string](0, func(s string) int64 { return int64(len(s)) })
-	c.Do("ab", func() string { return "xyz" })
-	want := int64(2 + entryOverhead + 3)
-	if c.Bytes() != want {
-		t.Fatalf("bytes = %d, want %d", c.Bytes(), want)
-	}
-}
-
-// Concurrent Do across many keys under -race, with a serial trim after.
+// Concurrent Do across many keys under -race: every key stays resident.
 func TestCacheConcurrentRace(t *testing.T) {
-	c := NewCache[int](64*(entryOverhead+16), func(int) int64 { return 8 })
+	c := NewCache[int]()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -129,8 +58,12 @@ func TestCacheConcurrentRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	c.AdvanceEpoch()
-	if c.Len() == 0 {
-		t.Fatal("cache empty after concurrent fill")
+	if n := c.Len(); n != 100 {
+		t.Fatalf("cache holds %d keys after concurrent fill, want 100", n)
+	}
+	for i := 0; i < 100; i++ {
+		if _, ok := c.Get(fmt.Sprintf("key-%d", i)); !ok {
+			t.Fatalf("key-%d not resident", i)
+		}
 	}
 }

@@ -1,11 +1,12 @@
 // Package artifact is the content-addressed caching substrate: canonical
 // versioned digests for the domain objects a solve depends on (chips,
-// assays, solver option sets), a sharded memory-bounded once-map with
+// assays, solver option sets), a sharded unbounded once-map with
 // singleflight semantics, and an optional disk store with atomic writes
-// and corruption-tolerant loads. Everything above it — the flow cache,
-// suite cache, template persistence, batch dedup (internal/core) — keys
-// work by these digests, so identical submissions cost one solve and a
-// warm process can skip whole stages.
+// and corruption-tolerant loads. The flow, suite and test-set caches and
+// batch dedup (internal/core) key work by these digests, so identical
+// submissions cost one solve and a warm process can skip whole stages.
+// The once-map also serves as the plain memo of string-keyed work
+// elsewhere (template classes, flow evaluations, scheduler engines).
 package artifact
 
 import (
@@ -241,13 +242,5 @@ func HashPSOConfig(cfg pso.Config) Digest {
 	h.Float(cfg.C2)
 	h.Float(cfg.VMax)
 	h.Int(cfg.Seed)
-	return h.Sum()
-}
-
-// SumBytes digests a raw payload under a kind tag — used for artifacts
-// whose natural key is already a canonical string (template signatures).
-func SumBytes(kind string, payload []byte) Digest {
-	h := NewHasher(kind)
-	h.Bytes(payload)
 	return h.Sum()
 }

@@ -134,9 +134,16 @@ func TestOptionDigestCanonicalization(t *testing.T) {
 	}
 }
 
+// sumBytes digests a raw payload under a kind tag.
+func sumBytes(kind string, payload []byte) Digest {
+	h := NewHasher(kind)
+	h.Bytes(payload)
+	return h.Sum()
+}
+
 // Kind and version tags must separate digests of identical payloads.
 func TestDigestKindSeparation(t *testing.T) {
-	if SumBytes("a", []byte("x")) == SumBytes("b", []byte("x")) {
+	if sumBytes("a", []byte("x")) == sumBytes("b", []byte("x")) {
 		t.Error("kind tag does not separate digests")
 	}
 	h1 := NewHasher("k")

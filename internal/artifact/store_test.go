@@ -12,7 +12,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := SumBytes("flow", []byte("payload"))
+	d := sumBytes("flow", []byte("payload"))
 	payload := []byte(`{"hello":"world"}`)
 	if err := s.Put("flow", d, payload); err != nil {
 		t.Fatal(err)
@@ -24,7 +24,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if _, ok := s.Get("suite", d); ok {
 		t.Fatal("kind must be part of the address")
 	}
-	if _, ok := s.Get("flow", SumBytes("flow", []byte("other"))); ok {
+	if _, ok := s.Get("flow", sumBytes("flow", []byte("other"))); ok {
 		t.Fatal("unknown digest must miss")
 	}
 	// Reopen: artifacts persist across processes.
@@ -49,7 +49,7 @@ func TestStoreCorruptionTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := SumBytes("flow", []byte("x"))
+	d := sumBytes("flow", []byte("x"))
 	payload := []byte("the payload bytes")
 	if err := s.Put("flow", d, payload); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestStorePutAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := SumBytes("k", []byte("v"))
+	d := sumBytes("k", []byte("v"))
 	for i := 0; i < 3; i++ {
 		if err := s.Put("k", d, []byte("same payload")); err != nil {
 			t.Fatal(err)

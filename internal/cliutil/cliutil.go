@@ -117,7 +117,7 @@ func LoadAssay(name, file string) (*assay.Graph, error) {
 }
 
 // RunFlags is the execution-knob flag set shared by every CLI: the
-// wall-clock budget, the worker-pool size, and the artifact-cache tiers.
+// wall-clock budget, the worker-pool size, and the artifact-cache directory.
 // One definition keeps flag names, help text and default semantics
 // identical across dftgen, faultsim, experiments and chipinfo.
 type RunFlags struct {
@@ -126,10 +126,8 @@ type RunFlags struct {
 	// Workers sizes the fault-simulation, diagnosis and PSO worker pools
 	// (0 = all CPU cores). Results are bit-identical for any value.
 	Workers int
-	// CacheDir roots the persistent artifact store ("" = no disk tier).
+	// CacheDir roots the persistent artifact store ("" = no cache).
 	CacheDir string
-	// CacheMB bounds the in-memory artifact tier (0 = library default).
-	CacheMB int64
 }
 
 // AddRunFlags registers the shared execution flags on the default flag
@@ -141,9 +139,7 @@ func AddRunFlags() *RunFlags {
 	flag.IntVar(&rf.Workers, "workers", 0,
 		"fault-simulation, diagnosis and PSO worker-pool size (0 = all CPU cores; results are identical for any value)")
 	flag.StringVar(&rf.CacheDir, "cache-dir", "",
-		"persistent artifact-cache directory; warm reruns skip solved stages (empty = no disk tier)")
-	flag.Int64Var(&rf.CacheMB, "cache-mb", 0,
-		"in-memory artifact-cache budget in MiB (0 = default 256)")
+		"persistent artifact-cache directory; warm reruns skip solved stages (empty = no cache)")
 	return rf
 }
 
@@ -152,11 +148,11 @@ func (rf *RunFlags) Context() (context.Context, context.CancelFunc) {
 	return SignalContext(rf.Timeout)
 }
 
-// OpenCache builds the artifact cache the flags describe, or nil when
-// caching was not requested (no -cache-dir and no -cache-mb).
+// OpenCache builds the artifact cache over -cache-dir, or nil when no
+// directory was given.
 func (rf *RunFlags) OpenCache() (*core.Cache, error) {
-	if rf.CacheDir == "" && rf.CacheMB <= 0 {
+	if rf.CacheDir == "" {
 		return nil, nil
 	}
-	return core.NewCache(core.CacheConfig{Dir: rf.CacheDir, BudgetBytes: rf.CacheMB << 20})
+	return core.NewCache(core.CacheConfig{Dir: rf.CacheDir})
 }

@@ -28,8 +28,8 @@ func TestSharingEvalAllocBudget(t *testing.T) {
 	}
 	c, a := chip.MRNA(), assay.CPA()
 	f := &flow{orig: c, graph: a, opts: Options{}.withDefaults(),
-		augCache:   artifact.NewCache[*augEval](0, nil),
-		innerCache: artifact.NewCache[float64](0, nil),
+		augCache:   artifact.NewCache[*augEval](),
+		innerCache: artifact.NewCache[float64](),
 	}
 	aug, err := testgen.AugmentHeuristic(c, testgen.Options{})
 	if err != nil {

@@ -27,10 +27,10 @@ const StageArtifact = "artifact"
 const resultSchema = 1
 
 // Cache is the content-addressed artifact cache the flow and suite
-// entrypoints consult: a memory-bounded tier of canonical encodings plus
-// an optional cross-run disk tier (CacheConfig.Dir). Values are payload
-// bytes in the canonical codec — every hit decodes a fresh copy, so
-// callers never share mutable results — and keys are artifact digests,
+// entrypoints consult: an unbounded memory tier of canonical encodings
+// plus an optional cross-run disk tier (CacheConfig.Dir). Values are
+// payload bytes in the canonical codec — every hit decodes a fresh copy,
+// so callers never share mutable results — and keys are artifact digests,
 // so identical submissions cost one solve.
 //
 // The hit/miss counters are deterministic for any worker count because
@@ -51,33 +51,20 @@ type Cache struct {
 type CacheConfig struct {
 	// Dir enables the cross-run disk tier rooted there ("" = memory only).
 	Dir string
-	// BudgetBytes bounds the memory tier (0 = DefaultCacheBudget).
-	BudgetBytes int64
 }
-
-// DefaultCacheBudget is the memory tier's byte budget when unset.
-const DefaultCacheBudget int64 = 256 << 20
 
 // CacheMetrics is a point-in-time snapshot of cache traffic.
 type CacheMetrics struct {
-	MemHits  int64                `json:"mem_hits"`
-	DiskHits int64                `json:"disk_hits"`
-	Misses   int64                `json:"misses"`
-	Stores   int64                `json:"stores"`
-	Mem      artifact.CacheStats  `json:"mem"`
-	Disk     *artifact.StoreStats `json:"disk,omitempty"`
+	MemHits  int64 `json:"mem_hits"`
+	DiskHits int64 `json:"disk_hits"`
+	Misses   int64 `json:"misses"`
+	Stores   int64 `json:"stores"`
 }
 
 // NewCache builds an artifact cache. With a Dir the disk tier is opened
 // (created if missing); errors only come from that.
 func NewCache(cfg CacheConfig) (*Cache, error) {
-	budget := cfg.BudgetBytes
-	if budget == 0 {
-		budget = DefaultCacheBudget
-	}
-	c := &Cache{
-		mem: artifact.NewCache[[]byte](budget, func(b []byte) int64 { return int64(len(b)) }),
-	}
+	c := &Cache{mem: artifact.NewCache[[]byte]()}
 	if cfg.Dir != "" {
 		store, err := artifact.OpenStore(cfg.Dir)
 		if err != nil {
@@ -88,48 +75,43 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 	return c, nil
 }
 
-// Store exposes the disk tier (nil when memory-only) so sibling engines
-// (template persistence) can share it.
-func (c *Cache) Store() *artifact.Store { return c.store }
-
-// Trim advances the memory tier's recency epoch and evicts to budget.
-// Call from serial points only (between runs, after a batch fan-in).
-func (c *Cache) Trim() { c.mem.AdvanceEpoch() }
-
 // Metrics snapshots the counters.
 func (c *Cache) Metrics() CacheMetrics {
-	m := CacheMetrics{
+	return CacheMetrics{
 		MemHits:  c.memHits.Load(),
 		DiskHits: c.diskHits.Load(),
 		Misses:   c.misses.Load(),
 		Stores:   c.stores.Load(),
-		Mem:      c.mem.Stats(),
 	}
-	if c.store != nil {
-		ds := c.store.Stats()
-		m.Disk = &ds
-	}
-	return m
 }
 
-// lookup returns the canonical payload for (kind, digest) and the tier
-// that served it ("mem" or "disk"), or (nil, "") on a miss. Disk hits
-// populate the memory tier.
-func (c *Cache) lookup(kind string, d artifact.Digest) ([]byte, string) {
+// lookup returns the artifact stored under (kind, d), decoded, and the
+// tier that served it ("mem", then "disk"), or tier "" on a miss. Only
+// payloads that decode enter the memory tier: an undecodable one (a stale
+// schema in the disk tier, a foreign chip) counts as a miss, and the
+// caller's store after its solve replaces it.
+func lookup[T any](c *Cache, kind string, d artifact.Digest, decode func([]byte) (T, error)) (T, string) {
 	key := kind + ":" + d.Hex()
-	if b, ok := c.mem.Get(key); ok {
-		c.memHits.Add(1)
-		return b, "mem"
+	b, ok := c.mem.Get(key)
+	tier := "mem"
+	if !ok && c.store != nil {
+		b, ok = c.store.Get(kind, d)
+		tier = "disk"
 	}
-	if c.store != nil {
-		if b, ok := c.store.Get(kind, d); ok {
-			c.diskHits.Add(1)
-			c.mem.Do(key, func() []byte { return b })
-			return b, "disk"
+	if ok {
+		if v, err := decode(b); err == nil {
+			if tier == "mem" {
+				c.memHits.Add(1)
+			} else {
+				c.diskHits.Add(1)
+				c.mem.Do(key, func() []byte { return b })
+			}
+			return v, tier
 		}
 	}
 	c.misses.Add(1)
-	return nil, ""
+	var zero T
+	return zero, ""
 }
 
 // add stores the canonical payload in both tiers. Disk failures are

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/assay"
 	"repro/internal/chip"
 	"repro/internal/flowstage"
@@ -79,6 +80,45 @@ func TestFlowCacheBitIdentity(t *testing.T) {
 	m := cc2.Metrics()
 	if m.DiskHits != 1 || m.MemHits != 0 || m.Misses != 0 {
 		t.Fatalf("unexpected warm-run metrics: %+v", m)
+	}
+}
+
+// A disk payload that does not decode (here a stale schema) is a miss: the
+// flow solves once, its store replaces the payload in both tiers, and
+// later requests in the process are memory hits instead of re-solves.
+func TestFlowCacheStalePayload(t *testing.T) {
+	dir := t.TempDir()
+	opts := smallOpts(13)
+	store, err := artifact.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := flowDigest(chip.IVD(), assay.IVD(), opts.withDefaults())
+	if err := store.Put("flow", d, []byte(`{"schema":0}`)); err != nil {
+		t.Fatal(err)
+	}
+	cc, err := NewCache(CacheConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Cache = cc
+	for i := 0; i < 3; i++ {
+		res, err := RunDFTFlow(chip.IVD(), assay.IVD(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats.Stages
+		solved := len(st) != 1 || st[0].Name != StageArtifact
+		if solved != (i == 0) {
+			t.Fatalf("request %d: solved=%v", i, solved)
+		}
+		if i > 0 && st[0].Counters["art_mem_hits"] != 1 {
+			t.Fatalf("request %d: counters %v, want a memory hit", i, st[0].Counters)
+		}
+	}
+	m := cc.Metrics()
+	if m.Misses != 1 || m.DiskHits != 0 || m.MemHits != 2 || m.Stores != 1 {
+		t.Fatalf("metrics %+v, want 1 miss, 0 disk hits, 2 memory hits, 1 store", m)
 	}
 }
 

@@ -114,11 +114,6 @@ func RunBatchCtx(ctx context.Context, jobs []BatchJob, bo BatchOptions) []BatchR
 			out[i] = r
 		}
 	})
-	if bo.Cache != nil {
-		// The fan-in barrier is the batch's serial point: trim the shared
-		// memory tier to budget deterministically.
-		bo.Cache.Trim()
-	}
 	return out
 }
 

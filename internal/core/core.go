@@ -381,15 +381,12 @@ func RunDFTFlowCtx(ctx context.Context, c *chip.Chip, g *assay.Graph, opts Optio
 		return runDFTFlowSolve(ctx, c, g, opts, start)
 	}
 	d := flowDigest(c, g, opts)
-	if payload, tier := cc.lookup("flow", d); payload != nil {
-		if res, err := DecodeResult(c, payload); err == nil {
-			res.Runtime = time.Since(start)
-			res.Stats = artifactStats(opts.Observer, res.Runtime,
-				map[string]int64{"art_" + tier + "_hits": 1})
-			return res, nil
-		}
-		// Undecodable payload (stale schema, foreign chip): solve fresh;
-		// the store below overwrites it.
+	decode := func(b []byte) (*Result, error) { return DecodeResult(c, b) }
+	if res, tier := lookup(cc, "flow", d, decode); tier != "" {
+		res.Runtime = time.Since(start)
+		res.Stats = artifactStats(opts.Observer, res.Runtime,
+			map[string]int64{"art_" + tier + "_hits": 1})
+		return res, nil
 	}
 	res, err := runDFTFlowSolve(ctx, c, g, opts, start)
 	if err != nil {
@@ -429,8 +426,8 @@ func runDFTFlowSolve(ctx context.Context, c *chip.Chip, g *assay.Graph, opts Opt
 		metrics:      fault.NewMetrics(),
 		diagInject:   diagInject,
 		reconfInject: reconfInject,
-		augCache:     artifact.NewCache[*augEval](0, nil),
-		innerCache:   artifact.NewCache[float64](0, nil),
+		augCache:     artifact.NewCache[*augEval](),
+		innerCache:   artifact.NewCache[float64](),
 		schedMetrics: sched.NewMetrics(),
 		schedEngines: make(map[*chip.Chip]*schedEngineEntry),
 	}

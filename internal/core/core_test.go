@@ -189,8 +189,8 @@ func TestFirstValidSharingRotation(t *testing.T) {
 	}
 	f := &flow{
 		orig: c, graph: g, opts: Options{}.withDefaults(),
-		augCache:   artifact.NewCache[*augEval](0, nil),
-		innerCache: artifact.NewCache[float64](0, nil),
+		augCache:   artifact.NewCache[*augEval](),
+		innerCache: artifact.NewCache[float64](),
 	}
 	ev := f.evalAug(aug)
 	if ev.cutsErr != nil {

@@ -17,7 +17,7 @@ import (
 // content-key order, so ties resolve to the reference first and to the
 // smallest key among cached configurations.
 func TestBestEvalSeenDeterministicTieBreak(t *testing.T) {
-	f := &flow{augCache: artifact.NewCache[*augEval](0, nil)}
+	f := &flow{augCache: artifact.NewCache[*augEval]()}
 	mk := func(key string, fit float64) *augEval {
 		ev := &augEval{key: key, searched: true, bestFit: fit}
 		f.augCache.Do(key, func() *augEval { return ev })

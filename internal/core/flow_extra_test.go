@@ -80,8 +80,8 @@ func TestWorstValidSharing(t *testing.T) {
 	c := chip.IVD()
 	g := assay.CPA()
 	f := &flow{orig: c, graph: g, opts: Options{}.withDefaults(),
-		augCache:   artifact.NewCache[*augEval](0, nil),
-		innerCache: artifact.NewCache[float64](0, nil),
+		augCache:   artifact.NewCache[*augEval](),
+		innerCache: artifact.NewCache[float64](),
 	}
 	aug, err := testgen.AugmentHeuristic(c, testgen.Options{})
 	if err != nil {

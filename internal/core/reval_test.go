@@ -78,8 +78,8 @@ func TestSharingCheckExact(t *testing.T) {
 		{chip.MRNA(), assay.CPA()},
 	} {
 		f := &flow{orig: d.chip, graph: d.assay, opts: Options{}.withDefaults(),
-			augCache:   artifact.NewCache[*augEval](0, nil),
-			innerCache: artifact.NewCache[float64](0, nil),
+			augCache:   artifact.NewCache[*augEval](),
+			innerCache: artifact.NewCache[float64](),
 			cur:        st}
 		for cfg := 0; cfg < configs; cfg++ {
 			weights := make([]float64, d.chip.Grid.NumEdges())

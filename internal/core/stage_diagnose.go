@@ -40,6 +40,56 @@ type DiagnosisSummary struct {
 	Entries []diagnose.FaultDiagnosis
 }
 
+// SummarizeDiagnosis aggregates a diagnosis campaign's per-fault entries
+// against exhaustive, the vector count of an exhaustive replay (the
+// detection matrix's usable vectors).
+func SummarizeDiagnosis(diags []diagnose.FaultDiagnosis, exhaustive int) *DiagnosisSummary {
+	sum := &DiagnosisSummary{
+		Faults:            len(diags),
+		ExhaustiveVectors: exhaustive,
+		Entries:           diags,
+	}
+	totSuspects := 0
+	for _, d := range diags {
+		if d.Localized() {
+			sum.Localized++
+		}
+		if d.Provenance.Degraded {
+			sum.Degraded++
+		}
+		if d.Result == nil {
+			continue
+		}
+		v := d.Result.VectorsApplied()
+		sum.TotalVectors += v
+		if v > sum.MaxVectors {
+			sum.MaxVectors = v
+		}
+		ns := len(d.Result.Suspects)
+		totSuspects += ns
+		if ns > sum.MaxSuspects {
+			sum.MaxSuspects = ns
+		}
+	}
+	if len(diags) > 0 {
+		sum.MeanVectors = float64(sum.TotalVectors) / float64(len(diags))
+		sum.MeanSuspects = float64(totSuspects) / float64(len(diags))
+	}
+	return sum
+}
+
+// SuspectSets returns the campaign's non-empty suspect sets in fault
+// order: the input of a reconfiguration campaign.
+func (s *DiagnosisSummary) SuspectSets() [][]fault.Fault {
+	sets := make([][]fault.Fault, 0, len(s.Entries))
+	for _, d := range s.Entries {
+		if d.Result != nil && len(d.Result.Suspects) > 0 {
+			sets = append(sets, d.Result.Suspects)
+		}
+	}
+	return sets
+}
+
 // runDiagnoseStage builds the detection matrix of the final test set
 // under the chosen sharing scheme and runs the diagnosis campaign: every
 // modeled fault is localized through the adaptive → greedy → replay
@@ -93,38 +143,7 @@ func (f *flow) runDiagnoseStage(ctx context.Context, st *flowstage.StageStats) e
 		return fmt.Errorf("core: diagnosis campaign failed on %s: %w", c.Name, err)
 	}
 
-	sum := &DiagnosisSummary{
-		Faults:            len(diags),
-		ExhaustiveVectors: m.NumUsable(),
-		Entries:           diags,
-	}
-	totSuspects := 0
-	for _, d := range diags {
-		if d.Localized() {
-			sum.Localized++
-		}
-		if d.Provenance.Degraded {
-			sum.Degraded++
-		}
-		if d.Result == nil {
-			continue
-		}
-		v := d.Result.VectorsApplied()
-		sum.TotalVectors += v
-		if v > sum.MaxVectors {
-			sum.MaxVectors = v
-		}
-		ns := len(d.Result.Suspects)
-		totSuspects += ns
-		if ns > sum.MaxSuspects {
-			sum.MaxSuspects = ns
-		}
-	}
-	if len(diags) > 0 {
-		sum.MeanVectors = float64(sum.TotalVectors) / float64(len(diags))
-		sum.MeanSuspects = float64(totSuspects) / float64(len(diags))
-	}
-
+	sum := SummarizeDiagnosis(diags, m.NumUsable())
 	st.Count("diagnose_faults", int64(sum.Faults))
 	st.Count("diagnose_localized", int64(sum.Localized))
 	st.Count("diagnose_vectors_applied", int64(sum.TotalVectors))

@@ -43,51 +43,9 @@ type ReconfigSummary struct {
 	Entries []diagnose.SetReconfig
 }
 
-// runReconfigureStage reschedules the assay around every diagnosed
-// suspect set through the reconfiguration chain. It consumes
-// Result.Diagnosis, so it skips gracefully (Result.Reconfiguration stays
-// nil) when diagnosis was itself skipped or when the context has died.
-func (f *flow) runReconfigureStage(ctx context.Context, st *flowstage.StageStats) error {
-	f.enterStage(st)
-	defer f.leaveStage(st)
-	obs := f.observer()
-	res := f.final.Get()
-
-	skip := func() error {
-		st.Count("reconf_skipped", 1)
-		res.Interrupted = true
-		return nil
-	}
-	if ctx.Err() != nil || res.Diagnosis == nil {
-		return skip()
-	}
-
-	sets := make([][]fault.Fault, 0, len(res.Diagnosis.Entries))
-	for _, d := range res.Diagnosis.Entries {
-		if d.Result != nil && len(d.Result.Suspects) > 0 {
-			sets = append(sets, d.Result.Suspects)
-		}
-	}
-	r := &diagnose.Reconfigurer{
-		Chip:    res.Aug.Chip,
-		Ctrl:    res.Control,
-		Assay:   f.graph,
-		Params:  f.opts.Sched,
-		Inject:  f.reconfInject,
-		Metrics: f.schedMetrics,
-		OnAttempt: func(att solve.Attempt) {
-			st.Count("reconf_chain_attempts", 1)
-			obs.ChainAttempt(st.Name, att.Tier, att.Name, string(att.Reason), att.Elapsed)
-		},
-	}
-	groups, err := r.Campaign(ctx, sets, f.opts.Workers)
-	if err != nil {
-		if ctx.Err() != nil {
-			return skip()
-		}
-		return fmt.Errorf("core: reconfiguration campaign failed on %s: %w", res.Aug.Chip.Name, err)
-	}
-
+// SummarizeReconfig aggregates a reconfiguration campaign: the suspect
+// sets fed in and the ban groups the campaign returned for them.
+func SummarizeReconfig(sets [][]fault.Fault, groups []diagnose.SetReconfig) *ReconfigSummary {
 	sum := &ReconfigSummary{
 		SuspectSets: len(sets),
 		Groups:      len(groups),
@@ -118,7 +76,50 @@ func (f *flow) runReconfigureStage(ctx context.Context, st *flowstage.StageStats
 	if sum.Feasible > 0 {
 		sum.MeanPenalty = float64(totPenalty) / float64(sum.Feasible)
 	}
+	return sum
+}
 
+// runReconfigureStage reschedules the assay around every diagnosed
+// suspect set through the reconfiguration chain. It consumes
+// Result.Diagnosis, so it skips gracefully (Result.Reconfiguration stays
+// nil) when diagnosis was itself skipped or when the context has died.
+func (f *flow) runReconfigureStage(ctx context.Context, st *flowstage.StageStats) error {
+	f.enterStage(st)
+	defer f.leaveStage(st)
+	obs := f.observer()
+	res := f.final.Get()
+
+	skip := func() error {
+		st.Count("reconf_skipped", 1)
+		res.Interrupted = true
+		return nil
+	}
+	if ctx.Err() != nil || res.Diagnosis == nil {
+		return skip()
+	}
+
+	sets := res.Diagnosis.SuspectSets()
+	r := &diagnose.Reconfigurer{
+		Chip:    res.Aug.Chip,
+		Ctrl:    res.Control,
+		Assay:   f.graph,
+		Params:  f.opts.Sched,
+		Inject:  f.reconfInject,
+		Metrics: f.schedMetrics,
+		OnAttempt: func(att solve.Attempt) {
+			st.Count("reconf_chain_attempts", 1)
+			obs.ChainAttempt(st.Name, att.Tier, att.Name, string(att.Reason), att.Elapsed)
+		},
+	}
+	groups, err := r.Campaign(ctx, sets, f.opts.Workers)
+	if err != nil {
+		if ctx.Err() != nil {
+			return skip()
+		}
+		return fmt.Errorf("core: reconfiguration campaign failed on %s: %w", res.Aug.Chip.Name, err)
+	}
+
+	sum := SummarizeReconfig(sets, groups)
 	st.Count("reconf_sets", int64(sum.SuspectSets))
 	st.Count("reconf_groups", int64(sum.Groups))
 	st.Count("reconf_feasible", int64(sum.Feasible))

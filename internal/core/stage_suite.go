@@ -84,17 +84,15 @@ func RunSuiteCtx(ctx context.Context, c *chip.Chip, opts SuiteRunOptions) (*Suit
 	var digest artifact.Digest
 	if cc := opts.Cache; cc != nil {
 		digest = suiteDigest(c)
-		if payload, tier := cc.lookup("suite", digest); payload != nil {
-			if suite, cov, err := DecodeSuite(c, payload); err == nil {
-				dur := time.Since(start)
-				return &SuiteRunResult{
-					Suite:    suite,
-					Coverage: cov,
-					Stats: artifactStats(opts.Observer, dur,
-						map[string]int64{"art_" + tier + "_hits": 1}),
-					Runtime: dur,
-				}, nil
-			}
+		decode := func(b []byte) (*SuiteRunResult, error) {
+			suite, cov, err := DecodeSuite(c, b)
+			return &SuiteRunResult{Suite: suite, Coverage: cov}, err
+		}
+		if res, tier := lookup(cc, "suite", digest, decode); tier != "" {
+			res.Runtime = time.Since(start)
+			res.Stats = artifactStats(opts.Observer, res.Runtime,
+				map[string]int64{"art_" + tier + "_hits": 1})
+			return res, nil
 		}
 	}
 	r := &suiteRun{chip: c, opts: opts, metrics: fault.NewMetrics()}
@@ -134,12 +132,6 @@ func (r *suiteRun) runGenerateStage(ctx context.Context, st *flowstage.StageStat
 	if eng == nil {
 		eng = testgen.NewTemplateEngine()
 	}
-	if cc := r.opts.Cache; cc != nil && cc.Store() != nil {
-		// Share the artifact cache's disk tier so solved tile classes
-		// persist across processes even when the whole-suite entry
-		// misses (e.g. a new chip size reusing known classes).
-		eng.SetStore(cc.Store())
-	}
 	s, err := eng.GenerateCtx(ctx, r.chip, testgen.SuiteOptions{Workers: r.opts.Workers})
 	if err != nil {
 		return err
@@ -147,7 +139,6 @@ func (r *suiteRun) runGenerateStage(ctx context.Context, st *flowstage.StageStat
 	st.Count("tmpl_classes", int64(s.Stats.Classes))
 	st.Count("tmpl_line_classes", int64(s.Stats.LineClasses))
 	st.Count("tmpl_cache_hits", s.Stats.TemplateHits)
-	st.Count("tmpl_disk_hits", s.Stats.TemplateDiskHits)
 	st.Count("tmpl_instantiated", s.Stats.Instantiated)
 	st.Count("tmpl_fallbacks", s.Stats.Fallbacks)
 	st.CacheHits += s.Stats.TemplateHits

@@ -111,11 +111,10 @@ func BuildTestSetCtx(ctx context.Context, c *chip.Chip, optimal bool, cc *Cache)
 	var digest artifact.Digest
 	if cc != nil {
 		digest = testSetDigest(c, optimal)
-		if payload, tier := cc.lookup("testset", digest); payload != nil {
-			if ts, err := DecodeTestSet(c, payload); err == nil {
-				ts.Tier = tier
-				return ts, nil
-			}
+		decode := func(b []byte) (*TestSet, error) { return DecodeTestSet(c, b) }
+		if ts, tier := lookup(cc, "testset", digest, decode); tier != "" {
+			ts.Tier = tier
+			return ts, nil
 		}
 	}
 	aug, err := testgen.AugmentHeuristicCtx(ctx, c, testgen.Options{})

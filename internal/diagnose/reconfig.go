@@ -24,6 +24,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/artifact"
 	"repro/internal/assay"
 	"repro/internal/chip"
 	"repro/internal/fault"
@@ -85,53 +86,40 @@ type Reconfigurer struct {
 	baselineTime int
 	baselineErr  error
 
-	// engines caches one warm sched.Engine per distinct ban set. All three
-	// tiers of a Run share an engine (the tier knobs — MaxReroutes,
-	// RelaxStuckOpenSeal — are per-call parameters, not engine state), and
-	// Campaign's banKey-deduplicated groups reuse entries across the whole
-	// campaign. The pointer is shared with Campaign's worker copy.
+	// engines memoizes one warm sched.Engine per distinct ban set, keyed
+	// by banKey. All three tiers of a Run share an engine (the tier knobs
+	// — MaxReroutes, RelaxStuckOpenSeal — are per-call parameters, not
+	// engine state), and Campaign's banKey-deduplicated groups reuse
+	// entries across the whole campaign. The pointer is shared with
+	// Campaign's worker copy.
 	engOnce sync.Once
-	engines *engineCache
+	engines *artifact.Cache[builtEngine]
 }
 
-// engineCache maps canonical ban keys to once-built scheduler engines.
-type engineCache struct {
-	mu      sync.Mutex
-	entries map[string]*engineEntry
+// builtEngine is a once-built scheduler engine or its build error.
+type builtEngine struct {
+	eng *sched.Engine
+	err error
 }
 
-type engineEntry struct {
-	once sync.Once
-	eng  *sched.Engine
-	err  error
-}
-
-// engineCacheInit returns the reconfigurer's engine cache, creating it on
-// first use (safe under concurrent Run calls).
-func (r *Reconfigurer) engineCacheInit() *engineCache {
-	r.engOnce.Do(func() { r.engines = &engineCache{entries: map[string]*engineEntry{}} })
+// engineMemo returns the reconfigurer's engine memo, creating it on first
+// use (safe under concurrent Run calls).
+func (r *Reconfigurer) engineMemo() *artifact.Cache[builtEngine] {
+	r.engOnce.Do(func() { r.engines = artifact.NewCache[builtEngine]() })
 	return r.engines
 }
 
 // engineFor returns the warm engine for the ban set named in p, building it
 // at most once per distinct set.
 func (r *Reconfigurer) engineFor(p sched.Params) (*sched.Engine, error) {
-	ec := r.engineCacheInit()
-	key := banKey(p.BanClosed, p.BanOpen)
-	ec.mu.Lock()
-	ent, ok := ec.entries[key]
-	if !ok {
-		ent = &engineEntry{}
-		ec.entries[key] = ent
-	}
-	ec.mu.Unlock()
-	ent.once.Do(func() {
-		ent.eng, ent.err = sched.NewEngine(r.Chip, r.Assay, p)
-		if ent.err == nil && r.Metrics != nil {
-			ent.eng.SetMetrics(r.Metrics)
+	b, _ := r.engineMemo().Do(banKey(p.BanClosed, p.BanOpen), func() builtEngine {
+		eng, err := sched.NewEngine(r.Chip, r.Assay, p)
+		if err == nil && r.Metrics != nil {
+			eng.SetMetrics(r.Metrics)
 		}
+		return builtEngine{eng, err}
 	})
-	return ent.eng, ent.err
+	return b.eng, b.err
 }
 
 // Bans maps a fault set to scheduler bans: stuck-at-0 (can't open /
@@ -332,7 +320,7 @@ func (r *Reconfigurer) Campaign(ctx context.Context, suspectSets [][]fault.Fault
 	}
 
 	// Hook-free worker copy; attempts are replayed serially below. The
-	// engine cache pointer is shared, so every banKey group reuses the
+	// engine memo pointer is shared, so every banKey group reuses the
 	// engines built so far (and vice versa).
 	worker := &Reconfigurer{
 		Chip: r.Chip, Ctrl: r.Ctrl, Assay: r.Assay, Params: r.Params,
@@ -341,7 +329,7 @@ func (r *Reconfigurer) Campaign(ctx context.Context, suspectSets [][]fault.Fault
 	worker.baselineOnce.Do(func() {})
 	worker.baselineTime, worker.baselineErr = r.baselineTime, r.baselineErr
 	worker.engOnce.Do(func() {})
-	worker.engines = r.engineCacheInit()
+	worker.engines = r.engineMemo()
 	run := func(g int) {
 		outcome, err := worker.Run(ctx, rep[g])
 		groups[g].Reconfig = outcome.Value

@@ -125,9 +125,6 @@ func (s *Simulator) bridgesOf(v Vector, ev *vectorEval) *bridgeAnalysis {
 			a.parentEdge[i] = -1
 		}
 		open := func(e int) bool {
-			if g.EdgeDeleted(e) {
-				return false
-			}
 			vv, ok := s.chip.ValveOnEdge(e)
 			return ok && ev.open[vv]
 		}

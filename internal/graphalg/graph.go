@@ -29,8 +29,7 @@ type Arc struct {
 }
 
 type edgeRec struct {
-	u, v    int
-	deleted bool
+	u, v int
 }
 
 // NewGraph returns an empty graph with n nodes and no edges.
@@ -44,8 +43,8 @@ func NewGraph(n int) *Graph {
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return g.n }
 
-// NumEdges returns the number of edges ever added, including deleted ones.
-// Edge IDs are dense in [0, NumEdges()).
+// NumEdges returns the number of edges. Edge IDs are dense in
+// [0, NumEdges()).
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // AddNode appends a new node and returns its ID.
@@ -75,53 +74,29 @@ func (g *Graph) Endpoints(id int) (u, v int) {
 	return e.u, e.v
 }
 
-// EdgeDeleted reports whether edge id has been marked deleted.
-func (g *Graph) EdgeDeleted(id int) bool { return g.edges[id].deleted }
-
-// DeleteEdge marks edge id deleted. Traversals skip deleted edges.
-// Deletion is reversible with RestoreEdge; this supports the fault
-// simulator's inject/heal cycle without rebuilding adjacency.
-func (g *Graph) DeleteEdge(id int) { g.edges[id].deleted = true }
-
-// RestoreEdge undoes DeleteEdge.
-func (g *Graph) RestoreEdge(id int) { g.edges[id].deleted = false }
-
-// Degree returns the number of live (non-deleted) edges incident to u.
-// A self-loop counts once.
+// Degree returns the number of edges incident to u. A self-loop counts
+// once.
 func (g *Graph) Degree(u int) int {
 	g.checkNode(u)
-	d := 0
-	for _, a := range g.adj[u] {
-		if !g.edges[a.Edge].deleted {
-			d++
-		}
-	}
-	return d
+	return len(g.adj[u])
 }
 
-// Neighbors returns the arcs incident to u over live edges. The returned
-// slice is freshly allocated.
+// Neighbors returns the arcs incident to u. The returned slice is freshly
+// allocated.
 func (g *Graph) Neighbors(u int) []Arc {
 	g.checkNode(u)
-	var out []Arc
-	for _, a := range g.adj[u] {
-		if !g.edges[a.Edge].deleted {
-			out = append(out, a)
-		}
-	}
-	return out
+	return append([]Arc(nil), g.adj[u]...)
 }
 
-// Adjacency returns u's internal arc slice, including arcs of deleted
-// edges — callers must filter with EdgeDeleted. The returned slice must
-// not be modified and is valid until the next AddEdge or AddNode. It
-// exists for allocation-free traversals (Neighbors copies).
+// Adjacency returns u's internal arc slice. The returned slice must not be
+// modified and is valid until the next AddEdge or AddNode. It exists for
+// allocation-free traversals (Neighbors copies).
 func (g *Graph) Adjacency(u int) []Arc {
 	g.checkNode(u)
 	return g.adj[u]
 }
 
-// IncidentEdges returns the live edge IDs incident to u, sorted ascending.
+// IncidentEdges returns the edge IDs incident to u, sorted ascending.
 func (g *Graph) IncidentEdges(u int) []int {
 	arcs := g.Neighbors(u)
 	out := make([]int, 0, len(arcs))
@@ -132,7 +107,7 @@ func (g *Graph) IncidentEdges(u int) []int {
 	return out
 }
 
-// Clone returns a deep copy of the graph, including deletion marks.
+// Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{n: g.n, adj: make([][]Arc, g.n), edges: append([]edgeRec(nil), g.edges...)}
 	for u, arcs := range g.adj {
@@ -147,8 +122,8 @@ func (g *Graph) checkNode(u int) {
 	}
 }
 
-// BFSFrom runs a breadth-first search from src over live edges, restricted
-// to edges for which allow(edgeID) is true (nil allow means all live edges).
+// BFSFrom runs a breadth-first search from src, restricted to edges for
+// which allow(edgeID) is true (nil allow means all edges).
 // It returns dist with dist[u] = hop count, or -1 if unreachable.
 func (g *Graph) BFSFrom(src int, allow func(edge int) bool) []int {
 	g.checkNode(src)
@@ -163,9 +138,6 @@ func (g *Graph) BFSFrom(src int, allow func(edge int) bool) []int {
 		u := queue[0]
 		queue = queue[1:]
 		for _, a := range g.adj[u] {
-			if g.edges[a.Edge].deleted {
-				continue
-			}
 			if allow != nil && !allow(a.Edge) {
 				continue
 			}
@@ -178,8 +150,8 @@ func (g *Graph) BFSFrom(src int, allow func(edge int) bool) []int {
 	return dist
 }
 
-// Reachable reports whether dst is reachable from src over live edges
-// permitted by allow (nil allow means all live edges).
+// Reachable reports whether dst is reachable from src over edges permitted
+// by allow (nil allow means all edges).
 func (g *Graph) Reachable(src, dst int, allow func(edge int) bool) bool {
 	if src == dst {
 		return true
@@ -232,9 +204,6 @@ func (g *Graph) ReachableScratch(s *Scratch, src, dst int, allow func(edge int) 
 	for head := 0; head < len(queue) && !found; head++ {
 		u := queue[head]
 		for _, a := range g.adj[u] {
-			if g.edges[a.Edge].deleted {
-				continue
-			}
 			if allow != nil && !allow(a.Edge) {
 				continue
 			}
@@ -253,7 +222,7 @@ func (g *Graph) ReachableScratch(s *Scratch, src, dst int, allow func(edge int) 
 	return found
 }
 
-// ShortestPath returns a minimum-hop path from src to dst over live edges
+// ShortestPath returns a minimum-hop path from src to dst over edges
 // permitted by allow, as (nodes, edges); nodes has one more element than
 // edges. ok is false if dst is unreachable.
 func (g *Graph) ShortestPath(src, dst int, allow func(edge int) bool) (nodes, edges []int, ok bool) {
@@ -273,9 +242,6 @@ func (g *Graph) ShortestPath(src, dst int, allow func(edge int) bool) (nodes, ed
 		u := queue[0]
 		queue = queue[1:]
 		for _, a := range g.adj[u] {
-			if g.edges[a.Edge].deleted {
-				continue
-			}
 			if allow != nil && !allow(a.Edge) {
 				continue
 			}
@@ -321,9 +287,6 @@ func (g *Graph) ShortestPathScratch(s *Scratch, src, dst int, allow func(edge in
 	for head := 0; head < len(queue) && seen[dst] != epoch; head++ {
 		u := queue[head]
 		for _, a := range g.adj[u] {
-			if g.edges[a.Edge].deleted {
-				continue
-			}
 			if allow != nil && !allow(a.Edge) {
 				continue
 			}
@@ -381,9 +344,6 @@ func (g *Graph) WeightedShortestPath(src, dst int, weight func(edge int) float64
 			break
 		}
 		for _, a := range g.adj[u] {
-			if g.edges[a.Edge].deleted {
-				continue
-			}
 			w := weight(a.Edge)
 			if w < 0 {
 				continue
@@ -430,9 +390,6 @@ func (g *Graph) BFSDistScratch(s *Scratch, dist []int, src int, allow func(edge 
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		for _, a := range g.adj[u] {
-			if g.edges[a.Edge].deleted {
-				continue
-			}
 			if allow != nil && !allow(a.Edge) {
 				continue
 			}
@@ -498,9 +455,6 @@ func (g *Graph) WeightedShortestPathScratch(s *PathScratch, src, dst int, weight
 			break
 		}
 		for _, a := range g.adj[u] {
-			if g.edges[a.Edge].deleted {
-				continue
-			}
 			w := weight(a.Edge)
 			if w < 0 {
 				continue
@@ -527,7 +481,7 @@ func (g *Graph) WeightedShortestPathScratch(s *PathScratch, src, dst int, weight
 }
 
 // ConnectedComponents labels each node with a component ID in [0, k) and
-// returns (labels, k), considering live edges only.
+// returns (labels, k).
 func (g *Graph) ConnectedComponents() ([]int, int) {
 	label := make([]int, g.n)
 	for i := range label {
@@ -544,9 +498,6 @@ func (g *Graph) ConnectedComponents() ([]int, int) {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, a := range g.adj[u] {
-				if g.edges[a.Edge].deleted {
-					continue
-				}
 				if label[a.To] < 0 {
 					label[a.To] = k
 					stack = append(stack, a.To)

@@ -201,14 +201,11 @@ func (f *FlowNetwork) MinCutArcs(s int) []int {
 }
 
 // MinEdgeCut computes a minimum s-t cut of an undirected Graph where each
-// live edge has unit capacity. It returns the cut's edge IDs (sorted) and
-// the cut size. allow restricts the edges considered (nil = all live).
+// edge has unit capacity. It returns the cut's edge IDs (sorted) and the
+// cut size. allow restricts the edges considered (nil = all).
 func MinEdgeCut(g *Graph, s, t int, allow func(edge int) bool) ([]int, int) {
 	f := NewFlowNetwork(g.NumNodes())
 	for id := 0; id < g.NumEdges(); id++ {
-		if g.EdgeDeleted(id) {
-			continue
-		}
 		if allow != nil && !allow(id) {
 			continue
 		}

@@ -46,7 +46,7 @@ type Engine struct {
 	// run is in that snapshot, dynamic Dijkstra provably equals a search
 	// under baseWeight, which is what makes the candidate cache sound.
 	baseWeight []float64
-	// incident[u] lists the live edge IDs at node u, sorted ascending —
+	// incident[u] lists the edge IDs at node u, sorted ascending —
 	// the per-snapshot contamination guard walks these instead of
 	// allocating IncidentEdges on every validation attempt.
 	incident [][]int

@@ -312,7 +312,7 @@ func cutThroughWithLeakAvoiding(sc *cutScratch, g *graphalg.Graph, s, t, through
 		net := &sc.net
 		net.Reset(g.NumNodes())
 		for e := 0; e < g.NumEdges(); e++ {
-			if g.EdgeDeleted(e) || e == through || !allow(e) {
+			if e == through || !allow(e) {
 				continue
 			}
 			capacity := 1

@@ -65,11 +65,8 @@ type SuiteStats struct {
 	Classes      int
 	LineClasses  int
 	TemplateHits int64
-	// TemplateDiskHits counts classes loaded from a persistent artifact
-	// store (SetStore) instead of solved.
-	TemplateDiskHits int64
-	Instantiated     int64
-	Fallbacks        int64
+	Instantiated int64
+	Fallbacks    int64
 
 	// SimEvals counts distinct fault-free vector evaluations (the
 	// pressure solves of certification). Not worker-count invariant:

@@ -130,8 +130,8 @@ func TestTemplateMemoPurity(t *testing.T) {
 	if !reflect.DeepEqual(canonical(first), canonical(second)) {
 		t.Fatal("memoized rerun changed the suite")
 	}
-	if e.CachedTemplates() != first.Stats.Classes {
-		t.Fatalf("cache holds %d templates for %d classes", e.CachedTemplates(), first.Stats.Classes)
+	if e.cache.Len() != first.Stats.Classes {
+		t.Fatalf("cache holds %d templates for %d classes", e.cache.Len(), first.Stats.Classes)
 	}
 }
 

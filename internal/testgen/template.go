@@ -33,7 +33,6 @@ package testgen
 
 import (
 	"context"
-	"encoding/json"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -448,73 +447,21 @@ func (p *suitePre) solveTemplate(rep int, anchor grid.Coord) *template {
 	return t
 }
 
-// tmplSchema versions the on-disk template encoding (inside the store's
-// own container framing).
-const tmplSchema = 1
-
-// tmplDisk is the persisted template with its schema stamp.
-type tmplDisk struct {
-	Schema int      `json:"schema"`
-	T      template `json:"t"`
-}
-
 // TemplateEngine generates per-valve suites by tile-class templates. The
 // template cache persists across Generate calls, so a sweep over growing
 // FPVA sizes re-solves only the classes it has not seen; every reused
 // template is still validated and certified on the new chip before use.
-// With SetStore, solved tile classes additionally persist across
-// processes in an artifact store. An engine is safe for concurrent use.
-// For byte-reproducible output across processes use a fresh engine per
-// chip (cache warmth can change which — equally certified — vectors an
-// instantiation produces).
+// An engine is safe for concurrent use. For byte-reproducible output
+// across processes use a fresh engine per chip (cache warmth can change
+// which — equally certified — vectors an instantiation produces).
 type TemplateEngine struct {
 	cache *artifact.Cache[*template]
-	store atomic.Pointer[artifact.Store]
 }
 
 // NewTemplateEngine returns an engine with an empty unbounded template
 // cache (class populations are small).
 func NewTemplateEngine() *TemplateEngine {
-	return &TemplateEngine{cache: artifact.NewCache[*template](0, nil)}
-}
-
-// SetStore attaches a disk tier: solved tile classes are persisted and
-// future engines (processes) with the same store skip those solves.
-func (e *TemplateEngine) SetStore(s *artifact.Store) { e.store.Store(s) }
-
-// CachedTemplates returns the number of solved classes resident in the
-// memory cache.
-func (e *TemplateEngine) CachedTemplates() int { return e.cache.Len() }
-
-// loadTemplate fetches a persisted class solve; any miss or corruption
-// just re-solves.
-func (e *TemplateEngine) loadTemplate(sig string) (*template, bool) {
-	s := e.store.Load()
-	if s == nil {
-		return nil, false
-	}
-	payload, ok := s.Get("tmpl", artifact.SumBytes("tmpl", []byte(sig)))
-	if !ok {
-		return nil, false
-	}
-	var d tmplDisk
-	if err := json.Unmarshal(payload, &d); err != nil || d.Schema != tmplSchema {
-		return nil, false
-	}
-	t := d.T
-	return &t, true
-}
-
-// saveTemplate persists a class solve; failures are ignored (the store
-// is an accelerator).
-func (e *TemplateEngine) saveTemplate(sig string, t *template) {
-	s := e.store.Load()
-	if s == nil || t == nil {
-		return
-	}
-	if payload, err := json.Marshal(tmplDisk{Schema: tmplSchema, T: *t}); err == nil {
-		_ = s.Put("tmpl", artifact.SumBytes("tmpl", []byte(sig)), payload)
-	}
+	return &TemplateEngine{cache: artifact.NewCache[*template]()}
 }
 
 // Generate builds the suite for c. Results are bit-identical for any
@@ -560,20 +507,14 @@ func (e *TemplateEngine) GenerateCtx(ctx context.Context, c *chip.Chip, opts Sui
 	// once-map (cache hits are classes solved by an earlier Generate).
 	// Line classes need no solve: their recipe is closed-form.
 	tmpls := make([]*template, len(classes))
-	var hits, diskHits atomic.Int64
+	var hits atomic.Int64
 	err := par.For(ctx, par.Workers(opts.Workers), len(classes), func(i int) {
 		rep := repOf[classes[i]]
 		t, hit := e.cache.Do(classes[i], func() *template {
 			if classes[i][0] == 'L' {
 				return &template{Line: true, HasPath: true, HasCut: true}
 			}
-			if tl, ok := e.loadTemplate(classes[i]); ok {
-				diskHits.Add(1)
-				return tl
-			}
-			t := pre.solveTemplate(rep, anchors[rep])
-			e.saveTemplate(classes[i], t)
-			return t
+			return pre.solveTemplate(rep, anchors[rep])
 		})
 		if hit {
 			hits.Add(1)
@@ -641,7 +582,6 @@ func (e *TemplateEngine) GenerateCtx(ctx context.Context, c *chip.Chip, opts Sui
 	s.Stats.Classes = len(classes)
 	s.Stats.LineClasses = lineClasses
 	s.Stats.TemplateHits = hits.Load()
-	s.Stats.TemplateDiskHits = diskHits.Load()
 	s.Stats.Instantiated = instantiated.Load()
 	s.Stats.Fallbacks = fallbacks.Load()
 	s.Stats.PathSolves = pre.pathSolves.Load()
