@@ -110,7 +110,8 @@ func campaignRecord(cs string, c *chip.Chip, vectors []fault.Vector) (Record, er
 	})
 	r.Counters = map[string]float64{
 		"faults":          float64(len(faults)),
-		"pressure_solves": float64(snap.MemoMisses), // distinct fault-free vector simulations
+		"pressure_solves": float64(snap.MemoMisses), // distinct fault-free vector evaluations
+		"state_evals":     float64(snap.StateEvals), // distinct valve states analysed
 		"screen_skips":    float64(snap.ScreenSkips),
 		"reach_checks":    float64(snap.ReachChecks),
 		"bridge_checks":   float64(snap.BridgeChecks),

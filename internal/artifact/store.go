@@ -46,9 +46,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) path(kind string, d Digest) string {
 	return filepath.Join(s.dir, kind+"-"+d.Hex()+".art")
 }

@@ -8,7 +8,8 @@ import (
 )
 
 func TestStoreRoundTrip(t *testing.T) {
-	s, err := OpenStore(t.TempDir())
+	dir := t.TempDir()
+	s, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal("unknown digest must miss")
 	}
 	// Reopen: artifacts persist across processes.
-	s2, err := OpenStore(s.Dir())
+	s2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

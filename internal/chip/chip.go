@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/graphalg"
 	"repro/internal/grid"
 )
 
@@ -240,37 +239,6 @@ func (c *Chip) PressureReachable(srcNode, dstNode int, open []bool) bool {
 		v := c.valveOfEdge[e]
 		return v >= 0 && open[v]
 	})
-}
-
-// ReachScratch holds the reusable buffers of repeated PressureReachable
-// queries: the BFS state plus a pre-built edge filter, so the hot loop of a
-// fault-simulation campaign allocates nothing per query. The zero value is
-// ready to use and may be moved between chips, but one ReachScratch must
-// not be shared between goroutines.
-type ReachScratch struct {
-	chip  *Chip
-	open  []bool
-	allow func(edge int) bool
-	bfs   graphalg.Scratch
-}
-
-// PressureReachableScratch is PressureReachable with caller-owned scratch
-// buffers. Results are identical to PressureReachable.
-func (c *Chip) PressureReachableScratch(rs *ReachScratch, srcNode, dstNode int, open []bool) bool {
-	if len(open) != len(c.valves) {
-		panic(fmt.Sprintf("chip %s: open vector has %d entries for %d valves", c.Name, len(open), len(c.valves)))
-	}
-	if rs.chip != c {
-		// Rebuild the filter closure once per chip; it reads the open
-		// vector through the scratch so per-query calls stay allocation-free.
-		rs.chip = c
-		rs.allow = func(e int) bool {
-			v := c.valveOfEdge[e]
-			return v >= 0 && rs.open[v]
-		}
-	}
-	rs.open = open
-	return c.Grid.Graph().ReachableScratch(&rs.bfs, srcNode, dstNode, rs.allow)
 }
 
 // Stats summarizes the chip for reports.

@@ -1,7 +1,6 @@
 package chip
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -426,35 +425,12 @@ func TestGridHelpers(t *testing.T) {
 	}
 }
 
-// PressureReachableScratch must agree with PressureReachable for random
-// valve states, including when one scratch is reused across queries and
-// across different chips (the cached filter closure must rebind).
-func TestPressureReachableScratchEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	var rs ReachScratch
-	for _, c := range Benchmarks() {
-		for trial := 0; trial < 30; trial++ {
-			open := make([]bool, c.NumValves())
-			for i := range open {
-				open[i] = rng.Intn(2) == 0
-			}
-			src := c.Ports[rng.Intn(len(c.Ports))].Node
-			dst := c.Ports[rng.Intn(len(c.Ports))].Node
-			want := c.PressureReachable(src, dst, open)
-			if got := c.PressureReachableScratch(&rs, src, dst, open); got != want {
-				t.Fatalf("%s trial %d: scratch %v, plain %v", c.Name, trial, got, want)
-			}
-		}
-	}
-}
-
-func TestPressureReachableScratchBadInput(t *testing.T) {
+func TestPressureReachableBadInput(t *testing.T) {
 	c := IVD()
-	var rs ReachScratch
 	defer func() {
 		if recover() == nil {
 			t.Fatal("wrong open-slice length must panic")
 		}
 	}()
-	c.PressureReachableScratch(&rs, c.Ports[0].Node, c.Ports[1].Node, make([]bool, 1))
+	c.PressureReachable(c.Ports[0].Node, c.Ports[1].Node, make([]bool, 1))
 }

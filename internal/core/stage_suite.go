@@ -177,6 +177,7 @@ func (r *suiteRun) runCampaignStage(ctx context.Context, st *flowstage.StageStat
 	st.CacheMisses += delta.MemoMisses
 	st.Count("fault_memo_hits", delta.MemoHits)
 	st.Count("fault_memo_misses", delta.MemoMisses)
+	st.Count("fault_state_evals", delta.StateEvals)
 	st.Count("fault_campaigns", delta.Campaigns)
 	st.Count("fault_screen_skips", delta.ScreenSkips)
 	st.Count("fault_reach_checks", delta.ReachChecks)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -40,11 +42,43 @@ func TestRunSuiteTemplateFullCoverage(t *testing.T) {
 	if camp.Counter("fault_campaigns") == 0 {
 		t.Fatal("fault_campaigns counter not recorded")
 	}
+	if states := camp.Counter("fault_state_evals"); states == 0 || states >= camp.Counter("fault_memo_misses") {
+		t.Fatalf("fault_state_evals=%d for %d vector-memo misses: line vectors must share states",
+			states, camp.Counter("fault_memo_misses"))
+	}
 	if camp.Counter("cov_total") != int64(res.Coverage.Total) {
 		t.Fatalf("cov_total=%d, want %d", camp.Counter("cov_total"), res.Coverage.Total)
 	}
 	if res.Metrics.BridgeChecks == 0 || res.Metrics.ReachChecks == 0 {
 		t.Fatalf("fast-path rules unused: %+v", res.Metrics)
+	}
+}
+
+// TestRunSuiteGoldenFPVA pins the template suites of the 16x16 and 32x32
+// FPVAs at seed 2018 byte for byte: the SHA-256 of their EncodeSuite bytes
+// must equal the repository benchmark's golden hashes of the suite_fpva
+// ops fpva16/s2018 and fpva32/s2018 (benchmark/testdata/golden.json).
+func TestRunSuiteGoldenFPVA(t *testing.T) {
+	for _, tc := range []struct {
+		n   int
+		sha string
+	}{
+		{16, "abddc0f8af8f1020419fef240a884464416a07f23038bd28652828cd8e5e480e"},
+		{32, "6bc7730f40bca8ba15b233bddda8f956d8ed21bc4adb20a151338001625b46e3"},
+	} {
+		c := chip.MustGenerateFPVA(chip.FPVAParams{W: tc.n, H: tc.n, Seed: 2018})
+		res, err := RunSuite(c, SuiteRunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := EncodeSuite(res.Suite, res.Coverage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(enc)
+		if got := hex.EncodeToString(sum[:]); got != tc.sha {
+			t.Errorf("fpva%d/s2018: suite sha256 %s, golden %s", tc.n, got, tc.sha)
+		}
 	}
 }
 

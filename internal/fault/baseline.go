@@ -8,6 +8,35 @@ import "repro/internal/chip"
 // engine — BenchmarkEvaluateCoverage/serial measures it, and tests pin
 // result equivalence against it. It is not used by the production flow.
 
+// withFault returns the states with fault f injected.
+func withFault(open []bool, f Fault) []bool {
+	out := append([]bool(nil), open...)
+	switch f.Kind {
+	case StuckAt0:
+		out[f.Valve] = false
+	case StuckAt1, Leakage:
+		out[f.Valve] = true
+	}
+	return out
+}
+
+// meterReadings returns, for each meter in v, whether it reads pressure
+// under the given valve states: one PressureReachable search per
+// (source, meter) pair.
+func (s *Simulator) meterReadings(v Vector, open []bool) []bool {
+	out := make([]bool, len(v.Meters))
+	for i, m := range v.Meters {
+		mNode := s.chip.Ports[m].Node
+		for _, src := range v.Sources {
+			if s.chip.PressureReachable(s.chip.Ports[src].Node, mNode, open) {
+				out[i] = true
+				break
+			}
+		}
+	}
+	return out
+}
+
 func (s *Simulator) detectsNoMemo(v Vector, f Fault) bool {
 	base := s.OpenStates(v)
 	good := s.meterReadings(v, base)

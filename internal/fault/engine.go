@@ -1,12 +1,11 @@
 // Engine: the parallel, memoized fault-simulation campaign runner.
 //
 // A campaign evaluates |faults| x |vectors| pairs; the fault-free chip
-// behaviour depends only on the vector, so the engine computes it exactly
-// once per vector (phase 1, serial, shared with the Simulator's memo
-// cache) and then fans the per-fault detection scans out over a par.For
-// worker pool (phase 2). Each worker owns its scratch buffers
-// (faulty-state copy, meter readings, BFS state), so the hot loop
-// allocates nothing.
+// behaviour depends only on the vector, so the engine looks it up once per
+// vector (phase 1, serial, shared with the Simulator's two-level memo) and
+// then fans the per-fault detection scans out over a par.For worker pool
+// (phase 2). The scans read only the immutable memo records, so the hot
+// loop allocates nothing.
 //
 // Determinism: faults are indexed, each fault's verdict is independent of
 // every other fault, and the Coverage is assembled in fault order after
@@ -47,12 +46,6 @@ func (e *Engine) EvaluateCoverage(vectors []Vector, faults []Fault) Coverage {
 	return cov
 }
 
-// usableVector pairs a vector with its memoized fault-free evaluation.
-type usableVector struct {
-	vec Vector
-	ev  *vectorEval
-}
-
 // EvaluateCoverageCtx fault-simulates every (vector, fault) pair across
 // the worker pool and returns the aggregate coverage. Vectors that fail
 // FaultFreeOK contribute no detections. Cancelling the context stops the
@@ -68,17 +61,16 @@ func (e *Engine) EvaluateCoverageCtx(ctx context.Context, vectors []Vector, faul
 	// Phase 1: fault-free valve states and meter readings, once per
 	// vector. Hits the simulator's memo cache, so repeated campaigns over
 	// the same vector set skip this entirely.
-	usable := make([]usableVector, 0, len(vectors))
+	usable := make([]*vectorEval, 0, len(vectors))
 	for _, v := range vectors {
 		if ev := e.sim.evalVector(v); ev.usable {
-			usable = append(usable, usableVector{vec: v, ev: ev})
+			usable = append(usable, ev)
 		}
 	}
 
 	// Phase 2: per-fault detection scans, one fault at a time per worker.
 	detected := make([]bool, len(faults))
-	err := par.ForScratch(ctx, e.workers, len(faults), e.sim.getScratch, e.sim.putScratch,
-		func(sc *campaignScratch, i int) { detected[i] = detectAny(e.sim, usable, faults[i], sc) })
+	err := par.For(ctx, e.workers, len(faults), func(i int) { detected[i] = detectAny(e.sim, usable, faults[i]) })
 	if err != nil {
 		return Coverage{}, err
 	}
@@ -96,11 +88,15 @@ func (e *Engine) EvaluateCoverageCtx(ctx context.Context, vectors []Vector, faul
 
 // detectAny reports whether any usable vector detects f, scanning vectors
 // in campaign order (first detection wins, exactly like the serial path).
-func detectAny(s *Simulator, usable []usableVector, f Fault, sc *campaignScratch) bool {
-	for _, uv := range usable {
-		if s.detectsEval(uv.vec, uv.ev, f, sc) {
-			return true
+func detectAny(s *Simulator, usable []*vectorEval, f Fault) bool {
+	var t ruleTally
+	det := false
+	for _, ev := range usable {
+		if s.detectsEval(ev, f, &t) {
+			det = true
+			break
 		}
 	}
-	return false
+	s.metrics.addRules(t)
+	return det
 }

@@ -24,6 +24,13 @@ func randomVector(rng *rand.Rand, c *chip.Chip) Vector {
 			valves = append(valves, v)
 		}
 	}
+	src, met := randomPorts(rng, c, 1+rng.Intn(2), 1+rng.Intn(2))
+	return Vector{Kind: kind, Valves: valves, Sources: src, Meters: met}
+}
+
+// randomPorts draws nSrc distinct sources and nMet distinct meters (a port
+// may be both), falling back to one of each on chips with too few ports.
+func randomPorts(rng *rand.Rand, c *chip.Chip, nSrc, nMet int) (src, met []int) {
 	pick := func(n int) []int {
 		var out []int
 		used := map[int]bool{}
@@ -36,12 +43,34 @@ func randomVector(rng *rand.Rand, c *chip.Chip) Vector {
 		}
 		return out
 	}
-	nSrc := 1 + rng.Intn(2)
-	nMet := 1 + rng.Intn(2)
 	if nSrc+nMet > len(c.Ports) {
 		nSrc, nMet = 1, 1
 	}
-	return Vector{Kind: kind, Valves: valves, Sources: pick(nSrc), Meters: pick(nMet)}
+	return pick(nSrc), pick(nMet)
+}
+
+// testControls returns c's independent control and, when it builds, the
+// shared control of a clone with up to three DFT valves, so equivalence
+// tests exercise sharing-induced masking too.
+func testControls(c *chip.Chip) []*chip.Control {
+	ctrls := []*chip.Control{chip.IndependentControl(c)}
+	aug := c.Clone()
+	added := 0
+	for e := 0; e < aug.Grid.NumEdges() && added < 3; e++ {
+		if _, ok := aug.ValveOnEdge(e); !ok {
+			if _, err := aug.AddDFTChannel(e); err == nil {
+				added++
+			}
+		}
+	}
+	partners := make([]int, aug.NumDFTValves())
+	for i := range partners {
+		partners[i] = i % aug.NumOriginalValves()
+	}
+	if sc, err := chip.SharedControl(aug, partners); err == nil {
+		ctrls = append(ctrls, sc)
+	}
+	return ctrls
 }
 
 // TestDetectsFastPathEquivalence pins the campaign fast path (saturation
@@ -51,26 +80,7 @@ func randomVector(rng *rand.Rand, c *chip.Chip) Vector {
 func TestDetectsFastPathEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
-		c := chip.Random(rng)
-		ctrls := []*chip.Control{chip.IndependentControl(c)}
-		// A chip with DFT valves exercises sharing-induced masking too.
-		aug := c.Clone()
-		added := 0
-		for e := 0; e < aug.Grid.NumEdges() && added < 3; e++ {
-			if _, ok := aug.ValveOnEdge(e); !ok {
-				if _, err := aug.AddDFTChannel(e); err == nil {
-					added++
-				}
-			}
-		}
-		partners := make([]int, aug.NumDFTValves())
-		for i := range partners {
-			partners[i] = i % aug.NumOriginalValves()
-		}
-		if sc, err := chip.SharedControl(aug, partners); err == nil {
-			ctrls = append(ctrls, sc)
-		}
-		for _, ctrl := range ctrls {
+		for _, ctrl := range testControls(chip.Random(rng)) {
 			cc := ctrl.Chip()
 			sim := MustSimulator(cc, ctrl)
 			for i := 0; i < 30; i++ {
@@ -85,6 +95,47 @@ func TestDetectsFastPathEquivalence(t *testing.T) {
 							cc.Name, trial, v, f, got, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestSharedStateMatchesNoMemo pins the two-level memo: vectors that apply
+// one (kind, valves) state but differ in sources and meters, 2-source and
+// 2-meter shapes included, share one state analysis and must still get the
+// memo-free oracle's FaultFreeOK and Detects verdicts on every fault,
+// under independent and shared control. Each valve set is applied as both
+// a path and a cut, which expand to different states.
+func TestSharedStateMatchesNoMemo(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 20; trial++ {
+		for _, ctrl := range testControls(chip.Random(rng)) {
+			cc := ctrl.Chip()
+			m := NewMetrics()
+			sim := MustSimulator(cc, ctrl)
+			sim.SetMetrics(m)
+			faults := AllFaultsOfKinds(cc, StuckAt0, StuckAt1, Leakage)
+			for i := 0; i < 6; i++ {
+				v := randomVector(rng, cc)
+				for _, kind := range []VectorKind{PathVector, CutVector} {
+					v.Kind = kind
+					shapes := 3 + rng.Intn(3)
+					for shape := 0; shape < shapes; shape++ {
+						v.Sources, v.Meters = randomPorts(rng, cc, 1+shape%2, 1+shape/2%2)
+						if got, want := sim.FaultFreeOK(v), sim.faultFreeOKNoMemo(v); got != want {
+							t.Fatalf("chip %s trial %d: FaultFreeOK(%v) = %v, memo-free says %v", cc.Name, trial, v, got, want)
+						}
+						for _, f := range faults {
+							if got, want := sim.Detects(v, f), sim.detectsNoMemo(v, f); got != want {
+								t.Fatalf("chip %s trial %d: Detects(%v, %v) = %v, memo-free says %v", cc.Name, trial, v, f, got, want)
+							}
+						}
+					}
+				}
+			}
+			if snap := m.Snapshot(); snap.StateEvals >= snap.MemoMisses {
+				t.Fatalf("chip %s: %d state analyses for %d vector-memo misses; states are not shared",
+					cc.Name, snap.StateEvals, snap.MemoMisses)
 			}
 		}
 	}

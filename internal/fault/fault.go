@@ -20,9 +20,9 @@
 package fault
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 
 	"repro/internal/chip"
@@ -116,39 +116,36 @@ func (v Vector) String() string {
 // The control assignment captures valve sharing: intended valve states are
 // expanded to actual states line by line before simulation.
 //
-// The simulator memoizes the fault-free artifacts of every vector it sees
-// (actual valve states after sharing expansion, meter readings, usability),
-// keyed by vector identity, so repeated Detects/FaultFreeOK calls and whole
-// campaigns never re-derive the good-chip behaviour. All methods are safe
-// for concurrent use.
+// The simulator memoizes the good-chip behaviour at two levels. Under its
+// fixed control, a vector's kind and valves decide the applied valve state,
+// so one fault-free analysis per distinct state (stateEval) serves every
+// vector that differs only in sources and meters; the per-vector memo
+// (vectorEval) keeps only what depends on the ports. Repeated
+// Detects/FaultFreeOK calls and whole campaigns never re-derive either. All
+// methods are safe for concurrent use.
 type Simulator struct {
 	chip *chip.Chip
 	ctrl *chip.Control
 
-	mu    sync.Mutex
-	cache map[string]*vectorEval
+	mu     sync.Mutex
+	cache  map[string]*vectorEval
+	states map[string]*stateEval
 
 	// metrics, when attached via SetMetrics, counts memo-cache traffic.
 	metrics *Metrics
-
-	scratch sync.Pool // *campaignScratch
 }
 
-// vectorEval memoizes the fault-free artifacts of one vector. It is
-// immutable once stored in the cache (the lazy reach-set analysis is
-// built under analyzeOnce) and may be read concurrently.
+// vectorEval memoizes the port-dependent fault-free artifacts of one
+// vector over its shared state analysis. Immutable once stored in the
+// cache and may be read concurrently.
 type vectorEval struct {
-	open     []bool // actual valve states after sharing expansion
-	readings []bool // defect-free meter readings
-	usable   bool   // FaultFreeOK
-	anyTrue  bool   // some defect-free reading is true
-	anyFalse bool   // some defect-free reading is false
-
-	analyzeOnce sync.Once
-	analysis    *vectorAnalysis // fault-free reach sets (see fastpath.go)
-
-	bridgeOnce sync.Once
-	bridges    *bridgeAnalysis // bridge structure of the open subgraph
+	state      *stateEval
+	srcNodes   []int  // grid nodes of the vector's sources
+	meterNodes []int  // grid nodes of the vector's meters
+	readings   []bool // defect-free meter readings
+	usable     bool   // FaultFreeOK
+	anyTrue    bool   // some defect-free reading is true
+	anyFalse   bool   // some defect-free reading is false
 }
 
 // ErrControlMismatch reports a control assignment built for a different
@@ -163,7 +160,7 @@ func NewSimulator(c *chip.Chip, ctrl *chip.Control) (*Simulator, error) {
 	if ctrl.Chip() != c {
 		return nil, fmt.Errorf("%w: control is for %q, chip is %q", ErrControlMismatch, ctrl.Chip().Name, c.Name)
 	}
-	return &Simulator{chip: c, ctrl: ctrl, cache: map[string]*vectorEval{}}, nil
+	return &Simulator{chip: c, ctrl: ctrl, cache: map[string]*vectorEval{}, states: map[string]*stateEval{}}, nil
 }
 
 // MustSimulator is NewSimulator for call sites where the chip/control pair
@@ -193,43 +190,6 @@ func (s *Simulator) OpenStates(v Vector) []bool {
 	return s.ctrl.ExpandClosed(intended)
 }
 
-// withFault returns the states with fault f injected.
-func withFault(open []bool, f Fault) []bool {
-	out := append([]bool(nil), open...)
-	switch f.Kind {
-	case StuckAt0:
-		out[f.Valve] = false
-	case StuckAt1, Leakage:
-		out[f.Valve] = true
-	}
-	return out
-}
-
-// meterReadingsInto appends, for each meter in v, whether it reads pressure
-// under the given valve states. It reuses the caller's reachability scratch
-// and readings buffer, so campaign-loop calls allocate nothing.
-func (s *Simulator) meterReadingsInto(v Vector, open []bool, rs *chip.ReachScratch, out []bool) []bool {
-	for _, m := range v.Meters {
-		mNode := s.chip.Ports[m].Node
-		read := false
-		for _, src := range v.Sources {
-			if s.chip.PressureReachableScratch(rs, s.chip.Ports[src].Node, mNode, open) {
-				read = true
-				break
-			}
-		}
-		out = append(out, read)
-	}
-	return out
-}
-
-// meterReadings returns, for each meter in v, whether it reads pressure
-// under the given valve states.
-func (s *Simulator) meterReadings(v Vector, open []bool) []bool {
-	var rs chip.ReachScratch
-	return s.meterReadingsInto(v, open, &rs, make([]bool, 0, len(v.Meters)))
-}
-
 // usableReadings reports whether defect-free readings satisfy the vector's
 // specification: a path vector must deliver pressure to every meter; a cut
 // vector must isolate every meter from every source.
@@ -245,74 +205,106 @@ func usableReadings(k VectorKind, readings []bool) bool {
 	return len(readings) > 0
 }
 
-// vectorKey is a compact content key identifying a vector in the
-// memoization cache.
-func vectorKey(v Vector) string {
-	buf := make([]byte, 0, 8+4*(len(v.Valves)+len(v.Sources)+len(v.Meters)))
-	buf = strconv.AppendInt(buf, int64(v.Kind), 10)
+// VectorKey is the compact content key of a vector: its kind, valves,
+// sources and meters in order, as varints with the valve and source
+// counts. Vectors with equal keys are equal; suites dedup by it and the
+// simulator memoizes by it.
+func VectorKey(v Vector) string {
+	key, _ := vectorKey(v)
+	return key
+}
+
+// vectorKey returns VectorKey(v) and the length of its prefix that encodes
+// only the kind and the valves: the key of the applied valve state.
+func vectorKey(v Vector) (string, int) {
+	buf := make([]byte, 0, 4+2*(len(v.Valves)+len(v.Sources)+len(v.Meters)))
+	buf = binary.AppendUvarint(buf, uint64(v.Kind))
+	buf = binary.AppendUvarint(buf, uint64(len(v.Valves)))
 	for _, x := range v.Valves {
-		buf = append(buf, 'v')
-		buf = strconv.AppendInt(buf, int64(x), 10)
+		buf = binary.AppendUvarint(buf, uint64(x))
 	}
+	n := len(buf)
+	buf = binary.AppendUvarint(buf, uint64(len(v.Sources)))
 	for _, x := range v.Sources {
-		buf = append(buf, 's')
-		buf = strconv.AppendInt(buf, int64(x), 10)
+		buf = binary.AppendUvarint(buf, uint64(x))
 	}
 	for _, x := range v.Meters {
-		buf = append(buf, 'm')
-		buf = strconv.AppendInt(buf, int64(x), 10)
+		buf = binary.AppendUvarint(buf, uint64(x))
 	}
-	return string(buf)
+	return string(buf), n
+}
+
+// memoize returns m[key], computing it on a miss. The mutex guards only
+// the map, so concurrent misses may both compute; the first value stored
+// wins and every caller shares that one immutable instance. hit reports
+// whether the key was present at the first look.
+func memoize[V any](mu *sync.Mutex, m map[string]V, key string, compute func() V) (v V, hit bool) {
+	mu.Lock()
+	v, hit = m[key]
+	mu.Unlock()
+	if hit {
+		return v, true
+	}
+	v = compute()
+	mu.Lock()
+	if prev, raced := m[key]; raced {
+		v = prev
+	} else {
+		m[key] = v
+	}
+	mu.Unlock()
+	return v, false
 }
 
 // evalVector returns the memoized fault-free evaluation of v, computing it
 // on first sight. The returned value is immutable.
 func (s *Simulator) evalVector(v Vector) *vectorEval {
-	key := vectorKey(v)
-	s.mu.Lock()
-	ev, ok := s.cache[key]
-	s.mu.Unlock()
-	s.metrics.noteMemo(ok)
-	if ok {
-		return ev
+	key, n := vectorKey(v)
+	ev, hit := memoize(&s.mu, s.cache, key, func() *vectorEval { return s.newVectorEval(v, s.stateOf(v, key[:n])) })
+	s.metrics.noteMemo(hit)
+	return ev
+}
+
+// stateOf returns the memoized analysis of the valve state v applies,
+// keyed by v's kind and valves, computing it on first sight.
+func (s *Simulator) stateOf(v Vector, key string) *stateEval {
+	st, hit := memoize(&s.mu, s.states, key, func() *stateEval { return analyzeState(s.chip, s.OpenStates(v)) })
+	if !hit {
+		s.metrics.noteState()
 	}
-	open := s.OpenStates(v)
-	readings := s.meterReadings(v, open)
-	ev = &vectorEval{open: open, readings: readings, usable: usableReadings(v.Kind, readings)}
-	for _, r := range readings {
-		if r {
+	return st
+}
+
+// newVectorEval derives v's readings from the analysis of the state it
+// applies. A meter reads pressure iff its node shares a connected
+// component of the open subgraph with some source node, which is the
+// reachability the reference simulation computes (a source that is also
+// the meter reads too).
+func (s *Simulator) newVectorEval(v Vector, st *stateEval) *vectorEval {
+	nodes := make([]int, len(v.Sources)+len(v.Meters))
+	for i, p := range v.Sources {
+		nodes[i] = s.chip.Ports[p].Node
+	}
+	for i, p := range v.Meters {
+		nodes[len(v.Sources)+i] = s.chip.Ports[p].Node
+	}
+	ev := &vectorEval{
+		state:      st,
+		srcNodes:   nodes[:len(v.Sources):len(v.Sources)],
+		meterNodes: nodes[len(v.Sources):],
+		readings:   make([]bool, len(v.Meters)),
+	}
+	for i, m := range ev.meterNodes {
+		ev.readings[i] = st.sourceComp(ev.srcNodes, st.comp[m])
+		if ev.readings[i] {
 			ev.anyTrue = true
 		} else {
 			ev.anyFalse = true
 		}
 	}
-	s.mu.Lock()
-	if prev, raced := s.cache[key]; raced {
-		ev = prev // another goroutine computed it first; keep one instance
-	} else {
-		s.cache[key] = ev
-	}
-	s.mu.Unlock()
+	ev.usable = usableReadings(v.Kind, ev.readings)
 	return ev
 }
-
-// campaignScratch holds the per-worker reusable buffers of a campaign: the
-// faulty valve-state copy, the faulty meter readings and the BFS state.
-// One scratch must not be shared between goroutines.
-type campaignScratch struct {
-	open     []bool
-	readings []bool
-	reach    chip.ReachScratch
-}
-
-func (s *Simulator) getScratch() *campaignScratch {
-	if sc, ok := s.scratch.Get().(*campaignScratch); ok {
-		return sc
-	}
-	return &campaignScratch{}
-}
-
-func (s *Simulator) putScratch(sc *campaignScratch) { s.scratch.Put(sc) }
 
 // FaultFreeOK reports whether the vector behaves as specified on a
 // defect-free chip: a path vector must deliver pressure to every meter; a
@@ -330,13 +322,12 @@ func (s *Simulator) FaultFreeOK(v Vector) bool {
 // or a forced-closed partner blocks the leak path of a stuck-at-1 valve,
 // the readings do not differ and the fault goes undetected.
 //
-// The fault-free states and readings are memoized per vector, so repeated
-// calls with the same vector only simulate the faulty chip.
+// The fault-free analysis is memoized per valve state and per vector, so
+// repeated calls with the same vector only apply the fast-path rules.
 func (s *Simulator) Detects(v Vector, f Fault) bool {
-	ev := s.evalVector(v)
-	sc := s.getScratch()
-	det := s.detectsEval(v, ev, f, sc)
-	s.putScratch(sc)
+	var t ruleTally
+	det := s.detectsEval(s.evalVector(v), f, &t)
+	s.metrics.addRules(t)
 	return det
 }
 

@@ -116,18 +116,20 @@ func (e *Engine) DetectionMatrix(ctx context.Context, vectors []Vector, faults [
 	// Phase 2: per-vector detection rows over the worker pool. Each row
 	// depends only on its own vector, so assembly order is fixed by the
 	// vector index and the result is worker-count independent.
-	fillRow := func(sc *campaignScratch, v int) {
+	fillRow := func(v int) {
 		if !evals[v].usable {
 			return
 		}
 		row := m.rows[v]
+		var t ruleTally
 		for f := range faults {
-			if e.sim.detectsEval(vectors[v], evals[v], faults[f], sc) {
+			if e.sim.detectsEval(evals[v], faults[f], &t) {
 				row[f>>6] |= 1 << uint(f&63)
 			}
 		}
+		e.sim.metrics.addRules(t)
 	}
-	if err := par.ForScratch(ctx, e.workers, len(vectors), e.sim.getScratch, e.sim.putScratch, fillRow); err != nil {
+	if err := par.For(ctx, e.workers, len(vectors), fillRow); err != nil {
 		return nil, err
 	}
 	return m, nil

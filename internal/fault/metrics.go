@@ -10,6 +10,7 @@ import "sync/atomic"
 type Metrics struct {
 	memoHits     atomic.Int64
 	memoMisses   atomic.Int64
+	stateEvals   atomic.Int64
 	campaigns    atomic.Int64
 	faultScans   atomic.Int64
 	screenSkips  atomic.Int64
@@ -31,6 +32,14 @@ func (m *Metrics) noteMemo(hit bool) {
 	}
 }
 
+// noteState counts one valve-state analysis (a state-memo miss).
+func (m *Metrics) noteState() {
+	if m == nil {
+		return
+	}
+	m.stateEvals.Add(1)
+}
+
 func (m *Metrics) noteCampaign(faults int) {
 	if m == nil {
 		return
@@ -39,28 +48,25 @@ func (m *Metrics) noteCampaign(faults int) {
 	m.faultScans.Add(int64(faults))
 }
 
-// noteScreen counts a (vector, fault) verdict settled by the saturation
-// screen; noteReachRule one settled by the single-edge reach rule. Both
-// replace a full faulty-chip simulation (see fastpath.go).
-func (m *Metrics) noteScreen() {
-	if m == nil {
-		return
-	}
-	m.screenSkips.Add(1)
-}
+// ruleTally counts (vector, fault) verdicts settled by each fast-path rule
+// (see fastpath.go) in a caller-local variable, so a campaign's hot loop
+// publishes them with one atomic add per fault, not one per pair.
+type ruleTally struct{ screens, reaches, bridges int64 }
 
-func (m *Metrics) noteReachRule() {
+// addRules publishes a tally.
+func (m *Metrics) addRules(t ruleTally) {
 	if m == nil {
 		return
 	}
-	m.reachChecks.Add(1)
-}
-
-func (m *Metrics) noteBridgeRule() {
-	if m == nil {
-		return
+	if t.screens != 0 {
+		m.screenSkips.Add(t.screens)
 	}
-	m.bridgeChecks.Add(1)
+	if t.reaches != 0 {
+		m.reachChecks.Add(t.reaches)
+	}
+	if t.bridges != 0 {
+		m.bridgeChecks.Add(t.bridges)
+	}
 }
 
 // MetricsSnapshot is a point-in-time copy of the counters; subtract two
@@ -69,13 +75,17 @@ type MetricsSnapshot struct {
 	// MemoHits and MemoMisses count vector-memo cache lookups across all
 	// attached simulators.
 	MemoHits, MemoMisses int64
+	// StateEvals counts the valve-state analyses behind the memo misses:
+	// one per distinct (kind, valves) a simulator sees, so vectors that
+	// differ only in sources and meters share one.
+	StateEvals int64
 	// Campaigns counts EvaluateCoverage campaigns; FaultScans the faults
 	// those campaigns examined.
 	Campaigns, FaultScans int64
 	// ScreenSkips counts (vector, fault) verdicts settled by the saturation
 	// screen; ReachChecks those settled by the single-edge reach rule;
 	// BridgeChecks those settled by the bridge rule. All three replace a
-	// full faulty-chip BFS.
+	// full faulty-chip simulation.
 	ScreenSkips, ReachChecks, BridgeChecks int64
 }
 
@@ -88,6 +98,7 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	return MetricsSnapshot{
 		MemoHits:     m.memoHits.Load(),
 		MemoMisses:   m.memoMisses.Load(),
+		StateEvals:   m.stateEvals.Load(),
 		Campaigns:    m.campaigns.Load(),
 		FaultScans:   m.faultScans.Load(),
 		ScreenSkips:  m.screenSkips.Load(),
@@ -101,6 +112,7 @@ func (s MetricsSnapshot) Sub(base MetricsSnapshot) MetricsSnapshot {
 	return MetricsSnapshot{
 		MemoHits:     s.MemoHits - base.MemoHits,
 		MemoMisses:   s.MemoMisses - base.MemoMisses,
+		StateEvals:   s.StateEvals - base.StateEvals,
 		Campaigns:    s.Campaigns - base.Campaigns,
 		FaultScans:   s.FaultScans - base.FaultScans,
 		ScreenSkips:  s.ScreenSkips - base.ScreenSkips,

@@ -185,43 +185,6 @@ func (s *Scratch) visit(n int) int {
 	return s.epoch
 }
 
-// ReachableScratch is Reachable with caller-owned scratch buffers: repeated
-// queries allocate nothing once the scratch has grown to the graph size.
-// It also stops as soon as dst is dequeued, so it never does more work than
-// Reachable.
-func (g *Graph) ReachableScratch(s *Scratch, src, dst int, allow func(edge int) bool) bool {
-	g.checkNode(src)
-	g.checkNode(dst)
-	if src == dst {
-		return true
-	}
-	epoch := s.visit(g.n)
-	seen := s.seen
-	queue := s.queue[:0]
-	seen[src] = epoch
-	queue = append(queue, src)
-	found := false
-	for head := 0; head < len(queue) && !found; head++ {
-		u := queue[head]
-		for _, a := range g.adj[u] {
-			if allow != nil && !allow(a.Edge) {
-				continue
-			}
-			if seen[a.To] == epoch {
-				continue
-			}
-			if a.To == dst {
-				found = true
-				break
-			}
-			seen[a.To] = epoch
-			queue = append(queue, a.To)
-		}
-	}
-	s.queue = queue
-	return found
-}
-
 // ShortestPath returns a minimum-hop path from src to dst over edges
 // permitted by allow, as (nodes, edges); nodes has one more element than
 // edges. ok is false if dst is unreachable.

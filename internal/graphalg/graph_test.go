@@ -412,52 +412,3 @@ func TestWeightedAtLeastHopsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: ReachableScratch agrees with Reachable on random graphs with
-// random allow filters, across reuse of one Scratch (epoch
-// stamping) and graph growth (seen-slice resizing).
-func TestReachableScratchEquivalenceProperty(t *testing.T) {
-	var s Scratch
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(12)
-		g := NewGraph(n)
-		for k := 0; k < 3*n; k++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n))
-		}
-		var allow func(edge int) bool
-		if rng.Intn(2) == 0 {
-			mask := make([]bool, g.NumEdges())
-			for i := range mask {
-				mask[i] = rng.Intn(3) > 0
-			}
-			allow = func(e int) bool { return mask[e] }
-		}
-		for q := 0; q < 6; q++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			if g.ReachableScratch(&s, a, b, allow) != g.Reachable(a, b, allow) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A Scratch must survive being moved to a larger graph mid-life.
-func TestReachableScratchGrowth(t *testing.T) {
-	var s Scratch
-	small, at := grid(3, 3)
-	if !small.ReachableScratch(&s, at(0, 0), at(2, 2), nil) {
-		t.Fatal("3x3 grid corners must connect")
-	}
-	big, bat := grid(9, 9)
-	if !big.ReachableScratch(&s, bat(0, 0), bat(8, 8), nil) {
-		t.Fatal("9x9 grid corners must connect after scratch regrew")
-	}
-	if small.ReachableScratch(&s, at(0, 0), at(0, 0), nil) != true {
-		t.Fatal("src == dst must be reachable")
-	}
-}

@@ -34,8 +34,9 @@ func abs(v int) int {
 type Grid struct {
 	W, H  int
 	graph *graphalg.Graph
-	// edgeAt[(a,b)] for a < b caches edge lookup.
-	edgeAt map[[2]int]int
+	// right[n] and down[n] are the IDs of the edges from node n to its
+	// right and lower neighbours, -1 on the last column or row.
+	right, down []int
 }
 
 // New constructs a W×H grid with all lattice edges present.
@@ -43,28 +44,20 @@ func New(w, h int) *Grid {
 	if w < 2 || h < 2 {
 		panic("grid: dimensions must be at least 2x2")
 	}
-	g := &Grid{W: w, H: h, graph: graphalg.NewGraph(w * h), edgeAt: make(map[[2]int]int)}
+	g := &Grid{W: w, H: h, graph: graphalg.NewGraph(w * h), right: make([]int, w*h), down: make([]int, w*h)}
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			u := g.NodeAt(Coord{x, y})
+			g.right[u], g.down[u] = -1, -1
 			if x+1 < w {
-				v := g.NodeAt(Coord{x + 1, y})
-				g.edgeAt[key(u, v)] = g.graph.AddEdge(u, v)
+				g.right[u] = g.graph.AddEdge(u, u+1)
 			}
 			if y+1 < h {
-				v := g.NodeAt(Coord{x, y + 1})
-				g.edgeAt[key(u, v)] = g.graph.AddEdge(u, v)
+				g.down[u] = g.graph.AddEdge(u, u+w)
 			}
 		}
 	}
 	return g
-}
-
-func key(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
 }
 
 // Graph exposes the underlying lattice graph. Callers must not delete
@@ -104,10 +97,26 @@ func (g *Grid) OnBoundary(c Coord) bool {
 	return c.X == 0 || c.Y == 0 || c.X == g.W-1 || c.Y == g.H-1
 }
 
-// EdgeBetween returns the edge ID connecting two adjacent nodes.
+// EdgeBetween returns the edge ID connecting two adjacent nodes; ok is
+// false for nodes that are not lattice neighbours or not on the grid.
 func (g *Grid) EdgeBetween(u, v int) (int, bool) {
-	e, ok := g.edgeAt[key(u, v)]
-	return e, ok
+	if u > v {
+		u, v = v, u
+	}
+	if u < 0 || v >= g.NumNodes() {
+		return 0, false
+	}
+	e := -1
+	switch v - u {
+	case 1:
+		e = g.right[u] // -1 across a row wrap
+	case g.W:
+		e = g.down[u]
+	}
+	if e < 0 {
+		return 0, false
+	}
+	return e, true
 }
 
 // EdgeBetweenCoords returns the edge ID connecting two adjacent coordinates.

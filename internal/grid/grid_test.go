@@ -85,6 +85,39 @@ func TestEdgeBetween(t *testing.T) {
 	}
 }
 
+// TestEdgeBetweenMatchesEndpoints checks the dense edge index on square
+// and skewed grids: every edge is found from its endpoints in both
+// argument orders, and every other node pair, the row-wrap pair from
+// (W-1, y) to (0, y+1) included, has no edge.
+func TestEdgeBetweenMatchesEndpoints(t *testing.T) {
+	for _, wh := range [][2]int{{2, 2}, {2, 5}, {5, 2}, {7, 4}} {
+		g := New(wh[0], wh[1])
+		edgeOf := map[[2]int]int{}
+		for e := 0; e < g.NumEdges(); e++ {
+			u, v := g.Graph().Endpoints(e)
+			edgeOf[[2]int{u, v}], edgeOf[[2]int{v, u}] = e, e
+		}
+		for u := 0; u < g.NumNodes(); u++ {
+			for v := 0; v < g.NumNodes(); v++ {
+				want, adjacent := edgeOf[[2]int{u, v}]
+				got, ok := g.EdgeBetween(u, v)
+				if ok != adjacent || (ok && got != want) {
+					t.Fatalf("%dx%d: EdgeBetween(%v, %v) = (%d, %v), want (%d, %v)",
+						g.W, g.H, g.CoordOf(u), g.CoordOf(v), got, ok, want, adjacent)
+				}
+			}
+		}
+		for y := 0; y+1 < g.H; y++ {
+			if _, ok := g.EdgeBetween(g.NodeAt(Coord{X: g.W - 1, Y: y}), g.NodeAt(Coord{X: 0, Y: y + 1})); ok {
+				t.Fatalf("%dx%d: row-wrap pair at y=%d has an edge", g.W, g.H, y)
+			}
+		}
+		if _, ok := g.EdgeBetween(-1, 0); ok {
+			t.Fatalf("%dx%d: off-grid node has an edge", g.W, g.H)
+		}
+	}
+}
+
 func TestEdgeEndpoints(t *testing.T) {
 	g := New(3, 3)
 	e, _ := g.EdgeBetweenCoords(Coord{X: 0, Y: 0}, Coord{X: 1, Y: 0})

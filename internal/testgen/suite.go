@@ -11,7 +11,7 @@ package testgen
 import (
 	"context"
 	"sort"
-	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/chip"
@@ -31,9 +31,11 @@ type SuiteOptions struct {
 type Suite struct {
 	Chip *chip.Chip
 	// Paths and Cuts are the deduplicated vectors, in first-use valve
-	// order. PathOf/CutOf map a valve to its vector's index, -1 when no
-	// certified vector exists for that valve (possible on irregular chips
-	// where a valve lies on no simple port-port channel path).
+	// order; vectors may share their valve and port slices, so treat them
+	// as read-only. PathOf/CutOf map a valve to its vector's index, -1
+	// when no certified vector exists for that valve (possible on
+	// irregular chips where a valve lies on no simple port-port channel
+	// path).
 	Paths  []fault.Vector
 	Cuts   []fault.Vector
 	PathOf []int
@@ -108,6 +110,9 @@ type suitePre struct {
 	cost        func(int) float64
 	portDist    [][]int
 	portAt      []int
+
+	linesOnce sync.Once
+	lines     lineTable // template engine only; see lineOf
 
 	pathSolves, cutSolves atomic.Int64
 }
@@ -346,25 +351,6 @@ func (p *suitePre) solveValve(valve int) valveVectors {
 	return vv
 }
 
-// suiteKey is the content key a suite dedups vectors by.
-func suiteKey(v fault.Vector) string {
-	buf := make([]byte, 0, 8+4*(len(v.Valves)+2))
-	buf = strconv.AppendInt(buf, int64(v.Kind), 10)
-	for _, x := range v.Valves {
-		buf = append(buf, 'v')
-		buf = strconv.AppendInt(buf, int64(x), 10)
-	}
-	for _, x := range v.Sources {
-		buf = append(buf, 's')
-		buf = strconv.AppendInt(buf, int64(x), 10)
-	}
-	for _, x := range v.Meters {
-		buf = append(buf, 'm')
-		buf = strconv.AppendInt(buf, int64(x), 10)
-	}
-	return string(buf)
-}
-
 // assembleSuite dedups the per-valve vectors in valve order.
 func assembleSuite(c *chip.Chip, slots []valveVectors) *Suite {
 	s := &Suite{
@@ -378,7 +364,7 @@ func assembleSuite(c *chip.Chip, slots []valveVectors) *Suite {
 		s.PathOf[v], s.CutOf[v] = -1, -1
 		if vv.hasPath {
 			s.Stats.RawVectors++
-			key := suiteKey(vv.path)
+			key := fault.VectorKey(vv.path)
 			idx, ok := seenP[key]
 			if !ok {
 				idx = len(s.Paths)
@@ -389,7 +375,7 @@ func assembleSuite(c *chip.Chip, slots []valveVectors) *Suite {
 		}
 		if vv.hasCut {
 			s.Stats.RawVectors++
-			key := suiteKey(vv.cut)
+			key := fault.VectorKey(vv.cut)
 			idx, ok := seenC[key]
 			if !ok {
 				idx = len(s.Cuts)

@@ -156,16 +156,28 @@ func (p *suitePre) classSignature(valve int) (string, grid.Coord) {
 	return string(buf), anchor
 }
 
-// lineInfo describes the straight test line through a valve: the fully
-// valved grid row (horizontal valves) or column (vertical valves) the
-// valve lies on, the boundary ports closing both ends, and the two
-// closed-form vectors built from them.
-type lineInfo struct {
-	horiz            bool
-	srcPort, dstPort int
-	srcOff, dstOff   int   // port offset along the boundary from the line end
-	pathValves       []int // stubs + full line, sorted
-	cutValves        []int // every channel crossing the valve's lattice gap, sorted
+// gridLine is the straight test line along one grid row (horizontal
+// valves) or column (vertical valves): whether the line is fully valved
+// with straight boundary ports closing both ends, those ports (source,
+// meter), the sorted path valves (stubs + full line), and the line-class
+// key built from the orientation and the ports' stub offsets. Every valve
+// on the line shares these.
+type gridLine struct {
+	ok         bool
+	ports      []int
+	pathValves []int
+	sig        string
+}
+
+// lineTable holds the straight structures of a chip's grid, built once per
+// suite generation: rows[y] and cols[x] are the grid lines, and
+// colGaps[x] (rowGaps[y]) lists the sorted valves of every channel
+// crossing the lattice gap between columns x and x+1 (rows y and y+1),
+// the cut of any valve spanning that gap. Vectors built from the table
+// share its slices, so no vector's valves or ports may be written.
+type lineTable struct {
+	rows, cols       []gridLine
+	colGaps, rowGaps [][]int
 }
 
 // straightPort finds the boundary port closing a line end: among the ports
@@ -238,67 +250,100 @@ func abs(x int) int {
 	return x
 }
 
-// lineOf builds the straight-line test structure through a valve, or
-// reports false when the valve's grid line is not uniformly valved or
-// lacks straight boundary ports on both ends.
-func (p *suitePre) lineOf(valve int) (lineInfo, bool) {
+// straightLine builds the test line along grid row at (horiz) or
+// column at; ok is false when the line is not fully valved or lacks
+// straight boundary ports on both ends.
+func (p *suitePre) straightLine(horiz bool, at int) gridLine {
 	gr := p.c.Grid
-	a, b := gr.EdgeEndpoints(p.c.Valve(valve).Edge)
-	li := lineInfo{horiz: a.Y == b.Y}
-	if li.horiz {
-		// The full row must be valved channels.
-		lineValves := make([]int, 0, gr.W-1)
-		for x := 0; x+1 < gr.W; x++ {
-			v, ok := p.valveBetween(grid.Coord{X: x, Y: a.Y}, grid.Coord{X: x + 1, Y: a.Y})
-			if !ok {
-				return lineInfo{}, false
-			}
-			lineValves = append(lineValves, v)
+	n, orient := gr.W, byte('H')
+	if !horiz {
+		n, orient = gr.H, 'V'
+	}
+	valves := make([]int, 0, n-1)
+	for i := 0; i+1 < n; i++ {
+		c0, c1 := grid.Coord{X: i, Y: at}, grid.Coord{X: i + 1, Y: at}
+		if !horiz {
+			c0, c1 = grid.Coord{X: at, Y: i}, grid.Coord{X: at, Y: i + 1}
 		}
-		srcPort, srcOff, srcStub, ok := p.straightPort(true, 0, a.Y)
+		v, ok := p.valveBetween(c0, c1)
 		if !ok {
-			return lineInfo{}, false
+			return gridLine{}
 		}
-		dstPort, dstOff, dstStub, ok := p.straightPort(true, gr.W-1, a.Y)
-		if !ok || srcPort == dstPort {
-			return lineInfo{}, false
+		valves = append(valves, v)
+	}
+	srcPort, srcOff, srcStub, ok := p.straightPort(horiz, 0, at)
+	if !ok {
+		return gridLine{}
+	}
+	dstPort, dstOff, dstStub, ok := p.straightPort(horiz, n-1, at)
+	if !ok || srcPort == dstPort {
+		return gridLine{}
+	}
+	path := append(append(valves, srcStub...), dstStub...)
+	sort.Ints(path)
+	sig := make([]byte, 0, 16)
+	sig = append(sig, 'L', ';', orient, ';')
+	sig = strconv.AppendInt(sig, int64(srcOff), 10)
+	sig = append(sig, ';')
+	sig = strconv.AppendInt(sig, int64(dstOff), 10)
+	return gridLine{ok: true, ports: []int{srcPort, dstPort}, pathValves: path, sig: string(sig)}
+}
+
+// gapValves returns the sorted valves of the channels crossing the lattice
+// gap between columns at and at+1 (horiz: horizontal channels) or between
+// rows at and at+1.
+func (p *suitePre) gapValves(horiz bool, at int) []int {
+	gr := p.c.Grid
+	n := gr.H
+	if !horiz {
+		n = gr.W
+	}
+	var out []int
+	for i := 0; i < n; i++ {
+		c0, c1 := grid.Coord{X: at, Y: i}, grid.Coord{X: at + 1, Y: i}
+		if !horiz {
+			c0, c1 = grid.Coord{X: i, Y: at}, grid.Coord{X: i, Y: at + 1}
 		}
-		li.srcPort, li.dstPort, li.srcOff, li.dstOff = srcPort, dstPort, srcOff, dstOff
-		li.pathValves = append(append(lineValves, srcStub...), dstStub...)
-		// Cut: every channel crossing the vertical gap the valve spans.
-		for y := 0; y < gr.H; y++ {
-			if v, ok := p.valveBetween(grid.Coord{X: a.X, Y: y}, grid.Coord{X: a.X + 1, Y: y}); ok {
-				li.cutValves = append(li.cutValves, v)
-			}
-		}
-	} else {
-		lineValves := make([]int, 0, gr.H-1)
-		for y := 0; y+1 < gr.H; y++ {
-			v, ok := p.valveBetween(grid.Coord{X: a.X, Y: y}, grid.Coord{X: a.X, Y: y + 1})
-			if !ok {
-				return lineInfo{}, false
-			}
-			lineValves = append(lineValves, v)
-		}
-		srcPort, srcOff, srcStub, ok := p.straightPort(false, 0, a.X)
-		if !ok {
-			return lineInfo{}, false
-		}
-		dstPort, dstOff, dstStub, ok := p.straightPort(false, gr.H-1, a.X)
-		if !ok || srcPort == dstPort {
-			return lineInfo{}, false
-		}
-		li.srcPort, li.dstPort, li.srcOff, li.dstOff = srcPort, dstPort, srcOff, dstOff
-		li.pathValves = append(append(lineValves, srcStub...), dstStub...)
-		for x := 0; x < gr.W; x++ {
-			if v, ok := p.valveBetween(grid.Coord{X: x, Y: a.Y}, grid.Coord{X: x, Y: a.Y + 1}); ok {
-				li.cutValves = append(li.cutValves, v)
-			}
+		if v, ok := p.valveBetween(c0, c1); ok {
+			out = append(out, v)
 		}
 	}
-	sort.Ints(li.pathValves)
-	sort.Ints(li.cutValves)
-	return li, true
+	sort.Ints(out)
+	return out
+}
+
+// buildLines fills the line table.
+func (p *suitePre) buildLines() {
+	gr := p.c.Grid
+	t := &p.lines
+	t.rows, t.cols = make([]gridLine, gr.H), make([]gridLine, gr.W)
+	for y := range t.rows {
+		t.rows[y] = p.straightLine(true, y)
+	}
+	for x := range t.cols {
+		t.cols[x] = p.straightLine(false, x)
+	}
+	t.colGaps, t.rowGaps = make([][]int, gr.W-1), make([][]int, gr.H-1)
+	for x := range t.colGaps {
+		t.colGaps[x] = p.gapValves(true, x)
+	}
+	for y := range t.rowGaps {
+		t.rowGaps[y] = p.gapValves(false, y)
+	}
+}
+
+// lineOf returns the straight test line through a valve and the cut valves
+// of the lattice gap it spans, or false when the valve's grid line is not
+// uniformly valved or lacks straight boundary ports on both ends.
+func (p *suitePre) lineOf(valve int) (*gridLine, []int, bool) {
+	p.linesOnce.Do(p.buildLines)
+	a, b := p.c.Grid.EdgeEndpoints(p.c.Valve(valve).Edge)
+	if a.Y == b.Y {
+		ln := &p.lines.rows[a.Y]
+		return ln, p.lines.colGaps[a.X], ln.ok
+	}
+	ln := &p.lines.cols[a.X]
+	return ln, p.lines.rowGaps[a.Y], ln.ok
 }
 
 // lineSignature returns the line-class key of a valve: the orientation and
@@ -307,37 +352,24 @@ func (p *suitePre) lineOf(valve int) (lineInfo, bool) {
 // key is chip-independent, so an engine sweeping growing FPVA sizes reuses
 // the classes.
 func (p *suitePre) lineSignature(valve int) (string, bool) {
-	li, ok := p.lineOf(valve)
-	if !ok {
-		return "", false
-	}
-	buf := make([]byte, 0, 16)
-	buf = append(buf, 'L', ';')
-	if li.horiz {
-		buf = append(buf, 'H')
-	} else {
-		buf = append(buf, 'V')
-	}
-	buf = append(buf, ';')
-	buf = strconv.AppendInt(buf, int64(li.srcOff), 10)
-	buf = append(buf, ';')
-	buf = strconv.AppendInt(buf, int64(li.dstOff), 10)
-	return string(buf), true
+	ln, _, ok := p.lineOf(valve)
+	return ln.sig, ok
 }
 
 // instantiateLine materializes one closed-form line vector for a valve and
 // certifies it. Every valve on the same line produces the same absolute
-// vector, so the simulator's memo makes certification O(1) amortized.
+// vector, sharing the line table's slices, so the simulator's memo makes
+// certification O(1) amortized.
 func (p *suitePre) instantiateLine(valve int, kind fault.VectorKind) (fault.Vector, bool) {
-	li, ok := p.lineOf(valve)
+	ln, cut, ok := p.lineOf(valve)
 	if !ok {
 		return fault.Vector{}, false
 	}
-	valves := li.pathValves
+	valves := ln.pathValves
 	if kind == fault.CutVector {
-		valves = li.cutValves
+		valves = cut
 	}
-	vec := fault.Vector{Kind: kind, Valves: valves, Sources: []int{li.srcPort}, Meters: []int{li.dstPort}}
+	vec := fault.Vector{Kind: kind, Valves: valves, Sources: ln.ports[:1:1], Meters: ln.ports[1:2:2]}
 	if !p.certify(vec, kind, valve) {
 		return fault.Vector{}, false
 	}
