@@ -1,22 +1,23 @@
 package main
 
 // fpva.go is the fpva mode: the scaling curve of per-valve test
-// generation on parametric FPVA grids (case "NxN"). Per size it times the
-// template engine, single-worker with a fresh engine per op so ns per
-// vector compares algorithms on cold class solves; the per-valve baseline
-// engine, the reference, up to fpvaMaxBaseline (above it its superlinear
-// cost would dominate the run); and the fault campaign over the template
-// suite, with the fast-path counters that keep it near-linear. The
-// template record's gates: no valve uncovered, coverage bit-identical to
-// the baseline suite (or full where no baseline runs), and the suite
-// bit-identical at 1/2/4/8 workers. Its counters add a second pass against
-// one engine shared across the curve (how many classes smaller sizes
-// already solved), a bounded DAC test-path ILP probe and peak RSS. At the
-// largest size with both engines (>= 32x32) the template engine must be
-// minSpeedup faster per vector; that record is the one -baseline holds.
+// generation on parametric FPVA grids (case "NxN"). Per size it times
+// testgen.GenerateTemplates (straight grid-line vectors first, the
+// per-valve solve otherwise), single-worker on a fresh simulator per op so
+// ns per vector compares algorithms cold; testgen.GenerateBaseline, the
+// per-valve solve of every valve and the reference, up to fpvaMaxBaseline
+// (above it its superlinear cost would dominate the run); and the fault
+// campaign over the template suite, with the fast-path counters that keep
+// it near-linear. The template record's gates: no valve uncovered,
+// coverage bit-identical to the baseline suite (or full where no baseline
+// runs), and the suite bit-identical at 1/2/4/8 workers. Its counters add
+// a bounded DAC test-path ILP probe and peak RSS. At the largest size with
+// both generators (>= 32x32) the template record must be minSpeedup faster
+// per vector; that record is the one -baseline holds.
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"reflect"
@@ -38,7 +39,7 @@ const (
 	fpvaMaxILP      = 16
 	fpvaILPNodes    = 60
 	// minSpeedup is the acceptance gate: template vs baseline ns/vector
-	// on the largest size both engines run.
+	// on the largest size both generators run.
 	minSpeedup = 5.0
 )
 
@@ -63,12 +64,25 @@ func peakRSSBytes() int64 {
 	return kb * 1024
 }
 
-// suiteRecord times one suite-generation engine and returns its record,
-// with the suite's structure counters, and the suite of the last op.
-func suiteRecord(cs, variant string, gen func() (*testgen.Suite, error)) (Record, *testgen.Suite, error) {
+// suiteGen is the signature GenerateTemplatesCtx and GenerateBaselineCtx
+// share.
+type suiteGen func(context.Context, *fault.Simulator, testgen.SuiteOptions) (*testgen.Suite, error)
+
+// suiteRecord times one single-worker suite generator on c, each op on a
+// fresh simulator, and returns its record, with the suite's structure
+// counters and the last op's distinct vector evaluations, and the suite of
+// the last op.
+func suiteRecord(cs, variant string, c *chip.Chip, gen suiteGen) (Record, *testgen.Suite, error) {
 	var s *testgen.Suite
-	r, err := measure(cs, variant, func() (err error) {
-		s, err = gen()
+	var metrics *fault.Metrics
+	r, err := measure(cs, variant, func() error {
+		sim, err := fault.NewSimulator(c, chip.IndependentControl(c))
+		if err != nil {
+			return err
+		}
+		metrics = fault.NewMetrics()
+		sim.SetMetrics(metrics)
+		s, err = gen(context.Background(), sim, testgen.SuiteOptions{Workers: 1})
 		return err
 	})
 	if err != nil {
@@ -80,11 +94,9 @@ func suiteRecord(cs, variant string, gen func() (*testgen.Suite, error)) (Record
 		"vectors":      nv,
 		"ns_vector":    float64(r.NsOp) / nv,
 		"raw_vectors":  float64(st.RawVectors),
-		"sim_evals":    float64(st.SimEvals),
+		"sim_evals":    float64(metrics.Snapshot().MemoMisses),
 		"path_solves":  float64(st.PathSolves),
 		"cut_solves":   float64(st.CutSolves),
-		"classes":      float64(st.Classes),
-		"line_classes": float64(st.LineClasses),
 		"instantiated": float64(st.Instantiated),
 		"fallbacks":    float64(st.Fallbacks),
 	}
@@ -121,18 +133,14 @@ func campaignRecord(cs string, c *chip.Chip, vectors []fault.Vector) (Record, er
 }
 
 func runFPVA() ([]Record, error) {
-	shared := testgen.NewTemplateEngine()
-	one := testgen.SuiteOptions{Workers: 1}
 	var recs []Record
 	// gate indexes the template record at the largest size with both
-	// engines; it is appended after its baseline record.
+	// generators; it is appended after its baseline record.
 	gate, gateSize := -1, 0
 	for _, n := range fpvaSizes {
 		c := chip.MustGenerateFPVA(chip.FPVAParams{W: n, H: n, Seed: 1})
 		cs := fmt.Sprintf("%dx%d", n, n)
-		tmpl, suite, err := suiteRecord(cs, "template", func() (*testgen.Suite, error) {
-			return testgen.GenerateTemplates(c, one)
-		})
+		tmpl, suite, err := suiteRecord(cs, "template", c, testgen.GenerateTemplatesCtx)
 		if err != nil {
 			return nil, err
 		}
@@ -142,9 +150,7 @@ func runFPVA() ([]Record, error) {
 		tmpl.Counters["coverage_ratio"] = cov.Ratio()
 		tmpl.Gates = map[string]bool{"covered": len(suite.Uncovered) == 0}
 		if n <= fpvaMaxBaseline {
-			base, baseSuite, err := suiteRecord(cs, "baseline", func() (*testgen.Suite, error) {
-				return testgen.GenerateBaseline(c, one)
-			})
+			base, baseSuite, err := suiteRecord(cs, "baseline", c, testgen.GenerateBaselineCtx)
 			if err != nil {
 				return nil, err
 			}
@@ -165,13 +171,6 @@ func runFPVA() ([]Record, error) {
 			invariant = invariant && reflect.DeepEqual(want, canonicalSuite(s))
 		}
 		tmpl.Gates["worker_invariant"] = invariant
-
-		ss, err := shared.Generate(c, one)
-		if err != nil {
-			return nil, err
-		}
-		tmpl.Counters["shared_cache_hits"] = float64(ss.Stats.TemplateHits)
-		tmpl.Counters["shared_classes"] = float64(ss.Stats.Classes)
 
 		if n <= fpvaMaxILP {
 			m, lazy := testgen.PathILPModel(c, 2)
@@ -195,7 +194,7 @@ func runFPVA() ([]Record, error) {
 	}
 	setSpeedups(recs, "baseline", "vectors")
 	if gate < 0 {
-		return nil, fmt.Errorf("no FPVA size runs both engines")
+		return nil, fmt.Errorf("no FPVA size runs both generators")
 	}
 	recs[gate].Gated = true
 	recs[gate].Gates["min_speedup"] = gateSize >= 32 && recs[gate].Speedup >= minSpeedup

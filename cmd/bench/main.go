@@ -49,7 +49,7 @@ var modes = []struct {
 	{"diagnose", "adaptive fault diagnosis vs exhaustive replay per design", runDiagnose},
 	{"pso", "two-level PSO fitness engine at 1/2/4/8 workers per chip/assay combo", runPSO},
 	{"sched", "warm-start scheduler engine (cold vs warm) per chip/assay combo", runSched},
-	{"fpva", "per-valve vs template suite generation on FPVA grids 8x8..64x64", runFPVA},
+	{"fpva", "per-valve vs line-first suite generation on FPVA grids 8x8..64x64", runFPVA},
 	{"cache", "artifact cache (uncached vs cold, memory-hit and disk-hit flows) and the dedup batch", runCache},
 }
 

@@ -242,16 +242,6 @@ type (
 	TestSuite = testgen.Suite
 	// TestSuiteOptions tunes suite generation (worker-pool size).
 	TestSuiteOptions = testgen.SuiteOptions
-	// TemplateEngine is the symmetry-exploiting suite generator behind
-	// GenerateSuite and RunTestSuite: valves are grouped into
-	// translation-equivalence classes (closed-form line classes plus
-	// combinatorial tile classes), each class is solved once, and solved
-	// templates stay in the engine's content-keyed memory cache across
-	// chips. Suites are
-	// bit-identical for any worker count, and their fault coverage equals
-	// that of an independent solve per valve (the vectors themselves may
-	// differ).
-	TemplateEngine = testgen.TemplateEngine
 	// SuiteRunOptions and SuiteRunResult belong to RunTestSuite, the
 	// observable two-stage pipeline (generate → campaign) over a suite.
 	SuiteRunOptions = core.SuiteRunOptions
@@ -267,19 +257,18 @@ func MustGenerateFPVA(p FPVAParams) *Chip      { return chip.MustGenerateFPVA(p)
 // operation count, sized for generated FPVA chips.
 func SyntheticAssay(ops int, seed int64) *Assay { return assay.Synthetic(ops, seed) }
 
-// GenerateSuite produces a per-valve test suite through a fresh
-// template engine, the one RunTestSuite uses; build a TemplateEngine
-// directly to reuse its class cache across chips.
+// GenerateSuite produces a per-valve test suite, the one RunTestSuite
+// generates: a valve on a uniformly valved grid line with boundary ports at
+// both ends gets the line's closed-form path and the cut across its lattice
+// gap; every other valve gets its own path and cut solve. Suites are
+// bit-identical for any worker count.
 func GenerateSuite(c *Chip, opts TestSuiteOptions) (*TestSuite, error) {
 	return testgen.GenerateTemplates(c, opts)
 }
 
-// NewTemplateEngine returns an empty shared template engine.
-func NewTemplateEngine() *TemplateEngine { return testgen.NewTemplateEngine() }
-
 // RunTestSuite generates a suite and fault-simulates it as an observable
-// two-stage pipeline, with per-stage counters for the template engine's
-// class/cache traffic and the campaign's fast-path rule usage.
+// two-stage pipeline on one simulator, with per-stage counters for the
+// line and solved vectors and the fault-simulation traffic.
 func RunTestSuite(c *Chip, opts SuiteRunOptions) (*SuiteRunResult, error) {
 	return core.RunSuite(c, opts)
 }

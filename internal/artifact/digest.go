@@ -6,7 +6,7 @@
 // batch dedup (internal/core) key work by these digests, so identical
 // submissions cost one solve and a warm process can skip whole stages.
 // The once-map also serves as the plain memo of string-keyed work
-// elsewhere (template classes, flow evaluations, scheduler engines).
+// elsewhere (flow evaluations, scheduler engines).
 package artifact
 
 import (

@@ -27,17 +27,15 @@ type Params struct {
 	// DelayPerEdge is the pressure-propagation delay per control channel
 	// segment, in microseconds (default 5).
 	DelayPerEdge int
-	// PortTries bounds how many candidate boundary ports are tried per
-	// line before reporting it unroutable (default 8).
-	PortTries int
 }
+
+// portTries bounds how many candidate boundary ports are tried per line
+// before reporting it unroutable.
+const portTries = 8
 
 func (p Params) withDefaults() Params {
 	if p.DelayPerEdge <= 0 {
 		p.DelayPerEdge = 5
-	}
-	if p.PortTries <= 0 {
-		p.PortTries = 8
 	}
 	return p
 }
@@ -204,7 +202,7 @@ func routeLine(g *grid.Grid, line int, valveTaps []ValveTap, occupied []int, por
 		}
 		return cands[i].node < cands[j].node
 	})
-	tries := params.PortTries
+	tries := portTries
 	if tries > len(cands) {
 		tries = len(cands)
 	}

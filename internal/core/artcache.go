@@ -369,8 +369,8 @@ func appendArtifactStage(stats *flowstage.Stats, obs flowstage.Observer, counter
 
 // suiteDigest is the content address of a suite submission: the chip, and
 // the engine name "template", which keeps the keys of suites cached before
-// the engine became the only one. Workers and cache warmth never change
-// the vectors (the engine's defining property), so they are excluded.
+// GenerateTemplates became the only generator RunSuite runs. The worker
+// count never changes the vectors, so it is excluded.
 func suiteDigest(c *chip.Chip) artifact.Digest {
 	h := artifact.NewHasher("suite")
 	h.Digest(artifact.HashChip(c))

@@ -480,22 +480,28 @@ func (f *flow) enterStage(st *flowstage.StageStats) {
 	f.schedBase = f.schedMetrics.Snapshot()
 }
 
+// countFault folds a stage's fault-simulation traffic into its stats and
+// emits the vector-memo delta to the observer (nil for none).
+func countFault(st *flowstage.StageStats, obs flowstage.Observer, d fault.MetricsSnapshot) {
+	st.CacheHits += d.MemoHits
+	st.CacheMisses += d.MemoMisses
+	st.Count("fault_memo_hits", d.MemoHits)
+	st.Count("fault_memo_misses", d.MemoMisses)
+	st.Count("fault_state_evals", d.StateEvals)
+	st.Count("fault_campaigns", d.Campaigns)
+	st.Count("fault_screen_skips", d.ScreenSkips)
+	st.Count("fault_reach_checks", d.ReachChecks)
+	st.Count("fault_bridge_checks", d.BridgeChecks)
+	if d.MemoHits != 0 || d.MemoMisses != 0 {
+		flowstage.OrNop(obs).CacheDelta(st.Name, "fault_memo", d.MemoHits, d.MemoMisses)
+	}
+}
+
 // leaveStage folds the stage's fault-simulation memo traffic into its
 // stats and emits the per-cache deltas to the observer.
 func (f *flow) leaveStage(st *flowstage.StageStats) {
-	delta := f.metrics.Snapshot().Sub(f.memoBase)
-	st.CacheHits += delta.MemoHits
-	st.CacheMisses += delta.MemoMisses
-	st.Count("fault_memo_hits", delta.MemoHits)
-	st.Count("fault_memo_misses", delta.MemoMisses)
-	st.Count("fault_campaigns", delta.Campaigns)
-	st.Count("fault_screen_skips", delta.ScreenSkips)
-	st.Count("fault_reach_checks", delta.ReachChecks)
-	st.Count("fault_bridge_checks", delta.BridgeChecks)
 	obs := f.observer()
-	if delta.MemoHits != 0 || delta.MemoMisses != 0 {
-		obs.CacheDelta(st.Name, "fault_memo", delta.MemoHits, delta.MemoMisses)
-	}
+	countFault(st, obs, f.metrics.Snapshot().Sub(f.memoBase))
 	for _, cache := range []string{"aug_cache", "inner_cache"} {
 		if h, m := st.Counter(cache+"_hits"), st.Counter(cache+"_misses"); h != 0 || m != 0 {
 			obs.CacheDelta(st.Name, cache, h, m)

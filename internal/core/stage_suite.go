@@ -15,8 +15,8 @@ import (
 // execution order. They deliberately do not collide with the DFT flow's
 // stage names so observers can tell the two pipelines apart.
 const (
-	// StageSuiteGen generates the per-valve path/cut vector suite with
-	// the symmetry-exploiting template engine.
+	// StageSuiteGen generates the per-valve path/cut vector suite:
+	// straight grid-line vectors first, the per-valve solve otherwise.
 	StageSuiteGen = "suitegen"
 	// StageSuiteCampaign fault-simulates the generated suite against
 	// every stuck-at fault of the chip and records the coverage.
@@ -29,10 +29,6 @@ type SuiteRunOptions struct {
 	// coverage campaign (0 = runtime.GOMAXPROCS). Results are
 	// bit-identical for any worker count.
 	Workers int
-	// Templates optionally supplies a shared template engine so the
-	// content-keyed class cache persists across chips (scaling sweeps);
-	// nil means a fresh engine.
-	Templates *testgen.TemplateEngine
 	// Observer receives live stage/cache/counter events; nil for none.
 	Observer flowstage.Observer
 	// Cache is the optional content-addressed artifact cache: hits skip
@@ -59,11 +55,15 @@ type SuiteRunResult struct {
 	Runtime time.Duration
 }
 
-// suiteRun is the mutable state threaded through the pipeline stages.
+// suiteRun is the mutable state threaded through the pipeline stages. Its
+// simulator certifies the generated vectors and then runs the campaign, so
+// the campaign re-derives no analysis generation made; it must not outlive
+// the run, so the result never references it.
 type suiteRun struct {
 	chip    *chip.Chip
 	opts    SuiteRunOptions
 	metrics *fault.Metrics
+	sim     *fault.Simulator
 	suite   flowstage.Artifact[*testgen.Suite]
 	cov     flowstage.Artifact[fault.Coverage]
 }
@@ -74,11 +74,12 @@ func RunSuite(c *chip.Chip, opts SuiteRunOptions) (*SuiteRunResult, error) {
 }
 
 // RunSuiteCtx generates a complete per-valve test suite for the chip with
-// the template engine (testgen.TemplateEngine) and fault-simulates it, as
-// an observable two-stage flowstage pipeline (suitegen → suitecampaign).
-// Stage counters attribute the template engine's class/cache/fallback
-// traffic and the campaign's fast-path rule usage, so scaling sweeps (the
-// repository benchmark's suite_fpva workload) can report where time goes.
+// testgen.GenerateTemplatesCtx and fault-simulates it, as an observable
+// two-stage flowstage pipeline (suitegen → suitecampaign) over one
+// simulator under independent control. Stage counters attribute the line
+// and per-valve vectors of generation and the fault-simulation traffic of
+// both stages, so scaling sweeps (the repository benchmark's suite_fpva
+// workload) can report where time goes.
 func RunSuiteCtx(ctx context.Context, c *chip.Chip, opts SuiteRunOptions) (*SuiteRunResult, error) {
 	start := time.Now()
 	var digest artifact.Digest
@@ -95,7 +96,12 @@ func RunSuiteCtx(ctx context.Context, c *chip.Chip, opts SuiteRunOptions) (*Suit
 			return res, nil
 		}
 	}
-	r := &suiteRun{chip: c, opts: opts, metrics: fault.NewMetrics()}
+	sim, err := fault.NewSimulator(c, chip.IndependentControl(c))
+	if err != nil {
+		return nil, err
+	}
+	r := &suiteRun{chip: c, opts: opts, metrics: fault.NewMetrics(), sim: sim}
+	sim.SetMetrics(r.metrics)
 	pipe := &flowstage.Pipeline{
 		Observer: opts.Observer,
 		Stages: []flowstage.Stage{
@@ -125,28 +131,17 @@ func RunSuiteCtx(ctx context.Context, c *chip.Chip, opts SuiteRunOptions) (*Suit
 	return res, nil
 }
 
-// runGenerateStage runs the template engine and folds its SuiteStats into
-// the stage counters.
+// runGenerateStage generates the suite on the run's simulator and folds
+// its SuiteStats and fault-simulation traffic into the stage counters.
 func (r *suiteRun) runGenerateStage(ctx context.Context, st *flowstage.StageStats) error {
-	eng := r.opts.Templates
-	if eng == nil {
-		eng = testgen.NewTemplateEngine()
-	}
-	s, err := eng.GenerateCtx(ctx, r.chip, testgen.SuiteOptions{Workers: r.opts.Workers})
+	base := r.metrics.Snapshot()
+	s, err := testgen.GenerateTemplatesCtx(ctx, r.sim, testgen.SuiteOptions{Workers: r.opts.Workers})
 	if err != nil {
 		return err
 	}
-	st.Count("tmpl_classes", int64(s.Stats.Classes))
-	st.Count("tmpl_line_classes", int64(s.Stats.LineClasses))
-	st.Count("tmpl_cache_hits", s.Stats.TemplateHits)
+	countFault(st, r.opts.Observer, r.metrics.Snapshot().Sub(base))
 	st.Count("tmpl_instantiated", s.Stats.Instantiated)
 	st.Count("tmpl_fallbacks", s.Stats.Fallbacks)
-	st.CacheHits += s.Stats.TemplateHits
-	st.CacheMisses += int64(s.Stats.Classes)
-	if s.Stats.TemplateHits != 0 || s.Stats.Classes != 0 {
-		flowstage.OrNop(r.opts.Observer).CacheDelta(st.Name, "template_cache",
-			s.Stats.TemplateHits, int64(s.Stats.Classes))
-	}
 	st.Count("suite_vectors", int64(len(s.Paths)+len(s.Cuts)))
 	st.Count("suite_raw_vectors", int64(s.Stats.RawVectors))
 	st.Count("suite_path_solves", s.Stats.PathSolves)
@@ -157,37 +152,18 @@ func (r *suiteRun) runGenerateStage(ctx context.Context, st *flowstage.StageStat
 }
 
 // runCampaignStage fault-simulates the generated suite against every
-// stuck-at fault under independent control, with the run's shared metrics
-// attached so the stage counters expose the fast-path rule traffic.
+// stuck-at fault on the run's simulator, whose memo already holds every
+// vector generation certified.
 func (r *suiteRun) runCampaignStage(ctx context.Context, st *flowstage.StageStats) error {
-	s := r.suite.Get()
-	sim, err := fault.NewSimulator(r.chip, chip.IndependentControl(r.chip))
-	if err != nil {
-		return err
-	}
-	sim.SetMetrics(r.metrics)
 	base := r.metrics.Snapshot()
-	cov, err := fault.NewEngine(sim, r.opts.Workers).
-		EvaluateCoverageCtx(ctx, s.Vectors(), fault.AllFaults(r.chip))
+	cov, err := fault.NewEngine(r.sim, r.opts.Workers).
+		EvaluateCoverageCtx(ctx, r.suite.Get().Vectors(), fault.AllFaults(r.chip))
 	if err != nil {
 		return err
 	}
-	delta := r.metrics.Snapshot().Sub(base)
-	st.CacheHits += delta.MemoHits
-	st.CacheMisses += delta.MemoMisses
-	st.Count("fault_memo_hits", delta.MemoHits)
-	st.Count("fault_memo_misses", delta.MemoMisses)
-	st.Count("fault_state_evals", delta.StateEvals)
-	st.Count("fault_campaigns", delta.Campaigns)
-	st.Count("fault_screen_skips", delta.ScreenSkips)
-	st.Count("fault_reach_checks", delta.ReachChecks)
-	st.Count("fault_bridge_checks", delta.BridgeChecks)
+	countFault(st, r.opts.Observer, r.metrics.Snapshot().Sub(base))
 	st.Count("cov_detected", int64(cov.Detected))
 	st.Count("cov_total", int64(cov.Total))
-	if delta.MemoHits != 0 || delta.MemoMisses != 0 {
-		flowstage.OrNop(r.opts.Observer).CacheDelta(st.Name, "fault_memo",
-			delta.MemoHits, delta.MemoMisses)
-	}
 	r.cov.Set(cov)
 	return nil
 }

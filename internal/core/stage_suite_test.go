@@ -4,15 +4,15 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"reflect"
 	"testing"
 
 	"repro/internal/chip"
-	"repro/internal/testgen"
 )
 
-// TestRunSuiteTemplateFullCoverage: the template pipeline fully covers a
-// generated FPVA grid and reports its work through the stage counters.
+// TestRunSuiteTemplateFullCoverage: the suite pipeline fully covers a
+// generated FPVA grid and reports its work through the stage counters, and
+// the campaign reuses every analysis generation made on the run's one
+// simulator.
 func TestRunSuiteTemplateFullCoverage(t *testing.T) {
 	c := chip.MustGenerateFPVA(chip.FPVAParams{W: 8, H: 8, Seed: 3})
 	res, err := RunSuite(c, SuiteRunOptions{Workers: 2})
@@ -29,8 +29,12 @@ func TestRunSuiteTemplateFullCoverage(t *testing.T) {
 	if gen == nil {
 		t.Fatalf("missing %s stage", StageSuiteGen)
 	}
-	if gen.Counter("tmpl_classes") == 0 {
-		t.Fatal("tmpl_classes counter not recorded")
+	if gen.Counter("tmpl_instantiated") == 0 {
+		t.Fatal("tmpl_instantiated counter not recorded")
+	}
+	if states := gen.Counter("fault_state_evals"); states == 0 || states >= gen.Counter("fault_memo_misses") {
+		t.Fatalf("fault_state_evals=%d for %d vector-memo misses: line vectors must share states",
+			states, gen.Counter("fault_memo_misses"))
 	}
 	if gen.Counter("suite_vectors") != int64(len(res.Suite.Vectors())) {
 		t.Fatalf("suite_vectors=%d, want %d", gen.Counter("suite_vectors"), len(res.Suite.Vectors()))
@@ -42,9 +46,8 @@ func TestRunSuiteTemplateFullCoverage(t *testing.T) {
 	if camp.Counter("fault_campaigns") == 0 {
 		t.Fatal("fault_campaigns counter not recorded")
 	}
-	if states := camp.Counter("fault_state_evals"); states == 0 || states >= camp.Counter("fault_memo_misses") {
-		t.Fatalf("fault_state_evals=%d for %d vector-memo misses: line vectors must share states",
-			states, camp.Counter("fault_memo_misses"))
+	if misses := camp.Counter("fault_memo_misses"); misses != 0 {
+		t.Fatalf("campaign missed the vector memo %d times: generation certified every suite vector", misses)
 	}
 	if camp.Counter("cov_total") != int64(res.Coverage.Total) {
 		t.Fatalf("cov_total=%d, want %d", camp.Counter("cov_total"), res.Coverage.Total)
@@ -79,32 +82,6 @@ func TestRunSuiteGoldenFPVA(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != tc.sha {
 			t.Errorf("fpva%d/s2018: suite sha256 %s, golden %s", tc.n, got, tc.sha)
 		}
-	}
-}
-
-// TestRunSuiteSharedTemplateEngine: a shared engine re-serves its cached
-// classes to a second identical chip.
-func TestRunSuiteSharedTemplateEngine(t *testing.T) {
-	eng := testgen.NewTemplateEngine()
-	c := chip.MustGenerateFPVA(chip.FPVAParams{W: 8, H: 8, Seed: 5})
-	first, err := RunSuite(c, SuiteRunOptions{Workers: 1, Templates: eng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := RunSuite(c, SuiteRunOptions{Workers: 1, Templates: eng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := first.Stats.Stage(StageSuiteGen).Counter("tmpl_cache_hits"); got != 0 {
-		t.Fatalf("first run hit the cache %d times", got)
-	}
-	hits := second.Stats.Stage(StageSuiteGen).Counter("tmpl_cache_hits")
-	classes := second.Stats.Stage(StageSuiteGen).Counter("tmpl_classes")
-	if hits != classes || classes == 0 {
-		t.Fatalf("second run: %d hits for %d classes", hits, classes)
-	}
-	if !reflect.DeepEqual(first.Suite.Paths, second.Suite.Paths) {
-		t.Fatal("cached run produced different path vectors")
 	}
 }
 

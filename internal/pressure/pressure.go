@@ -41,11 +41,12 @@ import (
 // errors.Is).
 var ErrSingular = errors.New("pressure: singular node-pressure system")
 
+// openConductance is the pneumatic conductance of an open segment, the
+// unit every other conductance is relative to.
+const openConductance = 1
+
 // Params tunes the physical model.
 type Params struct {
-	// OpenConductance is the pneumatic conductance of an open segment
-	// (default 1).
-	OpenConductance float64
 	// LeakConductance is the residual conductance of a CLOSED valve with a
 	// leakage defect (default 0.05 unless HasLeakConductance is set).
 	// Healthy closed valves conduct 0.
@@ -63,9 +64,6 @@ type Params struct {
 // documented defaults. A zero LeakConductance is preserved when
 // HasLeakConductance is set.
 func (p Params) WithDefaults() Params {
-	if p.OpenConductance == 0 {
-		p.OpenConductance = 1
-	}
 	if p.LeakConductance == 0 && !p.HasLeakConductance {
 		p.LeakConductance = 0.05
 		p.HasLeakConductance = true
@@ -285,7 +283,7 @@ func Conductances(c *chip.Chip, open []bool, p Params, defects map[int]Defect) [
 			isOpen = false
 		}
 		if isOpen {
-			out[v] = p.OpenConductance
+			out[v] = openConductance
 		} else if defects[v] == Leaky {
 			out[v] = p.LeakConductance
 		}

@@ -13,11 +13,10 @@ type ChainConfig struct {
 	// Exact enables the tier-0 exact ILP. When false the chain starts at
 	// the heuristic tier (the PSO inner loop never pays for the ILP).
 	Exact bool
-	// ExactBudget, HeuristicBudget, RepairBudget cap each tier's
-	// wall-clock time; 0 picks the defaults below.
-	ExactBudget     time.Duration
-	HeuristicBudget time.Duration
-	RepairBudget    time.Duration
+	// ExactBudget caps the exact tier's wall-clock time; 0 picks
+	// DefaultExactBudget. The heuristic and repair tiers run under
+	// DefaultHeuristicBudget and DefaultRepairBudget.
+	ExactBudget time.Duration
 	// Options is forwarded to every testgen engine.
 	Options testgen.Options
 	// Inject lists deterministic faults for the chain's Runner.
@@ -26,7 +25,7 @@ type ChainConfig struct {
 	OnAttempt func(Attempt)
 }
 
-// Default per-tier budgets for AugmentChain.
+// Per-tier budgets of AugmentChain.
 const (
 	DefaultExactBudget     = 30 * time.Second
 	DefaultHeuristicBudget = 10 * time.Second
@@ -62,14 +61,14 @@ func AugmentChain(c *chip.Chip, cfg ChainConfig) *Runner[*testgen.Augmentation] 
 		tier++
 	}
 	r.Tiers = append(r.Tiers, TierSpec[*testgen.Augmentation]{
-		Tier: tier, Name: "heuristic", Budget: pick(cfg.HeuristicBudget, DefaultHeuristicBudget),
+		Tier: tier, Name: "heuristic", Budget: DefaultHeuristicBudget,
 		Run: func(ctx context.Context) (*testgen.Augmentation, error) {
 			return testgen.AugmentHeuristicCtx(ctx, c, cfg.Options)
 		},
 	})
 	tier++
 	r.Tiers = append(r.Tiers, TierSpec[*testgen.Augmentation]{
-		Tier: tier, Name: "repair", Budget: pick(cfg.RepairBudget, DefaultRepairBudget),
+		Tier: tier, Name: "repair", Budget: DefaultRepairBudget,
 		Run: func(ctx context.Context) (*testgen.Augmentation, error) {
 			return testgen.AugmentRepair(ctx, c, cfg.Options)
 		},

@@ -1,17 +1,16 @@
 // Per-valve test suites: for every valve, one path vector certifying its
 // stuck-at-0 fault and one cut vector certifying its stuck-at-1 fault,
-// deduplicated in valve order. GenerateBaseline solves each valve from
-// scratch (the reference engine); the TemplateEngine in template.go solves
-// one representative per translation-equivalence class and instantiates
-// the rest by index translation, falling back to the full solve when the
-// structural validation fails. Both engines produce equal coverage; the
-// property tests in suite_test.go pin it.
+// deduplicated in valve order. Both generators run one per-valve loop
+// (generate). GenerateBaseline solves each valve from scratch (the
+// reference); GenerateTemplates (template.go) first takes the closed-form
+// vectors of the valve's straight grid line and solves only the valves and
+// vectors the line recipe does not certify. Both produce equal coverage;
+// the property tests in suite_test.go pin it.
 package testgen
 
 import (
 	"context"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/chip"
@@ -42,13 +41,12 @@ type Suite struct {
 	CutOf  []int
 	// Uncovered lists valves missing a path or cut vector, ascending.
 	Uncovered []int
-	// Stats describe how the suite was produced. Stats are informational
-	// and may depend on cache warmth; the vectors above never do.
+	// Stats describe how the suite was produced; they are informational.
 	Stats SuiteStats
 }
 
-// SuiteStats summarize the generation work. All fields except SimEvals are
-// worker-count invariant.
+// SuiteStats summarize the generation work. All fields are worker-count
+// invariant.
 type SuiteStats struct {
 	Engine     string // "baseline" or "template"
 	Valves     int
@@ -59,21 +57,10 @@ type SuiteStats struct {
 	PathSolves int64
 	CutSolves  int64
 
-	// Template-engine only: distinct symmetry classes (LineClasses of them
-	// closed-form line classes, the rest combinatorially solved tile
-	// classes), template-cache hits (classes reused from an earlier run of
-	// the same engine), vectors instantiated from a class, and
-	// instantiations that failed validation and fell back to a full solve.
-	Classes      int
-	LineClasses  int
-	TemplateHits int64
+	// Instantiated counts the vectors taken from a grid line's closed-form
+	// recipe, Fallbacks the vectors found by the per-valve solve.
 	Instantiated int64
 	Fallbacks    int64
-
-	// SimEvals counts distinct fault-free vector evaluations (the
-	// pressure solves of certification). Not worker-count invariant:
-	// racing workers may both miss the simulator's memo cache.
-	SimEvals int64
 }
 
 // Vectors returns the deduplicated suite vectors, paths before cuts — the
@@ -91,36 +78,33 @@ func (s *Suite) Coverage(workers int) fault.Coverage {
 	return fault.NewEngine(sim, workers).EvaluateCoverage(s.Vectors(), fault.AllFaults(s.Chip))
 }
 
-// valveVectors is one valve's solved (or instantiated) vectors.
+// valveVectors is one valve's solved (or line-recipe) vectors.
 type valveVectors struct {
 	path, cut       fault.Vector
 	hasPath, hasCut bool
 }
 
-// suitePre holds the chip-wide precomputed state both suite engines share:
-// per-port BFS distance tables over the channel network, the node→port
-// index, and a certification simulator under independent control.
+// suitePre holds the chip-wide state of one suite generation: the
+// certification simulator, per-port BFS distance tables over the channel
+// network, the line table of GenerateTemplates, and the work counters.
 type suitePre struct {
-	c       *chip.Chip
-	g       *graphalg.Graph
-	sim     *fault.Simulator
-	metrics *fault.Metrics
+	c   *chip.Chip
+	g   *graphalg.Graph
+	sim *fault.Simulator
 
 	channelOnly func(int) bool
 	cost        func(int) float64
 	portDist    [][]int
-	portAt      []int
 
-	linesOnce sync.Once
-	lines     lineTable // template engine only; see lineOf
+	lines lineTable // GenerateTemplates only; see lineOf
 
-	pathSolves, cutSolves atomic.Int64
+	pathSolves, cutSolves   atomic.Int64
+	instantiated, fallbacks atomic.Int64
 }
 
-func newSuitePre(c *chip.Chip) *suitePre {
-	p := &suitePre{c: c, g: c.Grid.Graph(), metrics: fault.NewMetrics()}
-	p.sim = fault.MustSimulator(c, chip.IndependentControl(c))
-	p.sim.SetMetrics(p.metrics)
+func newSuitePre(sim *fault.Simulator) *suitePre {
+	c := sim.Chip()
+	p := &suitePre{c: c, g: c.Grid.Graph(), sim: sim}
 	p.channelOnly = func(e int) bool {
 		_, ok := c.ValveOnEdge(e)
 		return ok
@@ -136,13 +120,6 @@ func newSuitePre(c *chip.Chip) *suitePre {
 	p.portDist = make([][]int, len(c.Ports))
 	for i, port := range c.Ports {
 		p.portDist[i] = p.g.BFSFrom(port.Node, p.channelOnly)
-	}
-	p.portAt = make([]int, p.g.NumNodes())
-	for i := range p.portAt {
-		p.portAt[i] = -1
-	}
-	for _, port := range c.Ports {
-		p.portAt[port.Node] = port.ID
 	}
 	return p
 }
@@ -172,9 +149,7 @@ func (p *suitePre) nearestPorts(node, k int) []int {
 
 // candidatePairs returns the deterministic (source, meter) port pairs a
 // valve solve tries, ordered by proximity to the valve's endpoints: the
-// nearest ports to each endpoint in both orientations. Every valve whose
-// tile class matches shares the same pairs relative to its anchor, which
-// is what lets one solved template serve the whole class.
+// nearest ports to each endpoint in both orientations.
 func (p *suitePre) candidatePairs(u, w int) [][2]int {
 	var out [][2]int
 	add := func(s, d int) {
@@ -247,8 +222,8 @@ func (p *suitePre) allPairsRanked(u, w int) [][2]int {
 
 // certify reports whether a candidate vector behaves fault-free as
 // specified and detects the target stuck-at fault of the valve it is
-// stamped for — the shared acceptance check of every engine and class
-// family.
+// stamped for — the acceptance check of every suite vector, solved or
+// taken from a line.
 func (p *suitePre) certify(vec fault.Vector, kind fault.VectorKind, valve int) bool {
 	target := fault.Fault{Kind: fault.StuckAt0, Valve: valve}
 	if kind == fault.CutVector {
@@ -342,13 +317,34 @@ func (p *suitePre) solveCutFor(valve int) (fault.Vector, bool) {
 	return fault.Vector{}, false
 }
 
-// solveValve runs the full per-valve solve: one certified path and one
-// certified cut vector (either may be absent on irregular chips).
-func (p *suitePre) solveValve(valve int) valveVectors {
+// solveValve finds one certified path and one certified cut vector for a
+// valve (either may be absent on irregular chips): the valve's line vector
+// when lines is set and it certifies, the per-valve solve otherwise.
+func (p *suitePre) solveValve(valve int, lines bool) valveVectors {
 	var vv valveVectors
-	vv.path, vv.hasPath = p.solvePathFor(valve)
-	vv.cut, vv.hasCut = p.solveCutFor(valve)
+	vv.path, vv.hasPath = p.vectorFor(valve, fault.PathVector, lines)
+	vv.cut, vv.hasCut = p.vectorFor(valve, fault.CutVector, lines)
 	return vv
+}
+
+// vectorFor returns one vector of solveValve and counts where it came
+// from.
+func (p *suitePre) vectorFor(valve int, kind fault.VectorKind, lines bool) (fault.Vector, bool) {
+	if lines {
+		if vec, ok := p.instantiateLine(valve, kind); ok {
+			p.instantiated.Add(1)
+			return vec, true
+		}
+	}
+	solve := p.solvePathFor
+	if kind == fault.CutVector {
+		solve = p.solveCutFor
+	}
+	vec, ok := solve(valve)
+	if ok {
+		p.fallbacks.Add(1)
+	}
+	return vec, ok
 }
 
 // assembleSuite dedups the per-valve vectors in valve order.
@@ -393,30 +389,46 @@ func assembleSuite(c *chip.Chip, slots []valveVectors) *Suite {
 }
 
 // GenerateBaseline builds the suite with one full solve per valve — the
-// reference engine the template engine is measured and property-tested
-// against.
+// reference GenerateTemplates is measured and property-tested against. It
+// certifies on a fresh simulator under independent control.
 func GenerateBaseline(c *chip.Chip, opts SuiteOptions) (*Suite, error) {
-	return GenerateBaselineCtx(context.Background(), c, opts)
+	return GenerateBaselineCtx(context.Background(), fault.MustSimulator(c, chip.IndependentControl(c)), opts)
 }
 
 // GenerateBaselineCtx is GenerateBaseline with cooperative cancellation,
-// checked once per valve.
-func GenerateBaselineCtx(ctx context.Context, c *chip.Chip, opts SuiteOptions) (*Suite, error) {
+// checked once per valve, certifying on sim (see generate).
+func GenerateBaselineCtx(ctx context.Context, sim *fault.Simulator, opts SuiteOptions) (*Suite, error) {
+	return generate(ctx, sim, opts, false)
+}
+
+// generate runs the per-valve loop of both generators over sim's chip;
+// lines selects GenerateTemplates' line shortcut. The suite is certified
+// under sim's control (independent control for a per-valve suite), and
+// every analysis stays in sim's memo, so a coverage campaign of the suite
+// on the same simulator re-derives none of them.
+func generate(ctx context.Context, sim *fault.Simulator, opts SuiteOptions, lines bool) (*Suite, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pre := newSuitePre(c)
-	slots := make([]valveVectors, c.NumValves())
+	pre := newSuitePre(sim)
+	if lines {
+		pre.buildLines()
+	}
+	slots := make([]valveVectors, pre.c.NumValves())
 	err := par.For(ctx, par.Workers(opts.Workers), len(slots), func(v int) {
-		slots[v] = pre.solveValve(v)
+		slots[v] = pre.solveValve(v, lines)
 	})
 	if err != nil {
 		return nil, err
 	}
-	s := assembleSuite(c, slots)
+	s := assembleSuite(pre.c, slots)
 	s.Stats.Engine = "baseline"
+	if lines {
+		s.Stats.Engine = "template"
+	}
 	s.Stats.PathSolves = pre.pathSolves.Load()
 	s.Stats.CutSolves = pre.cutSolves.Load()
-	s.Stats.SimEvals = pre.metrics.Snapshot().MemoMisses
+	s.Stats.Instantiated = pre.instantiated.Load()
+	s.Stats.Fallbacks = pre.fallbacks.Load()
 	return s, nil
 }

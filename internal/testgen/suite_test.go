@@ -11,7 +11,9 @@ import (
 )
 
 // suiteChips returns the designs the suite property tests sweep: the three
-// bundled chips plus generated FPVA grids.
+// bundled chips plus generated FPVA grids. The elongated 44x8 grid with
+// seven ports leaves 344 valves off any qualifying grid line, so it
+// exercises the per-valve solve beside the line recipe.
 func suiteChips(t *testing.T) []*chip.Chip {
 	t.Helper()
 	chips := append([]*chip.Chip(nil), chip.Benchmarks()...)
@@ -19,6 +21,7 @@ func suiteChips(t *testing.T) []*chip.Chip {
 	chips = append(chips, chip.MustGenerateFPVA(chip.FPVAParams{W: 8, H: 8, Seed: 1}))
 	chips = append(chips, chip.MustGenerateFPVA(chip.FPVAParams{W: 6, H: 8, Seed: 11}))
 	chips = append(chips, chip.MustGenerateFPVA(chip.FPVAParams{W: 12, H: 10, Seed: 5, Ports: 9}))
+	chips = append(chips, chip.MustGenerateFPVA(chip.FPVAParams{W: 44, H: 8, Seed: 1, Ports: 7}))
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 2; i++ {
 		chips = append(chips, chip.Random(rng))
@@ -32,9 +35,24 @@ func canonical(s *Suite) *Suite {
 	return &Suite{Paths: s.Paths, Cuts: s.Cuts, PathOf: s.PathOf, CutOf: s.CutOf, Uncovered: s.Uncovered}
 }
 
-// TestSuiteEnginesCoverageEqual: the template engine must reach coverage
+// vectorOf returns a valve's path or cut vector in s, false when it has
+// none.
+func vectorOf(s *Suite, v int, kind fault.VectorKind) (fault.Vector, bool) {
+	vecs, of := s.Paths, s.PathOf
+	if kind == fault.CutVector {
+		vecs, of = s.Cuts, s.CutOf
+	}
+	if of[v] < 0 {
+		return fault.Vector{}, false
+	}
+	return vecs[of[v]], true
+}
+
+// TestSuiteEnginesCoverageEqual: GenerateTemplates must reach coverage
 // equal to GenerateBaseline on every design — the acceptance gate of the
-// scaling bench.
+// scaling bench — and a valve off every qualifying grid line must get the
+// baseline's own path and cut vectors, since both run the same per-valve
+// solve.
 func TestSuiteEnginesCoverageEqual(t *testing.T) {
 	for _, c := range suiteChips(t) {
 		base, err := GenerateBaseline(c, SuiteOptions{Workers: 4})
@@ -51,6 +69,20 @@ func TestSuiteEnginesCoverageEqual(t *testing.T) {
 		}
 		if !reflect.DeepEqual(base.Uncovered, tmpl.Uncovered) {
 			t.Fatalf("%s: uncovered differs: %v vs %v", c.Name, base.Uncovered, tmpl.Uncovered)
+		}
+		pre := newSuitePre(fault.MustSimulator(c, chip.IndependentControl(c)))
+		pre.buildLines()
+		for v := 0; v < c.NumValves(); v++ {
+			if _, _, ok := pre.lineOf(v); ok {
+				continue
+			}
+			for _, kind := range []fault.VectorKind{fault.PathVector, fault.CutVector} {
+				vb, okB := vectorOf(base, v, kind)
+				vt, okT := vectorOf(tmpl, v, kind)
+				if okB != okT || !reflect.DeepEqual(vb, vt) {
+					t.Fatalf("%s: valve %d off the lines: %v valves %v, baseline %v", c.Name, v, kind, vt.Valves, vb.Valves)
+				}
+			}
 		}
 	}
 }
@@ -81,8 +113,8 @@ func TestFPVASuiteFullCoverage(t *testing.T) {
 	}
 }
 
-// TestSuiteWorkerCountInvariance: both engines must produce bit-identical
-// suites for any worker count (fresh engine per run).
+// TestSuiteWorkerCountInvariance: both generators must produce
+// bit-identical suites for any worker count.
 func TestSuiteWorkerCountInvariance(t *testing.T) {
 	c := chip.MustGenerateFPVA(chip.FPVAParams{W: 10, H: 8, Seed: 3})
 	var wantB, wantT *Suite
@@ -108,66 +140,35 @@ func TestSuiteWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestTemplateMemoPurity: re-generating on the same engine must hit the
-// cache for every class and return the same suite.
-func TestTemplateMemoPurity(t *testing.T) {
-	c := chip.MustGenerateFPVA(chip.FPVAParams{W: 10, H: 10, Seed: 2})
-	e := NewTemplateEngine()
-	first, err := e.Generate(c, SuiteOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Stats.TemplateHits != 0 {
-		t.Fatalf("fresh engine reported %d cache hits", first.Stats.TemplateHits)
-	}
-	second, err := e.Generate(c, SuiteOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Stats.TemplateHits != int64(second.Stats.Classes) {
-		t.Fatalf("rerun hit %d/%d classes", second.Stats.TemplateHits, second.Stats.Classes)
-	}
-	if !reflect.DeepEqual(canonical(first), canonical(second)) {
-		t.Fatal("memoized rerun changed the suite")
-	}
-	if e.cache.Len() != first.Stats.Classes {
-		t.Fatalf("cache holds %d templates for %d classes", e.cache.Len(), first.Stats.Classes)
-	}
-}
-
-// TestTemplateClassCompression: the point of the engine — class count must
-// be far below valve count on a regular grid, with most vectors stamped
-// from templates rather than solved.
+// TestTemplateClassCompression: the point of the line recipe — on a
+// square FPVA every valve lies on a qualifying grid line, so both vectors
+// of every valve come from its line and no path or cut is solved.
 func TestTemplateClassCompression(t *testing.T) {
 	c := chip.MustGenerateFPVA(chip.FPVAParams{W: 16, H: 16, Seed: 1})
 	s, err := GenerateTemplates(c, SuiteOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nv := c.NumValves()
-	if s.Stats.Classes*2 >= nv {
-		t.Fatalf("no compression: %d classes for %d valves", s.Stats.Classes, nv)
+	st := s.Stats
+	if nv := int64(c.NumValves()); st.Instantiated != 2*nv || st.Fallbacks != 0 {
+		t.Fatalf("%d line and %d solved vectors for %d valves", st.Instantiated, st.Fallbacks, nv)
 	}
-	if s.Stats.Instantiated < int64(nv) {
-		t.Fatalf("only %d of %d vector slots instantiated (fallbacks %d)",
-			s.Stats.Instantiated, 2*nv, s.Stats.Fallbacks)
-	}
-	if s.Stats.PathSolves+s.Stats.CutSolves >= int64(2*nv) {
-		t.Fatalf("template engine solved %d times for %d valves",
-			s.Stats.PathSolves+s.Stats.CutSolves, nv)
+	if st.PathSolves != 0 || st.CutSolves != 0 {
+		t.Fatalf("%d path and %d cut solves on a square FPVA", st.PathSolves, st.CutSolves)
 	}
 }
 
-// TestSuiteGenerationCancellation: a dead context aborts both engines.
+// TestSuiteGenerationCancellation: a dead context aborts both generators.
 func TestSuiteGenerationCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c := chip.FPVA(6, 6)
-	if _, err := GenerateBaselineCtx(ctx, c, SuiteOptions{Workers: 1}); err == nil {
+	sim := fault.MustSimulator(c, chip.IndependentControl(c))
+	if _, err := GenerateBaselineCtx(ctx, sim, SuiteOptions{Workers: 1}); err == nil {
 		t.Fatal("baseline ignored a cancelled context")
 	}
-	if _, err := NewTemplateEngine().GenerateCtx(ctx, c, SuiteOptions{Workers: 1}); err == nil {
-		t.Fatal("template engine ignored a cancelled context")
+	if _, err := GenerateTemplatesCtx(ctx, sim, SuiteOptions{Workers: 1}); err == nil {
+		t.Fatal("GenerateTemplatesCtx ignored a cancelled context")
 	}
 }
 
