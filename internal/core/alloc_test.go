@@ -12,12 +12,14 @@ import (
 )
 
 // sharingEvalAllocBudget caps the mean allocations of one slow-path
-// sharing evaluation on mRNA/CPA below a third of the 4,134 that a full
-// campaign, repairs with a fresh flow network and maps per attempt, and a
-// second full campaign took on this sample. The incremental check with
-// pooled repair buffers takes about 600; most of the rest is the fault
-// simulator's per-vector evaluation.
-const sharingEvalAllocBudget = 1300
+// sharing evaluation on mRNA/CPA. A full campaign, repairs with a fresh
+// flow network and maps per attempt, and a second full campaign took 4,134
+// on this sample; the incremental check on a per-scheme memoizing
+// simulator took 450, most of them its vector keys and memo records. On
+// the pooled memo-free probe it takes about 45: the shared control, the
+// check's dirty list and bitset, and the replacement vectors the repairs
+// return. The budget is a third of the memoizing check's count.
+const sharingEvalAllocBudget = 150
 
 // TestSharingEvalAllocBudget measures computeSharingFitness on 40 seeded
 // schemes of the unbiased mRNA/CPA configuration under which the base

@@ -32,7 +32,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
+	"strconv"
 	"sync"
 	"time"
 
@@ -853,21 +853,47 @@ func (f *flow) freeEdges() []int {
 // greedy engine can realize the same edge set with different routings
 // under different weight biases, and cached artifacts must be pure
 // functions of their key for the concurrent caches to stay deterministic.
+//
+// The key is the fmt form "e%v|s%d|m%d" of the added edges and ports
+// followed by "|%v" per path, built without fmt. Its bytes must not
+// change: its length and hash seed each configuration's inner swarm, and
+// its sort order breaks bestEvalSeen's ties.
 func augKey(aug *testgen.Augmentation) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "e%v|s%d|m%d", aug.AddedEdges, aug.Source, aug.Meter)
+	n := 16 + 4*len(aug.AddedEdges)
 	for _, p := range aug.Paths {
-		fmt.Fprintf(&b, "|%v", p)
+		n += 3 + 4*len(p)
 	}
-	return b.String()
+	b := append(make([]byte, 0, n), 'e')
+	b = appendList(b, aug.AddedEdges)
+	b = append(b, "|s"...)
+	b = strconv.AppendInt(b, int64(aug.Source), 10)
+	b = append(b, "|m"...)
+	b = strconv.AppendInt(b, int64(aug.Meter), 10)
+	for _, p := range aug.Paths {
+		b = appendList(append(b, '|'), p)
+	}
+	return string(b)
 }
 
-func intsKey(s []int) string {
-	var b strings.Builder
-	for _, v := range s {
-		fmt.Fprintf(&b, "%d,", v)
+// appendList appends s in fmt's %v form: "[1 2 3]".
+func appendList(b []byte, s []int) []byte {
+	b = append(b, '[')
+	for i, v := range s {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return b.String()
+	return append(b, ']')
+}
+
+// intsKey is s with every element followed by a comma: "1,-1,".
+func intsKey(s []int) string {
+	b := make([]byte, 0, 4*len(s))
+	for _, v := range s {
+		b = append(strconv.AppendInt(b, int64(v), 10), ',')
+	}
+	return string(b)
 }
 
 func hashString(s string) int64 {

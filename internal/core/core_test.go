@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/artifact"
@@ -202,5 +205,53 @@ func TestFirstValidSharingRotation(t *testing.T) {
 	}
 	if et <= 0 || len(partners) != aug.Chip.NumDFTValves() {
 		t.Fatalf("et=%d partners=%v", et, partners)
+	}
+}
+
+// TestAugKeyMatchesFmt pins augKey and intsKey to the fmt forms they were
+// first written with. augKey's bytes seed each configuration's inner swarm
+// and order bestEvalSeen's ties, so a key that drifts by one byte changes
+// flow results. The sample is 200 heuristic configurations per bundled
+// chip under seeded edge weights, each with a decoded partner assignment.
+func TestAugKeyMatchesFmt(t *testing.T) {
+	fmtAugKey := func(aug *testgen.Augmentation) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "e%v|s%d|m%d", aug.AddedEdges, aug.Source, aug.Meter)
+		for _, p := range aug.Paths {
+			fmt.Fprintf(&b, "|%v", p)
+		}
+		return b.String()
+	}
+	fmtIntsKey := func(s []int) string {
+		var b strings.Builder
+		for _, v := range s {
+			fmt.Fprintf(&b, "%d,", v)
+		}
+		return b.String()
+	}
+	rng := rand.New(rand.NewSource(28))
+	for _, c := range []*chip.Chip{chip.IVD(), chip.RA30(), chip.MRNA()} {
+		f := &flow{orig: c, opts: Options{}.withDefaults(), allowPartial: true}
+		for i := 0; i < 200; i++ {
+			weights := make([]float64, c.Grid.NumEdges())
+			for _, e := range f.freeEdges() {
+				weights[e] = rng.Float64() * 4
+			}
+			aug, err := testgen.AugmentHeuristic(c, testgen.Options{EdgeWeights: weights})
+			if err != nil {
+				t.Fatalf("%s config %d: %v", c.Name, i, err)
+			}
+			if got, want := augKey(aug), fmtAugKey(aug); got != want {
+				t.Fatalf("%s config %d: augKey %q, fmt form %q", c.Name, i, got, want)
+			}
+			x := make([]float64, aug.Chip.NumDFTValves())
+			for j := range x {
+				x[j] = rng.Float64()
+			}
+			partners := f.decodePartners(aug.Chip, x)
+			if got, want := intsKey(partners), fmtIntsKey(partners); got != want {
+				t.Fatalf("%s config %d: intsKey %q, fmt form %q", c.Name, i, got, want)
+			}
+		}
 	}
 }

@@ -15,28 +15,34 @@
 //
 // So each configuration builds one fault.DetectionMatrix of its base
 // vectors under independent control, and each scheme is checked in three
-// exact steps:
+// exact steps on one pooled fault.Probe reset to the scheme's control:
 //
 //  1. OR the clean rows into a fault bitset. When it covers every fault,
 //     the scheme keeps full coverage with zero simulations
 //     (reval_fastpath).
-//  2. Otherwise run one campaign over the dirty vectors only, under the
-//     scheme's shared control, for the faults the clean rows leave. The
-//     faults it misses are exactly the Undetected list of a full campaign
-//     of the base vectors, in the same fault order. An empty list means
-//     full coverage without repairs (reval_recheck_pass).
+//  2. Otherwise the probe analyses each dirty vector under the scheme and
+//     ORs its detections of the faults still open into that bitset
+//     (Probe.Cover; reval_recheck_sims counts the vectors). The faults
+//     left are exactly the Undetected list of a full campaign of the base
+//     vectors, in the same fault order. An empty list means full coverage
+//     without repairs (reval_recheck_pass).
 //  3. Otherwise testgen.RepairUndetected repairs those faults in that
-//     order and counts what the repairs leave (reval_slowpath), with no
-//     recount campaign.
+//     order on the same probe and counts what the repairs leave
+//     (reval_slowpath), with no recount campaign.
 //
 // The repairs see the same faults in the same order as a full campaign
 // would give them, so every replacement vector and every fitness value is
-// the one the full campaign-repair-recount pipeline produces.
+// the one the full campaign-repair-recount pipeline produces. The probe
+// keeps no memo: within a scheme each dirty vector is analysed once, and a
+// memo across schemes keyed by expanded valve state did not pay for its
+// memory (DESIGN §14). So a check builds no fault.Simulator, no memo map
+// and no vector key, and a warmed probe allocates nothing.
 package core
 
 import (
 	"context"
 	"math/bits"
+	"sync"
 
 	"repro/internal/chip"
 	"repro/internal/fault"
@@ -44,12 +50,13 @@ import (
 )
 
 // sharingCheck is one configuration's incremental validation state: the
-// detection matrix of its base vectors (paths, then cuts) over
-// fault.AllFaults under independent control, and the vector membership
+// detection matrix of its base vectors (paths, then cuts) over faults
+// (fault.AllFaults) under independent control, and the vector membership
 // table the clean/dirty classification reads. It is immutable once built,
 // so the inner swarm's concurrent evaluations share it.
 type sharingCheck struct {
 	nOrig  int
+	faults []fault.Fault
 	matrix *fault.DetectionMatrix
 	inVec  [][]bool // inVec[v][valve]: valve is one of vector v's valves
 }
@@ -62,8 +69,9 @@ type sharingCheck struct {
 func (f *flow) newSharingCheck(c *chip.Chip, vectors []fault.Vector) *sharingCheck {
 	sim := fault.MustSimulator(c, chip.IndependentControl(c))
 	sim.SetMetrics(f.metrics)
-	m, _ := fault.NewEngine(sim, 1).DetectionMatrix(context.Background(), vectors, fault.AllFaults(c))
-	s := &sharingCheck{nOrig: c.NumOriginalValves(), matrix: m, inVec: make([][]bool, len(vectors))}
+	faults := fault.AllFaults(c)
+	m, _ := fault.NewEngine(sim, 1).DetectionMatrix(context.Background(), vectors, faults)
+	s := &sharingCheck{nOrig: c.NumOriginalValves(), faults: faults, matrix: m, inVec: make([][]bool, len(vectors))}
 	member := make([]bool, len(vectors)*c.NumValves())
 	for v, vec := range vectors {
 		s.inVec[v] = member[v*c.NumValves() : (v+1)*c.NumValves()]
@@ -87,12 +95,13 @@ func (s *sharingCheck) gap() int {
 
 // undetected returns the faults the base vectors miss under the sharing
 // scheme partners — exactly the Undetected list, in fault order, of a
-// coverage campaign of every base vector on sim, which must simulate the
-// configuration's chip under chip.SharedControl(partners). Only the dirty
-// vectors are simulated, on one worker (the inner swarm already fills the
-// cores). It returns ctx's error when ctx is cancelled mid-campaign.
-// Safe for concurrent callers.
-func (s *sharingCheck) undetected(ctx context.Context, f *flow, sim *fault.Simulator, partners []int) ([]fault.Fault, error) {
+// coverage campaign of every base vector under the scheme. probe must be
+// reset to the configuration's chip under chip.SharedControl(partners).
+// Only the dirty vectors are analysed, one at a time, each ORing its
+// detections of the faults still open into the clean rows' bitset. It
+// returns ctx's error when ctx (nil for none) is cancelled between two
+// dirty vectors.
+func (s *sharingCheck) undetected(ctx context.Context, f *flow, probe *fault.Probe, partners []int) ([]fault.Fault, error) {
 	m := s.matrix
 	// Invert the assignment: original valve -> its DFT partner (or -1).
 	inv := make([]int, s.nOrig)
@@ -105,38 +114,39 @@ func (s *sharingCheck) undetected(ctx context.Context, f *flow, sim *fault.Simul
 		}
 	}
 	covered := make([]uint64, m.Words())
-	var dirty []fault.Vector
+	var dirty []int
 	for v := 0; v < m.NumVectors(); v++ {
 		if s.dirty(v, partners, inv) {
-			dirty = append(dirty, m.Vector(v))
+			dirty = append(dirty, v)
 			continue
 		}
 		orInto(covered, m.Row(v))
 	}
 	f.countStage("reval_clean_vectors", int64(m.NumVectors()-len(dirty)))
 	f.countStage("reval_dirty_vectors", int64(len(dirty)))
-	var rest []fault.Fault
-	for fi := 0; fi < m.NumFaults(); fi++ {
-		if covered[fi>>6]&(1<<uint(fi&63)) == 0 {
-			rest = append(rest, m.Fault(fi))
-		}
-	}
-	if len(rest) == 0 {
+	if popCount(covered) == m.NumFaults() {
 		f.countStage("reval_fastpath", 1)
 		return nil, nil
 	}
-	if len(dirty) == 0 {
-		return rest, nil
+	for _, v := range dirty {
+		if ctx != nil && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		probe.Cover(m.Vector(v), s.faults, covered)
 	}
-	cov, err := fault.NewEngine(sim, 1).EvaluateCoverageCtx(ctx, dirty, rest)
-	if err != nil {
-		return nil, err
+	var rest []fault.Fault
+	for fi, flt := range s.faults {
+		if covered[fi>>6]&(1<<uint(fi&63)) == 0 {
+			rest = append(rest, flt)
+		}
 	}
-	f.countStage("reval_recheck_sims", int64(len(dirty)))
-	if len(cov.Undetected) == 0 {
-		f.countStage("reval_recheck_pass", 1)
+	if len(dirty) > 0 {
+		f.countStage("reval_recheck_sims", int64(len(dirty)))
+		if len(rest) == 0 {
+			f.countStage("reval_recheck_pass", 1)
+		}
 	}
-	return cov.Undetected, nil
+	return rest, nil
 }
 
 // dirty reports whether some valve of vector v is paired with a valve
@@ -159,23 +169,29 @@ func (s *sharingCheck) dirty(v int, partners, inv []int) bool {
 	return false
 }
 
+// probePool shares fault probes across scheme checks: each check resets
+// one to its scheme's control, so a warmed probe's buffers serve every
+// later scheme.
+var probePool = sync.Pool{New: func() any { return new(fault.Probe) }}
+
 // validateSharing runs the test validation of configuration ev under the
 // sharing scheme partners, whose control assignment is ctrl: the base
 // vectors' misses are repaired, and it returns the replacement paths and
 // cuts and the number of faults still undetected. err is non-nil only when
-// ctx is cancelled mid-campaign.
+// ctx is cancelled mid-check.
 func (f *flow) validateSharing(ctx context.Context, ev *augEval, ctrl *chip.Control, partners []int) (paths, cuts []fault.Vector, remaining int, err error) {
 	c := ev.aug.Chip
-	sim, err := f.newSimulator(c, ctrl)
-	if err != nil {
+	probe := probePool.Get().(*fault.Probe)
+	defer probePool.Put(probe)
+	if err := probe.Reset(c, ctrl, f.metrics); err != nil {
 		return nil, nil, 0, err
 	}
-	undetected, err := ev.check.undetected(ctx, f, sim, partners)
+	undetected, err := ev.check.undetected(ctx, f, probe, partners)
 	if err != nil || len(undetected) == 0 {
 		return nil, nil, 0, err
 	}
 	f.countStage("reval_slowpath", 1)
-	paths, cuts, remaining = testgen.RepairUndetected(c, ctrl, sim, ev.aug.Source, ev.aug.Meter, undetected)
+	paths, cuts, remaining = testgen.RepairUndetected(c, ctrl, probe, ev.aug.Source, ev.aug.Meter, undetected)
 	return paths, cuts, remaining, nil
 }
 

@@ -116,8 +116,11 @@ func TestSharingCheckExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sim := fault.MustSimulator(c, ctrl)
-				got, err := ev.check.undetected(context.Background(), f, sim, partners)
+				var probe fault.Probe
+				if err := probe.Reset(c, ctrl, nil); err != nil {
+					t.Fatal(err)
+				}
+				got, err := ev.check.undetected(context.Background(), f, &probe, partners)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -126,7 +129,7 @@ func TestSharingCheckExact(t *testing.T) {
 					t.Fatalf("%s config %d partners %v: incremental undetected %v, full campaign %v",
 						d.chip.Name, cfg, partners, got, want)
 				}
-				rPaths, rCuts, remaining := testgen.RepairUndetected(c, ctrl, sim, aug.Source, aug.Meter, got)
+				rPaths, rCuts, remaining := testgen.RepairUndetected(c, ctrl, &probe, aug.Source, aug.Meter, got)
 				all := append(append(append([]fault.Vector{}, base...), rPaths...), rCuts...)
 				if n := len(fault.MustSimulator(c, ctrl).EvaluateCoverage(all, fault.AllFaults(c)).Undetected); n != remaining {
 					t.Fatalf("%s config %d partners %v: %d faults remain after repairs, a full recount finds %d",

@@ -92,7 +92,7 @@ func detectAny(s *Simulator, usable []*vectorEval, f Fault) bool {
 	var t ruleTally
 	det := false
 	for _, ev := range usable {
-		if s.detectsEval(ev, f, &t) {
+		if detectsEval(s.chip, ev, f, &t) {
 			det = true
 			break
 		}

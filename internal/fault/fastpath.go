@@ -38,28 +38,49 @@ package fault
 
 import "repro/internal/chip"
 
-// bitset is a fixed-size node set; each state analysis keeps its bridge
-// flags in one.
+// bitset is a fixed-size set of node or fault indices; each state
+// analysis keeps its bridge flags in one, and Probe.Cover ORs detections
+// into one.
 type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// resize returns buf with length n, reallocating only when it is too
+// small; the contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
 
 // stateEval is the fault-free analysis of one applied valve state: the
 // actual valve states and the Tarjan decomposition of the open subgraph —
 // per-node connected component, DFS entry/exit times, the tree edge to the
 // parent, and a flag marking parent edges that are bridges. The DFS
 // subtree of a node c is exactly {x : tin[c] <= tin[x] < tout[c]}, so
-// "which side of a removed bridge" is an O(1) interval probe. Immutable
-// once built.
+// "which side of a removed bridge" is an O(1) interval probe. A memoized
+// one is immutable once built; a Probe refills its own for every vector.
 type stateEval struct {
 	open       []bool // actual valve states after sharing expansion
 	comp       []int32
 	tin, tout  []int32
 	parentEdge []int32
-	bridge     bitset // node's parent edge is a bridge
+	bridge     bitset  // node's parent edge is a bridge
+	buf        []int32 // backing array of comp, tin, tout and parentEdge
+}
+
+// tarjanScratch holds analyzeState's working buffers: the DFS low-links
+// and stack, which the finished analysis does not keep.
+type tarjanScratch struct {
+	low   []int32
+	stack []tarjanFrame
+}
+
+type tarjanFrame struct {
+	node int32
+	idx  int32
 }
 
 // inSubtree reports whether node x lies in the DFS subtree rooted at c.
@@ -77,32 +98,30 @@ func (a *stateEval) sourceComp(srcNodes []int, c int32) bool {
 	return false
 }
 
-// analyzeState runs one O(V+E) iterative Tarjan DFS over the channel edges
-// whose valves are open. Parallel edges are handled by skipping only the
-// entering edge ID, so a doubled channel correctly shields both copies
-// from being bridges. The four per-node arrays share one backing array.
-func analyzeState(c *chip.Chip, open []bool) *stateEval {
+// analyzeState fills a with one O(V+E) iterative Tarjan DFS over the
+// channel edges whose valves are open, reusing a's and sc's buffers when
+// they are large enough (the four per-node arrays share one backing
+// array). Parallel edges are handled by skipping only the entering edge
+// ID, so a doubled channel correctly shields both copies from being
+// bridges.
+func analyzeState(c *chip.Chip, open []bool, a *stateEval, sc *tarjanScratch) {
 	g := c.Grid.Graph()
 	n := g.NumNodes()
-	backing := make([]int32, 4*n)
-	a := &stateEval{
-		open:       open,
-		comp:       backing[0*n : 1*n : 1*n],
-		tin:        backing[1*n : 2*n : 2*n],
-		tout:       backing[2*n : 3*n : 3*n],
-		parentEdge: backing[3*n : 4*n : 4*n],
-		bridge:     newBitset(n),
-	}
-	low := make([]int32, n)
+	a.buf = resize(a.buf, 4*n)
+	a.open = open
+	a.comp = a.buf[0*n : 1*n : 1*n]
+	a.tin = a.buf[1*n : 2*n : 2*n]
+	a.tout = a.buf[2*n : 3*n : 3*n]
+	a.parentEdge = a.buf[3*n : 4*n : 4*n]
+	a.bridge = resize(a.bridge, (n+63)/64)
+	clear(a.bridge)
+	sc.low = resize(sc.low, n)
+	low := sc.low
 	for i := range a.comp {
 		a.comp[i] = -1
 		a.parentEdge[i] = -1
 	}
-	type frame struct {
-		node int32
-		idx  int32
-	}
-	var stack []frame
+	stack := sc.stack[:0]
 	var timer, compID int32
 	// Every node an open valve touches is reached from an endpoint of some
 	// open valve; the DFS starts only there.
@@ -117,7 +136,7 @@ func analyzeState(c *chip.Chip, open []bool) *stateEval {
 		a.comp[root] = compID
 		a.tin[root], low[root] = timer, timer
 		timer++
-		stack = append(stack[:0], frame{node: int32(root)})
+		stack = append(stack[:0], tarjanFrame{node: int32(root)})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			adj := g.Adjacency(int(f.node))
@@ -141,7 +160,7 @@ func analyzeState(c *chip.Chip, open []bool) *stateEval {
 				a.tin[arc.To], low[arc.To] = timer, timer
 				timer++
 				a.parentEdge[arc.To] = int32(arc.Edge)
-				stack = append(stack, frame{node: int32(arc.To)})
+				stack = append(stack, tarjanFrame{node: int32(arc.To)})
 				advanced = true
 				break
 			}
@@ -163,6 +182,7 @@ func analyzeState(c *chip.Chip, open []bool) *stateEval {
 		}
 		compID++
 	}
+	sc.stack = stack
 	// The rest are isolated: singleton components and DFS subtrees.
 	for x := range a.comp {
 		if a.comp[x] < 0 {
@@ -172,7 +192,6 @@ func analyzeState(c *chip.Chip, open []bool) *stateEval {
 			timer++
 		}
 	}
-	return a
 }
 
 // detectsClose applies the bridge rule: does removing open edge e (with
@@ -215,11 +234,12 @@ func (ev *vectorEval) detectsClose(e, u, w int) bool {
 	return false
 }
 
-// detectsEval is Detects over a memoized fault-free evaluation — the
-// campaign hot path — counting the rule that settled the verdict on t. It
-// is exact: the rules above never change a verdict relative to the full
-// simulation (see detectsNoMemo and the equivalence property tests).
-func (s *Simulator) detectsEval(ev *vectorEval, f Fault, t *ruleTally) bool {
+// detectsEval is Detects over a fault-free evaluation of a vector on c —
+// the hot path of campaigns and of Probe — counting the rule that settled
+// the verdict on t. It is exact: the rules above never change a verdict
+// relative to the full simulation (see detectsNoMemo and the equivalence
+// property tests).
+func detectsEval(c *chip.Chip, ev *vectorEval, f Fault, t *ruleTally) bool {
 	a := ev.state
 	faulty := a.open[f.Valve]
 	switch f.Kind {
@@ -240,7 +260,7 @@ func (s *Simulator) detectsEval(ev *vectorEval, f Fault, t *ruleTally) bool {
 			t.screens++
 			return false
 		}
-		u, w := s.chip.Grid.Graph().Endpoints(s.chip.Valve(f.Valve).Edge)
+		u, w := c.Grid.Graph().Endpoints(c.Valve(f.Valve).Edge)
 		t.reaches++
 		cu, cw := a.comp[u], a.comp[w]
 		srcU, srcW := a.sourceComp(ev.srcNodes, cu), a.sourceComp(ev.srcNodes, cw)
@@ -261,8 +281,8 @@ func (s *Simulator) detectsEval(ev *vectorEval, f Fault, t *ruleTally) bool {
 		t.screens++
 		return false
 	}
-	edge := s.chip.Valve(f.Valve).Edge
-	u, w := s.chip.Grid.Graph().Endpoints(edge)
+	edge := c.Valve(f.Valve).Edge
+	u, w := c.Grid.Graph().Endpoints(edge)
 	t.bridges++
 	return ev.detectsClose(edge, u, w)
 }

@@ -122,7 +122,8 @@ func (v Vector) String() string {
 // vector that differs only in sources and meters; the per-vector memo
 // (vectorEval) keeps only what depends on the ports. Repeated
 // Detects/FaultFreeOK calls and whole campaigns never re-derive either. All
-// methods are safe for concurrent use.
+// methods are safe for concurrent use. A caller that analyses each vector
+// about once under a control gains nothing from the memo and uses a Probe.
 type Simulator struct {
 	chip *chip.Chip
 	ctrl *chip.Control
@@ -135,12 +136,13 @@ type Simulator struct {
 	metrics *Metrics
 }
 
-// vectorEval memoizes the port-dependent fault-free artifacts of one
-// vector over its shared state analysis. Immutable once stored in the
-// cache and may be read concurrently.
+// vectorEval holds the port-dependent fault-free artifacts of one vector
+// over the analysis of the state it applies. A memoized one is immutable
+// once stored in the cache and may be read concurrently; a Probe refills
+// its own for every vector.
 type vectorEval struct {
 	state      *stateEval
-	srcNodes   []int  // grid nodes of the vector's sources
+	srcNodes   []int  // grid nodes of the vector's sources; shares meterNodes' backing
 	meterNodes []int  // grid nodes of the vector's meters
 	readings   []bool // defect-free meter readings
 	usable     bool   // FaultFreeOK
@@ -180,14 +182,28 @@ func (s *Simulator) Chip() *chip.Chip { return s.chip }
 // OpenStates computes the actual fault-free valve states when vector v is
 // applied, including valves forced by control sharing.
 func (s *Simulator) OpenStates(v Vector) []bool {
-	intended := make([]bool, s.chip.NumValves())
+	open := make([]bool, s.chip.NumValves())
+	applyState(s.ctrl, v, open, make([]bool, s.ctrl.NumLines()))
+	return open
+}
+
+// applyState writes into open the actual valve states when v is applied
+// under ctrl, with driven as scratch for one flag per control line. A path
+// vector drives the lines of its valves open and every other line closed;
+// a cut vector drives them closed and every other line open. These are
+// chip.Control's ExpandOpen and ExpandClosed, without their allocations.
+func applyState(ctrl *chip.Control, v Vector, open, driven []bool) {
+	clear(driven)
 	for _, val := range v.Valves {
-		intended[val] = true
+		driven[ctrl.LineOf(val)] = true
 	}
-	if v.Kind == PathVector {
-		return s.ctrl.ExpandOpen(intended)
+	for u := range open {
+		if v.Kind == PathVector {
+			open[u] = driven[ctrl.LineOf(u)]
+		} else {
+			open[u] = !driven[ctrl.LineOf(u)]
+		}
 	}
-	return s.ctrl.ExpandClosed(intended)
 }
 
 // usableReadings reports whether defect-free readings satisfy the vector's
@@ -260,7 +276,11 @@ func memoize[V any](mu *sync.Mutex, m map[string]V, key string, compute func() V
 // on first sight. The returned value is immutable.
 func (s *Simulator) evalVector(v Vector) *vectorEval {
 	key, n := vectorKey(v)
-	ev, hit := memoize(&s.mu, s.cache, key, func() *vectorEval { return s.newVectorEval(v, s.stateOf(v, key[:n])) })
+	ev, hit := memoize(&s.mu, s.cache, key, func() *vectorEval {
+		ev := new(vectorEval)
+		ev.fill(s.chip, v, s.stateOf(v, key[:n]))
+		return ev
+	})
 	s.metrics.noteMemo(hit)
 	return ev
 }
@@ -268,32 +288,36 @@ func (s *Simulator) evalVector(v Vector) *vectorEval {
 // stateOf returns the memoized analysis of the valve state v applies,
 // keyed by v's kind and valves, computing it on first sight.
 func (s *Simulator) stateOf(v Vector, key string) *stateEval {
-	st, hit := memoize(&s.mu, s.states, key, func() *stateEval { return analyzeState(s.chip, s.OpenStates(v)) })
+	st, hit := memoize(&s.mu, s.states, key, func() *stateEval {
+		st := new(stateEval)
+		analyzeState(s.chip, s.OpenStates(v), st, new(tarjanScratch))
+		return st
+	})
 	if !hit {
 		s.metrics.noteState()
 	}
 	return st
 }
 
-// newVectorEval derives v's readings from the analysis of the state it
-// applies. A meter reads pressure iff its node shares a connected
-// component of the open subgraph with some source node, which is the
-// reachability the reference simulation computes (a source that is also
-// the meter reads too).
-func (s *Simulator) newVectorEval(v Vector, st *stateEval) *vectorEval {
-	nodes := make([]int, len(v.Sources)+len(v.Meters))
+// fill derives ev as the evaluation of v on c from the analysis st of the
+// state v applies, reusing ev's buffers when they are large enough. A
+// meter reads pressure iff its node shares a connected component of the
+// open subgraph with some source node, which is the reachability the
+// reference simulation computes (a source that is also the meter reads
+// too).
+func (ev *vectorEval) fill(c *chip.Chip, v Vector, st *stateEval) {
+	ns := len(v.Sources)
+	nodes := resize(ev.srcNodes, ns+len(v.Meters))
 	for i, p := range v.Sources {
-		nodes[i] = s.chip.Ports[p].Node
+		nodes[i] = c.Ports[p].Node
 	}
 	for i, p := range v.Meters {
-		nodes[len(v.Sources)+i] = s.chip.Ports[p].Node
+		nodes[ns+i] = c.Ports[p].Node
 	}
-	ev := &vectorEval{
-		state:      st,
-		srcNodes:   nodes[:len(v.Sources):len(v.Sources)],
-		meterNodes: nodes[len(v.Sources):],
-		readings:   make([]bool, len(v.Meters)),
-	}
+	ev.state = st
+	ev.srcNodes, ev.meterNodes = nodes[:ns], nodes[ns:]
+	ev.readings = resize(ev.readings, len(v.Meters))
+	ev.anyTrue, ev.anyFalse = false, false
 	for i, m := range ev.meterNodes {
 		ev.readings[i] = st.sourceComp(ev.srcNodes, st.comp[m])
 		if ev.readings[i] {
@@ -303,7 +327,6 @@ func (s *Simulator) newVectorEval(v Vector, st *stateEval) *vectorEval {
 		}
 	}
 	ev.usable = usableReadings(v.Kind, ev.readings)
-	return ev
 }
 
 // FaultFreeOK reports whether the vector behaves as specified on a
@@ -326,7 +349,7 @@ func (s *Simulator) FaultFreeOK(v Vector) bool {
 // repeated calls with the same vector only apply the fast-path rules.
 func (s *Simulator) Detects(v Vector, f Fault) bool {
 	var t ruleTally
-	det := s.detectsEval(s.evalVector(v), f, &t)
+	det := detectsEval(s.chip, s.evalVector(v), f, &t)
 	s.metrics.addRules(t)
 	return det
 }

@@ -123,7 +123,7 @@ func (e *Engine) DetectionMatrix(ctx context.Context, vectors []Vector, faults [
 		row := m.rows[v]
 		var t ruleTally
 		for f := range faults {
-			if e.sim.detectsEval(evals[v], faults[f], &t) {
+			if detectsEval(e.sim.chip, evals[v], faults[f], &t) {
 				row[f>>6] |= 1 << uint(f&63)
 			}
 		}

@@ -32,7 +32,8 @@ func (m *Metrics) noteMemo(hit bool) {
 	}
 }
 
-// noteState counts one valve-state analysis (a state-memo miss).
+// noteState counts one valve-state analysis (a state-memo miss or a Probe
+// call).
 func (m *Metrics) noteState() {
 	if m == nil {
 		return
@@ -75,9 +76,9 @@ type MetricsSnapshot struct {
 	// MemoHits and MemoMisses count vector-memo cache lookups across all
 	// attached simulators.
 	MemoHits, MemoMisses int64
-	// StateEvals counts the valve-state analyses behind the memo misses:
-	// one per distinct (kind, valves) a simulator sees, so vectors that
-	// differ only in sources and meters share one.
+	// StateEvals counts valve-state analyses: one per distinct (kind,
+	// valves) a simulator sees, so vectors that differ only in sources
+	// and meters share one, plus one per Probe call, which keeps none.
 	StateEvals int64
 	// Campaigns counts EvaluateCoverage campaigns; FaultScans the faults
 	// those campaigns examined.

@@ -1,6 +1,7 @@
 package testgen
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -22,14 +23,14 @@ import (
 // extended by the replacements and whether every stuck-at-0/1 fault is
 // detected by the result.
 func RepairVectors(c *chip.Chip, ctrl *chip.Control, src, meter int, basePaths, baseCuts []fault.Vector) (paths, cuts []fault.Vector, ok bool) {
-	sim, err := fault.NewSimulator(c, ctrl)
-	if err != nil {
+	var probe fault.Probe
+	if err := probe.Reset(c, ctrl, nil); err != nil {
 		// A mismatched control assignment cannot certify coverage.
 		return basePaths, baseCuts, false
 	}
 	all := append(append([]fault.Vector{}, basePaths...), baseCuts...)
-	cov := fault.NewEngine(sim, 0).EvaluateCoverage(all, fault.AllFaults(c))
-	rPaths, rCuts, remaining := RepairUndetected(c, ctrl, sim, src, meter, cov.Undetected)
+	cov := fault.NewEngine(fault.MustSimulator(c, ctrl), 0).EvaluateCoverage(all, fault.AllFaults(c))
+	rPaths, rCuts, remaining := RepairUndetected(c, ctrl, &probe, src, meter, cov.Undetected)
 	paths = append(append([]fault.Vector(nil), basePaths...), rPaths...)
 	cuts = append(append([]fault.Vector(nil), baseCuts...), rCuts...)
 	return paths, cuts, remaining == 0
@@ -45,14 +46,14 @@ func RepairVectors(c *chip.Chip, ctrl *chip.Control, src, meter int, basePaths, 
 //     unshared lines (apart from v itself), so no partner opening can
 //     bypass it.
 //
-// sim must simulate c under ctrl; every replacement passes its
-// FaultFreeOK and detects its own fault there. It returns the replacement
+// probe must be reset to c under ctrl; every replacement is certified
+// there (usable, and detects its own fault). It returns the replacement
 // paths and cuts and the number of faults still undetected: those whose
 // repair failed and that no replacement detects either. Since the base
 // vectors miss every fault of undetected and each replacement detects
 // its own, that count equals a coverage campaign over the base vectors
 // plus the replacements.
-func RepairUndetected(c *chip.Chip, ctrl *chip.Control, sim *fault.Simulator, src, meter int, undetected []fault.Fault) (paths, cuts []fault.Vector, remaining int) {
+func RepairUndetected(c *chip.Chip, ctrl *chip.Control, probe *fault.Probe, src, meter int, undetected []fault.Fault) (paths, cuts []fault.Vector, remaining int) {
 	if len(undetected) == 0 {
 		return nil, nil, 0
 	}
@@ -68,12 +69,12 @@ func RepairUndetected(c *chip.Chip, ctrl *chip.Control, sim *fault.Simulator, sr
 		switch f.Kind {
 		case fault.StuckAt1:
 			var vec fault.Vector
-			if vec, found = rs.repairCut(c, sim, g, srcNode, meterNode, src, meter, f.Valve); found {
+			if vec, found = rs.repairCut(c, probe, g, srcNode, meterNode, src, meter, f.Valve); found {
 				cuts = append(cuts, vec)
 			}
 		case fault.StuckAt0:
 			var vec fault.Vector
-			if vec, found = repairPath(c, sim, g, srcNode, meterNode, src, meter, f.Valve, rs.sharedLine); found {
+			if vec, found = repairPath(c, probe, g, srcNode, meterNode, src, meter, f.Valve, rs.sharedLine); found {
 				paths = append(paths, vec)
 			}
 		}
@@ -85,9 +86,17 @@ func RepairUndetected(c *chip.Chip, ctrl *chip.Control, sim *fault.Simulator, sr
 		return paths, cuts, len(failed)
 	}
 	// A failed fault may still be caught by another fault's replacement.
-	added := append(append(make([]fault.Vector, 0, len(paths)+len(cuts)), paths...), cuts...)
-	cov := fault.NewEngine(sim, 1).EvaluateCoverage(added, failed)
-	return paths, cuts, len(cov.Undetected)
+	covered := make([]uint64, (len(failed)+63)/64)
+	for _, set := range [2][]fault.Vector{paths, cuts} {
+		for _, vec := range set {
+			probe.Cover(vec, failed, covered)
+		}
+	}
+	remaining = len(failed)
+	for _, w := range covered {
+		remaining -= bits.OnesCount64(w)
+	}
+	return paths, cuts, remaining
 }
 
 // repairScratch holds the repair loop's reusable buffers: the cut search's
@@ -159,7 +168,7 @@ func resizeInts(buf []int, n int) []int {
 // unrestricted witness whose valves' entire control lines (including
 // partners on the same line) are protected from entering the cut, so
 // closing the cut cannot force any witness edge shut.
-func (rs *repairScratch) repairCut(c *chip.Chip, sim *fault.Simulator, g *graphalg.Graph, srcNode, meterNode, src, meter, v int) (fault.Vector, bool) {
+func (rs *repairScratch) repairCut(c *chip.Chip, probe *fault.Probe, g *graphalg.Graph, srcNode, meterNode, src, meter, v int) (fault.Vector, bool) {
 	edge := c.Valve(v).Edge
 	anyChannel := func(e int) bool {
 		_, okV := c.ValveOnEdge(e)
@@ -192,7 +201,7 @@ func (rs *repairScratch) repairCut(c *chip.Chip, sim *fault.Simulator, g *grapha
 		}
 		sort.Ints(valves)
 		vec := fault.Vector{Kind: fault.CutVector, Valves: valves, Sources: []int{src}, Meters: []int{meter}}
-		if sim.FaultFreeOK(vec) && sim.Detects(vec, fault.Fault{Kind: fault.StuckAt1, Valve: v}) {
+		if probe.Certifies(vec, fault.Fault{Kind: fault.StuckAt1, Valve: v}) {
 			return vec, true
 		}
 	}
@@ -202,7 +211,7 @@ func (rs *repairScratch) repairCut(c *chip.Chip, sim *fault.Simulator, g *grapha
 // repairPath builds a sharing-immune path vector for a stuck-at-0 fault at
 // valve v: the whole path uses unshared lines (apart from v), so no forced
 // partner opening can build a bypass.
-func repairPath(c *chip.Chip, sim *fault.Simulator, g *graphalg.Graph, srcNode, meterNode, src, meter, v int, sharedLine []bool) (fault.Vector, bool) {
+func repairPath(c *chip.Chip, probe *fault.Probe, g *graphalg.Graph, srcNode, meterNode, src, meter, v int, sharedLine []bool) (fault.Vector, bool) {
 	edge := c.Valve(v).Edge
 	strict := func(e int) float64 {
 		cv, okV := c.ValveOnEdge(e)
@@ -215,7 +224,7 @@ func repairPath(c *chip.Chip, sim *fault.Simulator, g *graphalg.Graph, srcNode, 
 		return 1
 	}
 	// Permissive fallback: shared edges allowed but expensive; the
-	// simulator has the final word on whether a bypass masks the fault.
+	// probe has the final word on whether a bypass masks the fault.
 	permissive := func(e int) float64 {
 		cv, okV := c.ValveOnEdge(e)
 		if !okV {
@@ -237,7 +246,7 @@ func repairPath(c *chip.Chip, sim *fault.Simulator, g *graphalg.Graph, srcNode, 
 			valves = append(valves, cv)
 		}
 		vec := fault.Vector{Kind: fault.PathVector, Valves: valves, Sources: []int{src}, Meters: []int{meter}}
-		if sim.FaultFreeOK(vec) && sim.Detects(vec, fault.Fault{Kind: fault.StuckAt0, Valve: v}) {
+		if probe.Certifies(vec, fault.Fault{Kind: fault.StuckAt0, Valve: v}) {
 			return vec, true
 		}
 	}
