@@ -87,11 +87,8 @@ func TestEndToEndPipeline(t *testing.T) {
 		return sparse
 	}
 	for _, vec := range res.PathVectors {
-		intended := make([]bool, res.Aug.Chip.NumValves())
-		for _, v := range vec.Valves {
-			intended[v] = true
-		}
-		open := res.Control.ExpandOpen(intended)
+		open := make([]bool, res.Aug.Chip.NumValves())
+		res.Control.ExpandInto(vec.Valves, false, open, make([]bool, res.Control.NumLines()))
 		good := crossCheck(pressure.Conductances(res.Aug.Chip, open, pressure.Params{}, nil))
 		if !good.Reads(pressure.Params{}) {
 			t.Fatalf("quantitative model sees no flow for path vector %v", vec.Valves)

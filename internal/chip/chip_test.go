@@ -340,15 +340,24 @@ func TestSharedControlValidation(t *testing.T) {
 	}
 }
 
+// dirtyLines returns a line scratch longer than ct needs with every flag
+// set, so an ExpandInto that leaves stale flags in it shows.
+func dirtyLines(ct *Control) []bool {
+	lines := make([]bool, ct.NumLines()+3)
+	for i := range lines {
+		lines[i] = true
+	}
+	return lines
+}
+
 func TestExpandOpenForcesPartner(t *testing.T) {
 	c := chipWithDFT(t, 1)
 	ct, err := SharedControl(c, []int{5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	intended := make([]bool, c.NumValves())
-	intended[12] = true // open the DFT valve only
-	got := ct.ExpandOpen(intended)
+	got := make([]bool, c.NumValves())
+	ct.ExpandInto([]int{12}, false, got, dirtyLines(ct)) // open the DFT valve only
 	if !got[12] || !got[5] {
 		t.Fatalf("opening DFT valve must force partner: got[12]=%v got[5]=%v", got[12], got[5])
 	}
@@ -365,9 +374,8 @@ func TestExpandClosedForcesPartner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intended := make([]bool, c.NumValves())
-	intended[5] = true // close the original valve only
-	open := ct.ExpandClosed(intended)
+	open := make([]bool, c.NumValves())
+	ct.ExpandInto([]int{5}, true, open, dirtyLines(ct)) // close the original valve only
 	if open[5] || open[12] {
 		t.Fatalf("closing valve 5 must also close DFT valve 12: open[5]=%v open[12]=%v", open[5], open[12])
 	}

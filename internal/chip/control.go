@@ -87,42 +87,25 @@ func (ct *Control) NumShared() int {
 	return n
 }
 
-// ExpandOpen maps an intended-open valve set to the actual valve states:
-// a line is driven open iff it controls at least one intended-open valve;
-// all valves on open lines open, everything else stays closed. This is the
-// semantics of applying a test path under valve sharing.
-func (ct *Control) ExpandOpen(intendedOpen []bool) []bool {
-	ct.checkLen(intendedOpen)
-	lineOpen := make([]bool, ct.nLines)
-	for v, o := range intendedOpen {
-		if o {
-			lineOpen[ct.lineOf[v]] = true
-		}
+// ExpandInto writes into open (one flag per valve) the actual valve states
+// when the given valves are applied under sharing, using lines as scratch
+// (at least NumLines entries; its contents are overwritten). A line is
+// driven iff it controls at least one of valves. For a test path (cut
+// false) the driven lines open and every other line stays closed; for a
+// test cut (cut true) the driven lines close and every other line stays
+// open. So opening a DFT valve also opens its partner, and closing an
+// original valve also closes the DFT valve on its line. It allocates
+// nothing.
+func (ct *Control) ExpandInto(valves []int, cut bool, open, lines []bool) {
+	ct.checkLen(open)
+	lines = lines[:ct.nLines]
+	clear(lines)
+	for _, v := range valves {
+		lines[ct.lineOf[v]] = true
 	}
-	out := make([]bool, len(intendedOpen))
-	for v := range out {
-		out[v] = lineOpen[ct.lineOf[v]]
+	for v := range open {
+		open[v] = lines[ct.lineOf[v]] != cut
 	}
-	return out
-}
-
-// ExpandClosed maps an intended-closed valve set to actual valve states
-// (returned as open flags): a line is driven closed iff it controls at
-// least one intended-closed valve; everything else stays open. This is the
-// semantics of applying a test cut under valve sharing.
-func (ct *Control) ExpandClosed(intendedClosed []bool) []bool {
-	ct.checkLen(intendedClosed)
-	lineClosed := make([]bool, ct.nLines)
-	for v, cl := range intendedClosed {
-		if cl {
-			lineClosed[ct.lineOf[v]] = true
-		}
-	}
-	out := make([]bool, len(intendedClosed))
-	for v := range out {
-		out[v] = !lineClosed[ct.lineOf[v]]
-	}
-	return out
 }
 
 // Conflicts reports the valves that cannot satisfy the requested states:

@@ -50,13 +50,12 @@ import (
 )
 
 // sharingCheck is one configuration's incremental validation state: the
-// detection matrix of its base vectors (paths, then cuts) over faults
-// (fault.AllFaults) under independent control, and the vector membership
+// detection matrix of its base vectors (paths, then cuts) over
+// fault.AllFaults under independent control, and the vector membership
 // table the clean/dirty classification reads. It is immutable once built,
 // so the inner swarm's concurrent evaluations share it.
 type sharingCheck struct {
 	nOrig  int
-	faults []fault.Fault
 	matrix *fault.DetectionMatrix
 	inVec  [][]bool // inVec[v][valve]: valve is one of vector v's valves
 }
@@ -69,9 +68,8 @@ type sharingCheck struct {
 func (f *flow) newSharingCheck(c *chip.Chip, vectors []fault.Vector) *sharingCheck {
 	sim := fault.MustSimulator(c, chip.IndependentControl(c))
 	sim.SetMetrics(f.metrics)
-	faults := fault.AllFaults(c)
-	m, _ := fault.NewEngine(sim, 1).DetectionMatrix(context.Background(), vectors, faults)
-	s := &sharingCheck{nOrig: c.NumOriginalValves(), faults: faults, matrix: m, inVec: make([][]bool, len(vectors))}
+	m, _ := fault.NewEngine(sim, 1).DetectionMatrix(context.Background(), vectors, fault.AllFaults(c))
+	s := &sharingCheck{nOrig: c.NumOriginalValves(), matrix: m, inVec: make([][]bool, len(vectors))}
 	member := make([]bool, len(vectors)*c.NumValves())
 	for v, vec := range vectors {
 		s.inVec[v] = member[v*c.NumValves() : (v+1)*c.NumValves()]
@@ -132,10 +130,10 @@ func (s *sharingCheck) undetected(ctx context.Context, f *flow, probe *fault.Pro
 		if ctx != nil && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		probe.Cover(m.Vector(v), s.faults, covered)
+		probe.Cover(m.Vector(v), m.Faults(), covered)
 	}
 	var rest []fault.Fault
-	for fi, flt := range s.faults {
+	for fi, flt := range m.Faults() {
 		if covered[fi>>6]&(1<<uint(fi&63)) == 0 {
 			rest = append(rest, flt)
 		}

@@ -183,27 +183,8 @@ func (s *Simulator) Chip() *chip.Chip { return s.chip }
 // applied, including valves forced by control sharing.
 func (s *Simulator) OpenStates(v Vector) []bool {
 	open := make([]bool, s.chip.NumValves())
-	applyState(s.ctrl, v, open, make([]bool, s.ctrl.NumLines()))
+	s.ctrl.ExpandInto(v.Valves, v.Kind != PathVector, open, make([]bool, s.ctrl.NumLines()))
 	return open
-}
-
-// applyState writes into open the actual valve states when v is applied
-// under ctrl, with driven as scratch for one flag per control line. A path
-// vector drives the lines of its valves open and every other line closed;
-// a cut vector drives them closed and every other line open. These are
-// chip.Control's ExpandOpen and ExpandClosed, without their allocations.
-func applyState(ctrl *chip.Control, v Vector, open, driven []bool) {
-	clear(driven)
-	for _, val := range v.Valves {
-		driven[ctrl.LineOf(val)] = true
-	}
-	for u := range open {
-		if v.Kind == PathVector {
-			open[u] = driven[ctrl.LineOf(u)]
-		} else {
-			open[u] = !driven[ctrl.LineOf(u)]
-		}
-	}
 }
 
 // usableReadings reports whether defect-free readings satisfy the vector's

@@ -39,6 +39,10 @@ func (m *DetectionMatrix) Vector(v int) Vector { return m.vectors[v] }
 // Fault returns fault f.
 func (m *DetectionMatrix) Fault(f int) Fault { return m.faults[f] }
 
+// Faults returns the fault list (the columns, in order). The returned
+// slice is shared and must not be modified.
+func (m *DetectionMatrix) Faults() []Fault { return m.faults }
+
 // Usable reports whether vector v behaves as specified on a defect-free
 // chip. Unusable vectors have all-zero rows: they detect nothing and the
 // diagnosis engine never applies them.

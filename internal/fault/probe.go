@@ -21,7 +21,7 @@ type Probe struct {
 	chip    *chip.Chip
 	ctrl    *chip.Control
 	metrics *Metrics
-	driven  []bool // per control line: driven by the vector's valves
+	lines   []bool // per control line scratch for ExpandInto
 	state   stateEval
 	scratch tarjanScratch
 	ev      vectorEval
@@ -41,9 +41,9 @@ func (p *Probe) Reset(c *chip.Chip, ctrl *chip.Control, m *Metrics) error {
 // eval analyses v into the probe's buffers. The result is valid until the
 // next call.
 func (p *Probe) eval(v Vector) *vectorEval {
-	p.driven = resize(p.driven, p.ctrl.NumLines())
+	p.lines = resize(p.lines, p.ctrl.NumLines())
 	open := resize(p.state.open, p.chip.NumValves())
-	applyState(p.ctrl, v, open, p.driven)
+	p.ctrl.ExpandInto(v.Valves, v.Kind != PathVector, open, p.lines)
 	analyzeState(p.chip, open, &p.state, &p.scratch)
 	p.metrics.noteState()
 	p.ev.fill(p.chip, v, &p.state)

@@ -60,7 +60,9 @@ func TestProbeMatchesNoMemo(t *testing.T) {
 				for w := range covered {
 					covered[w] = rng.Uint64()
 				}
-				covered[len(covered)-1] &= 1<<uint(len(faults)%64) - 1
+				if r := len(faults) % 64; r != 0 {
+					covered[len(covered)-1] &= 1<<uint(r) - 1
+				}
 				pre := append([]uint64(nil), covered...)
 				p.Cover(v, faults, covered)
 				for w := range row {
