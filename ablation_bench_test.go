@@ -11,6 +11,7 @@ package repro_test
 //	    vectors must cover them at no extra cost.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -40,7 +41,7 @@ func BenchmarkAblationILPvsHeuristic(b *testing.B) {
 	b.Run("ilp", func(b *testing.B) {
 		var added int
 		for i := 0; i < b.N; i++ {
-			aug, err := testgen.AugmentILP(chip.IVD(), testgen.Options{})
+			aug, err := testgen.AugmentILPCtx(context.Background(), chip.IVD(), testgen.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -117,8 +118,8 @@ func bestRandomSharing(b *testing.B, samples int) int {
 		if _, _, full := testgen.RepairVectors(aug.Chip, ctrl, aug.Source, aug.Meter, paths, cuts); !full {
 			continue
 		}
-		if et, ok := sched.ExecutionTime(aug.Chip, ctrl, a, sched.Params{}); ok && et < best {
-			best = et
+		if sch, err := sched.Run(aug.Chip, ctrl, a, sched.Params{}); err == nil && sch.ExecutionTime < best {
+			best = sch.ExecutionTime
 		}
 	}
 	if best == math.MaxInt {

@@ -14,11 +14,12 @@
 //
 // The campaign runs on the parallel memoized engine; -workers sizes the
 // worker pool (default: all CPU cores). Coverage output is bit-identical
-// for any worker count. -stats prints a per-stage breakdown of the
-// campaign (testset → campaign) including the simulator's memo-cache hit
-// rate. -leakage appends a quantitative leakage stage: the cut vectors
-// rerun through the sparse pressure engine to report which closed-valve
-// leaks a threshold meter actually registers.
+// for any worker count. -stats prints a per-stage breakdown of the run
+// (testset → campaign and any optional stage below) with the counters the
+// flow's stages report for the same engines, including the simulator's
+// memo-cache hit rate. -leakage appends a quantitative leakage stage: the
+// cut vectors rerun through the sparse pressure engine to report which
+// closed-valve leaks a threshold meter actually registers.
 //
 // -diagnose appends an adaptive fault-diagnosis stage: every modeled
 // fault is localized by greedily applying the test vector with maximal
@@ -119,12 +120,10 @@ func run() int {
 		diagSum   *core.DiagnosisSummary
 		reconfSum *core.ReconfigSummary
 	)
-	memoInto := func(st *flowstage.StageStats, base fault.MetricsSnapshot) {
-		d := metrics.Snapshot().Sub(base)
-		st.CacheHits += d.MemoHits
-		st.CacheMisses += d.MemoMisses
-		st.Count("fault_memo_hits", d.MemoHits)
-		st.Count("fault_memo_misses", d.MemoMisses)
+	// countFault attributes the simulator's traffic since base to a stage
+	// with the flow's own counting code.
+	countFault := func(st *flowstage.StageStats, base fault.MetricsSnapshot) {
+		core.CountFault(st, nil, metrics.Snapshot().Sub(base))
 	}
 	pipe := &flowstage.Pipeline{Stages: []flowstage.Stage{
 		{Name: "testset", Run: func(ctx context.Context, st *flowstage.StageStats) error {
@@ -145,8 +144,7 @@ func run() int {
 			return nil
 		}},
 		{Name: "campaign", Run: func(ctx context.Context, st *flowstage.StageStats) error {
-			base := metrics.Snapshot()
-			defer memoInto(st, base)
+			defer countFault(st, metrics.Snapshot())
 			vectors = append(aug.PathVectors(), cuts...)
 			var err error
 			sim, err = dft.NewSimulator(aug.Chip, nil)
@@ -168,18 +166,13 @@ func run() int {
 		pipe.Stages = append(pipe.Stages, flowstage.Stage{
 			Name: "leakage",
 			Run: func(ctx context.Context, st *flowstage.StageStats) error {
+				defer countFault(st, metrics.Snapshot())
 				var err error
 				leakRep, err = dft.QuantifyLeakage(ctx, sim, cuts, dft.LeakageOptions{})
 				if err != nil {
 					return err
 				}
-				ps := leakRep.Solves
-				st.Count("pressure_solves", ps.Solves)
-				st.Count("pressure_cold", ps.Cold)
-				st.Count("pressure_warm", ps.Warm)
-				st.Count("pressure_rank_updates", ps.RankUpdates)
-				st.Count("leakage_examined", int64(leakRep.Examined))
-				st.Count("leakage_detectable", int64(leakRep.Detectable))
+				core.CountLeakage(st, leakRep)
 				return nil
 			},
 		})
@@ -188,8 +181,7 @@ func run() int {
 		pipe.Stages = append(pipe.Stages, flowstage.Stage{
 			Name: "diagnose",
 			Run: func(ctx context.Context, st *flowstage.StageStats) error {
-				base := metrics.Snapshot()
-				defer memoInto(st, base)
+				defer countFault(st, metrics.Snapshot())
 				dm, err := dft.NewEngine(sim, rf.Workers).DetectionMatrix(ctx, vectors, faults)
 				if err != nil {
 					return err
@@ -200,10 +192,7 @@ func run() int {
 					return err
 				}
 				diagSum = core.SummarizeDiagnosis(diags, dm.NumUsable())
-				st.Count("diagnose_faults", int64(diagSum.Faults))
-				st.Count("diagnose_localized", int64(diagSum.Localized))
-				st.Count("diagnose_vectors_applied", int64(diagSum.TotalVectors))
-				st.Count("diagnose_exhaustive", int64(diagSum.ExhaustiveVectors))
+				diagSum.Count(st)
 				return nil
 			},
 		})
@@ -225,14 +214,8 @@ func run() int {
 					return err
 				}
 				reconfSum = core.SummarizeReconfig(sets, groups)
-				st.Count("reconf_sets", int64(reconfSum.SuspectSets))
-				st.Count("reconf_groups", int64(reconfSum.Groups))
-				snap := sm.Snapshot()
-				st.Count("sched_engine_builds", snap.EngineBuilds)
-				st.Count("sched_warm_runs", snap.WarmRuns)
-				st.Count("sched_candidate_hits", snap.CandidateHits)
-				st.Count("sched_fallback_reroutes", snap.FallbackReroutes)
-				st.Count("sched_livelocks", snap.Livelocks)
+				reconfSum.Count(st)
+				core.CountSched(st, sm.Snapshot())
 				return nil
 			},
 		})

@@ -81,8 +81,8 @@ type (
 	PSOConfig = pso.Config
 	// FlowObserver receives live pipeline events from a running flow
 	// (stage boundaries, solver iteration ticks, chain tier transitions,
-	// cache-hit deltas). Set it on Options.Observer; flowstage.Nop and
-	// flowstage.Multi compose observers. Observers never affect results.
+	// cache-hit deltas). Set it on Options.Observer; flowstage.Nop is the
+	// no-op observer. Observers never affect results.
 	FlowObserver = flowstage.Observer
 	// FlowStats is a flow's per-stage runtime breakdown (Result.Stats).
 	FlowStats = flowstage.Stats

@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-	"math"
 	"sort"
 
 	"repro/internal/assay"
@@ -88,26 +87,11 @@ func (h *Hasher) Bool(b bool) {
 	}
 }
 
-// Float hashes a float64 by its IEEE-754 bits (so 0.7 hashes identically
-// on every platform and -0 differs from +0; callers normalize NaNs if
-// they can produce them).
-func (h *Hasher) Float(f float64) {
-	h.tag('f')
-	h.u64(math.Float64bits(f))
-}
-
 // Str hashes a length-prefixed string.
 func (h *Hasher) Str(s string) {
 	h.tag('s')
 	h.u64(uint64(len(s)))
 	h.h.Write([]byte(s))
-}
-
-// Bytes hashes a length-prefixed byte slice.
-func (h *Hasher) Bytes(b []byte) {
-	h.tag('b')
-	h.u64(uint64(len(b)))
-	h.h.Write(b)
 }
 
 // Ints hashes a length-prefixed int slice.
@@ -237,10 +221,6 @@ func HashPSOConfig(cfg pso.Config) Digest {
 	h := NewHasher("pso")
 	h.Int(int64(cfg.Particles))
 	h.Int(int64(cfg.Iterations))
-	h.Float(cfg.Omega)
-	h.Float(cfg.C1)
-	h.Float(cfg.C2)
-	h.Float(cfg.VMax)
 	h.Int(cfg.Seed)
 	return h.Sum()
 }

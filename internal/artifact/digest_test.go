@@ -134,16 +134,16 @@ func TestOptionDigestCanonicalization(t *testing.T) {
 	}
 }
 
-// sumBytes digests a raw payload under a kind tag.
-func sumBytes(kind string, payload []byte) Digest {
+// sumStr digests a string payload under a kind tag.
+func sumStr(kind, payload string) Digest {
 	h := NewHasher(kind)
-	h.Bytes(payload)
+	h.Str(payload)
 	return h.Sum()
 }
 
 // Kind and version tags must separate digests of identical payloads.
 func TestDigestKindSeparation(t *testing.T) {
-	if sumBytes("a", []byte("x")) == sumBytes("b", []byte("x")) {
+	if sumStr("a", "x") == sumStr("b", "x") {
 		t.Error("kind tag does not separate digests")
 	}
 	h1 := NewHasher("k")

@@ -13,7 +13,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sumBytes("flow", []byte("payload"))
+	d := sumStr("flow", "payload")
 	payload := []byte(`{"hello":"world"}`)
 	if err := s.Put("flow", d, payload); err != nil {
 		t.Fatal(err)
@@ -25,7 +25,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if _, ok := s.Get("suite", d); ok {
 		t.Fatal("kind must be part of the address")
 	}
-	if _, ok := s.Get("flow", sumBytes("flow", []byte("other"))); ok {
+	if _, ok := s.Get("flow", sumStr("flow", "other")); ok {
 		t.Fatal("unknown digest must miss")
 	}
 	// Reopen: artifacts persist across processes.
@@ -50,7 +50,7 @@ func TestStoreCorruptionTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sumBytes("flow", []byte("x"))
+	d := sumStr("flow", "x")
 	payload := []byte("the payload bytes")
 	if err := s.Put("flow", d, payload); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestStorePutAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sumBytes("k", []byte("v"))
+	d := sumStr("k", "v")
 	for i := 0; i < 3; i++ {
 		if err := s.Put("k", d, []byte("same payload")); err != nil {
 			t.Fatal(err)

@@ -115,28 +115,6 @@ func (g *Graph) Preds(id int) []int { return g.preds[id] }
 // Succs returns the successor IDs of op id (shared slice).
 func (g *Graph) Succs(id int) []int { return g.succs[id] }
 
-// Roots returns the ops with no predecessors.
-func (g *Graph) Roots() []int {
-	var out []int
-	for i := range g.ops {
-		if len(g.preds[i]) == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Leaves returns the ops with no successors.
-func (g *Graph) Leaves() []int {
-	var out []int
-	for i := range g.ops {
-		if len(g.succs[i]) == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // TopoOrder returns a topological order, or an error if the graph has a
 // cycle.
 func (g *Graph) TopoOrder() ([]int, error) {

@@ -56,18 +56,23 @@ func TestBenchmarkByName(t *testing.T) {
 
 func TestIVDStructure(t *testing.T) {
 	g := IVD()
-	roots := g.Roots()
-	if len(roots) != 4 {
-		t.Fatalf("IVD roots = %d, want 4 first-stage mixes", len(roots))
-	}
-	leaves := g.Leaves()
-	if len(leaves) != 6 {
-		t.Fatalf("IVD leaves = %d, want 6 detects", len(leaves))
-	}
-	for _, l := range leaves {
-		if g.Op(l).Kind != Detect {
-			t.Fatalf("IVD leaf %d is %v, want detect", l, g.Op(l).Kind)
+	roots, leaves := 0, 0
+	for _, op := range g.Ops() {
+		if len(g.Preds(op.ID)) == 0 {
+			roots++
 		}
+		if len(g.Succs(op.ID)) == 0 {
+			leaves++
+			if op.Kind != Detect {
+				t.Fatalf("IVD leaf %d is %v, want detect", op.ID, op.Kind)
+			}
+		}
+	}
+	if roots != 4 {
+		t.Fatalf("IVD roots = %d, want 4 first-stage mixes", roots)
+	}
+	if leaves != 6 {
+		t.Fatalf("IVD leaves = %d, want 6 detects", leaves)
 	}
 }
 
@@ -75,9 +80,14 @@ func TestPIDIsChain(t *testing.T) {
 	g := PID()
 	// The dilution chain: exactly one root mix, and each mix has at most
 	// one mix successor.
-	roots := g.Roots()
-	if len(roots) != 1 {
-		t.Fatalf("PID roots = %v, want single chain head", roots)
+	roots := 0
+	for _, op := range g.Ops() {
+		if len(g.Preds(op.ID)) == 0 {
+			roots++
+		}
+	}
+	if roots != 1 {
+		t.Fatalf("PID roots = %d, want single chain head", roots)
 	}
 	for _, op := range g.Ops() {
 		if op.Kind != Mix {
@@ -101,13 +111,17 @@ func TestPIDIsChain(t *testing.T) {
 
 func TestCPADispensesAreRoots(t *testing.T) {
 	g := CPA()
+	leaves := 0
 	for _, op := range g.Ops() {
 		if op.Kind == Dispense && len(g.Preds(op.ID)) != 0 {
 			t.Fatalf("dispense %q has predecessors", op.Name)
 		}
+		if len(g.Succs(op.ID)) == 0 {
+			leaves++
+		}
 	}
-	if len(g.Leaves()) != 8 {
-		t.Fatalf("CPA leaves = %d, want 8 reads", len(g.Leaves()))
+	if leaves != 8 {
+		t.Fatalf("CPA leaves = %d, want 8 reads", leaves)
 	}
 }
 

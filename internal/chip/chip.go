@@ -121,16 +121,6 @@ func (c *Chip) OriginalEdges() []int {
 	return out
 }
 
-// DFTEdges returns the grid edges added by DFT, sorted.
-func (c *Chip) DFTEdges() []int {
-	out := make([]int, 0, c.NumDFTValves())
-	for _, v := range c.valves[c.numOriginal:] {
-		out = append(out, v.Edge)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // AddDFTChannel occupies a previously free grid edge with a new channel and
 // valve, returning the new valve's ID.
 func (c *Chip) AddDFTChannel(edge int) (int, error) {
@@ -179,20 +169,6 @@ func (c *Chip) PortAt(node int) (Port, bool) {
 	}
 	return Port{}, false
 }
-
-// DevicesOfKind returns the devices of the given kind, in ID order.
-func (c *Chip) DevicesOfKind(k DeviceKind) []Device {
-	var out []Device
-	for _, d := range c.Devices {
-		if d.Kind == k {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// CountDevices returns the number of devices of kind k.
-func (c *Chip) CountDevices(k DeviceKind) int { return len(c.DevicesOfKind(k)) }
 
 // MaxDistantPortPair returns the two port IDs with the largest hop distance
 // over the channel network, the pair the paper selects as test source and

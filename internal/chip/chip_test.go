@@ -18,10 +18,11 @@ func TestBenchmarkValveCounts(t *testing.T) {
 		{MRNA(), 3, 1, 28, 2},
 	}
 	for _, tc := range cases {
-		if got := tc.c.CountDevices(Mixer); got != tc.mixers {
+		st := tc.c.Stats()
+		if got := st.Mixers; got != tc.mixers {
 			t.Errorf("%s: mixers = %d, want %d", tc.c.Name, got, tc.mixers)
 		}
-		if got := tc.c.CountDevices(Detector); got != tc.dets {
+		if got := st.Detectors; got != tc.dets {
 			t.Errorf("%s: detectors = %d, want %d", tc.c.Name, got, tc.dets)
 		}
 		if got := tc.c.NumValves(); got != tc.valves {
@@ -115,8 +116,8 @@ func TestAddDFTChannel(t *testing.T) {
 	if _, err := c.AddDFTChannel(-1); err == nil {
 		t.Fatal("out-of-range edge must fail")
 	}
-	if got := c.DFTEdges(); len(got) != 1 || got[0] != free {
-		t.Fatalf("DFTEdges = %v, want [%d]", got, free)
+	if got, ok := c.ValveOnEdge(free); !ok || got != v {
+		t.Fatalf("ValveOnEdge(%d) = %d, %v; want the DFT valve %d", free, got, ok, v)
 	}
 }
 
@@ -304,10 +305,13 @@ func TestIndependentControl(t *testing.T) {
 	if ct.NumShared() != 0 {
 		t.Fatalf("NumShared = %d, want 0", ct.NumShared())
 	}
+	seen := make(map[int]bool)
 	for v := 0; v < c.NumValves(); v++ {
-		if got := ct.SharedWith(v); len(got) != 0 {
-			t.Fatalf("valve %d shares with %v under independent control", v, got)
+		l := ct.LineOf(v)
+		if seen[l] {
+			t.Fatalf("valve %d shares line %d under independent control", v, l)
 		}
+		seen[l] = true
 	}
 }
 
@@ -332,11 +336,9 @@ func TestSharedControlValidation(t *testing.T) {
 	if ct.NumShared() != 2 {
 		t.Fatalf("NumShared = %d, want 2", ct.NumShared())
 	}
-	if got := ct.SharedWith(12); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("SharedWith(12) = %v, want [3]", got)
-	}
-	if got := ct.SharedWith(3); len(got) != 1 || got[0] != 12 {
-		t.Fatalf("SharedWith(3) = %v, want [12]", got)
+	if ct.LineOf(12) != ct.LineOf(3) || ct.LineOf(13) != ct.LineOf(7) {
+		t.Fatalf("DFT valves 12/13 on lines %d/%d, want their partners' lines %d/%d",
+			ct.LineOf(12), ct.LineOf(13), ct.LineOf(3), ct.LineOf(7))
 	}
 }
 
@@ -383,27 +385,6 @@ func TestExpandClosedForcesPartner(t *testing.T) {
 		if v != 12 && v != 5 && !open[v] {
 			t.Fatalf("valve %d unexpectedly closed", v)
 		}
-	}
-}
-
-func TestConflicts(t *testing.T) {
-	c := chipWithDFT(t, 1)
-	ct, err := SharedControl(c, []int{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqOpen := make([]bool, c.NumValves())
-	reqClosed := make([]bool, c.NumValves())
-	reqOpen[12] = true  // transport wants DFT valve open
-	reqClosed[5] = true // occupied device wants valve 5 closed
-	got := ct.Conflicts(reqOpen, reqClosed)
-	if len(got) != 2 { // both valves on the conflicted line are reported
-		t.Fatalf("conflicts = %v, want both valves on shared line", got)
-	}
-	// Independent control: no conflict.
-	ict := IndependentControl(c)
-	if got := ict.Conflicts(reqOpen, reqClosed); len(got) != 0 {
-		t.Fatalf("independent control conflicts = %v, want none", got)
 	}
 }
 

@@ -64,17 +64,6 @@ func (ct *Control) NumLines() int { return ct.nLines }
 // LineOf returns the control line actuating valve v.
 func (ct *Control) LineOf(v int) int { return ct.lineOf[v] }
 
-// SharedWith returns the valves on the same control line as v, excluding v.
-func (ct *Control) SharedWith(v int) []int {
-	var out []int
-	for u, l := range ct.lineOf {
-		if u != v && l == ct.lineOf[v] {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
 // NumShared returns how many DFT valves share a line with an original valve.
 func (ct *Control) NumShared() int {
 	nOrig := ct.chip.NumOriginalValves()
@@ -106,33 +95,6 @@ func (ct *Control) ExpandInto(valves []int, cut bool, open, lines []bool) {
 	for v := range open {
 		open[v] = lines[ct.lineOf[v]] != cut
 	}
-}
-
-// Conflicts reports the valves that cannot satisfy the requested states:
-// requireOpen and requireClosed are per-valve demands (both false = don't
-// care). A conflict exists when one control line receives both demands.
-// The scheduler uses this to reject transport snapshots under sharing.
-func (ct *Control) Conflicts(requireOpen, requireClosed []bool) []int {
-	ct.checkLen(requireOpen)
-	ct.checkLen(requireClosed)
-	lineOpen := make([]bool, ct.nLines)
-	lineClosed := make([]bool, ct.nLines)
-	for v := range requireOpen {
-		if requireOpen[v] {
-			lineOpen[ct.lineOf[v]] = true
-		}
-		if requireClosed[v] {
-			lineClosed[ct.lineOf[v]] = true
-		}
-	}
-	var out []int
-	for v := range requireOpen {
-		l := ct.lineOf[v]
-		if lineOpen[l] && lineClosed[l] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 func (ct *Control) checkLen(s []bool) {

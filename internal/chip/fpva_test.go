@@ -29,7 +29,7 @@ func TestGenerateFPVAShape(t *testing.T) {
 			t.Fatalf("device %s on boundary at %v", d.Name, co)
 		}
 	}
-	if c.CountDevices(Detector) == 0 {
+	if c.Stats().Detectors == 0 {
 		t.Fatal("no detector")
 	}
 }

@@ -14,8 +14,8 @@ func TestFPVAStructure(t *testing.T) {
 	if len(c.Ports) != 4 {
 		t.Fatalf("ports = %d, want 4", len(c.Ports))
 	}
-	if c.CountDevices(Mixer) != 2 || c.CountDevices(Detector) != 1 {
-		t.Fatalf("devices: %d mixers, %d detectors", c.CountDevices(Mixer), c.CountDevices(Detector))
+	if st := c.Stats(); st.Mixers != 2 || st.Detectors != 1 {
+		t.Fatalf("devices: %d mixers, %d detectors", st.Mixers, st.Detectors)
 	}
 	if c.Stats().FreeEdges != 0 {
 		t.Fatalf("FPVA must have no free edges, got %d", c.Stats().FreeEdges)
@@ -51,10 +51,11 @@ func TestRandomChipsAreValid(t *testing.T) {
 		if len(c.Ports) < 2 {
 			t.Fatalf("seed %d: %d ports", seed, len(c.Ports))
 		}
-		if c.CountDevices(Detector) < 1 {
+		st := c.Stats()
+		if st.Detectors < 1 {
 			t.Fatalf("seed %d: no detector", seed)
 		}
-		if c.CountDevices(Mixer) < 1 {
+		if st.Mixers < 1 {
 			t.Fatalf("seed %d: no mixer", seed)
 		}
 		// Channel network connected (already enforced by Build, but assert

@@ -67,12 +67,6 @@ type Layer struct {
 	params     Params
 }
 
-// PortOnBoundary reports whether a node lies on the control grid boundary.
-func (l *Layer) PortOnBoundary(node int) bool {
-	x, y := node%l.GridW, node/l.GridW
-	return x == 0 || y == 0 || x == l.GridW-1 || y == l.GridH-1
-}
-
 // Stats summarizes a layer for reports and experiments.
 type Stats struct {
 	Lines         int

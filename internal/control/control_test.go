@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/chip"
+	"repro/internal/grid"
 	"repro/internal/testgen"
 )
 
@@ -55,13 +56,14 @@ func TestPortsAreUniqueBoundaryNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := grid.New(layer.GridW, layer.GridH)
 	used := map[int]bool{}
 	for _, r := range layer.Routes {
 		if used[r.PortNode] {
 			t.Fatalf("port node %d reused", r.PortNode)
 		}
 		used[r.PortNode] = true
-		if !layer.PortOnBoundary(r.PortNode) {
+		if !g.OnBoundary(g.CoordOf(r.PortNode)) {
 			t.Fatalf("port node %d not on control-grid boundary", r.PortNode)
 		}
 	}

@@ -480,9 +480,11 @@ func (f *flow) enterStage(st *flowstage.StageStats) {
 	f.schedBase = f.schedMetrics.Snapshot()
 }
 
-// countFault folds a stage's fault-simulation traffic into its stats and
-// emits the vector-memo delta to the observer (nil for none).
-func countFault(st *flowstage.StageStats, obs flowstage.Observer, d fault.MetricsSnapshot) {
+// CountFault folds a stage's fault-simulation traffic, the delta d of a
+// fault.Metrics, into its stats and emits the vector-memo delta to the
+// observer (nil for none). The flow's stages and faultsim's share it, so
+// both report the same fault_* counters.
+func CountFault(st *flowstage.StageStats, obs flowstage.Observer, d fault.MetricsSnapshot) {
 	st.CacheHits += d.MemoHits
 	st.CacheMisses += d.MemoMisses
 	st.Count("fault_memo_hits", d.MemoHits)
@@ -501,19 +503,24 @@ func countFault(st *flowstage.StageStats, obs flowstage.Observer, d fault.Metric
 // stats and emits the per-cache deltas to the observer.
 func (f *flow) leaveStage(st *flowstage.StageStats) {
 	obs := f.observer()
-	countFault(st, obs, f.metrics.Snapshot().Sub(f.memoBase))
+	CountFault(st, obs, f.metrics.Snapshot().Sub(f.memoBase))
 	for _, cache := range []string{"aug_cache", "inner_cache"} {
 		if h, m := st.Counter(cache+"_hits"), st.Counter(cache+"_misses"); h != 0 || m != 0 {
 			obs.CacheDelta(st.Name, cache, h, m)
 		}
 	}
-	sd := f.schedMetrics.Snapshot().Sub(f.schedBase)
-	st.Count("sched_engine_builds", sd.EngineBuilds)
-	st.Count("sched_warm_runs", sd.WarmRuns)
-	st.Count("sched_candidate_hits", sd.CandidateHits)
-	st.Count("sched_fallback_reroutes", sd.FallbackReroutes)
-	st.Count("sched_livelocks", sd.Livelocks)
+	CountSched(st, f.schedMetrics.Snapshot().Sub(f.schedBase))
 	f.cur = nil
+}
+
+// CountSched folds a stage's scheduler-engine traffic, the delta d of a
+// sched.Metrics, into its stats as the sched_* counters.
+func CountSched(st *flowstage.StageStats, d sched.MetricsSnapshot) {
+	st.Count("sched_engine_builds", d.EngineBuilds)
+	st.Count("sched_warm_runs", d.WarmRuns)
+	st.Count("sched_candidate_hits", d.CandidateHits)
+	st.Count("sched_fallback_reroutes", d.FallbackReroutes)
+	st.Count("sched_livelocks", d.Livelocks)
 }
 
 // noteCache attributes one flow-level cache lookup to the running stage.

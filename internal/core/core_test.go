@@ -120,12 +120,12 @@ func TestFlowExecTimeReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	et, ok := sched.ExecutionTime(res.Aug.Chip, res.Control, assay.IVD(), Options{}.Sched)
-	if !ok {
-		t.Fatal("returned sharing unschedulable")
+	sch, err := sched.Run(res.Aug.Chip, res.Control, assay.IVD(), Options{}.Sched)
+	if err != nil {
+		t.Fatalf("returned sharing unschedulable: %v", err)
 	}
-	if et != res.ExecPSO {
-		t.Fatalf("re-run exec %d != reported %d", et, res.ExecPSO)
+	if sch.ExecutionTime != res.ExecPSO {
+		t.Fatalf("re-run exec %d != reported %d", sch.ExecutionTime, res.ExecPSO)
 	}
 }
 

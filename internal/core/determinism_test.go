@@ -208,24 +208,6 @@ func leakageReport(res *Result) string {
 	return b.String()
 }
 
-// TestExplicitZeroOmegaPlumbsThrough pins the Options-level plumbing of
-// the pso.Config zero-value fix: an explicit ω=0 (HasOmega set) must
-// survive Options.withDefaults untouched so the engine can honour it
-// instead of rewriting it to the 0.7 default. (The engine-level semantics
-// are pinned by the pso package's own zero-coefficient tests.)
-func TestExplicitZeroOmegaPlumbsThrough(t *testing.T) {
-	opts := smallOpts(5)
-	opts.Outer.Omega = 0
-	opts.Outer.HasOmega = true
-	out := opts.withDefaults().Outer
-	if !out.HasOmega || out.Omega != 0 {
-		t.Fatalf("explicit ω=0 flag lost through withDefaults: %+v", out)
-	}
-	if implicit := opts.withDefaults().Inner; implicit.HasOmega {
-		t.Fatalf("implicit config grew a HasOmega flag: %+v", implicit)
-	}
-}
-
 // TestSchedLivelocksWorkerInvariant: sched_livelocks counts scheduler
 // runs ended by the livelock fast-forward, and the flow makes the same
 // scheduler runs at any worker count. The paper-size IVD_chip/CPA flow at

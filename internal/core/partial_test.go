@@ -112,7 +112,9 @@ func TestSharedControlOwnLine(t *testing.T) {
 	if ctrl.NumShared() != 1 {
 		t.Fatalf("NumShared = %d, want 1", ctrl.NumShared())
 	}
-	if got := ctrl.SharedWith(13); len(got) != 0 {
-		t.Fatalf("own-line valve shares with %v", got)
+	for v := 0; v < 13; v++ {
+		if ctrl.LineOf(v) == ctrl.LineOf(13) {
+			t.Fatalf("own-line valve 13 shares line %d with valve %d", ctrl.LineOf(13), v)
+		}
 	}
 }

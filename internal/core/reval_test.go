@@ -59,11 +59,12 @@ func fullSharingFitness(f *flow, ev *augEval, baseline int, partners []int) floa
 //     base and replacement vectors;
 //   - computeSharingFitness equals fullSharingFitness.
 //
-// Each of the three outcomes (clean rows suffice, the dirty campaign
-// suffices, repairs run) must occur, and so must schemes that leave
-// faults after their repairs and schemes where one fault's replacement
-// catches a fault whose own repair failed, or the comparison is partly
-// vacuous. The seed is one whose sample holds all five cases.
+// Each of the three outcomes (the clean rows suffice; the dirty vectors,
+// covered one at a time on a probe, suffice; repairs run) must occur, and
+// so must schemes that leave faults after their repairs and schemes where
+// one fault's replacement catches a fault whose own repair failed, or the
+// comparison is partly vacuous. The seed is one whose sample holds all
+// five cases.
 func TestSharingCheckExact(t *testing.T) {
 	const configs, schemes = 4, 40
 	rng := rand.New(rand.NewSource(13))
@@ -153,7 +154,7 @@ func TestSharingCheckExact(t *testing.T) {
 		}
 	}
 	fast, recheck, slow := st.Counter("reval_fastpath"), st.Counter("reval_recheck_pass"), st.Counter("reval_slowpath")
-	t.Logf("%d schemes compared: %d fast path, %d dirty campaign, %d repaired (%d with faults left, %d with a failed repair caught by another replacement)",
+	t.Logf("%d schemes compared: %d fast path, %d passed on their dirty vectors, %d repaired (%d with faults left, %d with a failed repair caught by another replacement)",
 		compared, fast, recheck, slow, leftover, caught)
 	if fast == 0 || recheck == 0 || slow == 0 || leftover == 0 || caught == 0 {
 		t.Fatal("some validation outcome never occurred; the comparison is partly vacuous")

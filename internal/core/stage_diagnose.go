@@ -78,6 +78,22 @@ func SummarizeDiagnosis(diags []diagnose.FaultDiagnosis, exhaustive int) *Diagno
 	return sum
 }
 
+// Count adds the campaign's diagnose_* counters to st: its size, the
+// localized faults, the vectors applied against the exhaustive count,
+// the degraded faults and the chain attempts behind all of them.
+func (s *DiagnosisSummary) Count(st *flowstage.StageStats) {
+	attempts := 0
+	for _, d := range s.Entries {
+		attempts += len(d.Provenance.Attempts)
+	}
+	st.Count("diagnose_chain_attempts", int64(attempts))
+	st.Count("diagnose_faults", int64(s.Faults))
+	st.Count("diagnose_localized", int64(s.Localized))
+	st.Count("diagnose_vectors_applied", int64(s.TotalVectors))
+	st.Count("diagnose_exhaustive", int64(s.ExhaustiveVectors))
+	st.Count("diagnose_degraded", int64(s.Degraded))
+}
+
 // SuspectSets returns the campaign's non-empty suspect sets in fault
 // order: the input of a reconfiguration campaign.
 func (s *DiagnosisSummary) SuspectSets() [][]fault.Fault {
@@ -131,7 +147,6 @@ func (f *flow) runDiagnoseStage(ctx context.Context, st *flowstage.StageStats) e
 		VectorBudget: f.opts.DiagnoseBudget,
 		Inject:       f.diagInject,
 		OnAttempt: func(att solve.Attempt) {
-			st.Count("diagnose_chain_attempts", 1)
 			obs.ChainAttempt(st.Name, att.Tier, att.Name, string(att.Reason), att.Elapsed)
 		},
 	}
@@ -144,11 +159,7 @@ func (f *flow) runDiagnoseStage(ctx context.Context, st *flowstage.StageStats) e
 	}
 
 	sum := SummarizeDiagnosis(diags, m.NumUsable())
-	st.Count("diagnose_faults", int64(sum.Faults))
-	st.Count("diagnose_localized", int64(sum.Localized))
-	st.Count("diagnose_vectors_applied", int64(sum.TotalVectors))
-	st.Count("diagnose_exhaustive", int64(sum.ExhaustiveVectors))
-	st.Count("diagnose_degraded", int64(sum.Degraded))
+	sum.Count(st)
 	res.Diagnosis = sum
 	return nil
 }

@@ -89,16 +89,7 @@ func (f *flow) runFinalizeStage(ctx context.Context, st *flowstage.StageStats) e
 		if err != nil {
 			return err
 		}
-		ps := leakage.Solves
-		st.Count("pressure_solves", ps.Solves)
-		st.Count("pressure_cold", ps.Cold)
-		st.Count("pressure_warm", ps.Warm)
-		st.Count("pressure_rank_updates", ps.RankUpdates)
-		st.Count("pressure_fallback_rank", ps.FallbackRank)
-		st.Count("pressure_fallback_reach", ps.FallbackReach)
-		st.Count("pressure_fallback_numeric", ps.FallbackNumeric)
-		st.Count("leakage_examined", int64(leakage.Examined))
-		st.Count("leakage_detectable", int64(leakage.Detectable))
+		CountLeakage(st, leakage)
 	}
 
 	st.Count("final_vectors", int64(len(finalPaths)+len(finalCuts)))
@@ -165,4 +156,19 @@ func (f *flow) worstValidSharing(ev *augEval) int {
 		return int(w)
 	}
 	return int(worst)
+}
+
+// CountLeakage adds a leakage campaign's pressure-engine effort and its
+// examined and detectable valve counts to st.
+func CountLeakage(st *flowstage.StageStats, rep *fault.LeakageReport) {
+	ps := rep.Solves
+	st.Count("pressure_solves", ps.Solves)
+	st.Count("pressure_cold", ps.Cold)
+	st.Count("pressure_warm", ps.Warm)
+	st.Count("pressure_rank_updates", ps.RankUpdates)
+	st.Count("pressure_fallback_rank", ps.FallbackRank)
+	st.Count("pressure_fallback_reach", ps.FallbackReach)
+	st.Count("pressure_fallback_numeric", ps.FallbackNumeric)
+	st.Count("leakage_examined", int64(rep.Examined))
+	st.Count("leakage_detectable", int64(rep.Detectable))
 }

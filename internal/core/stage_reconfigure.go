@@ -79,6 +79,25 @@ func SummarizeReconfig(sets [][]fault.Fault, groups []diagnose.SetReconfig) *Rec
 	return sum
 }
 
+// Count adds the campaign's reconf_* counters to st: the suspect sets and
+// ban groups, each outcome's group count, the worst penalty and the
+// chain attempts behind all of them.
+func (s *ReconfigSummary) Count(st *flowstage.StageStats) {
+	attempts := 0
+	for _, g := range s.Entries {
+		attempts += len(g.Provenance.Attempts)
+	}
+	st.Count("reconf_chain_attempts", int64(attempts))
+	st.Count("reconf_sets", int64(s.SuspectSets))
+	st.Count("reconf_groups", int64(s.Groups))
+	st.Count("reconf_feasible", int64(s.Feasible))
+	st.Count("reconf_infeasible", int64(s.Infeasible))
+	st.Count("reconf_failed", int64(s.Failed))
+	st.Count("reconf_relaxed", int64(s.Relaxed))
+	st.Count("reconf_degraded", int64(s.Degraded))
+	st.Count("reconf_max_penalty", int64(s.MaxPenalty))
+}
+
 // runReconfigureStage reschedules the assay around every diagnosed
 // suspect set through the reconfiguration chain. It consumes
 // Result.Diagnosis, so it skips gracefully (Result.Reconfiguration stays
@@ -107,7 +126,6 @@ func (f *flow) runReconfigureStage(ctx context.Context, st *flowstage.StageStats
 		Inject:  f.reconfInject,
 		Metrics: f.schedMetrics,
 		OnAttempt: func(att solve.Attempt) {
-			st.Count("reconf_chain_attempts", 1)
 			obs.ChainAttempt(st.Name, att.Tier, att.Name, string(att.Reason), att.Elapsed)
 		},
 	}
@@ -120,14 +138,7 @@ func (f *flow) runReconfigureStage(ctx context.Context, st *flowstage.StageStats
 	}
 
 	sum := SummarizeReconfig(sets, groups)
-	st.Count("reconf_sets", int64(sum.SuspectSets))
-	st.Count("reconf_groups", int64(sum.Groups))
-	st.Count("reconf_feasible", int64(sum.Feasible))
-	st.Count("reconf_infeasible", int64(sum.Infeasible))
-	st.Count("reconf_failed", int64(sum.Failed))
-	st.Count("reconf_relaxed", int64(sum.Relaxed))
-	st.Count("reconf_degraded", int64(sum.Degraded))
-	st.Count("reconf_max_penalty", int64(sum.MaxPenalty))
+	sum.Count(st)
 	res.Reconfiguration = sum
 	return nil
 }

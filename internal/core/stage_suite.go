@@ -139,7 +139,7 @@ func (r *suiteRun) runGenerateStage(ctx context.Context, st *flowstage.StageStat
 	if err != nil {
 		return err
 	}
-	countFault(st, r.opts.Observer, r.metrics.Snapshot().Sub(base))
+	CountFault(st, r.opts.Observer, r.metrics.Snapshot().Sub(base))
 	st.Count("tmpl_instantiated", s.Stats.Instantiated)
 	st.Count("tmpl_fallbacks", s.Stats.Fallbacks)
 	st.Count("suite_vectors", int64(len(s.Paths)+len(s.Cuts)))
@@ -161,7 +161,7 @@ func (r *suiteRun) runCampaignStage(ctx context.Context, st *flowstage.StageStat
 	if err != nil {
 		return err
 	}
-	countFault(st, r.opts.Observer, r.metrics.Snapshot().Sub(base))
+	CountFault(st, r.opts.Observer, r.metrics.Snapshot().Sub(base))
 	st.Count("cov_detected", int64(cov.Detected))
 	st.Count("cov_total", int64(cov.Total))
 	r.cov.Set(cov)

@@ -34,12 +34,6 @@ func NewEngine(sim *Simulator, workers int) *Engine {
 	return &Engine{sim: sim, workers: par.Workers(workers)}
 }
 
-// Simulator returns the simulator the engine drives.
-func (e *Engine) Simulator() *Simulator { return e.sim }
-
-// Workers returns the configured worker-pool size.
-func (e *Engine) Workers() int { return e.workers }
-
 // EvaluateCoverage is EvaluateCoverageCtx without cancellation.
 func (e *Engine) EvaluateCoverage(vectors []Vector, faults []Fault) Coverage {
 	cov, _ := e.EvaluateCoverageCtx(context.Background(), vectors, faults)

@@ -123,9 +123,6 @@ func (a *Artifact[T]) Get() T {
 	return a.value
 }
 
-// OK reports whether the artifact has been produced.
-func (a *Artifact[T]) OK() bool { return a.set }
-
 // Pipeline runs stages in order, recording per-stage stats and reporting
 // progress to the Observer (nil = no observation).
 type Pipeline struct {

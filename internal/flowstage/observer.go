@@ -54,45 +54,6 @@ func OrNop(o Observer) Observer {
 	return o
 }
 
-// Multi fans every event out to several observers, in order.
-type Multi []Observer
-
-func (m Multi) StageStart(stage string) {
-	for _, o := range m {
-		o.StageStart(stage)
-	}
-}
-
-func (m Multi) StageEnd(stage string, stats StageStats) {
-	for _, o := range m {
-		o.StageEnd(stage, stats)
-	}
-}
-
-func (m Multi) SolverTick(stage string, iteration int, best float64) {
-	for _, o := range m {
-		o.SolverTick(stage, iteration, best)
-	}
-}
-
-func (m Multi) ChainAttempt(stage string, tier int, tierName string, reason string, elapsed time.Duration) {
-	for _, o := range m {
-		o.ChainAttempt(stage, tier, tierName, reason, elapsed)
-	}
-}
-
-func (m Multi) ILPAttempt(stage string, paths, nodes, lazyCuts int) {
-	for _, o := range m {
-		o.ILPAttempt(stage, paths, nodes, lazyCuts)
-	}
-}
-
-func (m Multi) CacheDelta(stage string, cache string, hits, misses int64) {
-	for _, o := range m {
-		o.CacheDelta(stage, cache, hits, misses)
-	}
-}
-
 // Recorder is an Observer that records a compact textual event log, for
 // tests (event-ordering assertions) and debugging. Safe for concurrent
 // use.

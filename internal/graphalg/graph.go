@@ -47,13 +47,6 @@ func (g *Graph) NumNodes() int { return g.n }
 // [0, NumEdges()).
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
-// AddNode appends a new node and returns its ID.
-func (g *Graph) AddNode() int {
-	g.adj = append(g.adj, nil)
-	g.n++
-	return g.n - 1
-}
-
 // AddEdge adds an undirected edge between u and v and returns its edge ID.
 // Self-loops and parallel edges are allowed.
 func (g *Graph) AddEdge(u, v int) int {
@@ -74,13 +67,6 @@ func (g *Graph) Endpoints(id int) (u, v int) {
 	return e.u, e.v
 }
 
-// Degree returns the number of edges incident to u. A self-loop counts
-// once.
-func (g *Graph) Degree(u int) int {
-	g.checkNode(u)
-	return len(g.adj[u])
-}
-
 // Neighbors returns the arcs incident to u. The returned slice is freshly
 // allocated.
 func (g *Graph) Neighbors(u int) []Arc {
@@ -89,7 +75,7 @@ func (g *Graph) Neighbors(u int) []Arc {
 }
 
 // Adjacency returns u's internal arc slice. The returned slice must not be
-// modified and is valid until the next AddEdge or AddNode. It exists for
+// modified and is valid until the next AddEdge. It exists for
 // allocation-free traversals (Neighbors copies).
 func (g *Graph) Adjacency(u int) []Arc {
 	g.checkNode(u)
@@ -105,15 +91,6 @@ func (g *Graph) IncidentEdges(u int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	ng := &Graph{n: g.n, adj: make([][]Arc, g.n), edges: append([]edgeRec(nil), g.edges...)}
-	for u, arcs := range g.adj {
-		ng.adj[u] = append([]Arc(nil), arcs...)
-	}
-	return ng
 }
 
 func (g *Graph) checkNode(u int) {
@@ -441,35 +418,6 @@ func (g *Graph) WeightedShortestPathScratch(s *PathScratch, src, dst int, weight
 	reverseInts(out)
 	s.edges = out
 	return out, dist[dst], true
-}
-
-// ConnectedComponents labels each node with a component ID in [0, k) and
-// returns (labels, k).
-func (g *Graph) ConnectedComponents() ([]int, int) {
-	label := make([]int, g.n)
-	for i := range label {
-		label[i] = -1
-	}
-	k := 0
-	for s := 0; s < g.n; s++ {
-		if label[s] >= 0 {
-			continue
-		}
-		label[s] = k
-		stack := []int{s}
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, a := range g.adj[u] {
-				if label[a.To] < 0 {
-					label[a.To] = k
-					stack = append(stack, a.To)
-				}
-			}
-		}
-		k++
-	}
-	return label, k
 }
 
 func reverseInts(s []int) {

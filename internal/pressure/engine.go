@@ -117,9 +117,6 @@ func NewEngine(c *chip.Chip, sourceNode, meterNode int, opts EngineOptions) (*En
 	return &Engine{sys: sys, rankBudget: budget}, nil
 }
 
-// Chip returns the chip the engine solves.
-func (e *Engine) Chip() *chip.Chip { return e.sys.c }
-
 // Unknowns returns the size of the solved system (channel nodes minus the
 // two terminals).
 func (e *Engine) Unknowns() int { return e.sys.m }

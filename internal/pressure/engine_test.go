@@ -282,7 +282,7 @@ func TestIsolatedMeter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
-	got, err := Solve(c, cond, src, mtr)
+	got, err := newEngine(t, c, src, mtr).Solve(cond)
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}
@@ -316,7 +316,7 @@ func TestErrSingularTyped(t *testing.T) {
 	}
 }
 
-// TestEngineBadInputs mirrors TestBadInputs for the engine constructor.
+// TestEngineBadInputs mirrors TestBadInputs for the engine.
 func TestEngineBadInputs(t *testing.T) {
 	c := chip.IVD()
 	if _, err := NewEngine(c, 5, 5, EngineOptions{}); err == nil {

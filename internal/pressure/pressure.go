@@ -88,22 +88,6 @@ func (r Result) Reads(p Params) bool {
 	return r.MeterFlow > p.WithDefaults().MeterThreshold
 }
 
-// Solve computes the steady-state pressures for a chip whose valves have
-// the given conductances (indexed by valve ID; 0 = fully closed). The
-// source node is held at pressure 1, the meter node at 0.
-//
-// Solve builds a one-shot sparse Engine per call; campaign loops that
-// solve many states of the same rig should construct the Engine once and
-// reuse it (or its Solvers) so the factorization and the symbolic
-// analysis are cached.
-func Solve(c *chip.Chip, conductance []float64, sourceNode, meterNode int) (Result, error) {
-	eng, err := NewEngine(c, sourceNode, meterNode, EngineOptions{})
-	if err != nil {
-		return Result{}, err
-	}
-	return eng.Solve(conductance)
-}
-
 // SolveBaseline is the seed's dense Gaussian-elimination solver, kept
 // verbatim for cross-checks against the sparse Engine. It computes the
 // steady-state pressures for a chip whose valves have the given

@@ -17,11 +17,21 @@ func allOpen(c *chip.Chip) []bool {
 	return open
 }
 
+// newEngine builds the sparse engine of the rig (c, src, mtr).
+func newEngine(t *testing.T, c *chip.Chip, src, mtr int) *Engine {
+	t.Helper()
+	eng, err := NewEngine(c, src, mtr, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 func TestAllOpenFlowPositive(t *testing.T) {
 	c := chip.IVD()
 	src, mtr := c.Ports[0].Node, c.Ports[2].Node
 	cond := Conductances(c, allOpen(c), Params{}, nil)
-	res, err := Solve(c, cond, src, mtr)
+	res, err := newEngine(t, c, src, mtr).Solve(cond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +49,7 @@ func TestAllOpenFlowPositive(t *testing.T) {
 func TestAllClosedNoFlow(t *testing.T) {
 	c := chip.IVD()
 	cond := Conductances(c, make([]bool, c.NumValves()), Params{}, nil)
-	res, err := Solve(c, cond, c.Ports[0].Node, c.Ports[2].Node)
+	res, err := newEngine(t, c, c.Ports[0].Node, c.Ports[2].Node).Solve(cond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +64,7 @@ func TestAllClosedNoFlow(t *testing.T) {
 func TestPressuresWithinBounds(t *testing.T) {
 	c := chip.RA30()
 	cond := Conductances(c, allOpen(c), Params{}, nil)
-	res, err := Solve(c, cond, c.Ports[0].Node, c.Ports[1].Node)
+	res, err := newEngine(t, c, c.Ports[0].Node, c.Ports[1].Node).Solve(cond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +88,7 @@ func TestSeriesResistanceHalvesFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	cond := Conductances(c, allOpen(c), Params{}, nil)
-	res, err := Solve(c, cond, c.Ports[0].Node, c.Ports[1].Node)
+	res, err := newEngine(t, c, c.Ports[0].Node, c.Ports[1].Node).Solve(cond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,10 +102,11 @@ func TestStuckClosedBlocksFlow(t *testing.T) {
 	c := chip.IVD()
 	open := allOpen(c)
 	src, mtr := c.Ports[0].Node, c.Ports[1].Node
-	base, _ := Solve(c, Conductances(c, open, Params{}, nil), src, mtr)
+	eng := newEngine(t, c, src, mtr)
+	base, _ := eng.Solve(Conductances(c, open, Params{}, nil))
 	// Stick every valve closed one at a time; flow never increases.
 	for v := 0; v < c.NumValves(); v++ {
-		res, err := Solve(c, Conductances(c, open, Params{}, map[int]Defect{v: StuckClosed}), src, mtr)
+		res, err := eng.Solve(Conductances(c, open, Params{}, map[int]Defect{v: StuckClosed}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,21 +125,22 @@ func TestLeakyValveGivesWeakSignal(t *testing.T) {
 	// valve 0 (P0's edge) marked leaky and intended closed.
 	open := allOpen(c)
 	open[0] = false
-	healthy, err := Solve(c, Conductances(c, open, Params{}, nil), src, mtr)
+	eng := newEngine(t, c, src, mtr)
+	healthy, err := eng.Solve(Conductances(c, open, Params{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if healthy.MeterFlow != 0 {
 		t.Fatalf("healthy closed valve leaks: %v", healthy.MeterFlow)
 	}
-	leaky, err := Solve(c, Conductances(c, open, Params{}, map[int]Defect{0: Leaky}), src, mtr)
+	leaky, err := eng.Solve(Conductances(c, open, Params{}, map[int]Defect{0: Leaky}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if leaky.MeterFlow <= 0 {
 		t.Fatal("leaky valve must pass some flow")
 	}
-	full, err := Solve(c, Conductances(c, allOpen(c), Params{}, nil), src, mtr)
+	full, err := eng.Solve(Conductances(c, allOpen(c), Params{}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +161,14 @@ func TestLeakyValveGivesWeakSignal(t *testing.T) {
 func TestQuantMatchesBooleanProperty(t *testing.T) {
 	for _, c := range chip.Benchmarks() {
 		src, mtr := c.Ports[0].Node, c.Ports[len(c.Ports)-1].Node
+		eng := newEngine(t, c, src, mtr)
 		rng := rand.New(rand.NewSource(9))
 		for trial := 0; trial < 40; trial++ {
 			open := make([]bool, c.NumValves())
 			for i := range open {
 				open[i] = rng.Intn(2) == 0
 			}
-			res, err := Solve(c, Conductances(c, open, Params{}, nil), src, mtr)
+			res, err := eng.Solve(Conductances(c, open, Params{}, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,22 +185,22 @@ func TestQuantMatchesBooleanProperty(t *testing.T) {
 func TestBadInputs(t *testing.T) {
 	c := chip.IVD()
 	cond := Conductances(c, allOpen(c), Params{}, nil)
-	for name, solve := range solvers() {
-		if _, err := solve(c, make([]float64, 3), 0, 1); err == nil {
-			t.Fatalf("%s: wrong conductance length must fail", name)
-		}
-		if _, err := solve(c, cond, 5, 5); err == nil {
-			t.Fatalf("%s: coincident terminals must fail", name)
-		}
+	if _, err := SolveBaseline(c, make([]float64, 3), 0, 1); err == nil {
+		t.Fatal("wrong conductance length must fail")
+	}
+	if _, err := SolveBaseline(c, cond, 5, 5); err == nil {
+		t.Fatal("coincident terminals must fail")
 	}
 }
 
-// solvers enumerates both entry points so legacy regressions cover the
-// engine path and the preserved dense baseline alike.
-func solvers() map[string]func(*chip.Chip, []float64, int, int) (Result, error) {
-	return map[string]func(*chip.Chip, []float64, int, int) (Result, error){
-		"engine":   Solve,
-		"baseline": SolveBaseline,
+// solvers enumerates both solvers of the rig (c, src, mtr) so legacy
+// regressions cover the engine and the preserved dense baseline alike.
+func solvers(t *testing.T, c *chip.Chip, src, mtr int) map[string]func([]float64) (Result, error) {
+	return map[string]func([]float64) (Result, error){
+		"engine": newEngine(t, c, src, mtr).Solve,
+		"baseline": func(cond []float64) (Result, error) {
+			return SolveBaseline(c, cond, src, mtr)
+		},
 	}
 }
 
@@ -202,8 +215,8 @@ func TestGaussTinyConductancesSolve(t *testing.T) {
 	c := chip.IVD()
 	src, mtr := c.Ports[0].Node, c.Ports[2].Node
 	unit := Conductances(c, allOpen(c), Params{}, nil)
-	for name, solve := range solvers() {
-		ref, err := solve(c, unit, src, mtr)
+	for name, solve := range solvers(t, c, src, mtr) {
+		ref, err := solve(unit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +225,7 @@ func TestGaussTinyConductancesSolve(t *testing.T) {
 			for i, g := range unit {
 				cond[i] = g * scale
 			}
-			res, err := solve(c, cond, src, mtr)
+			res, err := solve(cond)
 			if err != nil {
 				t.Fatalf("%s scale %g: %v", name, scale, err)
 			}

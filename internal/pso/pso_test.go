@@ -1,6 +1,7 @@
 package pso
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -16,7 +17,7 @@ func sphere(x []float64) float64 {
 }
 
 func TestMinimizeSphere(t *testing.T) {
-	res := Minimize(4, sphere, Config{Particles: 10, Iterations: 200, Seed: 1})
+	res := MinimizeCtx(context.Background(), 4, sphere, Config{Particles: 10, Iterations: 200, Seed: 1})
 	if res.BestFitness > 1e-3 {
 		t.Fatalf("sphere minimum not found: %v at %v", res.BestFitness, res.BestX)
 	}
@@ -28,7 +29,7 @@ func TestMinimizeSphere(t *testing.T) {
 }
 
 func TestTraceMonotoneNonIncreasing(t *testing.T) {
-	res := Minimize(6, sphere, Config{Seed: 7})
+	res := MinimizeCtx(context.Background(), 6, sphere, Config{Seed: 7})
 	if len(res.Trace) != 101 {
 		t.Fatalf("trace length %d, want 101 (init + 100 iterations)", len(res.Trace))
 	}
@@ -40,12 +41,12 @@ func TestTraceMonotoneNonIncreasing(t *testing.T) {
 }
 
 func TestDeterministicForSeed(t *testing.T) {
-	a := Minimize(5, sphere, Config{Seed: 42})
-	b := Minimize(5, sphere, Config{Seed: 42})
+	a := MinimizeCtx(context.Background(), 5, sphere, Config{Seed: 42})
+	b := MinimizeCtx(context.Background(), 5, sphere, Config{Seed: 42})
 	if a.BestFitness != b.BestFitness {
 		t.Fatalf("same seed, different results: %v vs %v", a.BestFitness, b.BestFitness)
 	}
-	c := Minimize(5, sphere, Config{Seed: 43})
+	c := MinimizeCtx(context.Background(), 5, sphere, Config{Seed: 43})
 	if a.BestFitness == c.BestFitness && a.BestX[0] == c.BestX[0] {
 		t.Log("different seeds converged identically (possible but unusual)")
 	}
@@ -59,7 +60,7 @@ func TestInfinityPositionsSkipped(t *testing.T) {
 		}
 		return math.Abs(x[0] - 0.25)
 	}
-	res := Minimize(1, f, Config{Particles: 20, Iterations: 150, Seed: 3})
+	res := MinimizeCtx(context.Background(), 1, f, Config{Particles: 20, Iterations: 150, Seed: 3})
 	if math.IsInf(res.BestFitness, 1) {
 		t.Fatal("PSO never found the valid region")
 	}
@@ -69,7 +70,7 @@ func TestInfinityPositionsSkipped(t *testing.T) {
 }
 
 func TestZeroDimension(t *testing.T) {
-	res := Minimize(0, func(x []float64) float64 { return 7 }, Config{Seed: 1})
+	res := MinimizeCtx(context.Background(), 0, func(x []float64) float64 { return 7 }, Config{Seed: 1})
 	if res.BestFitness != 7 || res.Evaluations != 1 {
 		t.Fatalf("degenerate result: %+v", res)
 	}
@@ -77,7 +78,7 @@ func TestZeroDimension(t *testing.T) {
 
 func TestEvaluationCount(t *testing.T) {
 	cfg := Config{Particles: 5, Iterations: 10, Seed: 9}
-	res := Minimize(2, sphere, cfg)
+	res := MinimizeCtx(context.Background(), 2, sphere, cfg)
 	want := 5 + 5*10
 	if res.Evaluations != want {
 		t.Fatalf("evaluations = %d, want %d", res.Evaluations, want)
@@ -94,7 +95,7 @@ func TestPositionsStayInUnitBox(t *testing.T) {
 		}
 		return sphere(x)
 	}
-	Minimize(3, f, Config{Particles: 8, Iterations: 60, Seed: 11})
+	MinimizeCtx(context.Background(), 3, f, Config{Particles: 8, Iterations: 60, Seed: 11})
 	if !seen {
 		t.Fatal("a particle escaped [0,1]^n")
 	}
@@ -139,8 +140,8 @@ func TestMapToPartnerRangeProperty(t *testing.T) {
 // Property: more iterations never hurt the final gbest for a fixed seed.
 func TestMoreIterationsNotWorseProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		short := Minimize(3, sphere, Config{Particles: 6, Iterations: 20, Seed: seed})
-		long := Minimize(3, sphere, Config{Particles: 6, Iterations: 80, Seed: seed})
+		short := MinimizeCtx(context.Background(), 3, sphere, Config{Particles: 6, Iterations: 20, Seed: seed})
+		long := MinimizeCtx(context.Background(), 3, sphere, Config{Particles: 6, Iterations: 80, Seed: seed})
 		return long.BestFitness <= short.BestFitness+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

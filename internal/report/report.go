@@ -291,23 +291,6 @@ func WriteJSON(w io.Writer, res *core.Result) error {
 	return enc.Encode(Build(res))
 }
 
-// Summary writes a one-paragraph human summary.
-func Summary(w io.Writer, res *core.Result) {
-	c := res.Aug.Chip
-	fmt.Fprintf(w, "%s: +%d DFT valves (%d sharing control lines), test with source %s and meter %s using %d vectors; execution %d s -> %d s (original -> DFT+PSO), flow runtime %v\n",
-		c.Name, res.NumDFTValves, res.NumShared,
-		c.Ports[res.Aug.Source].Name, c.Ports[res.Aug.Meter].Name,
-		res.NumTestVectors, res.ExecOriginal, res.ExecPSO, res.Runtime)
-	if d := res.Diagnosis; d != nil {
-		fmt.Fprintf(w, "diagnosis: %d/%d faults localized, %.1f vectors/fault mean (max %d, exhaustive %d), %.2f suspects/fault mean\n",
-			d.Localized, d.Faults, d.MeanVectors, d.MaxVectors, d.ExhaustiveVectors, d.MeanSuspects)
-	}
-	if r := res.Reconfiguration; r != nil {
-		fmt.Fprintf(w, "reconfiguration: %d/%d ban groups feasible (%d infeasible, %d relaxed), penalty mean %.1f s / max %d s over baseline %d s\n",
-			r.Feasible, r.Groups, r.Infeasible, r.Relaxed, r.MeanPenalty, r.MaxPenalty, r.Baseline)
-	}
-}
-
 // Decode parses a JSON document (for tooling round-trips).
 func Decode(r io.Reader) (Document, error) {
 	var doc Document

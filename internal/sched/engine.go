@@ -169,12 +169,6 @@ func NewEngine(c *chip.Chip, g *assay.Graph, params Params) (*Engine, error) {
 	return e, nil
 }
 
-// Chip returns the chip the engine schedules onto.
-func (e *Engine) Chip() *chip.Chip { return e.chip }
-
-// Assay returns the sequencing graph the engine schedules.
-func (e *Engine) Assay() *assay.Graph { return e.graph }
-
 // independent returns the cached all-independent control assignment.
 func (e *Engine) independent() *chip.Control {
 	e.indepOnce.Do(func() { e.indep = chip.IndependentControl(e.chip) })
@@ -194,14 +188,18 @@ func (e *Engine) RunCtx(ctx context.Context, ctrl *chip.Control, params Params) 
 	return sch, err
 }
 
-// RunProgress is Run with the operations-completed count (see RunProgress
-// at package level).
+// RunProgress is Run that also reports how many operations completed; on
+// failure the count tells how far the schedule got before wedging, which
+// the PSO uses to grade nearly-schedulable sharing schemes.
 func (e *Engine) RunProgress(ctrl *chip.Control, params Params) (*Schedule, int, error) {
 	return e.RunProgressCtx(context.Background(), ctrl, params)
 }
 
-// RunProgressCtx runs one control-dependent simulation. The schedule does
-// not depend on the runs before it or running beside it.
+// RunProgressCtx runs one control-dependent simulation with cooperative
+// cancellation: the context is polled at every simulated event time and,
+// on expiry, the run stops with the context's error and the
+// operations-completed count reached so far. The schedule does not depend
+// on the runs before it or running beside it.
 func (e *Engine) RunProgressCtx(ctx context.Context, ctrl *chip.Control, params Params) (*Schedule, int, error) {
 	params = params.withDefaults()
 	if err := e.checkBans(params); err != nil {
@@ -219,16 +217,6 @@ func (e *Engine) RunProgressCtx(ctx context.Context, ctrl *chip.Control, params 
 	sch, done, err := rs.run()
 	e.pool.Put(rs)
 	return sch, done, err
-}
-
-// ExecutionTime is the makespan-only convenience, mirroring the package
-// function; ok is false for unschedulable combinations.
-func (e *Engine) ExecutionTime(ctrl *chip.Control, params Params) (int, bool) {
-	sch, err := e.Run(ctrl, params)
-	if err != nil {
-		return 0, false
-	}
-	return sch.ExecutionTime, true
 }
 
 // checkBans rejects Run params whose ban-set differs from the engine's —

@@ -39,8 +39,8 @@ type runState struct {
 	heldCount int
 
 	// sharedValve[v] reports whether v's control line drives another valve
-	// under this run's assignment, so the parking policy needs no
-	// SharedWith scan.
+	// under this run's assignment, so the parking policy needs no scan of
+	// the control lines.
 	sharedValve []bool
 	lineSize    []int
 

@@ -3,7 +3,6 @@ package sched
 import (
 	"testing"
 
-	"repro/internal/assay"
 	"repro/internal/chip"
 )
 
@@ -26,9 +25,9 @@ func TestTransportTimeScaling(t *testing.T) {
 }
 
 func TestRunProgressReportsCompletion(t *testing.T) {
-	c := chip.IVD()
-	g := assay.IVD()
-	sch, done, err := RunProgress(c, nil, g, Params{})
+	eng := ivdEngine(t)
+	g := eng.graph
+	sch, done, err := eng.RunProgress(nil, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +53,12 @@ func TestRunProgressReportsPartialOnWedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, done, err := RunProgress(c, ctrl, miniAssay(), Params{MaxTime: 3600})
+	p := Params{MaxTime: 3600}
+	eng, err := NewEngine(c, miniAssay(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, done, err := eng.RunProgress(ctrl, p)
 	if err == nil {
 		t.Fatal("expected wedge")
 	}

@@ -13,8 +13,6 @@
 package sched
 
 import (
-	"context"
-
 	"repro/internal/assay"
 	"repro/internal/chip"
 )
@@ -129,49 +127,16 @@ type Schedule struct {
 // returns the schedule, or an error when the assay cannot complete (e.g.
 // valve sharing permanently blocks a required transport).
 //
-// The Run* functions route through a freshly built Engine (a "cold" run);
-// callers that schedule one (chip, assay, ban-set) under many control
-// assignments should build the Engine once and call its Run methods
-// instead — the schedules are bit-identical either way.
+// Run routes through a freshly built Engine (a "cold" run); callers that
+// schedule one (chip, assay, ban-set) under many control assignments
+// should build the Engine once and call its Run methods instead — the
+// schedules are bit-identical either way.
 func Run(c *chip.Chip, ctrl *chip.Control, g *assay.Graph, params Params) (*Schedule, error) {
-	sch, _, err := RunProgress(c, ctrl, g, params)
-	return sch, err
-}
-
-// RunCtx is Run with cooperative cancellation (see RunProgressCtx).
-func RunCtx(ctx context.Context, c *chip.Chip, ctrl *chip.Control, g *assay.Graph, params Params) (*Schedule, error) {
-	sch, _, err := RunProgressCtx(ctx, c, ctrl, g, params)
-	return sch, err
-}
-
-// RunProgress is Run that also reports how many operations completed; on
-// failure the count tells how far the schedule got before wedging, which
-// the PSO uses to grade nearly-schedulable sharing schemes.
-func RunProgress(c *chip.Chip, ctrl *chip.Control, g *assay.Graph, params Params) (*Schedule, int, error) {
-	return RunProgressCtx(context.Background(), c, ctrl, g, params)
-}
-
-// RunProgressCtx is RunProgress with cooperative cancellation: the context
-// is polled at every simulated event time and, on expiry, the run stops
-// with the context's error and the operations-completed count reached so
-// far.
-func RunProgressCtx(ctx context.Context, c *chip.Chip, ctrl *chip.Control, g *assay.Graph, params Params) (*Schedule, int, error) {
 	eng, err := NewEngine(c, g, params)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return eng.RunProgressCtx(ctx, ctrl, params)
-}
-
-// ExecutionTime is a convenience wrapper returning only the makespan; it
-// reports ok=false for unschedulable combinations (the PSO maps those to
-// quality ∞).
-func ExecutionTime(c *chip.Chip, ctrl *chip.Control, g *assay.Graph, params Params) (int, bool) {
-	sch, err := Run(c, ctrl, g, params)
-	if err != nil {
-		return 0, false
-	}
-	return sch.ExecutionTime, true
+	return eng.Run(ctrl, params)
 }
 
 // --- locations ---------------------------------------------------------------

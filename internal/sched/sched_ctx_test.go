@@ -9,9 +9,18 @@ import (
 	"repro/internal/chip"
 )
 
+// ivdEngine builds a cold engine for the IVD assay on the IVD chip.
+func ivdEngine(t *testing.T) *Engine {
+	t.Helper()
+	eng, err := NewEngine(chip.IVD(), assay.IVD(), Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 func TestRunCtxPreCancelled(t *testing.T) {
-	c := chip.IVD()
-	_, err := RunCtx(nil1(), c, nil, assay.IVD(), Params{})
+	_, err := ivdEngine(t).RunCtx(nil1(), nil, Params{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -24,16 +33,16 @@ func nil1() context.Context {
 }
 
 func TestRunProgressCtxReportsPartialProgress(t *testing.T) {
-	c := chip.IVD()
-	g := assay.IVD()
-	sch, done, err := RunProgress(c, nil, g, Params{})
+	eng := ivdEngine(t)
+	g := eng.graph
+	sch, done, err := eng.RunProgress(nil, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if done != g.NumOps() || sch == nil {
 		t.Fatalf("reference run: %d/%d ops", done, g.NumOps())
 	}
-	_, doneC, err := RunProgressCtx(nil1(), c, nil, g, Params{})
+	_, doneC, err := eng.RunProgressCtx(nil1(), nil, Params{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -46,7 +55,11 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	c := chip.IVD()
 	g := assay.IVD()
 	a, errA := Run(c, nil, g, Params{})
-	b, errB := RunCtx(context.Background(), c, nil, g, Params{})
+	eng, err := NewEngine(c, g, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, errB := eng.RunCtx(context.Background(), nil, Params{})
 	if errA != nil || errB != nil {
 		t.Fatalf("errs: %v / %v", errA, errB)
 	}

@@ -63,13 +63,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestExecutionTimeHelper(t *testing.T) {
-	et, ok := ExecutionTime(chip.IVD(), nil, assay.IVD(), Params{})
-	if !ok || et <= 0 {
-		t.Fatalf("ExecutionTime = %d, %v", et, ok)
-	}
-}
-
 // lineChip builds M(1,1) --- D(4,1) with ports on both ends; the single
 // horizontal channel is the only route.
 //

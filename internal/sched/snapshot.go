@@ -97,10 +97,10 @@ func (rs *runState) conflictFree(edges []int, producer int) bool {
 		}
 	}
 
-	// Line conflicts (chip.Control.Conflicts without the allocation): a
-	// control line demanded both open and closed. Forced-open valves far
-	// away from every active path are harmless — a dead-end branch carries
-	// no pressure-driven flow — so only the demand sets above participate.
+	// Line conflicts: a control line demanded both open and closed.
+	// Forced-open valves far away from every active path are harmless — a
+	// dead-end branch carries no pressure-driven flow — so only the demand
+	// sets above participate.
 	for _, v := range rs.touched {
 		if rs.reqOpenEp[v] == ep {
 			rs.lineOpenEp[rs.ctrl.LineOf(v)] = ep

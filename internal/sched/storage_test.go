@@ -39,7 +39,7 @@ func storageCases(t *testing.T) []schedCase {
 // schedule must match the fixture.
 func TestStorageMoveRecords(t *testing.T) {
 	sc := storageCases(t)[0]
-	c, g := sc.eng.Chip(), sc.eng.Assay()
+	c, g := sc.eng.chip, sc.eng.graph
 	sch, done, err := sc.eng.RunProgress(sc.ctrl, sc.p)
 	if err != nil {
 		t.Fatalf("engine: %v", err)
@@ -174,7 +174,7 @@ func parkID(node int) string { return fmt.Sprintf("park/mRNA/node=%d", node) }
 func parkLines(t *testing.T) []string {
 	rs := parkRunState(t)
 	var out []string
-	for _, d := range rs.eng.Chip().Devices {
+	for _, d := range rs.eng.chip.Devices {
 		edge, ok := rs.pickParkingEdge(d.Node)
 		out = append(out, parkLine(parkID(d.Node), edge, ok))
 	}
@@ -187,7 +187,7 @@ func parkLines(t *testing.T) []string {
 // on a doorstep edge while free segments remain.
 func TestPickParkingEdgeMatchesBaseline(t *testing.T) {
 	rs := parkRunState(t)
-	for _, d := range rs.eng.Chip().Devices {
+	for _, d := range rs.eng.chip.Devices {
 		edge, ok := rs.pickParkingEdge(d.Node)
 		checkFixture(t, parkLine(parkID(d.Node), edge, ok))
 		if ok && rs.eng.doorstep[edge] {
@@ -202,7 +202,7 @@ func TestPickParkingEdgeMatchesBaseline(t *testing.T) {
 // through the banned edges.
 func TestStorageUnderBans(t *testing.T) {
 	sc := storageCases(t)[1]
-	c, g, p := sc.eng.Chip(), sc.eng.Assay(), sc.p
+	c, g, p := sc.eng.chip, sc.eng.graph, sc.p
 	closedEdge := c.Valve(2).Edge // never conducts: no transport may cross it
 	openEdge := c.Valve(7).Edge   // conducts but cannot seal: no fluid may park there
 

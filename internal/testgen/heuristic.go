@@ -2,6 +2,7 @@ package testgen
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -17,7 +18,7 @@ import (
 // Options.EdgeWeights). The result is feasible by construction — every
 // original and added edge lies on a simple s-t path — but not necessarily
 // minimal in added edges. The two-level PSO uses this engine to evaluate
-// many configurations quickly; AugmentILP provides the exact optimum.
+// many configurations quickly; AugmentILPCtx provides the exact optimum.
 func AugmentHeuristic(c *chip.Chip, opts Options) (*Augmentation, error) {
 	return AugmentHeuristicCtx(context.Background(), c, opts)
 }
@@ -167,11 +168,16 @@ func remainingTargets(targets []int, covered []bool, from int) int {
 	return n
 }
 
+// errNoRoute marks an edge that no simple path crosses under the routing
+// cost. Repairs and suite generation try many edges that fail, so a failed
+// routing returns this one value instead of building an error.
+var errNoRoute = errors.New("no simple path through the edge")
+
 // routeThrough finds a simple s-t path through the edge `through`,
 // minimizing the summed edge cost. It tries both orientations: a shortest
 // s→a leg, then a b→t leg that avoids every node of the first leg (keeping
 // the whole path simple). Its search buffers come from a pool, so a call
-// allocates little beyond the returned path.
+// allocates little beyond the returned path, and a failed one nothing.
 func routeThrough(c *chip.Chip, s, t, through int, cost func(int) float64) ([]int, error) {
 	rs := routeScratchPool.Get().(*routeScratch)
 	defer routeScratchPool.Put(rs)
@@ -237,7 +243,7 @@ func routeThrough(c *chip.Chip, s, t, through int, cost func(int) float64) ([]in
 		}
 	}
 	if best == nil {
-		return nil, fmt.Errorf("no simple path from %d to %d through edge %d", s, t, through)
+		return nil, errNoRoute
 	}
 	return best, nil
 }

@@ -10,22 +10,18 @@ import (
 	"repro/internal/lp"
 )
 
-// AugmentILP computes a DFT configuration with the paper's ILP
+// AugmentILPCtx computes a DFT configuration with the paper's ILP
 // (eqs. (1)-(6)). The number of test paths |P| starts at 2 and is
 // incremented whenever the current count admits no feasible cover, exactly
 // as described in Section 3. Loops in path solutions are excluded lazily
 // with subtour-elimination constraints (technique of ref. [16]).
-func AugmentILP(c *chip.Chip, opts Options) (*Augmentation, error) {
-	return AugmentILPCtx(context.Background(), c, opts)
-}
-
-// AugmentILPCtx is AugmentILP with cooperative cancellation: the context is
-// threaded into every branch-and-bound node and LP relaxation, so an
-// expired deadline or a Ctrl-C stops the solve within one node. A
-// cancelled solve returns the context's error (wrapped); an instance that
-// is genuinely uncoverable returns an error wrapping ErrInfeasible; an
-// augmentation whose valves cannot all be cut-tested returns the cut
-// generator's error.
+//
+// The context is threaded into every branch-and-bound node and LP
+// relaxation, so an expired deadline or a Ctrl-C stops the solve within
+// one node. A cancelled solve returns the context's error (wrapped); an
+// instance that is genuinely uncoverable returns an error wrapping
+// ErrInfeasible; an augmentation whose valves cannot all be cut-tested
+// returns the cut generator's error.
 func AugmentILPCtx(ctx context.Context, c *chip.Chip, opts Options) (*Augmentation, error) {
 	srcPort, dstPort, srcNode, dstNode := testPorts(c)
 	var lastErr error = ErrInfeasible

@@ -1,6 +1,7 @@
 package testgen
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -79,7 +80,7 @@ func TestILPOnRandomChipIsValid(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	c := chip.Random(rng)
-	exact, err := AugmentILP(c, Options{ILPMaxNodes: 1500})
+	exact, err := AugmentILPCtx(context.Background(), c, Options{ILPMaxNodes: 1500})
 	if err != nil {
 		t.Skipf("ILP gave up on this instance (%v) — the heuristic engine covers it", err)
 	}

@@ -1,0 +1,5 @@
+//go:build race
+
+package testgen
+
+const raceEnabled = true

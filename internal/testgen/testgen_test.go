@@ -76,7 +76,7 @@ func TestHeuristicAugmentAllBenchmarks(t *testing.T) {
 
 func TestILPAugmentIVD(t *testing.T) {
 	c := chip.IVD()
-	a, err := AugmentILP(c, Options{})
+	a, err := AugmentILPCtx(context.Background(), c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,6 +236,41 @@ func TestEdgeWeightsSteerHeuristic(t *testing.T) {
 	}
 	if same {
 		t.Log("warning: weights did not change the configuration (acceptable but unusual)")
+	}
+}
+
+// TestRouteThroughFailureAllocFree: a routing that finds no path returns
+// the errNoRoute sentinel, so once the scratch pool is warm a failed call
+// allocates nothing. The case is a channel-only routing between two ports
+// of IVD_chip through the first grid edge no such path crosses.
+func TestRouteThroughFailureAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	c := chip.IVD()
+	channel := func(e int) float64 {
+		if _, ok := c.ValveOnEdge(e); !ok {
+			return -1
+		}
+		return 1
+	}
+	s, dst := c.Ports[0].Node, c.Ports[1].Node
+	through := -1
+	for e := 0; e < c.Grid.NumEdges() && through < 0; e++ {
+		if _, err := routeThrough(c, s, dst, e, channel); err != nil {
+			through = e
+		}
+	}
+	if through < 0 {
+		t.Fatal("every grid edge routes; no failing case")
+	}
+	if _, err := routeThrough(c, s, dst, through, channel); !errors.Is(err, errNoRoute) {
+		t.Fatalf("failed routing through edge %d: err = %v, want errNoRoute", through, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		_, _ = routeThrough(c, s, dst, through, channel)
+	}); allocs != 0 {
+		t.Fatalf("failed routing through edge %d allocates %v times per call, want 0", through, allocs)
 	}
 }
 
