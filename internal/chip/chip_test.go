@@ -317,14 +317,22 @@ func TestIndependentControl(t *testing.T) {
 
 func TestSharedControlValidation(t *testing.T) {
 	c := chipWithDFT(t, 2)
-	if _, err := SharedControl(c, []int{0}); err == nil {
-		t.Fatal("wrong partner count must fail")
+	for _, tc := range []struct {
+		partner []int
+		want    string
+	}{
+		{[]int{0}, "chip IVD_chip: 1 partners for 2 DFT valves"},
+		{[]int{0, 0}, "chip IVD_chip: original valve 0 shared by DFT valves 12 and 13"},
+		{[]int{5, 5}, "chip IVD_chip: original valve 5 shared by DFT valves 12 and 13"},
+		{[]int{0, 99}, "chip IVD_chip: DFT valve 13 names invalid partner 99"},
+		{[]int{-2, 1}, "chip IVD_chip: DFT valve 12 names invalid partner -2"},
+	} {
+		if _, err := SharedControl(c, tc.partner); err == nil || err.Error() != tc.want {
+			t.Errorf("SharedControl(%v) = %v, want error %q", tc.partner, err, tc.want)
+		}
 	}
-	if _, err := SharedControl(c, []int{0, 0}); err == nil {
-		t.Fatal("duplicate partner must fail")
-	}
-	if _, err := SharedControl(c, []int{0, 99}); err == nil {
-		t.Fatal("out-of-range partner must fail")
+	if _, err := SharedControl(c, []int{-1, -1}); err != nil {
+		t.Fatalf("own lines for both DFT valves: %v", err)
 	}
 	ct, err := SharedControl(c, []int{3, 7})
 	if err != nil {

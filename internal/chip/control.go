@@ -36,7 +36,15 @@ func SharedControl(c *Chip, partner []int) (*Control, error) {
 	for v := 0; v < nOrig; v++ {
 		ct.lineOf[v] = v
 	}
-	used := make(map[int]int, nDFT)
+	// used[p] is the DFT valve already sharing original valve p's line, 0
+	// for none (DFT valve IDs start at nOrig, which is at least 1 once any
+	// partner is valid). Up to 64 original valves it lives on the stack,
+	// so building a scheme allocates only the Control and its line table.
+	var buf [64]int
+	used := buf[:]
+	if nOrig > len(buf) {
+		used = make([]int, nOrig)
+	}
 	for i, p := range partner {
 		if p == -1 {
 			ct.lineOf[nOrig+i] = ct.nLines
@@ -46,7 +54,7 @@ func SharedControl(c *Chip, partner []int) (*Control, error) {
 		if p < 0 || p >= nOrig {
 			return nil, fmt.Errorf("chip %s: DFT valve %d names invalid partner %d", c.Name, nOrig+i, p)
 		}
-		if prev, dup := used[p]; dup {
+		if prev := used[p]; prev > 0 {
 			return nil, fmt.Errorf("chip %s: original valve %d shared by DFT valves %d and %d", c.Name, p, prev, nOrig+i)
 		}
 		used[p] = nOrig + i

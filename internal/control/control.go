@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"repro/internal/chip"
+	"repro/internal/graphalg"
 	"repro/internal/grid"
 )
 
@@ -201,10 +202,15 @@ func routeLine(g *grid.Grid, line int, valveTaps []ValveTap, occupied []int, por
 		tries = len(cands)
 	}
 
+	var sc graphalg.Scratch
+	allowed := make([]bool, gg.NumEdges()) // free edges and the tree's own
 	for t := 0; t < tries; t++ {
 		port := cands[t].node
 		treeNodes := map[int]bool{port: true}
 		var treeEdges []int
+		for e := range allowed {
+			allowed[e] = free(e)
+		}
 		ok := true
 		// Connect terminals one at a time, each via the nearest tree node
 		// (a BFS Steiner heuristic).
@@ -212,9 +218,7 @@ func routeLine(g *grid.Grid, line int, valveTaps []ValveTap, occupied []int, por
 			if treeNodes[tap.Terminal] {
 				continue
 			}
-			edges, found := connectToTree(gg, treeNodes, tap.Terminal, func(e int) bool {
-				return free(e) || containsEdge(treeEdges, e)
-			})
+			edges, found := connectToTree(gg, &sc, treeNodes, tap.Terminal, allowed)
 			if !found {
 				ok = false
 				break
@@ -223,6 +227,7 @@ func routeLine(g *grid.Grid, line int, valveTaps []ValveTap, occupied []int, por
 				if !containsEdge(treeEdges, e) {
 					treeEdges = append(treeEdges, e)
 				}
+				allowed[e] = true
 				u, v := gg.Endpoints(e)
 				treeNodes[u] = true
 				treeNodes[v] = true
@@ -256,21 +261,18 @@ func routeLine(g *grid.Grid, line int, valveTaps []ValveTap, occupied []int, por
 }
 
 // connectToTree finds the shortest path from any tree node to target over
-// allowed edges.
-func connectToTree(gg interface {
-	BFSFrom(int, func(int) bool) []int
-	ShortestPath(int, int, func(int) bool) ([]int, []int, bool)
-}, treeNodes map[int]bool, target int, allow func(int) bool) ([]int, bool) {
+// the edges the mask allows. The returned slice is the caller's.
+func connectToTree(gg *graphalg.Graph, sc *graphalg.Scratch, treeNodes map[int]bool, target int, allowed []bool) ([]int, bool) {
 	bestLen := -1
 	var best []int
 	for n := range treeNodes {
-		_, edges, ok := gg.ShortestPath(n, target, allow)
+		_, edges, ok := gg.ShortestPathScratch(sc, n, target, allowed)
 		if !ok {
 			continue
 		}
 		if bestLen < 0 || len(edges) < bestLen {
 			bestLen = len(edges)
-			best = edges
+			best = append(best[:0], edges...)
 		}
 	}
 	return best, bestLen >= 0

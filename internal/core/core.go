@@ -297,6 +297,11 @@ type flow struct {
 	augCache   *artifact.Cache[*augEval]
 	innerCache *artifact.Cache[float64]
 
+	// plan is the original chip's greedy-augmentation plan, built once by
+	// augment.
+	planOnce sync.Once
+	plan     *testgen.AugmentPlan
+
 	// Typed artifacts handed between pipeline stages.
 	chainOut flowstage.Artifact[solve.Outcome[*testgen.Augmentation]]
 	refEval  flowstage.Artifact[*augEval]
@@ -587,9 +592,12 @@ func (f *flow) workers() int { return par.Workers(f.opts.Workers) }
 
 // augment produces a DFT configuration for the given edge-weight bias
 // with the fast greedy engine (the search loops never pay for the ILP;
-// the unbiased reference goes through solve.AugmentChain instead).
+// the unbiased reference goes through solve.AugmentChain instead). The
+// chip's augmentation plan is built on the first call and shared by the
+// swarm workers.
 func (f *flow) augment(weights []float64) (*testgen.Augmentation, error) {
-	return testgen.AugmentHeuristicCtx(f.ctx, f.orig, testgen.Options{EdgeWeights: weights})
+	f.planOnce.Do(func() { f.plan = testgen.NewAugmentPlan(f.orig) })
+	return f.plan.Heuristic(f.ctx, testgen.Options{EdgeWeights: weights})
 }
 
 // evalAug returns the cached per-configuration artifacts, generating paths

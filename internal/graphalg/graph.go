@@ -6,11 +6,15 @@
 // The package is deliberately minimal and allocation-conscious: the fault
 // simulator calls reachability once per (vector, fault) pair and the
 // schedulers call shortest-path routing once per transport, so these
-// routines sit on the hot path of every experiment in the paper.
+// routines sit on the hot path of every experiment in the paper. The
+// weighted and filtered searches the flow runs read per-edge tables — a
+// weight per edge, or an edge mask — instead of calling a function per
+// relaxation.
 package graphalg
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -164,7 +168,8 @@ func (s *Scratch) visit(n int) int {
 
 // ShortestPath returns a minimum-hop path from src to dst over edges
 // permitted by allow, as (nodes, edges); nodes has one more element than
-// edges. ok is false if dst is unreachable.
+// edges. ok is false if dst is unreachable. It allocates per call and is
+// the reference ShortestPathScratch is tested against.
 func (g *Graph) ShortestPath(src, dst int, allow func(edge int) bool) (nodes, edges []int, ok bool) {
 	g.checkNode(src)
 	g.checkNode(dst)
@@ -206,13 +211,15 @@ func (g *Graph) ShortestPath(src, dst int, allow func(edge int) bool) (nodes, ed
 	return nodes, edges, true
 }
 
-// ShortestPathScratch is ShortestPath with caller-owned buffers: repeated
-// queries allocate nothing once the scratch has grown to the graph size.
-// It visits nodes in ShortestPath's BFS order and stops at the same point,
-// so it returns the same path node for node and edge for edge. The
-// returned slices alias the scratch and are overwritten by its next query;
-// a caller that needs two paths at once uses two scratches.
-func (g *Graph) ShortestPathScratch(s *Scratch, src, dst int, allow func(edge int) bool) (nodes, edges []int, ok bool) {
+// ShortestPathScratch is ShortestPath over an edge mask, with caller-owned
+// buffers: allowed[e] admits edge e (a nil mask admits every edge), and
+// repeated queries allocate nothing once the scratch has grown to the
+// graph size. It visits nodes in ShortestPath's BFS order and stops at the
+// same point, so it returns the same path node for node and edge for edge
+// as ShortestPath with the filter allow(e) = allowed[e]. The returned
+// slices alias the scratch and are overwritten by its next query; a caller
+// that needs two paths at once uses two scratches.
+func (g *Graph) ShortestPathScratch(s *Scratch, src, dst int, allowed []bool) (nodes, edges []int, ok bool) {
 	g.checkNode(src)
 	g.checkNode(dst)
 	epoch := s.visit(g.n)
@@ -227,7 +234,7 @@ func (g *Graph) ShortestPathScratch(s *Scratch, src, dst int, allow func(edge in
 	for head := 0; head < len(queue) && seen[dst] != epoch; head++ {
 		u := queue[head]
 		for _, a := range g.adj[u] {
-			if allow != nil && !allow(a.Edge) {
+			if allowed != nil && !allowed[a.Edge] {
 				continue
 			}
 			if seen[a.To] != epoch {
@@ -256,7 +263,10 @@ func (g *Graph) ShortestPathScratch(s *Scratch, src, dst int, allow func(edge in
 
 // WeightedShortestPath runs Dijkstra with nonnegative per-edge weights
 // (weight(edgeID) < 0 means the edge is forbidden) and returns the path as
-// (nodes, edges, totalWeight). ok is false if dst is unreachable.
+// (nodes, edges, totalWeight). ok is false if dst is unreachable. It
+// allocates per call and is the reference the table-driven
+// WeightedShortestPathScratch, BoundedPathScratch and
+// ShortestPathTreeScratch are tested against.
 func (g *Graph) WeightedShortestPath(src, dst int, weight func(edge int) float64) (nodes, edges []int, total float64, ok bool) {
 	g.checkNode(src)
 	g.checkNode(dst)
@@ -344,11 +354,13 @@ func (g *Graph) BFSDistScratch(s *Scratch, dist []int, src int, allow func(edge 
 }
 
 // PathScratch holds the reusable buffers of repeated weighted shortest-path
-// queries. The zero value is ready to use; one PathScratch must not be
-// shared between goroutines. The edge slice returned by
-// WeightedShortestPathScratch aliases the scratch and is overwritten by the
-// next query — callers that keep a path must copy it.
+// queries and the shortest-path tree of the last one. The zero value is
+// ready to use; one PathScratch must not be shared between goroutines. The
+// edge slices returned by its queries and by PathTo alias the scratch and
+// are overwritten by the next query or PathTo call — callers that keep a
+// path must copy it.
 type PathScratch struct {
+	src      int
 	dist     []float64
 	prevNode []int
 	prevEdge []int
@@ -358,22 +370,77 @@ type PathScratch struct {
 }
 
 // WeightedShortestPathScratch is WeightedShortestPath restricted to the
-// edge list (the schedulers never need the node list), with caller-owned
-// scratch buffers: repeated queries allocate nothing once the scratch has
+// edge list (the callers never need the node list), over a weight table
+// instead of a weight function: w[e] is edge e's weight, and w[e] < 0
+// forbids the edge. Repeated queries allocate nothing once the scratch has
 // grown to the graph size. The relaxation and heap order are identical to
-// WeightedShortestPath's, so the returned path (not just its cost) matches
-// it edge for edge.
-func (g *Graph) WeightedShortestPathScratch(s *PathScratch, src, dst int, weight func(edge int) float64) (edges []int, total float64, ok bool) {
+// WeightedShortestPath's with weight(e) = w[e], so the returned path (not
+// just its cost) matches it edge for edge.
+func (g *Graph) WeightedShortestPathScratch(s *PathScratch, src, dst int, w []float64) (edges []int, total float64, ok bool) {
+	g.dijkstra(s, src, dst, dst, w, 0, math.Inf(1))
+	return s.PathTo(dst)
+}
+
+// BoundedPathScratch is WeightedShortestPathScratch for a caller that only
+// wants the path when off + its cost < limit: the search gives up at the
+// first node it settles at a distance d with off + d >= limit. Dijkstra
+// settles nodes in nondecreasing distance and IEEE addition is monotone,
+// so every node settled before dst has off + d <= off + cost(dst). Hence
+// the search returns a path exactly when WeightedShortestPathScratch does
+// and off + cost < limit, and then the same path: until it gives up it
+// performs the same heap operations in the same order.
+func (g *Graph) BoundedPathScratch(s *PathScratch, src, dst int, w []float64, off, limit float64) (edges []int, total float64, ok bool) {
+	g.dijkstra(s, src, dst, dst, w, off, limit)
+	return s.PathTo(dst)
+}
+
+// ShortestPathTreeScratch runs one search from src that settles both dst1
+// and dst2 (it stops once both are settled or nothing is left to settle);
+// PathTo then reads the path to either. A settled node's distance and
+// predecessor never change again (weights are nonnegative and a relaxation
+// must strictly improve), and until the later target is settled the search
+// performs the heap operations of a single-target search for it, so PathTo
+// returns, for each target, the path WeightedShortestPathScratch returns
+// for it alone.
+func (g *Graph) ShortestPathTreeScratch(s *PathScratch, src, dst1, dst2 int, w []float64) {
+	g.dijkstra(s, src, dst1, dst2, w, 0, math.Inf(1))
+}
+
+// PathTo returns the path from the last search's source to dst as edges,
+// with its cost. ok is false unless that search settled dst, so it holds
+// for the targets of a search that reached them and may fail for any
+// other node.
+func (s *PathScratch) PathTo(dst int) (edges []int, total float64, ok bool) {
+	if dst < 0 || dst >= len(s.done) || !s.done[dst] {
+		return nil, 0, false
+	}
+	out := s.edges[:0]
+	for u := dst; u != s.src; u = s.prevNode[u] {
+		out = append(out, s.prevEdge[u])
+	}
+	reverseInts(out)
+	s.edges = out
+	return out, s.dist[dst], true
+}
+
+// dijkstra is the search behind the scratch queries: WeightedShortestPath's
+// relaxation and heap order over the weight table w. It settles nodes from
+// src until dst1 and dst2 are both settled or the heap is empty, and gives
+// up at the first node settled at a distance d with off + d >= limit.
+func (g *Graph) dijkstra(s *PathScratch, src, dst1, dst2 int, w []float64, off, limit float64) {
 	g.checkNode(src)
-	g.checkNode(dst)
+	g.checkNode(dst1)
+	g.checkNode(dst2)
 	const inf = 1e308
-	if len(s.dist) < g.n {
+	if cap(s.dist) < g.n {
 		s.dist = make([]float64, g.n)
 		s.prevNode = make([]int, g.n)
 		s.prevEdge = make([]int, g.n)
 		s.done = make([]bool, g.n)
 	}
-	dist, prevNode, prevEdge, done := s.dist[:g.n], s.prevNode[:g.n], s.prevEdge[:g.n], s.done[:g.n]
+	s.src = src
+	s.dist, s.prevNode, s.prevEdge, s.done = s.dist[:g.n], s.prevNode[:g.n], s.prevEdge[:g.n], s.done[:g.n]
+	dist, prevNode, prevEdge, done := s.dist, s.prevNode, s.prevEdge, s.done
 	for i := 0; i < g.n; i++ {
 		dist[i] = inf
 		prevNode[i] = -1
@@ -384,22 +451,31 @@ func (g *Graph) WeightedShortestPathScratch(s *PathScratch, src, dst int, weight
 	h := &s.heap
 	h.items = h.items[:0]
 	h.push(heapItem{node: src, dist: 0})
+	left := 2 // targets still to settle
+	if dst1 == dst2 {
+		left = 1
+	}
 	for h.len() > 0 {
 		it := h.pop()
 		u := it.node
 		if done[u] {
 			continue
 		}
+		if off+dist[u] >= limit {
+			return
+		}
 		done[u] = true
-		if u == dst {
-			break
+		if u == dst1 || u == dst2 {
+			if left--; left == 0 {
+				return
+			}
 		}
 		for _, a := range g.adj[u] {
-			w := weight(a.Edge)
-			if w < 0 {
+			wt := w[a.Edge]
+			if wt < 0 {
 				continue
 			}
-			nd := dist[u] + w
+			nd := dist[u] + wt
 			if nd < dist[a.To] {
 				dist[a.To] = nd
 				prevNode[a.To] = u
@@ -408,16 +484,6 @@ func (g *Graph) WeightedShortestPathScratch(s *PathScratch, src, dst int, weight
 			}
 		}
 	}
-	if dist[dst] >= inf {
-		return nil, 0, false
-	}
-	out := s.edges[:0]
-	for u := dst; u != src; u = prevNode[u] {
-		out = append(out, prevEdge[u])
-	}
-	reverseInts(out)
-	s.edges = out
-	return out, dist[dst], true
 }
 
 func reverseInts(s []int) {

@@ -38,10 +38,14 @@ func BenchmarkShortestPathGrid16(b *testing.B) {
 
 func BenchmarkDijkstraGrid16(b *testing.B) {
 	g := benchGrid(16, 16)
-	w := func(e int) float64 { return float64(e%5) + 1 }
+	w := make([]float64, g.NumEdges())
+	for e := range w {
+		w[e] = float64(e%5) + 1
+	}
+	var s PathScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, ok := g.WeightedShortestPath(0, g.NumNodes()-1, w); !ok {
+		if _, _, ok := g.WeightedShortestPathScratch(&s, 0, g.NumNodes()-1, w); !ok {
 			b.Fatal("no path")
 		}
 	}

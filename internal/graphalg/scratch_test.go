@@ -54,24 +54,12 @@ func TestWeightedShortestPathScratchMatches(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 2 + rng.Intn(30)
 		g := randomGraph(rng, n, n*2)
-		w := make([]float64, g.NumEdges())
-		for e := range w {
-			// Mix of unit weights, heavier penalties and forbidden edges —
-			// the three weight classes the scheduler produces.
-			switch rng.Intn(5) {
-			case 0:
-				w[e] = -1
-			case 1:
-				w[e] = 11
-			default:
-				w[e] = 1
-			}
-		}
+		w := randomWeights(rng, g.NumEdges())
 		weight := func(e int) float64 { return w[e] }
 		for pair := 0; pair < 12; pair++ {
 			src, dst := rng.Intn(n), rng.Intn(n)
 			_, wantEdges, wantCost, wantOK := g.WeightedShortestPath(src, dst, weight)
-			gotEdges, gotCost, gotOK := g.WeightedShortestPathScratch(&scratch, src, dst, weight)
+			gotEdges, gotCost, gotOK := g.WeightedShortestPathScratch(&scratch, src, dst, w)
 			if wantOK != gotOK {
 				t.Fatalf("trial %d %d->%d: ok %v vs %v", trial, src, dst, gotOK, wantOK)
 			}
@@ -101,7 +89,10 @@ func TestPathScratchReuseIsClean(t *testing.T) {
 	var bfsScratch Scratch
 	var dist []int
 	big := randomGraph(rand.New(rand.NewSource(3)), 50, 100)
-	unit := func(int) float64 { return 1 }
+	unit := make([]float64, big.NumEdges())
+	for e := range unit {
+		unit[e] = 1
+	}
 	all := func(int) bool { return true }
 	big.WeightedShortestPathScratch(&scratch, 0, 49, unit)
 	dist = big.BFSDistScratch(&bfsScratch, dist, 0, all)
@@ -109,7 +100,7 @@ func TestPathScratchReuseIsClean(t *testing.T) {
 	small := NewGraph(3)
 	e0 := small.AddEdge(0, 1)
 	e1 := small.AddEdge(1, 2)
-	edges, cost, ok := small.WeightedShortestPathScratch(&scratch, 0, 2, unit)
+	edges, cost, ok := small.WeightedShortestPathScratch(&scratch, 0, 2, unit[:small.NumEdges()])
 	if !ok || cost != 2 || len(edges) != 2 || edges[0] != e0 || edges[1] != e1 {
 		t.Fatalf("stale scratch state: edges=%v cost=%v ok=%v", edges, cost, ok)
 	}
@@ -127,18 +118,18 @@ func TestShortestPathScratchMatches(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(40)
 		g := randomGraph(rng, n, n*2)
-		blocked := make([]bool, g.NumEdges())
-		for e := range blocked {
-			blocked[e] = rng.Intn(4) == 0
+		allowed := make([]bool, g.NumEdges())
+		for e := range allowed {
+			allowed[e] = rng.Intn(4) != 0
 		}
-		allow := func(e int) bool { return !blocked[e] }
+		allow := func(e int) bool { return allowed[e] }
 		if trial%5 == 0 {
-			allow = nil
+			allowed, allow = nil, nil
 		}
 		for pair := 0; pair < 12; pair++ {
 			src, dst := rng.Intn(n), rng.Intn(n)
 			wantNodes, wantEdges, wantOK := g.ShortestPath(src, dst, allow)
-			gotNodes, gotEdges, gotOK := g.ShortestPathScratch(&scratches[pair%2], src, dst, allow)
+			gotNodes, gotEdges, gotOK := g.ShortestPathScratch(&scratches[pair%2], src, dst, allowed)
 			if gotOK != wantOK {
 				t.Fatalf("trial %d %d->%d: ok %v vs %v", trial, src, dst, gotOK, wantOK)
 			}

@@ -50,8 +50,10 @@ type runState struct {
 	recOps        []OpRecord
 	recTransports []TransportRecord
 
-	// Routing scratch (routing.go).
+	// Routing scratch (routing.go): weight is findPath's dynamic weight
+	// table.
 	path     graphalg.PathScratch
+	weight   []float64
 	pathBest []int
 	pathOut  []int
 	penalty  []float64
@@ -120,6 +122,7 @@ func newRunState(e *Engine) *runState {
 		holderOf:    make([]int, e.numEdges),
 		sharedValve: make([]bool, e.numValves),
 		penalty:     make([]float64, e.numEdges),
+		weight:      make([]float64, e.numEdges),
 		reqOpenEp:   make([]int, e.numValves),
 		reqClosedEp: make([]int, e.numValves),
 		touchedEp:   make([]int, e.numValves),

@@ -202,7 +202,7 @@ func TestWedgeStateComplete(t *testing.T) {
 			"doneOps": derived,
 			"now":     recorded, // kept beside each wedge; the state holds offsets from it
 			"recOps":  output, "recTransports": output,
-			"path": scratch, "pathBest": scratch, "pathOut": scratch, "penalty": scratch, "penTouch": scratch,
+			"path": scratch, "weight": scratch, "pathBest": scratch, "pathOut": scratch, "penalty": scratch, "penTouch": scratch,
 			"reqOpenEp": scratch, "reqClosedEp": scratch, "touchedEp": scratch, "touched": scratch,
 			"ownEp": scratch, "prodMoveEp": scratch, "lineOpenEp": scratch, "snapEpoch": scratch, "memberEp": scratch,
 			"bfs": scratch, "dist": scratch, "dist2": scratch, "evacBuf": scratch,

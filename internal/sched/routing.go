@@ -1,12 +1,13 @@
 package sched
 
 // Warm-engine routing: the per-transport path search. Dijkstra runs on
-// pooled scratch (graphalg.PathScratch) instead of allocating per call. A
-// transport requested while the chip is pristine — no edge busy, no
-// product stored in a segment, no reroute penalty — sees a routing weight
-// identical to the engine's precomputed baseWeight, so its path is a pure
-// function of the (from, to) pair and is served from the engine's
-// candidate cache.
+// pooled scratch (graphalg.PathScratch) over a per-edge weight table,
+// filled once per search, and settles both nodes of a segment destination
+// in one search per source node. A transport requested while the chip is
+// pristine — no edge busy, no product stored in a segment, no reroute
+// penalty — sees a routing weight identical to the engine's precomputed
+// baseWeight, so its path is a pure function of the (from, to) pair and is
+// served from the engine's candidate cache.
 
 // tryStartTransport attempts to launch the fluid movement for the pending
 // task at index ti. It returns true when the transport started.
@@ -126,11 +127,11 @@ func (rs *runState) clearPenalties() {
 
 // findPath computes a minimum-cost path of channel edges between two
 // locations. In a pristine snapshot (nothing busy, nothing stored, no
-// penalties) the dynamic weight function collapses to the engine's
-// baseWeight, so the result depends only on (from, to) and is served from —
-// or inserted into — the engine's candidate cache. Otherwise it runs the
-// dynamic Dijkstra. The returned slice aliases run
-// scratch or cache memory; callers must copy before retaining it.
+// penalties) the dynamic weights collapse to the engine's baseWeight, so
+// the result depends only on (from, to) and is served from — or inserted
+// into — the engine's candidate cache. Otherwise it fills the run's
+// dynamic weight table and runs Dijkstra on it. The returned slice aliases
+// run scratch or cache memory; callers must copy before retaining it.
 func (rs *runState) findPath(from, to location, producer int, penalized bool) ([]int, bool) {
 	e := rs.eng
 	if !penalized && rs.busyCount == 0 && rs.heldCount == 0 {
@@ -139,7 +140,7 @@ func (rs *runState) findPath(from, to location, producer int, penalized bool) ([
 			e.metrics.noteCandidateHit()
 			return c.edges, c.ok
 		}
-		edges, ok := rs.searchPath(from, to, func(ed int) float64 { return e.baseWeight[ed] })
+		edges, ok := rs.searchPath(from, to, e.baseWeight)
 		c := candidate{ok: ok}
 		if ok {
 			c.edges = append([]int(nil), edges...)
@@ -147,28 +148,28 @@ func (rs *runState) findPath(from, to location, producer int, penalized bool) ([
 		e.storeCandidate(key, c)
 		return edges, ok
 	}
-	weight := func(ed int) float64 {
-		v := e.valveOf[ed]
-		if v < 0 || e.stuckClosed[v] {
-			return -1 // unvalved or stuck-closed segment never conducts
+	w := rs.weight
+	for ed, base := range e.baseWeight {
+		switch h := rs.holderOf[ed]; {
+		case base < 0: // unvalved or stuck-closed segment never conducts
+			w[ed] = -1
+		case rs.edgeBusy[ed], h >= 0 && h != producer:
+			w[ed] = -1
+		default:
+			w[ed] = 1 + rs.penalty[ed]
 		}
-		if rs.edgeBusy[ed] {
-			return -1
-		}
-		if h := rs.holderOf[ed]; h >= 0 && h != producer {
-			return -1
-		}
-		return 1 + rs.penalty[ed]
 	}
-	return rs.searchPath(from, to, weight)
+	return rs.searchPath(from, to, w)
 }
 
 // searchPath is the cross-product shortest-path search shared by the
 // pristine and dynamic tiers, including the stored-segment entry/exit
 // adjustments. Node enumeration order and the strict `cost < best`
 // comparison decide ties, so both are part of the scheduling policy the
-// fixture pins.
-func (rs *runState) searchPath(from, to location, weight func(edge int) float64) ([]int, bool) {
+// fixture pins. One search per from-node settles every to-node; each
+// to-node's path is the one a search for it alone would return
+// (graphalg.ShortestPathTreeScratch).
+func (rs *runState) searchPath(from, to location, w []float64) ([]int, bool) {
 	e := rs.eng
 	var fromBuf, toBuf [2]int
 	fromNodes := rs.locationNodes(from, &fromBuf)
@@ -176,8 +177,9 @@ func (rs *runState) searchPath(from, to location, weight func(edge int) float64)
 	best := rs.pathBest[:0]
 	bestCost := -1.0
 	for _, fn := range fromNodes {
+		e.grid.ShortestPathTreeScratch(&rs.path, fn, toNodes[0], toNodes[len(toNodes)-1], w)
 		for _, tn := range toNodes {
-			edges, cost, ok := e.grid.WeightedShortestPathScratch(&rs.path, fn, tn, weight)
+			edges, cost, ok := rs.path.PathTo(tn)
 			if !ok {
 				continue
 			}

@@ -35,10 +35,7 @@ func BaselineVectors(c *chip.Chip) (paths, cuts []fault.Vector, err error) {
 // (any pair), then packs node-disjoint paths into shared vectors.
 func baselinePathVectors(c *chip.Chip) ([]fault.Vector, error) {
 	g := c.Grid.Graph()
-	channelOnly := func(e int) bool {
-		_, ok := c.ValveOnEdge(e)
-		return ok
-	}
+	hops := channelCost(channelMask(c))
 	covered := make([]bool, c.NumValves())
 
 	type rawPath struct {
@@ -61,12 +58,7 @@ func baselinePathVectors(c *chip.Chip) ([]fault.Vector, error) {
 				if i == j {
 					continue
 				}
-				p, perr := routeThrough(c, c.Ports[i].Node, c.Ports[j].Node, edge, func(e int) float64 {
-					if !channelOnly(e) {
-						return -1
-					}
-					return 1
-				})
+				p, perr := routeThrough(g, c.Ports[i].Node, c.Ports[j].Node, edge, hops)
 				if perr != nil {
 					continue
 				}
@@ -169,10 +161,7 @@ func baselinePathVectors(c *chip.Chip) ([]fault.Vector, error) {
 func baselineCutVectors(c *chip.Chip) ([]fault.Vector, error) {
 	sim := fault.MustSimulator(c, chip.IndependentControl(c))
 	g := c.Grid.Graph()
-	channelOnly := func(e int) bool {
-		_, ok := c.ValveOnEdge(e)
-		return ok
-	}
+	channelOnly := channelMask(c)
 	type candidate struct {
 		vector  fault.Vector
 		detects []int

@@ -158,10 +158,7 @@ func CutCoverILPModel(c *chip.Chip, src, dst int) (*ilp.Model, error) {
 func enumerateCutCandidates(c *chip.Chip, src, dst, k int) ([]fault.Vector, error) {
 	g := c.Grid.Graph()
 	srcNode, dstNode := c.Ports[src].Node, c.Ports[dst].Node
-	channelOnly := func(e int) bool {
-		_, ok := c.ValveOnEdge(e)
-		return ok
-	}
+	channelOnly := channelMask(c)
 	toVector := func(cutEdges []int) (fault.Vector, bool) {
 		valves := make([]int, 0, len(cutEdges))
 		for _, e := range cutEdges {
@@ -179,6 +176,7 @@ func enumerateCutCandidates(c *chip.Chip, src, dst, k int) ([]fault.Vector, erro
 	defer cutScratchPool.Put(sc)
 	var out []fault.Vector
 	var base []int // the valve's cut, copied out of sc before the alternatives reuse it
+	var allow []bool
 	for valve := 0; valve < c.NumValves(); valve++ {
 		through := c.Valve(valve).Edge
 		cut, err := cutThroughWithLeak(sc, g, srcNode, dstNode, through, channelOnly)
@@ -195,7 +193,8 @@ func enumerateCutCandidates(c *chip.Chip, src, dst, k int) ([]fault.Vector, erro
 			if banned == through || alts >= k-1 {
 				continue
 			}
-			allow := func(e int) bool { return e != banned && channelOnly(e) }
+			allow = append(allow[:0], channelOnly...)
+			allow[banned] = false
 			alt, err := cutThroughWithLeakAvoiding(sc, g, srcNode, dstNode, through, allow, allow, nil)
 			if err != nil {
 				continue

@@ -31,10 +31,7 @@ func GenerateCutsCtx(ctx context.Context, c *chip.Chip, src, dst int) ([]fault.V
 	sim := fault.MustSimulator(c, chip.IndependentControl(c))
 	srcNode, dstNode := c.Ports[src].Node, c.Ports[dst].Node
 	g := c.Grid.Graph()
-	channelOnly := func(e int) bool {
-		_, ok := c.ValveOnEdge(e)
-		return ok
-	}
+	channelOnly := channelMask(c)
 
 	// One candidate cut per valve, then greedy cover.
 	type candidate struct {
@@ -119,16 +116,40 @@ func GenerateCutsCtx(ctx context.Context, c *chip.Chip, src, dst int) ([]fault.V
 // errNoLeakCut marks valves for which no leak-preserving cut exists.
 var errNoLeakCut = fmt.Errorf("no leak-preserving cut exists")
 
-// cutThroughWithLeak finds a set of channel edges containing `through` that
-// separates s from t, such that closing the set minus `through` still
-// leaves an s-t leak path across `through` (the detection condition for a
-// stuck-at-1 valve on `through`). It protects a witness leak path with
-// large flow capacities so the min cut cannot sever it anywhere except at
-// `through` itself.
+// cutThroughWithLeak finds a set of edges admitted by the mask allow,
+// containing `through`, that separates s from t, such that closing the set
+// minus `through` still leaves an s-t leak path across `through` (the
+// detection condition for a stuck-at-1 valve on `through`). It protects a
+// witness leak path with large flow capacities so the min cut cannot sever
+// it anywhere except at `through` itself.
 // The returned cut aliases the scratch and is overwritten by its next
 // query.
-func cutThroughWithLeak(sc *cutScratch, g *graphalg.Graph, s, t, through int, allow func(int) bool) ([]int, error) {
+func cutThroughWithLeak(sc *cutScratch, g *graphalg.Graph, s, t, through int, allow []bool) ([]int, error) {
 	return cutThroughWithLeakAvoiding(sc, g, s, t, through, allow, allow, nil)
+}
+
+// channelMask returns c's channel edges as an edge mask: mask[e] reports
+// whether grid edge e carries a valve.
+func channelMask(c *chip.Chip) []bool {
+	mask := make([]bool, c.Grid.Graph().NumEdges())
+	for e := range mask {
+		_, mask[e] = c.ValveOnEdge(e)
+	}
+	return mask
+}
+
+// channelCost returns the routing table of channel-only paths over the
+// channel mask: every channel edge costs one hop, every other edge is
+// forbidden.
+func channelCost(channel []bool) []float64 {
+	cost := make([]float64, len(channel))
+	for e, ok := range channel {
+		cost[e] = -1
+		if ok {
+			cost[e] = 1
+		}
+	}
+	return cost
 }
 
 func containsInt(s []int, x int) bool {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -28,7 +29,7 @@ func AugmentHeuristic(c *chip.Chip, opts Options) (*Augmentation, error) {
 // context's error; an uncoverable edge fails with an error wrapping
 // ErrInfeasible.
 func AugmentHeuristicCtx(ctx context.Context, c *chip.Chip, opts Options) (*Augmentation, error) {
-	return augmentGreedy(ctx, c, opts, false)
+	return NewAugmentPlan(c).Heuristic(ctx, opts)
 }
 
 // AugmentRepair is the last-resort degradation tier: the same greedy
@@ -38,71 +39,92 @@ func AugmentHeuristicCtx(ctx context.Context, c *chip.Chip, opts Options) (*Augm
 // the tier always returns a usable (possibly partial) DFT configuration.
 // It fails only when even a partial configuration cannot be built.
 func AugmentRepair(ctx context.Context, c *chip.Chip, opts Options) (*Augmentation, error) {
-	return augmentGreedy(ctx, c, opts, true)
+	return NewAugmentPlan(c).greedy(ctx, opts, true)
 }
 
-// augmentGreedy is the shared greedy engine. With bestEffort=false every
-// original edge must be covered and cancellation aborts the run; with
-// bestEffort=true unroutable or out-of-budget targets are collected in
-// Augmentation.Uncovered and the partial configuration is returned.
-func augmentGreedy(ctx context.Context, c *chip.Chip, opts Options, bestEffort bool) (*Augmentation, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// AugmentPlan is the part of the greedy augmentation that depends on the
+// chip alone: the test ports and the order in which the original channels
+// are covered. A caller that augments one chip under many edge-weight
+// biases (the outer PSO) builds it once. It is immutable, so concurrent
+// Heuristic calls may share it.
+type AugmentPlan struct {
+	c                *chip.Chip
+	srcPort, dstPort int
+	srcNode, dstNode int
+	isOriginal       []bool // isOriginal[e]: grid edge e is an original channel
+	targets          []int  // the original edges in covering order
+}
+
+// NewAugmentPlan computes c's test ports and covering order. It panics,
+// as MaxDistantPortPair does, when c has fewer than two ports.
+func NewAugmentPlan(c *chip.Chip) *AugmentPlan {
 	srcPort, dstPort, srcNode, dstNode := testPorts(c)
 	g := c.Grid.Graph()
-	nEdges := g.NumEdges()
-
-	isOriginal := make([]bool, nEdges)
-	for _, e := range c.OriginalEdges() {
-		isOriginal[e] = true
+	p := &AugmentPlan{c: c, srcPort: srcPort, dstPort: dstPort, srcNode: srcNode, dstNode: dstNode,
+		isOriginal: make([]bool, g.NumEdges()), targets: c.OriginalEdges()}
+	for _, e := range p.targets {
+		p.isOriginal[e] = true
 	}
-	chosen := make([]bool, nEdges) // free edges committed to the DFT config
-	covered := make([]bool, nEdges)
-
-	// Edge traversal costs: original channels are nearly free (they exist),
-	// already-chosen DFT edges are cheap, fresh free edges cost 1 plus the
-	// PSO bias.
-	cost := func(e int) float64 {
-		switch {
-		case isOriginal[e]:
-			return 0.01
-		case chosen[e]:
-			return 0.05
-		default:
-			w := 1.0
-			if opts.EdgeWeights != nil && e < len(opts.EdgeWeights) && opts.EdgeWeights[e] > 0 {
-				w += opts.EdgeWeights[e]
-			}
-			return w
-		}
-	}
-
 	// Deterministic order: cover original edges farthest from the source
 	// first; their paths tend to sweep up closer edges for free.
-	targets := append([]int(nil), c.OriginalEdges()...)
 	distFromSrc := g.BFSFrom(srcNode, nil)
-	sort.SliceStable(targets, func(i, j int) bool {
-		ui, vi := g.Endpoints(targets[i])
-		uj, vj := g.Endpoints(targets[j])
+	sort.SliceStable(p.targets, func(i, j int) bool {
+		ui, vi := g.Endpoints(p.targets[i])
+		uj, vj := g.Endpoints(p.targets[j])
 		di := min(distFromSrc[ui], distFromSrc[vi])
 		dj := min(distFromSrc[uj], distFromSrc[vj])
 		if di != dj {
 			return di > dj
 		}
-		return targets[i] < targets[j]
+		return p.targets[i] < p.targets[j]
 	})
+	return p
+}
+
+// Heuristic is AugmentHeuristicCtx on the plan's chip.
+func (p *AugmentPlan) Heuristic(ctx context.Context, opts Options) (*Augmentation, error) {
+	return p.greedy(ctx, opts, false)
+}
+
+// greedy is the shared greedy engine. With bestEffort=false every
+// original edge must be covered and cancellation aborts the run; with
+// bestEffort=true unroutable or out-of-budget targets are collected in
+// Augmentation.Uncovered and the partial configuration is returned.
+func (p *AugmentPlan) greedy(ctx context.Context, opts Options, bestEffort bool) (*Augmentation, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	g := p.c.Grid.Graph()
+	nEdges := g.NumEdges()
+
+	// Edge traversal costs: original channels are nearly free (they exist),
+	// already-chosen DFT edges are cheap (an edge's entry drops to 0.05
+	// when a path chooses it), fresh free edges cost 1 plus the PSO bias.
+	cost := make([]float64, nEdges)
+	for e := range cost {
+		if p.isOriginal[e] {
+			cost[e] = 0.01
+			continue
+		}
+		w := 1.0
+		if opts.EdgeWeights != nil && e < len(opts.EdgeWeights) && opts.EdgeWeights[e] > 0 {
+			w += opts.EdgeWeights[e]
+		}
+		cost[e] = w
+	}
+	chosen := make([]bool, nEdges) // free edges committed to the DFT config
+	covered := make([]bool, nEdges)
 
 	var paths [][]int
 	var uncovered []int
 	expired := false
-	for _, target := range targets {
+	for _, target := range p.targets {
 		if covered[target] {
 			continue
 		}
 		if !expired && ctx.Err() != nil {
 			if !bestEffort {
-				return nil, fmt.Errorf("testgen: heuristic cancelled with %d targets left: %w", remainingTargets(targets, covered, target), ctx.Err())
+				return nil, fmt.Errorf("testgen: heuristic cancelled with %d targets left: %w", remainingTargets(p.targets, covered, target), ctx.Err())
 			}
 			expired = true
 		}
@@ -110,7 +132,7 @@ func augmentGreedy(ctx context.Context, c *chip.Chip, opts Options, bestEffort b
 			uncovered = append(uncovered, target)
 			continue
 		}
-		path, err := routeThrough(c, srcNode, dstNode, target, cost)
+		path, err := routeThrough(g, p.srcNode, p.dstNode, target, cost)
 		if err != nil {
 			if bestEffort {
 				uncovered = append(uncovered, target)
@@ -120,8 +142,9 @@ func augmentGreedy(ctx context.Context, c *chip.Chip, opts Options, bestEffort b
 		}
 		for _, e := range path {
 			covered[e] = true
-			if !isOriginal[e] {
+			if !p.isOriginal[e] {
 				chosen[e] = true
+				cost[e] = 0.05
 			}
 		}
 		paths = append(paths, path)
@@ -133,7 +156,7 @@ func augmentGreedy(ctx context.Context, c *chip.Chip, opts Options, bestEffort b
 			added = append(added, e)
 		}
 	}
-	aug, err := applyAugmentation(c, added)
+	aug, err := applyAugmentation(p.c, added)
 	if err != nil {
 		return nil, err
 	}
@@ -145,8 +168,8 @@ func augmentGreedy(ctx context.Context, c *chip.Chip, opts Options, bestEffort b
 		Chip:       aug,
 		AddedEdges: added,
 		Paths:      paths,
-		Source:     srcPort,
-		Meter:      dstPort,
+		Source:     p.srcPort,
+		Meter:      p.dstPort,
 		Method:     method,
 		Uncovered:  uncovered,
 	}, nil
@@ -174,69 +197,73 @@ func remainingTargets(targets []int, covered []bool, from int) int {
 var errNoRoute = errors.New("no simple path through the edge")
 
 // routeThrough finds a simple s-t path through the edge `through`,
-// minimizing the summed edge cost. It tries both orientations: a shortest
+// minimizing the summed edge cost, where cost[e] is edge e's cost and a
+// negative entry forbids the edge. It tries both orientations: a shortest
 // s→a leg, then a b→t leg that avoids every node of the first leg (keeping
-// the whole path simple). Its search buffers come from a pool, so a call
-// allocates little beyond the returned path, and a failed one nothing.
-func routeThrough(c *chip.Chip, s, t, through int, cost func(int) float64) ([]int, error) {
+// the whole path simple). Each leg searches its own table: a copy of cost
+// with the edges it must not use set to -1. Its search buffers come from a
+// pool, so a call allocates little beyond the returned path, and a failed
+// one nothing.
+//
+// A candidate path costs total = (cost1 + cost[through]) + cost2, summed
+// in that order, and replaces the best one only if total < bestCost. Once
+// one orientation has a path, the other's legs are bounded searches that
+// give up as soon as that comparison can no longer hold, which never
+// changes the result: leg weights are nonnegative and IEEE addition is
+// monotone, so total >= cost1 + cost[through] >= bestCost for a leg 1
+// given up with offset cost[through], and total >= bestCost for a leg 2
+// given up with offset cost1 + cost[through]. Until it gives up, a bounded
+// search is the unbounded one step for step (graphalg.BoundedPathScratch).
+func routeThrough(g *graphalg.Graph, s, t, through int, cost []float64) ([]int, error) {
 	rs := routeScratchPool.Get().(*routeScratch)
 	defer routeScratchPool.Put(rs)
-	g := c.Grid.Graph()
 	u, v := g.Endpoints(through)
-	rs.onLeg1 = growEpochs(rs.onLeg1, g.NumNodes())
+	ct := cost[through]
 	var best []int
 	bestCost := 0.0
 	for _, orient := range [2][2]int{{u, v}, {v, u}} {
 		a, b := orient[0], orient[1]
+		limit := math.Inf(1)
+		if best != nil {
+			limit = bestCost
+		}
 		// Leg 1: s -> a, avoiding `through` and node t (t must stay free
 		// for the second leg's endpoint) and node b (the path must cross
 		// `through` exactly once).
-		w1 := func(e int) float64 {
-			if e == through {
-				return -1
-			}
-			x, y := g.Endpoints(e)
-			if a != t && (x == t || y == t) {
-				return -1
-			}
-			if x == b || y == b {
-				return -1
-			}
-			return cost(e)
+		w1 := append(rs.w1[:0], cost...)
+		rs.w1 = w1
+		w1[through] = -1
+		if a != t {
+			banNode(g, w1, t)
 		}
-		edges1, cost1, ok := g.WeightedShortestPathScratch(&rs.leg1, s, a, w1)
+		banNode(g, w1, b)
+		edges1, cost1, ok := g.BoundedPathScratch(&rs.leg1, s, a, w1, ct, limit)
 		if !ok {
 			continue
 		}
-		// Mark leg 1's nodes by walking its edges from s.
-		rs.epoch++
-		epoch := rs.epoch
+		// Leg 2: b -> t avoiding `through` and every leg-1 node but b.
+		w2 := append(rs.w2[:0], cost...)
+		rs.w2 = w2
+		w2[through] = -1
 		n := s
-		rs.onLeg1[n] = epoch
+		if n != b {
+			banNode(g, w2, n)
+		}
 		for _, e := range edges1 {
 			if x, y := g.Endpoints(e); x == n {
 				n = y
 			} else {
 				n = x
 			}
-			rs.onLeg1[n] = epoch
-		}
-		// Leg 2: b -> t avoiding all leg-1 nodes and `through`.
-		w2 := func(e int) float64 {
-			if e == through {
-				return -1
+			if n != b {
+				banNode(g, w2, n)
 			}
-			x, y := g.Endpoints(e)
-			if (rs.onLeg1[x] == epoch && x != b) || (rs.onLeg1[y] == epoch && y != b) {
-				return -1
-			}
-			return cost(e)
 		}
-		edges2, cost2, ok := g.WeightedShortestPathScratch(&rs.leg2, b, t, w2)
+		edges2, cost2, ok := g.BoundedPathScratch(&rs.leg2, b, t, w2, cost1+ct, limit)
 		if !ok {
 			continue
 		}
-		total := cost1 + cost(through) + cost2
+		total := cost1 + ct + cost2
 		if best == nil || total < bestCost {
 			best = append(append(append(best[:0], edges1...), through), edges2...)
 			bestCost = total
@@ -248,13 +275,19 @@ func routeThrough(c *chip.Chip, s, t, through int, cost func(int) float64) ([]in
 	return best, nil
 }
 
+// banNode forbids every edge incident to node n in the weight table w.
+func banNode(g *graphalg.Graph, w []float64, n int) {
+	for _, a := range g.Adjacency(n) {
+		w[a.Edge] = -1
+	}
+}
+
 // routeScratch holds routeThrough's reusable buffers: one PathScratch per
-// leg (leg 1's path must survive the leg-2 search) and the leg-1 node
-// marks.
+// leg (leg 1's path must survive the leg-2 search) and the legs' weight
+// tables.
 type routeScratch struct {
 	leg1, leg2 graphalg.PathScratch
-	onLeg1     []int // onLeg1[node] == epoch: the node lies on leg 1
-	epoch      int
+	w1, w2     []float64
 }
 
 var routeScratchPool = sync.Pool{New: func() any { return new(routeScratch) }}

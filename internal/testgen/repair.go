@@ -74,7 +74,7 @@ func RepairUndetected(c *chip.Chip, ctrl *chip.Control, probe *fault.Probe, src,
 			}
 		case fault.StuckAt0:
 			var vec fault.Vector
-			if vec, found = repairPath(c, probe, g, srcNode, meterNode, src, meter, f.Valve, rs.sharedLine); found {
+			if vec, found = rs.repairPath(c, probe, g, srcNode, meterNode, src, meter, f.Valve); found {
 				paths = append(paths, vec)
 			}
 		}
@@ -100,26 +100,53 @@ func RepairUndetected(c *chip.Chip, ctrl *chip.Control, probe *fault.Probe, src,
 }
 
 // repairScratch holds the repair loop's reusable buffers: the cut search's
-// scratch plus the control-line tables of the scheme under repair. A pool
-// shares them across schemes, so a repair pass allocates little beyond
-// the vectors it returns.
+// scratch plus the tables of the scheme under repair. A pool shares them
+// across schemes, so a repair pass allocates little beyond the vectors it
+// returns.
 type repairScratch struct {
 	cutScratch
 	lines      lineIndex
 	sharedLine []bool // sharedLine[v]: valve v's line actuates another valve too
+
+	// Per-edge tables of the scheme, built once by index for all of its
+	// faults. A fault's own valve is exempt from the sharing rules, but
+	// its edge is the `through` edge, which both searches keep out of
+	// their legs, so the tables need no per-fault entries apart from that
+	// edge's cost in repairPath.
+	anyChannel []bool    // the edge carries a valve
+	unshared   []bool    // ... whose line actuates no other valve
+	strict     []float64 // 1 on unshared channels, -1 elsewhere
+	permissive []float64 // strict, with shared channels at 8
 }
 
 var repairScratchPool = sync.Pool{New: func() any { return new(repairScratch) }}
 
-// index fills the control-line tables for ctrl on c.
+// index fills the control-line tables and the per-edge tables for ctrl on
+// c.
 func (rs *repairScratch) index(c *chip.Chip, ctrl *chip.Control) {
 	rs.lines.build(c, ctrl)
-	if cap(rs.sharedLine) < c.NumValves() {
-		rs.sharedLine = make([]bool, c.NumValves())
-	}
-	rs.sharedLine = rs.sharedLine[:c.NumValves()]
+	rs.sharedLine = resize(rs.sharedLine, c.NumValves())
 	for v := range rs.sharedLine {
 		rs.sharedLine[v] = len(rs.lines.lineEdges[ctrl.LineOf(v)]) > 1
+	}
+	nEdges := c.Grid.Graph().NumEdges()
+	rs.anyChannel = resize(rs.anyChannel, nEdges)
+	rs.unshared = resize(rs.unshared, nEdges)
+	rs.strict = resize(rs.strict, nEdges)
+	rs.permissive = resize(rs.permissive, nEdges)
+	for e := 0; e < nEdges; e++ {
+		cv, ok := c.ValveOnEdge(e)
+		shared := ok && rs.sharedLine[cv]
+		rs.anyChannel[e] = ok
+		rs.unshared[e] = ok && !shared
+		switch {
+		case !ok:
+			rs.strict[e], rs.permissive[e] = -1, -1
+		case shared:
+			rs.strict[e], rs.permissive[e] = -1, 8
+		default:
+			rs.strict[e], rs.permissive[e] = 1, 1
+		}
 	}
 }
 
@@ -132,7 +159,7 @@ type lineIndex struct {
 }
 
 func (li *lineIndex) build(c *chip.Chip, ctrl *chip.Control) {
-	li.edgeLine = resizeInts(li.edgeLine, c.Grid.Graph().NumEdges())
+	li.edgeLine = resize(li.edgeLine, c.Grid.Graph().NumEdges())
 	for e := range li.edgeLine {
 		li.edgeLine[e] = -1
 	}
@@ -153,11 +180,11 @@ func (li *lineIndex) build(c *chip.Chip, ctrl *chip.Control) {
 	}
 }
 
-// resizeInts returns buf resized to n, reallocating only when it is too
+// resize returns buf resized to n, reallocating only when it is too
 // small; the contents are unspecified.
-func resizeInts(buf []int, n int) []int {
+func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -170,19 +197,8 @@ func resizeInts(buf []int, n int) []int {
 // closing the cut cannot force any witness edge shut.
 func (rs *repairScratch) repairCut(c *chip.Chip, probe *fault.Probe, g *graphalg.Graph, srcNode, meterNode, src, meter, v int) (fault.Vector, bool) {
 	edge := c.Valve(v).Edge
-	anyChannel := func(e int) bool {
-		_, okV := c.ValveOnEdge(e)
-		return okV
-	}
-	channelUnshared := func(e int) bool {
-		cv, okV := c.ValveOnEdge(e)
-		if !okV {
-			return false
-		}
-		return !rs.sharedLine[cv] || cv == v
-	}
-	for _, legFilter := range []func(int) bool{channelUnshared, anyChannel} {
-		cutEdges, err := cutThroughWithLeakAvoiding(&rs.cutScratch, g, srcNode, meterNode, edge, legFilter, anyChannel, &rs.lines)
+	for _, legAllow := range [2][]bool{rs.unshared, rs.anyChannel} {
+		cutEdges, err := cutThroughWithLeakAvoiding(&rs.cutScratch, g, srcNode, meterNode, edge, legAllow, rs.anyChannel, &rs.lines)
 		if err != nil {
 			continue
 		}
@@ -210,33 +226,18 @@ func (rs *repairScratch) repairCut(c *chip.Chip, probe *fault.Probe, g *graphalg
 
 // repairPath builds a sharing-immune path vector for a stuck-at-0 fault at
 // valve v: the whole path uses unshared lines (apart from v), so no forced
-// partner opening can build a bypass.
-func repairPath(c *chip.Chip, probe *fault.Probe, g *graphalg.Graph, srcNode, meterNode, src, meter, v int, sharedLine []bool) (fault.Vector, bool) {
+// partner opening can build a bypass. If no such path exists it falls back
+// to a permissive routing, where shared edges are allowed but expensive;
+// the probe has the final word on whether a bypass masks the fault.
+func (rs *repairScratch) repairPath(c *chip.Chip, probe *fault.Probe, g *graphalg.Graph, srcNode, meterNode, src, meter, v int) (fault.Vector, bool) {
 	edge := c.Valve(v).Edge
-	strict := func(e int) float64 {
-		cv, okV := c.ValveOnEdge(e)
-		if !okV {
-			return -1
-		}
-		if sharedLine[cv] && cv != v {
-			return -1
-		}
-		return 1
-	}
-	// Permissive fallback: shared edges allowed but expensive; the
-	// probe has the final word on whether a bypass masks the fault.
-	permissive := func(e int) float64 {
-		cv, okV := c.ValveOnEdge(e)
-		if !okV {
-			return -1
-		}
-		if sharedLine[cv] && cv != v {
-			return 8
-		}
-		return 1
-	}
-	for _, cost := range []func(int) float64{strict, permissive} {
-		pathEdges, err := routeThrough(c, srcNode, meterNode, edge, cost)
+	for _, cost := range [2][]float64{rs.strict, rs.permissive} {
+		// v's own edge costs 1 under both rules; routeThrough reads that
+		// entry only for the path's total.
+		saved := cost[edge]
+		cost[edge] = 1
+		pathEdges, err := routeThrough(g, srcNode, meterNode, edge, cost)
+		cost[edge] = saved
 		if err != nil {
 			continue
 		}
@@ -260,78 +261,88 @@ func repairPath(c *chip.Chip, probe *fault.Probe, g *graphalg.Graph, srcNode, me
 type cutScratch struct {
 	leg1, leg2 graphalg.Scratch // one per leg: leg 1's path must survive the leg-2 search
 	net        graphalg.FlowNetwork
-	onLeg1     []int // onLeg1[node] == epoch: the node lies on leg 1
-	protect    []int // protect[edge] == epoch: the edge is protected from the cut
-	epoch      int
+	legMask    []bool // the witness legs' edges: legAllow without `through`
+	disjoint   []bool // legMask without the edges at leg-1 nodes
+	protected  []bool // protected[e]: e is in the network and protected from the cut; all false between queries
+	protList   []int  // the edges set in protected
 	cut        []int
 }
 
 var cutScratchPool = sync.Pool{New: func() any { return new(cutScratch) }}
 
-// cutThroughWithLeakAvoiding is cutThroughWithLeak with a separate filter
-// for the leak-path witness legs (legAllow) and the cuttable edge set
+// cutThroughWithLeakAvoiding is cutThroughWithLeak with a separate edge
+// mask for the leak-path witness legs (legAllow) and the cuttable edge set
 // (allow). lines, if non-nil, widens the protected edge set before the
 // min-cut to every edge whose valve shares a control line with a valve of
 // the witness. The returned cut aliases the scratch and is overwritten by
 // its next query.
-func cutThroughWithLeakAvoiding(sc *cutScratch, g *graphalg.Graph, s, t, through int, legAllow, allow func(int) bool, lines *lineIndex) ([]int, error) {
+//
+// An orientation whose protected edges (those of the network, so allowed
+// and not `through`) alone join s and t has no cut: the protected arcs
+// carry a flow of big along that path, so the max flow would reach big
+// and the orientation would be skipped. The search skips it without
+// running the max flow. Every other orientation builds the same network
+// in the same arc order as before and solves it, and MinCutArcs returns
+// the source-minimal minimum cut — the same set for every maximum flow —
+// so no cut changes.
+func cutThroughWithLeakAvoiding(sc *cutScratch, g *graphalg.Graph, s, t, through int, legAllow, allow []bool, lines *lineIndex) ([]int, error) {
 	u, v := g.Endpoints(through)
 	const big = 1 << 20
-	legExcept := func(e int) bool { return e != through && legAllow(e) }
-	sc.onLeg1 = growEpochs(sc.onLeg1, g.NumNodes())
-	sc.protect = growEpochs(sc.protect, g.NumEdges())
+	sc.legMask = append(sc.legMask[:0], legAllow...)
+	sc.legMask[through] = false
+	sc.protected = resize(sc.protected, g.NumEdges())
 	for _, orient := range [2][2]int{{u, v}, {v, u}} {
 		a, b := orient[0], orient[1]
-		nodes1, leg1, ok1 := g.ShortestPathScratch(&sc.leg1, s, a, legExcept)
+		nodes1, leg1, ok1 := g.ShortestPathScratch(&sc.leg1, s, a, sc.legMask)
 		if !ok1 {
 			continue
 		}
-		sc.epoch++
-		epoch := sc.epoch
+		sc.disjoint = append(sc.disjoint[:0], sc.legMask...)
 		for _, n := range nodes1 {
-			sc.onLeg1[n] = epoch
-		}
-		disjoint := func(e int) bool {
-			if !legExcept(e) {
-				return false
+			for _, arc := range g.Adjacency(n) {
+				sc.disjoint[arc.Edge] = false
 			}
-			x, y := g.Endpoints(e)
-			return sc.onLeg1[x] != epoch && sc.onLeg1[y] != epoch
 		}
-		_, leg2, ok2 := g.ShortestPathScratch(&sc.leg2, b, t, disjoint)
+		_, leg2, ok2 := g.ShortestPathScratch(&sc.leg2, b, t, sc.disjoint)
 		if !ok2 {
-			_, leg2, ok2 = g.ShortestPathScratch(&sc.leg2, b, t, legExcept)
+			_, leg2, ok2 = g.ShortestPathScratch(&sc.leg2, b, t, sc.legMask)
 		}
 		if !ok2 {
 			continue
 		}
 		for _, leg := range [2][]int{leg1, leg2} {
 			for _, e := range leg {
-				sc.protect[e] = epoch
+				sc.protect(e, through, allow)
 				if lines == nil {
 					continue
 				}
 				if l := lines.edgeLine[e]; l >= 0 {
 					for _, e2 := range lines.lineEdges[l] {
-						sc.protect[e2] = epoch
+						sc.protect(e2, through, allow)
 					}
 				}
 			}
 		}
+		// Leg 1 is spent, so its scratch serves the reachability check.
+		if _, _, joined := g.ShortestPathScratch(&sc.leg1, s, t, sc.protected); joined {
+			sc.unprotect()
+			continue
+		}
 		net := &sc.net
 		net.Reset(g.NumNodes())
 		for e := 0; e < g.NumEdges(); e++ {
-			if e == through || !allow(e) {
+			if e == through || !allow[e] {
 				continue
 			}
 			capacity := 1
-			if sc.protect[e] == epoch {
+			if sc.protected[e] {
 				capacity = big
 			}
 			x, y := g.Endpoints(e)
 			net.AddArc(x, y, capacity, e)
 			net.AddArc(y, x, capacity, e)
 		}
+		sc.unprotect()
 		if net.MaxFlow(s, t) >= big {
 			continue
 		}
@@ -343,11 +354,19 @@ func cutThroughWithLeakAvoiding(sc *cutScratch, g *graphalg.Graph, s, t, through
 	return nil, errNoLeakCut
 }
 
-// growEpochs returns marks with room for n entries. Fresh entries are
-// zero, which no epoch of a cutScratch ever equals.
-func growEpochs(marks []int, n int) []int {
-	if len(marks) < n {
-		return append(marks, make([]int, n-len(marks))...)
+// protect marks edge e protected from the cut when it belongs to the
+// network (allowed and not `through`).
+func (sc *cutScratch) protect(e, through int, allow []bool) {
+	if e != through && allow[e] && !sc.protected[e] {
+		sc.protected[e] = true
+		sc.protList = append(sc.protList, e)
 	}
-	return marks
+}
+
+// unprotect clears the protected marks.
+func (sc *cutScratch) unprotect() {
+	for _, e := range sc.protList {
+		sc.protected[e] = false
+	}
+	sc.protList = sc.protList[:0]
 }

@@ -136,3 +136,28 @@ func TestRepairAgreesWithSimulatorAcrossPairs(t *testing.T) {
 		}
 	}
 }
+
+// TestRepairIndexAllocFree: a scheme's control-line and per-edge tables
+// are rebuilt in the pooled scratch's buffers, so once they have grown,
+// indexing the next scheme allocates nothing, and the repairs of its
+// faults read the tables instead of building per-fault closures.
+func TestRepairIndexAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; asserted in non-race CI")
+	}
+	aug, _, _ := repairFixture(t)
+	c := aug.Chip
+	shared, err := chip.SharedControl(c, []int{8, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indep := chip.IndependentControl(c)
+	rs := new(repairScratch)
+	rs.index(c, indep)
+	if allocs := testing.AllocsPerRun(50, func() {
+		rs.index(c, shared)
+		rs.index(c, indep)
+	}); allocs != 0 {
+		t.Fatalf("indexing a scheme allocates %v times, want 0", allocs)
+	}
+}

@@ -92,8 +92,8 @@ type suitePre struct {
 	g   *graphalg.Graph
 	sim *fault.Simulator
 
-	channelOnly func(int) bool
-	cost        func(int) float64
+	channelOnly []bool    // channelMask(c)
+	cost        []float64 // channelCost(channelOnly)
 	portDist    [][]int
 
 	lines lineTable // GenerateTemplates only; see lineOf
@@ -105,21 +105,14 @@ type suitePre struct {
 func newSuitePre(sim *fault.Simulator) *suitePre {
 	c := sim.Chip()
 	p := &suitePre{c: c, g: c.Grid.Graph(), sim: sim}
-	p.channelOnly = func(e int) bool {
-		_, ok := c.ValveOnEdge(e)
-		return ok
-	}
 	// Suite vectors use only existing channels: free lattice edges are
 	// forbidden (negative weight), channel edges cost one hop.
-	p.cost = func(e int) float64 {
-		if p.channelOnly(e) {
-			return 1
-		}
-		return -1
-	}
+	p.channelOnly = channelMask(c)
+	p.cost = channelCost(p.channelOnly)
+	channel := func(e int) bool { return p.channelOnly[e] }
 	p.portDist = make([][]int, len(c.Ports))
 	for i, port := range c.Ports {
-		p.portDist[i] = p.g.BFSFrom(port.Node, p.channelOnly)
+		p.portDist[i] = p.g.BFSFrom(port.Node, channel)
 	}
 	return p
 }
@@ -238,7 +231,7 @@ func (p *suitePre) certify(vec fault.Vector, kind fault.VectorKind, valve int) b
 func (p *suitePre) solvePathAt(valve, src, dst int) (fault.Vector, bool) {
 	p.pathSolves.Add(1)
 	edge := p.c.Valve(valve).Edge
-	edges, err := routeThrough(p.c, p.c.Ports[src].Node, p.c.Ports[dst].Node, edge, p.cost)
+	edges, err := routeThrough(p.g, p.c.Ports[src].Node, p.c.Ports[dst].Node, edge, p.cost)
 	if err != nil {
 		return fault.Vector{}, false
 	}

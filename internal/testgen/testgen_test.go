@@ -248,27 +248,23 @@ func TestRouteThroughFailureAllocFree(t *testing.T) {
 		t.Skip("the race detector drops sync.Pool entries at random")
 	}
 	c := chip.IVD()
-	channel := func(e int) float64 {
-		if _, ok := c.ValveOnEdge(e); !ok {
-			return -1
-		}
-		return 1
-	}
+	g := c.Grid.Graph()
+	channel := channelCost(channelMask(c))
 	s, dst := c.Ports[0].Node, c.Ports[1].Node
 	through := -1
 	for e := 0; e < c.Grid.NumEdges() && through < 0; e++ {
-		if _, err := routeThrough(c, s, dst, e, channel); err != nil {
+		if _, err := routeThrough(g, s, dst, e, channel); err != nil {
 			through = e
 		}
 	}
 	if through < 0 {
 		t.Fatal("every grid edge routes; no failing case")
 	}
-	if _, err := routeThrough(c, s, dst, through, channel); !errors.Is(err, errNoRoute) {
+	if _, err := routeThrough(g, s, dst, through, channel); !errors.Is(err, errNoRoute) {
 		t.Fatalf("failed routing through edge %d: err = %v, want errNoRoute", through, err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		_, _ = routeThrough(c, s, dst, through, channel)
+		_, _ = routeThrough(g, s, dst, through, channel)
 	}); allocs != 0 {
 		t.Fatalf("failed routing through edge %d allocates %v times per call, want 0", through, allocs)
 	}
