@@ -70,8 +70,7 @@ type suiteGen func(context.Context, *fault.Simulator, testgen.SuiteOptions) (*te
 
 // suiteRecord times one single-worker suite generator on c, each op on a
 // fresh simulator, and returns its record, with the suite's structure
-// counters and the last op's distinct vector evaluations, and the suite of
-// the last op.
+// counters and the last op's state analyses, and the suite of the last op.
 func suiteRecord(cs, variant string, c *chip.Chip, gen suiteGen) (Record, *testgen.Suite, error) {
 	var s *testgen.Suite
 	var metrics *fault.Metrics
@@ -94,7 +93,7 @@ func suiteRecord(cs, variant string, c *chip.Chip, gen suiteGen) (Record, *testg
 		"vectors":      nv,
 		"ns_vector":    float64(r.NsOp) / nv,
 		"raw_vectors":  float64(st.RawVectors),
-		"sim_evals":    float64(metrics.Snapshot().MemoMisses),
+		"state_evals":  float64(metrics.Snapshot().StateEvals), // distinct valve states analysed
 		"path_solves":  float64(st.PathSolves),
 		"cut_solves":   float64(st.CutSolves),
 		"instantiated": float64(st.Instantiated),
@@ -121,13 +120,12 @@ func campaignRecord(cs string, c *chip.Chip, vectors []fault.Vector) (Record, er
 		return nil
 	})
 	r.Counters = map[string]float64{
-		"faults":          float64(len(faults)),
-		"pressure_solves": float64(snap.MemoMisses), // distinct fault-free vector evaluations
-		"state_evals":     float64(snap.StateEvals), // distinct valve states analysed
-		"screen_skips":    float64(snap.ScreenSkips),
-		"reach_checks":    float64(snap.ReachChecks),
-		"bridge_checks":   float64(snap.BridgeChecks),
-		"coverage_ratio":  cov.Ratio(),
+		"faults":         float64(len(faults)),
+		"state_evals":    float64(snap.StateEvals), // distinct valve states analysed
+		"screen_skips":   float64(snap.ScreenSkips),
+		"reach_checks":   float64(snap.ReachChecks),
+		"bridge_checks":  float64(snap.BridgeChecks),
+		"coverage_ratio": cov.Ratio(),
 	}
 	return r, err
 }

@@ -12,12 +12,12 @@
 // -optimal) load from disk on a warm rerun instead of re-solving — the
 // exact ILP cover in particular. The campaign itself always runs.
 //
-// The campaign runs on the parallel memoized engine; -workers sizes the
+// The campaign runs on the parallel engine; -workers sizes the
 // worker pool (default: all CPU cores). Coverage output is bit-identical
 // for any worker count. -stats prints a per-stage breakdown of the run
 // (testset → campaign and any optional stage below) with the counters the
 // flow's stages report for the same engines, including the simulator's
-// memo-cache hit rate. -leakage appends a quantitative leakage stage: the
+// state-memo hit rate. -leakage appends a quantitative leakage stage: the
 // cut vectors rerun through the sparse pressure engine to report which
 // closed-valve leaks a threshold meter actually registers.
 //
@@ -70,7 +70,7 @@ func run() int {
 		matrix   = flag.Bool("matrix", false, "print the fault x vector detection matrix")
 		baseline = flag.Bool("baseline", false, "also run the multi-instrument baseline on the original chip")
 		optimal  = flag.Bool("optimal", false, "use the exact minimum cut-set cover (ILP) instead of the greedy one")
-		stats    = flag.Bool("stats", false, "report the per-stage breakdown of the campaign (incl. memo-cache hit rate)")
+		stats    = flag.Bool("stats", false, "report the per-stage breakdown of the campaign (incl. state-memo hit rate)")
 		leakage  = flag.Bool("leakage", false, "quantify membrane-leakage detectability of the cut vectors on the sparse pressure engine")
 		diag     = flag.Bool("diagnose", false, "adaptively localize every fault with information-gain test selection")
 		reconf   = flag.Bool("reconfigure", false, "reschedule the assay around every diagnosed suspect set (implies -diagnose)")
@@ -107,7 +107,7 @@ func run() int {
 	}
 
 	// The campaign runs as an instrumented two-stage pipeline so -stats
-	// can attribute wall-clock and memo-cache traffic per phase.
+	// can attribute wall-clock and state-memo traffic per phase.
 	metrics := fault.NewMetrics()
 	var (
 		aug       *dft.Augmentation

@@ -171,9 +171,10 @@ func AllFaults(c *Chip) []Fault { return fault.AllFaults(c) }
 // NewSimulator returns a pressure-propagation fault simulator for the chip
 // under the given control assignment (nil for independent control). It
 // returns fault.ErrControlMismatch when the control assignment was built
-// for a different chip. The simulator memoizes fault-free states and
-// readings per vector, so repeated queries never re-derive the good-chip
-// behaviour.
+// for a different chip. The simulator memoizes the fault-free analysis of
+// each applied valve state, so repeated queries, and vectors that differ
+// only in sources and meters, never re-derive it; Certifies and Cover
+// answer several questions about one vector in one evaluation.
 func NewSimulator(c *Chip, ctrl *Control) (*fault.Simulator, error) {
 	if ctrl == nil {
 		ctrl = chip.IndependentControl(c)
@@ -181,7 +182,8 @@ func NewSimulator(c *Chip, ctrl *Control) (*fault.Simulator, error) {
 	return fault.NewSimulator(c, ctrl)
 }
 
-// Engine is the parallel, memoized fault-simulation campaign runner.
+// Engine is the parallel fault-simulation campaign runner; its campaigns
+// share their simulator's state memo.
 type Engine = fault.Engine
 
 // NewEngine returns a campaign engine over sim that fans per-fault

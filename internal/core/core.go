@@ -308,6 +308,12 @@ type flow struct {
 	outer    flowstage.Artifact[pso.Result]
 	bestEval flowstage.Artifact[*augEval]
 	final    flowstage.Artifact[*Result]
+
+	// finalSim is the simulator finalize's leakage campaign ran on, under
+	// the final chip and control; nil when finalize ran no campaign. The
+	// diagnosis stage builds its detection matrix on it, so the cut
+	// vectors' states are analysed once.
+	finalSim *fault.Simulator
 }
 
 // augEval is the flow's one record per configuration: the expensive
@@ -486,7 +492,7 @@ func (f *flow) enterStage(st *flowstage.StageStats) {
 }
 
 // CountFault folds a stage's fault-simulation traffic, the delta d of a
-// fault.Metrics, into its stats and emits the vector-memo delta to the
+// fault.Metrics, into its stats and emits the state-memo delta to the
 // observer (nil for none). The flow's stages and faultsim's share it, so
 // both report the same fault_* counters.
 func CountFault(st *flowstage.StageStats, obs flowstage.Observer, d fault.MetricsSnapshot) {
@@ -523,7 +529,6 @@ func (f *flow) leaveStage(st *flowstage.StageStats) {
 func CountSched(st *flowstage.StageStats, d sched.MetricsSnapshot) {
 	st.Count("sched_engine_builds", d.EngineBuilds)
 	st.Count("sched_warm_runs", d.WarmRuns)
-	st.Count("sched_candidate_hits", d.CandidateHits)
 	st.Count("sched_fallback_reroutes", d.FallbackReroutes)
 	st.Count("sched_livelocks", d.Livelocks)
 }

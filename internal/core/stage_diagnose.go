@@ -107,12 +107,12 @@ func (s *DiagnosisSummary) SuspectSets() [][]fault.Fault {
 }
 
 // runDiagnoseStage builds the detection matrix of the final test set
-// under the chosen sharing scheme and runs the diagnosis campaign: every
-// modeled fault is localized through the adaptive → greedy → replay
-// chain. A context that dies before or during the campaign skips the
-// stage gracefully (Result.Diagnosis stays nil, the result is marked
-// Interrupted) — an interrupted flow still returns the finalize stage's
-// complete Result.
+// under the chosen sharing scheme, on finalize's simulator when it built
+// one, and runs the diagnosis campaign: every modeled fault is localized
+// through the adaptive → greedy → replay chain. A context that dies
+// before or during the campaign skips the stage gracefully
+// (Result.Diagnosis stays nil, the result is marked Interrupted) — an
+// interrupted flow still returns the finalize stage's complete Result.
 func (f *flow) runDiagnoseStage(ctx context.Context, st *flowstage.StageStats) error {
 	f.enterStage(st)
 	defer f.leaveStage(st)
@@ -129,9 +129,12 @@ func (f *flow) runDiagnoseStage(ctx context.Context, st *flowstage.StageStats) e
 	}
 
 	c := res.Aug.Chip
-	sim, err := f.newSimulator(c, res.Control)
-	if err != nil {
-		return err
+	sim := f.finalSim
+	if sim == nil {
+		var err error
+		if sim, err = f.newSimulator(c, res.Control); err != nil {
+			return err
+		}
 	}
 	vectors := append(append([]fault.Vector{}, res.PathVectors...), res.CutVectors...)
 	m, err := fault.NewEngine(sim, f.opts.Workers).DetectionMatrix(ctx, vectors, fault.AllFaults(c))

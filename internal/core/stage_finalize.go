@@ -85,6 +85,7 @@ func (f *flow) runFinalizeStage(ctx context.Context, st *flowstage.StageStats) e
 		if simErr != nil {
 			return simErr
 		}
+		f.finalSim = sim
 		leakage, err = fault.QuantifyLeakage(context.Background(), sim, finalCuts, fault.LeakageOptions{})
 		if err != nil {
 			return err

@@ -10,9 +10,10 @@ import (
 )
 
 // TestRunSuiteTemplateFullCoverage: the suite pipeline fully covers a
-// generated FPVA grid and reports its work through the stage counters, and
-// the campaign reuses every analysis generation made on the run's one
-// simulator.
+// generated FPVA grid and reports its work through the stage counters.
+// Generation's certifications share state analyses on the run's one
+// simulator, and the campaign reuses every state generation analysed: it
+// looks each suite vector's state up once and analyses none.
 func TestRunSuiteTemplateFullCoverage(t *testing.T) {
 	c := chip.MustGenerateFPVA(chip.FPVAParams{W: 8, H: 8, Seed: 3})
 	res, err := RunSuite(c, SuiteRunOptions{Workers: 2})
@@ -32,9 +33,12 @@ func TestRunSuiteTemplateFullCoverage(t *testing.T) {
 	if gen.Counter("tmpl_instantiated") == 0 {
 		t.Fatal("tmpl_instantiated counter not recorded")
 	}
-	if states := gen.Counter("fault_state_evals"); states == 0 || states >= gen.Counter("fault_memo_misses") {
-		t.Fatalf("fault_state_evals=%d for %d vector-memo misses: line vectors must share states",
-			states, gen.Counter("fault_memo_misses"))
+	states, hits, misses := gen.Counter("fault_state_evals"), gen.Counter("fault_memo_hits"), gen.Counter("fault_memo_misses")
+	if states == 0 || states != misses {
+		t.Fatalf("fault_state_evals=%d for %d state-memo misses: each miss must analyse one state", states, misses)
+	}
+	if hits <= misses {
+		t.Fatalf("%d state-memo hits for %d misses: line vectors must share states", hits, misses)
 	}
 	if gen.Counter("suite_vectors") != int64(len(res.Suite.Vectors())) {
 		t.Fatalf("suite_vectors=%d, want %d", gen.Counter("suite_vectors"), len(res.Suite.Vectors()))
@@ -46,8 +50,11 @@ func TestRunSuiteTemplateFullCoverage(t *testing.T) {
 	if camp.Counter("fault_campaigns") == 0 {
 		t.Fatal("fault_campaigns counter not recorded")
 	}
-	if misses := camp.Counter("fault_memo_misses"); misses != 0 {
-		t.Fatalf("campaign missed the vector memo %d times: generation certified every suite vector", misses)
+	if misses, states := camp.Counter("fault_memo_misses"), camp.Counter("fault_state_evals"); misses != 0 || states != 0 {
+		t.Fatalf("campaign missed the state memo %d times and analysed %d states: generation certified every suite vector", misses, states)
+	}
+	if hits := camp.Counter("fault_memo_hits"); hits != int64(len(res.Suite.Vectors())) {
+		t.Fatalf("campaign made %d state-memo hits, want one per suite vector (%d)", hits, len(res.Suite.Vectors()))
 	}
 	if camp.Counter("cov_total") != int64(res.Coverage.Total) {
 		t.Fatalf("cov_total=%d, want %d", camp.Counter("cov_total"), res.Coverage.Total)

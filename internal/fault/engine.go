@@ -1,11 +1,11 @@
-// Engine: the parallel, memoized fault-simulation campaign runner.
+// Engine: the parallel fault-simulation campaign runner.
 //
 // A campaign evaluates |faults| x |vectors| pairs; the fault-free chip
-// behaviour depends only on the vector, so the engine looks it up once per
-// vector (phase 1, serial, shared with the Simulator's two-level memo) and
-// then fans the per-fault detection scans out over a par.For worker pool
-// (phase 2). The scans read only the immutable memo records, so the hot
-// loop allocates nothing.
+// behaviour depends only on the vector, so the engine derives it once per
+// vector from the simulator's state memo (phase 1, serial) and then fans
+// the per-fault detection scans out over a par.For worker pool (phase 2).
+// The scans only read those per-vector records and the immutable state
+// analyses, so the hot loop allocates nothing.
 //
 // Determinism: faults are indexed, each fault's verdict is independent of
 // every other fault, and the Coverage is assembled in fault order after
@@ -19,9 +19,10 @@ import (
 	"repro/internal/par"
 )
 
-// Engine runs fault-simulation campaigns over a worker pool, memoizing
-// per-vector fault-free state. An Engine is safe for concurrent use; it is
-// cheap to construct and may be created per campaign.
+// Engine runs fault-simulation campaigns over a worker pool on one
+// simulator, whose state memo its campaigns share. An Engine is safe for
+// concurrent use; it is cheap to construct and may be created per
+// campaign.
 type Engine struct {
 	sim     *Simulator
 	workers int
@@ -52,13 +53,15 @@ func (e *Engine) EvaluateCoverageCtx(ctx context.Context, vectors []Vector, faul
 		return Coverage{}, err
 	}
 	e.sim.metrics.noteCampaign(len(faults))
-	// Phase 1: fault-free valve states and meter readings, once per
-	// vector. Hits the simulator's memo cache, so repeated campaigns over
-	// the same vector set skip this entirely.
+	// Phase 1: fault-free meter readings, once per vector, over the
+	// simulator's memoized state analyses, so a campaign over vectors
+	// the simulator has seen analyses no state.
+	evals := make([]vectorEval, len(vectors))
 	usable := make([]*vectorEval, 0, len(vectors))
-	for _, v := range vectors {
-		if ev := e.sim.evalVector(v); ev.usable {
-			usable = append(usable, ev)
+	for i, v := range vectors {
+		e.sim.eval(v, &evals[i])
+		if evals[i].usable {
+			usable = append(usable, &evals[i])
 		}
 	}
 

@@ -132,14 +132,14 @@ func TestEngineUnderSharingMatchesSerial(t *testing.T) {
 }
 
 // TestMemoizedDetectsMatchesRecompute pins the Detects memoization fix:
-// cached fault-free readings must give exactly the per-call recomputation
-// results, on first sight and on cache hits.
+// readings derived from memoized state analyses must give exactly the
+// per-call recomputation results, on first sight and on state-memo hits.
 func TestMemoizedDetectsMatchesRecompute(t *testing.T) {
 	c := chip.MRNA()
 	sim := indepSim(c)
 	vectors := campaignVectors(c)
 	faults := AllFaultsOfKinds(c, StuckAt0, StuckAt1, Leakage)
-	for round := 0; round < 2; round++ { // round 2 hits the cache
+	for round := 0; round < 2; round++ { // round 2 hits the state memo
 		for _, v := range vectors {
 			for _, f := range faults {
 				if got, want := sim.Detects(v, f), sim.detectsNoMemo(v, f); got != want {
@@ -153,8 +153,8 @@ func TestMemoizedDetectsMatchesRecompute(t *testing.T) {
 	}
 }
 
-// TestSimulatorConcurrentUse exercises the memo cache and scratch pool
-// from many goroutines (meaningful under -race).
+// TestSimulatorConcurrentUse exercises the state memo from many
+// goroutines (meaningful under -race).
 func TestSimulatorConcurrentUse(t *testing.T) {
 	c := chip.IVD()
 	sim := indepSim(c)

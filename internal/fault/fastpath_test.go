@@ -100,12 +100,15 @@ func TestDetectsFastPathEquivalence(t *testing.T) {
 	}
 }
 
-// TestSharedStateMatchesNoMemo pins the two-level memo: vectors that apply
+// TestSharedStateMatchesNoMemo pins the state memo: vectors that apply
 // one (kind, valves) state but differ in sources and meters, 2-source and
 // 2-meter shapes included, share one state analysis and must still get the
-// memo-free oracle's FaultFreeOK and Detects verdicts on every fault,
-// under independent and shared control. Each valve set is applied as both
-// a path and a cut, which expand to different states.
+// memo-free oracle's verdicts, under independent and shared control. Each
+// valve set is applied as both a path and a cut, which expand to different
+// states. On every fault, FaultFreeOK, Detects and Certifies must equal
+// the oracle, and Cover must set exactly the faults the oracle certifies
+// and report FaultFreeOK. Every query looks the state up once: only a
+// state's first query may miss, so every other port shape hits.
 func TestSharedStateMatchesNoMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for trial := 0; trial < 20; trial++ {
@@ -115,27 +118,48 @@ func TestSharedStateMatchesNoMemo(t *testing.T) {
 			sim := MustSimulator(cc, ctrl)
 			sim.SetMetrics(m)
 			faults := AllFaultsOfKinds(cc, StuckAt0, StuckAt1, Leakage)
+			covered := make([]uint64, (len(faults)+63)/64)
+			states := map[string]bool{}
+			queries := int64(0)
 			for i := 0; i < 6; i++ {
 				v := randomVector(rng, cc)
 				for _, kind := range []VectorKind{PathVector, CutVector} {
 					v.Kind = kind
+					states[string(appendStateKey(nil, v))] = true
 					shapes := 3 + rng.Intn(3)
 					for shape := 0; shape < shapes; shape++ {
 						v.Sources, v.Meters = randomPorts(rng, cc, 1+shape%2, 1+shape/2%2)
-						if got, want := sim.FaultFreeOK(v), sim.faultFreeOKNoMemo(v); got != want {
-							t.Fatalf("chip %s trial %d: FaultFreeOK(%v) = %v, memo-free says %v", cc.Name, trial, v, got, want)
+						ok := sim.faultFreeOKNoMemo(v)
+						if got := sim.FaultFreeOK(v); got != ok {
+							t.Fatalf("chip %s trial %d: FaultFreeOK(%v) = %v, memo-free says %v", cc.Name, trial, v, got, ok)
 						}
-						for _, f := range faults {
-							if got, want := sim.Detects(v, f), sim.detectsNoMemo(v, f); got != want {
+						clear(covered)
+						if got := sim.Cover(v, faults, covered); got != ok {
+							t.Fatalf("chip %s trial %d: Cover(%v) reports usable %v, memo-free says %v", cc.Name, trial, v, got, ok)
+						}
+						for j, f := range faults {
+							want := sim.detectsNoMemo(v, f)
+							if got := sim.Detects(v, f); got != want {
 								t.Fatalf("chip %s trial %d: Detects(%v, %v) = %v, memo-free says %v", cc.Name, trial, v, f, got, want)
 							}
+							if got := sim.Certifies(v, f); got != (ok && want) {
+								t.Fatalf("chip %s trial %d: Certifies(%v, %v) = %v, memo-free says %v", cc.Name, trial, v, f, got, ok && want)
+							}
+							if got := covered[j>>6]&(1<<(uint(j)&63)) != 0; got != (ok && want) {
+								t.Fatalf("chip %s trial %d: Cover(%v) sets %v = %v, memo-free says %v", cc.Name, trial, v, f, got, ok && want)
+							}
 						}
+						queries += 2 + 2*int64(len(faults))
 					}
 				}
 			}
-			if snap := m.Snapshot(); snap.StateEvals >= snap.MemoMisses {
-				t.Fatalf("chip %s: %d state analyses for %d vector-memo misses; states are not shared",
-					cc.Name, snap.StateEvals, snap.MemoMisses)
+			snap := m.Snapshot()
+			if want := int64(len(states)); snap.StateEvals != want || snap.MemoMisses != want {
+				t.Fatalf("chip %s: %d state analyses and %d state-memo misses for %d distinct states; port shapes must share them",
+					cc.Name, snap.StateEvals, snap.MemoMisses, want)
+			}
+			if snap.MemoHits+snap.MemoMisses != queries {
+				t.Fatalf("chip %s: %d state-memo lookups for %d queries, want one each", cc.Name, snap.MemoHits+snap.MemoMisses, queries)
 			}
 		}
 	}

@@ -116,12 +116,13 @@ func (v Vector) String() string {
 // The control assignment captures valve sharing: intended valve states are
 // expanded to actual states line by line before simulation.
 //
-// The simulator memoizes the good-chip behaviour at two levels. Under its
-// fixed control, a vector's kind and valves decide the applied valve state,
-// so one fault-free analysis per distinct state (stateEval) serves every
-// vector that differs only in sources and meters; the per-vector memo
-// (vectorEval) keeps only what depends on the ports. Repeated
-// Detects/FaultFreeOK calls and whole campaigns never re-derive either. All
+// The simulator memoizes one thing: the fault-free analysis of each
+// applied valve state (stateEval). Under its fixed control a vector's kind
+// and valves decide that state, so vectors that differ only in sources and
+// meters share one analysis, and a suite and its campaign on one simulator
+// share them all. Each query derives the vector's port-dependent readings
+// from the state into a record the caller owns; Certifies and Cover answer
+// the questions a generator asks about one vector in one evaluation. All
 // methods are safe for concurrent use. A caller that analyses each vector
 // about once under a control gains nothing from the memo and uses a Probe.
 type Simulator struct {
@@ -129,17 +130,15 @@ type Simulator struct {
 	ctrl *chip.Control
 
 	mu     sync.Mutex
-	cache  map[string]*vectorEval
 	states map[string]*stateEval
 
-	// metrics, when attached via SetMetrics, counts memo-cache traffic.
+	// metrics, when attached via SetMetrics, counts state-memo traffic.
 	metrics *Metrics
 }
 
 // vectorEval holds the port-dependent fault-free artifacts of one vector
-// over the analysis of the state it applies. A memoized one is immutable
-// once stored in the cache and may be read concurrently; a Probe refills
-// its own for every vector.
+// over the analysis of the state it applies. Simulator queries and
+// campaigns fill one per vector; a Probe refills its own for every vector.
 type vectorEval struct {
 	state      *stateEval
 	srcNodes   []int  // grid nodes of the vector's sources; shares meterNodes' backing
@@ -162,7 +161,7 @@ func NewSimulator(c *chip.Chip, ctrl *chip.Control) (*Simulator, error) {
 	if ctrl.Chip() != c {
 		return nil, fmt.Errorf("%w: control is for %q, chip is %q", ErrControlMismatch, ctrl.Chip().Name, c.Name)
 	}
-	return &Simulator{chip: c, ctrl: ctrl, cache: map[string]*vectorEval{}, states: map[string]*stateEval{}}, nil
+	return &Simulator{chip: c, ctrl: ctrl, states: map[string]*stateEval{}}, nil
 }
 
 // MustSimulator is NewSimulator for call sites where the chip/control pair
@@ -204,23 +203,9 @@ func usableReadings(k VectorKind, readings []bool) bool {
 
 // VectorKey is the compact content key of a vector: its kind, valves,
 // sources and meters in order, as varints with the valve and source
-// counts. Vectors with equal keys are equal; suites dedup by it and the
-// simulator memoizes by it.
+// counts. Vectors with equal keys are equal; suites dedup by it.
 func VectorKey(v Vector) string {
-	key, _ := vectorKey(v)
-	return key
-}
-
-// vectorKey returns VectorKey(v) and the length of its prefix that encodes
-// only the kind and the valves: the key of the applied valve state.
-func vectorKey(v Vector) (string, int) {
-	buf := make([]byte, 0, 4+2*(len(v.Valves)+len(v.Sources)+len(v.Meters)))
-	buf = binary.AppendUvarint(buf, uint64(v.Kind))
-	buf = binary.AppendUvarint(buf, uint64(len(v.Valves)))
-	for _, x := range v.Valves {
-		buf = binary.AppendUvarint(buf, uint64(x))
-	}
-	n := len(buf)
+	buf := appendStateKey(make([]byte, 0, 4+2*(len(v.Valves)+len(v.Sources)+len(v.Meters))), v)
 	buf = binary.AppendUvarint(buf, uint64(len(v.Sources)))
 	for _, x := range v.Sources {
 		buf = binary.AppendUvarint(buf, uint64(x))
@@ -228,55 +213,50 @@ func vectorKey(v Vector) (string, int) {
 	for _, x := range v.Meters {
 		buf = binary.AppendUvarint(buf, uint64(x))
 	}
-	return string(buf), n
+	return string(buf)
 }
 
-// memoize returns m[key], computing it on a miss. The mutex guards only
-// the map, so concurrent misses may both compute; the first value stored
-// wins and every caller shares that one immutable instance. hit reports
-// whether the key was present at the first look.
-func memoize[V any](mu *sync.Mutex, m map[string]V, key string, compute func() V) (v V, hit bool) {
-	mu.Lock()
-	v, hit = m[key]
-	mu.Unlock()
-	if hit {
-		return v, true
+// appendStateKey appends the key of the valve state v applies under a
+// fixed control, its kind and valves, to buf: the prefix of VectorKey(v).
+func appendStateKey(buf []byte, v Vector) []byte {
+	buf = binary.AppendUvarint(buf, uint64(v.Kind))
+	buf = binary.AppendUvarint(buf, uint64(len(v.Valves)))
+	for _, x := range v.Valves {
+		buf = binary.AppendUvarint(buf, uint64(x))
 	}
-	v = compute()
-	mu.Lock()
-	if prev, raced := m[key]; raced {
-		v = prev
-	} else {
-		m[key] = v
-	}
-	mu.Unlock()
-	return v, false
+	return buf
 }
 
-// evalVector returns the memoized fault-free evaluation of v, computing it
-// on first sight. The returned value is immutable.
-func (s *Simulator) evalVector(v Vector) *vectorEval {
-	key, n := vectorKey(v)
-	ev, hit := memoize(&s.mu, s.cache, key, func() *vectorEval {
-		ev := new(vectorEval)
-		ev.fill(s.chip, v, s.stateOf(v, key[:n]))
-		return ev
-	})
-	s.metrics.noteMemo(hit)
-	return ev
+// eval fills ev with v's evaluation over the memoized analysis of the
+// state v applies.
+func (s *Simulator) eval(v Vector, ev *vectorEval) {
+	ev.fill(s.chip, v, s.stateOf(v))
 }
 
 // stateOf returns the memoized analysis of the valve state v applies,
-// keyed by v's kind and valves, computing it on first sight.
-func (s *Simulator) stateOf(v Vector, key string) *stateEval {
-	st, hit := memoize(&s.mu, s.states, key, func() *stateEval {
-		st := new(stateEval)
-		analyzeState(s.chip, s.OpenStates(v), st, new(tarjanScratch))
+// computing it on first sight. The key becomes a string only when stored.
+// The mutex guards only the map, so concurrent misses may both compute;
+// the first analysis stored wins and every caller shares that one
+// immutable instance.
+func (s *Simulator) stateOf(v Vector) *stateEval {
+	key := appendStateKey(make([]byte, 0, 2+2*len(v.Valves)), v)
+	s.mu.Lock()
+	st, hit := s.states[string(key)]
+	s.mu.Unlock()
+	s.metrics.noteMemo(hit)
+	if hit {
 		return st
-	})
-	if !hit {
-		s.metrics.noteState()
 	}
+	st = new(stateEval)
+	analyzeState(s.chip, s.OpenStates(v), st, new(tarjanScratch))
+	s.metrics.noteState()
+	s.mu.Lock()
+	if prev, raced := s.states[string(key)]; raced {
+		st = prev
+	} else {
+		s.states[string(key)] = st
+	}
+	s.mu.Unlock()
 	return st
 }
 
@@ -316,7 +296,9 @@ func (ev *vectorEval) fill(c *chip.Chip, v Vector, st *stateEval) {
 // fails this check is unusable (e.g. sharing forced open a valve that
 // bypasses a cut).
 func (s *Simulator) FaultFreeOK(v Vector) bool {
-	return s.evalVector(v).usable
+	var ev vectorEval
+	s.eval(v, &ev)
+	return ev.usable
 }
 
 // Detects reports whether vector v detects fault f: some meter reading
@@ -326,13 +308,64 @@ func (s *Simulator) FaultFreeOK(v Vector) bool {
 // or a forced-closed partner blocks the leak path of a stuck-at-1 valve,
 // the readings do not differ and the fault goes undetected.
 //
-// The fault-free analysis is memoized per valve state and per vector, so
-// repeated calls with the same vector only apply the fast-path rules.
+// Each call derives v's readings again from the memoized state analysis;
+// a caller with several questions about one vector asks Certifies or
+// Cover.
 func (s *Simulator) Detects(v Vector, f Fault) bool {
+	var ev vectorEval
+	s.eval(v, &ev)
 	var t ruleTally
-	det := detectsEval(s.chip, s.evalVector(v), f, &t)
+	det := detectsEval(s.chip, &ev, f, &t)
 	s.metrics.addRules(t)
 	return det
+}
+
+// Certifies reports whether v is usable and detects f, FaultFreeOK(v) &&
+// Detects(v, f), in one evaluation of v.
+func (s *Simulator) Certifies(v Vector, f Fault) bool {
+	var ev vectorEval
+	s.eval(v, &ev)
+	return ev.certifies(s.chip, f, s.metrics)
+}
+
+// Cover sets bit i of covered for every faults[i] that v detects, skipping
+// the bits already set, and reports whether v is usable. An unusable v
+// sets none, so covering a vector set one vector at a time yields the
+// detected faults of its coverage campaign. covered must hold at least
+// len(faults) bits.
+func (s *Simulator) Cover(v Vector, faults []Fault, covered []uint64) bool {
+	var ev vectorEval
+	s.eval(v, &ev)
+	return ev.cover(s.chip, faults, covered, s.metrics)
+}
+
+// certifies is Certifies over an evaluation of v on c, counting the rule
+// that settled the verdict on m.
+func (ev *vectorEval) certifies(c *chip.Chip, f Fault, m *Metrics) bool {
+	if !ev.usable {
+		return false
+	}
+	var t ruleTally
+	det := detectsEval(c, ev, f, &t)
+	m.addRules(t)
+	return det
+}
+
+// cover is Cover over an evaluation of v on c, counting the rules that
+// settled the verdicts on m.
+func (ev *vectorEval) cover(c *chip.Chip, faults []Fault, covered []uint64, m *Metrics) bool {
+	if !ev.usable {
+		return false
+	}
+	var t ruleTally
+	set := bitset(covered)
+	for i, f := range faults {
+		if !set.has(i) && detectsEval(c, ev, f, &t) {
+			set.set(i)
+		}
+	}
+	m.addRules(t)
+	return true
 }
 
 // Coverage summarizes a fault-simulation campaign.

@@ -109,11 +109,11 @@ func (e *Engine) DetectionMatrix(ctx context.Context, vectors []Vector, faults [
 		m.rows[v] = backing[v*words : (v+1)*words : (v+1)*words]
 	}
 
-	// Phase 1: memoized fault-free evaluation per vector (serial, shared
-	// with the simulator's memo cache).
-	evals := make([]*vectorEval, len(vectors))
+	// Phase 1: fault-free evaluation per vector (serial) over the
+	// simulator's memoized state analyses.
+	evals := make([]vectorEval, len(vectors))
 	for v := range vectors {
-		evals[v] = e.sim.evalVector(vectors[v])
+		e.sim.eval(vectors[v], &evals[v])
 		m.usable[v] = evals[v].usable
 	}
 
@@ -121,17 +121,7 @@ func (e *Engine) DetectionMatrix(ctx context.Context, vectors []Vector, faults [
 	// depends only on its own vector, so assembly order is fixed by the
 	// vector index and the result is worker-count independent.
 	fillRow := func(v int) {
-		if !evals[v].usable {
-			return
-		}
-		row := m.rows[v]
-		var t ruleTally
-		for f := range faults {
-			if detectsEval(e.sim.chip, evals[v], faults[f], &t) {
-				row[f>>6] |= 1 << uint(f&63)
-			}
-		}
-		e.sim.metrics.addRules(t)
+		evals[v].cover(e.sim.chip, faults, m.rows[v], e.sim.metrics)
 	}
 	if err := par.For(ctx, e.workers, len(vectors), fillRow); err != nil {
 		return nil, err

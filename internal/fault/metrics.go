@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // Metrics aggregates fault-simulation counters across every Simulator and
 // Engine it is attached to. One Metrics instance is typically shared by
-// all simulators of a flow run, so the flow can report its memo-cache hit
+// all simulators of a flow run, so the flow can report its state-memo hit
 // rate per stage. All counters are atomic; a nil *Metrics is a valid
 // no-op receiver for the increment methods used on hot paths.
 type Metrics struct {
@@ -73,8 +73,9 @@ func (m *Metrics) addRules(t ruleTally) {
 // MetricsSnapshot is a point-in-time copy of the counters; subtract two
 // snapshots to attribute traffic to a phase.
 type MetricsSnapshot struct {
-	// MemoHits and MemoMisses count vector-memo cache lookups across all
-	// attached simulators.
+	// MemoHits and MemoMisses count state-memo lookups across all
+	// attached simulators: one per query, and one per vector of a
+	// campaign or detection matrix.
 	MemoHits, MemoMisses int64
 	// StateEvals counts valve-state analyses: one per distinct (kind,
 	// valves) a simulator sees, so vectors that differ only in sources
@@ -123,6 +124,6 @@ func (s MetricsSnapshot) Sub(base MetricsSnapshot) MetricsSnapshot {
 }
 
 // SetMetrics attaches a shared metrics aggregator to the simulator; every
-// subsequent memo-cache lookup is counted on it. Attach before the
+// subsequent state-memo lookup is counted on it. Attach before the
 // simulator is used concurrently (the pointer itself is unsynchronized).
 func (s *Simulator) SetMetrics(m *Metrics) { s.metrics = m }

@@ -10,10 +10,10 @@ import (
 // without a memo. Each call expands the vector's valve state, runs the
 // state analysis and derives the readings into buffers the probe owns,
 // then applies detectsEval's rules: the code and the verdicts of the
-// memoized Simulator, with none of its keys, records or maps. It suits
-// callers that analyse each vector about once under a control, such as
-// the flow's sharing check, which meets a new control per candidate
-// scheme. A warmed probe allocates nothing.
+// Simulator, with none of its keys or its state memo. It suits callers
+// that analyse each vector about once under a control, such as the flow's
+// sharing check, which meets a new control per candidate scheme. A warmed
+// probe allocates nothing.
 //
 // The zero Probe is ready for Reset. A Probe must not be shared between
 // goroutines.
@@ -51,33 +51,13 @@ func (p *Probe) eval(v Vector) *vectorEval {
 }
 
 // Certifies reports whether v is usable and detects f: Simulator's
-// FaultFreeOK(v) && Detects(v, f).
+// Certifies without the memo.
 func (p *Probe) Certifies(v Vector, f Fault) bool {
-	ev := p.eval(v)
-	if !ev.usable {
-		return false
-	}
-	var t ruleTally
-	det := detectsEval(p.chip, ev, f, &t)
-	p.metrics.addRules(t)
-	return det
+	return p.eval(v).certifies(p.chip, f, p.metrics)
 }
 
-// Cover sets bit i of covered for every faults[i] that v detects, skipping
-// the bits already set. An unusable v sets none, so covering a vector set
-// one vector at a time yields the detected faults of its coverage
-// campaign. covered must hold at least len(faults) bits.
-func (p *Probe) Cover(v Vector, faults []Fault, covered []uint64) {
-	ev := p.eval(v)
-	if !ev.usable {
-		return
-	}
-	var t ruleTally
-	set := bitset(covered)
-	for i, f := range faults {
-		if !set.has(i) && detectsEval(p.chip, ev, f, &t) {
-			set.set(i)
-		}
-	}
-	p.metrics.addRules(t)
+// Cover is Simulator's Cover without the memo: it ORs v's detections
+// among faults into covered and reports whether v is usable.
+func (p *Probe) Cover(v Vector, faults []Fault, covered []uint64) bool {
+	return p.eval(v).cover(p.chip, faults, covered, p.metrics)
 }

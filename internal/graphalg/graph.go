@@ -265,8 +265,7 @@ func (g *Graph) ShortestPathScratch(s *Scratch, src, dst int, allowed []bool) (n
 // (weight(edgeID) < 0 means the edge is forbidden) and returns the path as
 // (nodes, edges, totalWeight). ok is false if dst is unreachable. It
 // allocates per call and is the reference the table-driven
-// WeightedShortestPathScratch, BoundedPathScratch and
-// ShortestPathTreeScratch are tested against.
+// BoundedPathScratch and ShortestPathTreeScratch are tested against.
 func (g *Graph) WeightedShortestPath(src, dst int, weight func(edge int) float64) (nodes, edges []int, total float64, ok bool) {
 	g.checkNode(src)
 	g.checkNode(dst)
@@ -369,26 +368,20 @@ type PathScratch struct {
 	edges    []int
 }
 
-// WeightedShortestPathScratch is WeightedShortestPath restricted to the
-// edge list (the callers never need the node list), over a weight table
-// instead of a weight function: w[e] is edge e's weight, and w[e] < 0
-// forbids the edge. Repeated queries allocate nothing once the scratch has
-// grown to the graph size. The relaxation and heap order are identical to
-// WeightedShortestPath's with weight(e) = w[e], so the returned path (not
-// just its cost) matches it edge for edge.
-func (g *Graph) WeightedShortestPathScratch(s *PathScratch, src, dst int, w []float64) (edges []int, total float64, ok bool) {
-	g.dijkstra(s, src, dst, dst, w, 0, math.Inf(1))
-	return s.PathTo(dst)
-}
-
-// BoundedPathScratch is WeightedShortestPathScratch for a caller that only
-// wants the path when off + its cost < limit: the search gives up at the
-// first node it settles at a distance d with off + d >= limit. Dijkstra
-// settles nodes in nondecreasing distance and IEEE addition is monotone,
-// so every node settled before dst has off + d <= off + cost(dst). Hence
-// the search returns a path exactly when WeightedShortestPathScratch does
-// and off + cost < limit, and then the same path: until it gives up it
-// performs the same heap operations in the same order.
+// BoundedPathScratch is WeightedShortestPath restricted to the edge list
+// (the callers never need the node list), over a weight table instead of
+// a weight function, for a caller that only wants the path when off + its
+// cost < limit. w[e] is edge e's weight, and w[e] < 0 forbids the edge.
+// Repeated queries allocate nothing once the scratch has grown to the
+// graph size. The search gives up at the first node it settles at a
+// distance d with off + d >= limit. Dijkstra settles nodes in
+// nondecreasing distance and IEEE addition is monotone, so every node
+// settled before dst has off + d <= off + cost(dst). Hence the search
+// returns a path exactly when WeightedShortestPath does and off + cost <
+// limit, and then the same path, edge for edge: until it gives up it
+// performs WeightedShortestPath's relaxations and heap operations with
+// weight(e) = w[e] in the same order. With off 0 and an infinite limit it
+// is the unbounded search.
 func (g *Graph) BoundedPathScratch(s *PathScratch, src, dst int, w []float64, off, limit float64) (edges []int, total float64, ok bool) {
 	g.dijkstra(s, src, dst, dst, w, off, limit)
 	return s.PathTo(dst)
@@ -400,8 +393,8 @@ func (g *Graph) BoundedPathScratch(s *PathScratch, src, dst int, w []float64, of
 // predecessor never change again (weights are nonnegative and a relaxation
 // must strictly improve), and until the later target is settled the search
 // performs the heap operations of a single-target search for it, so PathTo
-// returns, for each target, the path WeightedShortestPathScratch returns
-// for it alone.
+// returns, for each target, the path an unbounded BoundedPathScratch
+// returns for it alone.
 func (g *Graph) ShortestPathTreeScratch(s *PathScratch, src, dst1, dst2 int, w []float64) {
 	g.dijkstra(s, src, dst1, dst2, w, 0, math.Inf(1))
 }

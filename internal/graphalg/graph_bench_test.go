@@ -1,6 +1,9 @@
 package graphalg
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func benchGrid(w, h int) *Graph {
 	g := NewGraph(w * h)
@@ -45,7 +48,7 @@ func BenchmarkDijkstraGrid16(b *testing.B) {
 	var s PathScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := g.WeightedShortestPathScratch(&s, 0, g.NumNodes()-1, w); !ok {
+		if _, _, ok := g.BoundedPathScratch(&s, 0, g.NumNodes()-1, w, 0, math.Inf(1)); !ok {
 			b.Fatal("no path")
 		}
 	}

@@ -1,6 +1,7 @@
 package graphalg
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -48,6 +49,9 @@ func TestBFSDistScratchMatchesBFSFrom(t *testing.T) {
 	}
 }
 
+// TestWeightedShortestPathScratchMatches: the table-driven scratch search,
+// unbounded, returns WeightedShortestPath's path edge for edge at the same
+// cost, and fails exactly when it does.
 func TestWeightedShortestPathScratchMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var scratch PathScratch
@@ -59,7 +63,7 @@ func TestWeightedShortestPathScratchMatches(t *testing.T) {
 		for pair := 0; pair < 12; pair++ {
 			src, dst := rng.Intn(n), rng.Intn(n)
 			_, wantEdges, wantCost, wantOK := g.WeightedShortestPath(src, dst, weight)
-			gotEdges, gotCost, gotOK := g.WeightedShortestPathScratch(&scratch, src, dst, w)
+			gotEdges, gotCost, gotOK := g.BoundedPathScratch(&scratch, src, dst, w, 0, math.Inf(1))
 			if wantOK != gotOK {
 				t.Fatalf("trial %d %d->%d: ok %v vs %v", trial, src, dst, gotOK, wantOK)
 			}
@@ -94,13 +98,13 @@ func TestPathScratchReuseIsClean(t *testing.T) {
 		unit[e] = 1
 	}
 	all := func(int) bool { return true }
-	big.WeightedShortestPathScratch(&scratch, 0, 49, unit)
+	big.BoundedPathScratch(&scratch, 0, 49, unit, 0, math.Inf(1))
 	dist = big.BFSDistScratch(&bfsScratch, dist, 0, all)
 
 	small := NewGraph(3)
 	e0 := small.AddEdge(0, 1)
 	e1 := small.AddEdge(1, 2)
-	edges, cost, ok := small.WeightedShortestPathScratch(&scratch, 0, 2, unit[:small.NumEdges()])
+	edges, cost, ok := small.BoundedPathScratch(&scratch, 0, 2, unit[:small.NumEdges()], 0, math.Inf(1))
 	if !ok || cost != 2 || len(edges) != 2 || edges[0] != e0 || edges[1] != e1 {
 		t.Fatalf("stale scratch state: edges=%v cost=%v ok=%v", edges, cost, ok)
 	}

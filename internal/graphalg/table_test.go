@@ -87,7 +87,7 @@ func TestShortestPathTreeMatchesSingleTarget(t *testing.T) {
 			}
 			g.ShortestPathTreeScratch(&tree, src, d1, d2, w)
 			for _, dst := range [2]int{d1, d2} {
-				wantEdges, wantCost, wantOK := g.WeightedShortestPathScratch(&single, src, dst, w)
+				wantEdges, wantCost, wantOK := g.BoundedPathScratch(&single, src, dst, w, 0, math.Inf(1))
 				edges, cost, ok := tree.PathTo(dst)
 				if ok != wantOK || cost != wantCost || !equalInts(edges, wantEdges) {
 					t.Fatalf("trial %d %d->{%d,%d} target %d: tree %v/%v/%v, single %v/%v/%v",

@@ -1,7 +1,7 @@
 // Engine is the warm-start scheduler: everything that depends only on the
 // chip, the assay and the fault ban-set — channel adjacency, valve lookup,
-// critical-path priorities, storage doorsteps, pristine candidate paths —
-// is computed once in NewEngine, and each Engine.Run performs only the
+// critical-path priorities, storage doorsteps, base routing weights — is
+// computed once in NewEngine, and each Engine.Run performs only the
 // control-dependent work: event simulation and per-snapshot valve-state
 // validation. Run state lives in a sync.Pool so the hot loop is
 // allocation-free. testdata/sched_fixture.txt pins the schedules bit for
@@ -42,9 +42,8 @@ type Engine struct {
 	valveOf []int
 	// baseWeight is the routing weight of each edge in a pristine snapshot
 	// (no transport in flight, no stored product, no penalty): 1 for a
-	// conducting channel, -1 for unvalved or stuck-closed segments. When a
-	// run is in that snapshot, dynamic Dijkstra provably equals a search
-	// under baseWeight, which is what makes the candidate cache sound.
+	// conducting channel, -1 for unvalved or stuck-closed segments. Every
+	// search's dynamic weight table starts from it.
 	baseWeight []float64
 	// incident[u] lists the edge IDs at node u, sorted ascending —
 	// the per-snapshot contamination guard walks these instead of
@@ -66,20 +65,7 @@ type Engine struct {
 	indepOnce sync.Once
 	indep     *chip.Control
 
-	// cand caches pristine candidate paths per (from, to) location pair,
-	// filled lazily by the runs (candMu guards the map; entries are
-	// immutable once stored).
-	candMu sync.RWMutex
-	cand   map[uint64]candidate
-
 	pool sync.Pool // *runState
-}
-
-// candidate is one cached pristine path: the full edge list (including
-// stored-segment entry/exit adjustments) or a cached routing failure.
-type candidate struct {
-	edges []int
-	ok    bool
 }
 
 // NewEngine validates the assay graph and precomputes the
@@ -101,7 +87,6 @@ func NewEngine(c *chip.Chip, g *assay.Graph, params Params) (*Engine, error) {
 		numOps:    g.NumOps(),
 		numEdges:  grid.NumEdges(),
 		numValves: c.NumValves(),
-		cand:      make(map[uint64]candidate),
 	}
 	e.stuckClosed = make([]bool, e.numValves)
 	e.stuckOpen = make([]bool, e.numValves)
@@ -261,30 +246,4 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// candKey packs a (from, to) location pair into the candidate-cache key.
-// Location IDs are grid node or edge IDs — far below 2^30 — so the pair
-// packs losslessly.
-func candKey(from, to location) uint64 {
-	return uint64(from.kind)<<63 | uint64(to.kind)<<62 | uint64(from.id)<<31 | uint64(to.id)
-}
-
-// lookupCandidate returns the cached pristine path for a location pair.
-func (e *Engine) lookupCandidate(key uint64) (candidate, bool) {
-	e.candMu.RLock()
-	c, ok := e.cand[key]
-	e.candMu.RUnlock()
-	return c, ok
-}
-
-// storeCandidate publishes a computed pristine path. Concurrent runs may
-// race on a key; both compute the identical pure-function value, so the
-// first store wins and the rest are dropped.
-func (e *Engine) storeCandidate(key uint64, c candidate) {
-	e.candMu.Lock()
-	if _, ok := e.cand[key]; !ok {
-		e.cand[key] = c
-	}
-	e.candMu.Unlock()
 }

@@ -29,14 +29,11 @@ type runState struct {
 	deviceBusy []bool
 	portBusy   []bool
 	edgeBusy   []bool
-	busyCount  int // edges currently occupied by in-flight transports
 	lastFluid  []int
 
 	// holderOf[e] is the product stored in segment e (-1 none), kept in
-	// lockstep with products[i].exists/loc; heldCount counts the non-(-1)
-	// entries. Together with busyCount they gate the pristine fast path.
-	holderOf  []int
-	heldCount int
+	// lockstep with products[i].exists/loc.
+	holderOf []int
 
 	// sharedValve[v] reports whether v's control line drives another valve
 	// under this run's assignment, so the parking policy needs no scan of
@@ -156,7 +153,6 @@ func (rs *runState) reset(ctrl *chip.Control, p Params, ctx context.Context) {
 		rs.holderOf[i] = -1
 		rs.penalty[i] = 0
 	}
-	rs.busyCount, rs.heldCount = 0, 0
 	rs.penTouch = rs.penTouch[:0]
 	rs.doneOps, rs.now = 0, 0
 	rs.recOps = rs.recOps[:0]
@@ -312,7 +308,6 @@ func (rs *runState) completeAt(t int) {
 		for _, ed := range at.edges {
 			rs.edgeBusy[ed] = false
 		}
-		rs.busyCount -= len(at.edges)
 		task := &rs.tasks[at.taskIdx]
 		pr := &rs.products[task.producer]
 		task.done = true
@@ -323,7 +318,6 @@ func (rs *runState) completeAt(t int) {
 				pr.exists = false
 				if pr.loc.kind == atEdge {
 					rs.holderOf[pr.loc.id] = -1
-					rs.heldCount--
 				}
 			}
 		} else {
@@ -331,7 +325,6 @@ func (rs *runState) completeAt(t int) {
 			pr.moving = false
 			if at.to.kind == atEdge {
 				rs.holderOf[at.to.id] = task.producer
-				rs.heldCount++
 			} else if p := e.portOfNode[at.to.id]; p >= 0 {
 				pr.holdsPort = p
 			}

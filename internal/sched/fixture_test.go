@@ -33,8 +33,7 @@ var updateFixture = flag.Bool("update", false, "rewrite testdata/sched_fixture.t
 const fixturePath = "testdata/sched_fixture.txt"
 
 // schedCase is one pinned scheduler input. Cases that share an engine
-// share its pooled run state and candidate cache, as the tests they come
-// from do.
+// share its pooled run state, as the tests they come from do.
 type schedCase struct {
 	id   string
 	eng  *Engine

@@ -194,10 +194,9 @@ func TestWedgeStateComplete(t *testing.T) {
 			"ops": recorded, "products": recorded, "tasks": recorded,
 			"active":     recorded, // asserted empty at every wedge
 			"deviceBusy": recorded, "portBusy": recorded,
-			"edgeBusy":  recorded, // asserted all false at every wedge
-			"busyCount": derived,
-			"lastFluid": recorded, // only read, and only recorded, when WashTimePerEdge > 0
-			"holderOf":  derived, "heldCount": derived,
+			"edgeBusy":    recorded, // asserted all false at every wedge
+			"lastFluid":   recorded, // only read, and only recorded, when WashTimePerEdge > 0
+			"holderOf":    derived,
 			"sharedValve": runConstant, "lineSize": runConstant,
 			"doneOps": derived,
 			"now":     recorded, // kept beside each wedge; the state holds offsets from it

@@ -10,7 +10,6 @@ import "sync/atomic"
 type Metrics struct {
 	engineBuilds     atomic.Int64
 	warmRuns         atomic.Int64
-	candidateHits    atomic.Int64
 	fallbackReroutes atomic.Int64
 	livelocks        atomic.Int64
 }
@@ -30,13 +29,6 @@ func (m *Metrics) noteRun() {
 		return
 	}
 	m.warmRuns.Add(1)
-}
-
-func (m *Metrics) noteCandidateHit() {
-	if m == nil {
-		return
-	}
-	m.candidateHits.Add(1)
 }
 
 func (m *Metrics) noteFallbackReroute() {
@@ -59,9 +51,6 @@ type MetricsSnapshot struct {
 	// EngineBuilds counts NewEngine precomputations; WarmRuns the
 	// Engine.Run simulations they amortize over.
 	EngineBuilds, WarmRuns int64
-	// CandidateHits counts transports routed from the precomputed
-	// candidate-path cache without running Dijkstra.
-	CandidateHits int64
 	// FallbackReroutes counts penalized re-route attempts — a transport
 	// whose first path failed snapshot validation and had to search again.
 	FallbackReroutes int64
@@ -80,7 +69,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	return MetricsSnapshot{
 		EngineBuilds:     m.engineBuilds.Load(),
 		WarmRuns:         m.warmRuns.Load(),
-		CandidateHits:    m.candidateHits.Load(),
 		FallbackReroutes: m.fallbackReroutes.Load(),
 		Livelocks:        m.livelocks.Load(),
 	}
@@ -91,16 +79,15 @@ func (s MetricsSnapshot) Sub(base MetricsSnapshot) MetricsSnapshot {
 	return MetricsSnapshot{
 		EngineBuilds:     s.EngineBuilds - base.EngineBuilds,
 		WarmRuns:         s.WarmRuns - base.WarmRuns,
-		CandidateHits:    s.CandidateHits - base.CandidateHits,
 		FallbackReroutes: s.FallbackReroutes - base.FallbackReroutes,
 		Livelocks:        s.Livelocks - base.Livelocks,
 	}
 }
 
 // SetMetrics attaches a shared metrics aggregator to the engine; every
-// subsequent run, candidate-cache hit and reroute is counted on it. Attach
-// before the engine is used concurrently (the pointer itself is
-// unsynchronized). The already-performed build is counted retroactively.
+// subsequent run and reroute is counted on it. Attach before the engine
+// is used concurrently (the pointer itself is unsynchronized). The
+// already-performed build is counted retroactively.
 func (e *Engine) SetMetrics(m *Metrics) {
 	e.metrics = m
 	m.noteBuild()

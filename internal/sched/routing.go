@@ -2,12 +2,9 @@ package sched
 
 // Warm-engine routing: the per-transport path search. Dijkstra runs on
 // pooled scratch (graphalg.PathScratch) over a per-edge weight table,
-// filled once per search, and settles both nodes of a segment destination
-// in one search per source node. A transport requested while the chip is
-// pristine — no edge busy, no product stored in a segment, no reroute
-// penalty — sees a routing weight identical to the engine's precomputed
-// baseWeight, so its path is a pure function of the (from, to) pair and is
-// served from the engine's candidate cache.
+// filled once per search from the engine's baseWeight and the run's busy
+// edges, stored products and reroute penalties, and settles both nodes of
+// a segment destination in one search per source node.
 
 // tryStartTransport attempts to launch the fluid movement for the pending
 // task at index ti. It returns true when the transport started.
@@ -36,8 +33,8 @@ func (rs *runState) tryStartTransport(ti int) bool {
 // launch commits a transport: occupies edges, updates product bookkeeping,
 // and records it. With the wash model enabled, segments last wetted by a
 // different fluid are flushed first, extending the transport. The edge list
-// is copied: the argument may alias routing scratch or a shared candidate-
-// cache entry, while the copy escapes into the returned Schedule.
+// is copied: the argument aliases routing scratch, while the copy escapes
+// into the returned Schedule.
 func (rs *runState) launch(ti int, edges []int, to location) {
 	task := &rs.tasks[ti]
 	pr := &rs.products[task.producer]
@@ -61,7 +58,6 @@ func (rs *runState) launch(ti int, edges []int, to location) {
 	for _, e := range ed {
 		rs.edgeBusy[e] = true
 	}
-	rs.busyCount += len(ed)
 	task.started = true
 	if task.consumer >= 0 {
 		pr.started++
@@ -99,7 +95,7 @@ func (rs *runState) routeAndValidate(from, to location, producer int) ([]int, bo
 		if attempt > 0 {
 			rs.eng.metrics.noteFallbackReroute()
 		}
-		edges, ok := rs.findPath(from, to, producer, attempt > 0)
+		edges, ok := rs.findPath(from, to, producer)
 		if !ok {
 			return nil, false
 		}
@@ -126,28 +122,13 @@ func (rs *runState) clearPenalties() {
 }
 
 // findPath computes a minimum-cost path of channel edges between two
-// locations. In a pristine snapshot (nothing busy, nothing stored, no
-// penalties) the dynamic weights collapse to the engine's baseWeight, so
-// the result depends only on (from, to) and is served from — or inserted
-// into — the engine's candidate cache. Otherwise it fills the run's
-// dynamic weight table and runs Dijkstra on it. The returned slice aliases
-// run scratch or cache memory; callers must copy before retaining it.
-func (rs *runState) findPath(from, to location, producer int, penalized bool) ([]int, bool) {
+// locations for producer's fluid: it fills the run's dynamic weight table,
+// in which busy edges and segments storing another product are forbidden
+// and reroute penalties raise the cost, and runs Dijkstra on it. The
+// returned slice aliases run scratch; callers must copy before retaining
+// it.
+func (rs *runState) findPath(from, to location, producer int) ([]int, bool) {
 	e := rs.eng
-	if !penalized && rs.busyCount == 0 && rs.heldCount == 0 {
-		key := candKey(from, to)
-		if c, hit := e.lookupCandidate(key); hit {
-			e.metrics.noteCandidateHit()
-			return c.edges, c.ok
-		}
-		edges, ok := rs.searchPath(from, to, e.baseWeight)
-		c := candidate{ok: ok}
-		if ok {
-			c.edges = append([]int(nil), edges...)
-		}
-		e.storeCandidate(key, c)
-		return edges, ok
-	}
 	w := rs.weight
 	for ed, base := range e.baseWeight {
 		switch h := rs.holderOf[ed]; {
@@ -162,11 +143,10 @@ func (rs *runState) findPath(from, to location, producer int, penalized bool) ([
 	return rs.searchPath(from, to, w)
 }
 
-// searchPath is the cross-product shortest-path search shared by the
-// pristine and dynamic tiers, including the stored-segment entry/exit
-// adjustments. Node enumeration order and the strict `cost < best`
-// comparison decide ties, so both are part of the scheduling policy the
-// fixture pins. One search per from-node settles every to-node; each
+// searchPath is findPath's cross-product shortest-path search, including
+// the stored-segment entry/exit adjustments. Node enumeration order and
+// the strict `cost < best` comparison decide ties, so both are part of the
+// scheduling policy the fixture pins. One search per from-node settles every to-node; each
 // to-node's path is the one a search for it alone would return
 // (graphalg.ShortestPathTreeScratch).
 func (rs *runState) searchPath(from, to location, w []float64) ([]int, bool) {

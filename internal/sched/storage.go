@@ -77,7 +77,6 @@ func (rs *runState) tryStartStorageMove(ti int) bool {
 				// moving, the fluid occupies the path (including the old
 				// segment). holderOf mirrors the loc change.
 				rs.holderOf[pr.loc.id] = -1
-				rs.heldCount--
 				pr.loc = location{kind: atNode, id: fromNode}
 			}
 			rs.launch(ti, edges, to)
@@ -100,7 +99,6 @@ func (rs *runState) tryStartStorageMove(ti int) bool {
 		}
 		if pr.loc.kind == atEdge {
 			rs.holderOf[pr.loc.id] = -1
-			rs.heldCount--
 			pr.loc = location{kind: atNode, id: fromNode}
 		}
 		rs.portBusy[p] = true // reserved for the incoming fluid

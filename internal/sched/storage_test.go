@@ -102,7 +102,6 @@ func TestEmergencyStorageEvictionOrder(t *testing.T) {
 		holdsDevice: -1, holdsPort: -1,
 	}
 	rs.holderOf[seg] = 2
-	rs.heldCount++
 
 	if !rs.emergencyStorage() {
 		t.Fatal("emergencyStorage found no move")
@@ -164,7 +163,6 @@ func parkRunState(t *testing.T) *runState {
 	}
 	rs.products[1] = productCtl{exists: true, totalConsumers: 1, loc: location{kind: atEdge, id: seg}, holdsDevice: -1, holdsPort: -1}
 	rs.holderOf[seg] = 1
-	rs.heldCount++
 	return rs
 }
 

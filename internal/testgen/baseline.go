@@ -188,15 +188,7 @@ func baselineCutVectors(c *chip.Chip) ([]fault.Vector, error) {
 				}
 				sort.Ints(valves)
 				vec := fault.Vector{Kind: fault.CutVector, Valves: valves, Sources: []int{i}, Meters: []int{j}}
-				if !sim.FaultFreeOK(vec) {
-					continue
-				}
-				var det []int
-				for _, cv := range valves {
-					if sim.Detects(vec, fault.Fault{Kind: fault.StuckAt1, Valve: cv}) {
-						det = append(det, cv)
-					}
-				}
+				det, _ := cutDetections(sim, vec)
 				if !containsInt(det, valve) {
 					continue
 				}

@@ -93,16 +93,7 @@ func buildCutCoverILP(c *chip.Chip, src, dst int) (*lp.Problem, []cutCandidate, 
 			continue
 		}
 		seen[key] = true
-		if !sim.FaultFreeOK(vec) {
-			continue
-		}
-		var det []int
-		for _, v := range vec.Valves {
-			if sim.Detects(vec, fault.Fault{Kind: fault.StuckAt1, Valve: v}) {
-				det = append(det, v)
-			}
-		}
-		if len(det) > 0 {
+		if det, _ := cutDetections(sim, vec); len(det) > 0 {
 			pool = append(pool, cutCandidate{vector: vec, detects: det})
 		}
 	}

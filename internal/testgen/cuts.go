@@ -43,16 +43,6 @@ func GenerateCutsCtx(ctx context.Context, c *chip.Chip, src, dst int) ([]fault.V
 	sc := cutScratchPool.Get().(*cutScratch)
 	defer cutScratchPool.Put(sc)
 
-	detectsOf := func(v fault.Vector) []int {
-		var out []int
-		for _, valve := range v.Valves {
-			if sim.Detects(v, fault.Fault{Kind: fault.StuckAt1, Valve: valve}) {
-				out = append(out, valve)
-			}
-		}
-		return out
-	}
-
 	for valve := 0; valve < c.NumValves(); valve++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("testgen: cut generation cancelled at valve %d/%d: %w", valve, c.NumValves(), err)
@@ -72,10 +62,10 @@ func GenerateCutsCtx(ctx context.Context, c *chip.Chip, src, dst int) ([]fault.V
 		}
 		sort.Ints(valves)
 		vec := fault.Vector{Kind: fault.CutVector, Valves: valves, Sources: []int{src}, Meters: []int{dst}}
-		if !sim.FaultFreeOK(vec) {
+		det, usable := cutDetections(sim, vec)
+		if !usable {
 			return nil, fmt.Errorf("testgen: cut for valve %d does not separate", valve)
 		}
-		det := detectsOf(vec)
 		if !containsInt(det, valve) {
 			return nil, fmt.Errorf("testgen: cut for valve %d does not detect it", valve)
 		}
@@ -111,6 +101,27 @@ func GenerateCutsCtx(ctx context.Context, c *chip.Chip, src, dst int) ([]fault.V
 		}
 	}
 	return out, nil
+}
+
+// cutDetections returns the valves of cut vector vec whose stuck-at-1
+// faults it detects under sim's control, in vec.Valves order, and whether
+// vec is usable (FaultFreeOK), from one evaluation of vec. An unusable vec
+// detects nothing.
+func cutDetections(sim *fault.Simulator, vec fault.Vector) (detects []int, usable bool) {
+	faults := make([]fault.Fault, len(vec.Valves))
+	for i, v := range vec.Valves {
+		faults[i] = fault.Fault{Kind: fault.StuckAt1, Valve: v}
+	}
+	covered := make([]uint64, (len(faults)+63)/64)
+	if !sim.Cover(vec, faults, covered) {
+		return nil, false
+	}
+	for i, v := range vec.Valves {
+		if covered[i>>6]&(1<<(uint(i)&63)) != 0 {
+			detects = append(detects, v)
+		}
+	}
+	return detects, true
 }
 
 // errNoLeakCut marks valves for which no leak-preserving cut exists.

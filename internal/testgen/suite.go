@@ -222,7 +222,7 @@ func (p *suitePre) certify(vec fault.Vector, kind fault.VectorKind, valve int) b
 	if kind == fault.CutVector {
 		target = fault.Fault{Kind: fault.StuckAt1, Valve: valve}
 	}
-	return p.sim.FaultFreeOK(vec) && p.sim.Detects(vec, target)
+	return p.sim.Certifies(vec, target)
 }
 
 // solvePathAt routes a simple src→dst channel path through the valve's

@@ -6,10 +6,10 @@
 // line plus the two port stubs, and the cut vector closes every channel
 // crossing the valve's lattice gap. Both are closed-form — no routing or
 // max-flow solve — and every valve on the same line shares the same
-// absolute vectors, so the simulator's vector memo collapses their
-// certification cost. These are the row/column paths and lattice-gap cuts
-// of the FPVA test literature; on every square FPVA probed, every valve
-// qualifies.
+// absolute vectors, so their certifications share one state analysis in
+// the simulator's state memo. These are the row/column paths and
+// lattice-gap cuts of the FPVA test literature; on every square FPVA
+// probed, every valve qualifies.
 //
 // Every other valve, and any line vector that fails certification, gets
 // the per-valve solve GenerateBaseline runs, so the two generators share

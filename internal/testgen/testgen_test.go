@@ -3,6 +3,8 @@ package testgen
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/chip"
@@ -338,4 +340,72 @@ func TestGenerateCutsSingleSourceMeters(t *testing.T) {
 			t.Fatalf("cut %v does not separate on a good chip", cut)
 		}
 	}
+}
+
+// TestCutDetectionsMatchPerFault: on random chips, the one-evaluation cut
+// detection the cut generators share returns exactly the valves, in
+// order, that a FaultFreeOK check and a per-fault Detects loop give, and
+// reports usability as FaultFreeOK does. The candidates are the
+// leak-preserving cuts the generators build and random valve sets, many of
+// which do not separate their ports.
+func TestCutDetectionsMatchPerFault(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var sc cutScratch
+	usable, unusable, detecting := 0, 0, 0
+	for seed := int64(0); seed < 12; seed++ {
+		c := chip.Random(rand.New(rand.NewSource(seed)))
+		g := c.Grid.Graph()
+		channel := channelMask(c)
+		sim := fault.MustSimulator(c, chip.IndependentControl(c))
+		oracle := fault.MustSimulator(c, chip.IndependentControl(c))
+		for trial := 0; trial < 30; trial++ {
+			src, dst := rng.Intn(len(c.Ports)), rng.Intn(len(c.Ports))
+			var valves []int
+			if trial%2 == 0 {
+				through := c.Valve(rng.Intn(c.NumValves())).Edge
+				cut, err := cutThroughWithLeak(&sc, g, c.Ports[src].Node, c.Ports[dst].Node, through, channel)
+				if err != nil {
+					continue
+				}
+				for _, e := range cut {
+					v, _ := c.ValveOnEdge(e)
+					valves = append(valves, v)
+				}
+				slices.Sort(valves)
+			} else {
+				for v := 0; v < c.NumValves(); v++ {
+					if rng.Intn(3) == 0 {
+						valves = append(valves, v)
+					}
+				}
+			}
+			vec := fault.Vector{Kind: fault.CutVector, Valves: valves, Sources: []int{src}, Meters: []int{dst}}
+			wantUsable := oracle.FaultFreeOK(vec)
+			var want []int
+			if wantUsable {
+				for _, v := range valves {
+					if oracle.Detects(vec, fault.Fault{Kind: fault.StuckAt1, Valve: v}) {
+						want = append(want, v)
+					}
+				}
+			}
+			got, gotUsable := cutDetections(sim, vec)
+			if gotUsable != wantUsable || !slices.Equal(got, want) {
+				t.Fatalf("%s %v: cutDetections = %v (usable %v), per-fault loop %v (usable %v)",
+					c.Name, vec, got, gotUsable, want, wantUsable)
+			}
+			if !wantUsable {
+				unusable++
+				continue
+			}
+			usable++
+			if len(want) > 0 {
+				detecting++
+			}
+		}
+	}
+	if usable == 0 || unusable == 0 || detecting == 0 {
+		t.Fatalf("degenerate sample: %d usable (%d detecting), %d unusable", usable, detecting, unusable)
+	}
+	t.Logf("%d usable candidates (%d detecting), %d unusable", usable, detecting, unusable)
 }
