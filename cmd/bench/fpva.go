@@ -6,14 +6,16 @@ package main
 // per-valve solve otherwise), single-worker on a fresh simulator per op so
 // ns per vector compares algorithms cold; testgen.GenerateBaseline, the
 // per-valve solve of every valve and the reference, up to fpvaMaxBaseline
-// (above it its superlinear cost would dominate the run); and the fault
-// campaign over the template suite, with the fast-path counters that keep
-// it near-linear. The template record's gates: no valve uncovered,
-// coverage bit-identical to the baseline suite (or full where no baseline
-// runs), and the suite bit-identical at 1/2/4/8 workers. Its counters add
-// a bounded DAC test-path ILP probe and peak RSS. At the largest size with
-// both generators (>= 32x32) the template record must be minSpeedup faster
-// per vector; that record is the one -baseline holds.
+// (above it its superlinear cost would dominate the run); and a cold fault
+// campaign over the template suite, which asks each vector only the faults
+// of the valves on its driven control lines, with the reach and bridge
+// counters of those checks (its screen_skips read 0). The template
+// record's gates: no valve uncovered, coverage bit-identical to the
+// baseline suite (or full where no baseline runs), and the suite
+// bit-identical at 1/2/4/8 workers. Its counters add a bounded DAC
+// test-path ILP probe and peak RSS. At the largest size with both
+// generators (>= 32x32) the template record must be minSpeedup faster per
+// vector; that record is the one -baseline holds.
 
 import (
 	"bytes"
@@ -103,7 +105,8 @@ func suiteRecord(cs, variant string, c *chip.Chip, gen suiteGen) (Record, *testg
 }
 
 // campaignRecord times a cold fault campaign of vectors on c (a fresh
-// simulator per op) and records the last op's fast-path counters.
+// simulator per op, so it analyses every state) and records the last
+// op's fast-path counters.
 func campaignRecord(cs string, c *chip.Chip, vectors []fault.Vector) (Record, error) {
 	faults := fault.AllFaults(c)
 	var snap fault.MetricsSnapshot
@@ -115,7 +118,7 @@ func campaignRecord(cs string, c *chip.Chip, vectors []fault.Vector) (Record, er
 			return err
 		}
 		sim.SetMetrics(metrics)
-		cov = fault.NewEngine(sim, 0).EvaluateCoverage(vectors, faults)
+		cov = sim.EvaluateCoverage(vectors, faults)
 		snap = metrics.Snapshot()
 		return nil
 	})
@@ -142,7 +145,7 @@ func runFPVA() ([]Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		cov := suite.Coverage(0)
+		cov := suite.Coverage()
 		tmpl.Counters["valves"] = float64(c.NumValves())
 		tmpl.Counters["ports"] = float64(len(c.Ports))
 		tmpl.Counters["coverage_ratio"] = cov.Ratio()
@@ -152,7 +155,7 @@ func runFPVA() ([]Record, error) {
 			if err != nil {
 				return nil, err
 			}
-			tmpl.Gates["coverage_identical"] = reflect.DeepEqual(cov, baseSuite.Coverage(0))
+			tmpl.Gates["coverage_identical"] = reflect.DeepEqual(cov, baseSuite.Coverage())
 			recs = append(recs, base)
 			gate, gateSize = len(recs), n
 		} else {

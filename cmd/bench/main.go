@@ -43,7 +43,7 @@ var modes = []struct {
 	name, help string
 	run        func() ([]Record, error)
 }{
-	{"fault", "fault-simulation campaign on mRNA: memoized engine vs worker pool", runFault},
+	{"fault", "cold fault-simulation campaign on mRNA on the memoized engine", runFault},
 	{"ilp", "serial warm-started branch-and-bound ILP engine on the paper's test-path and test-cut models", runILP},
 	{"pressure", "node-pressure solvers (sparse cold vs warm) on a leakage sweep per design", runPressure},
 	{"diagnose", "adaptive fault diagnosis vs exhaustive replay per design", runDiagnose},
@@ -101,31 +101,23 @@ func run() int {
 }
 
 // runFault times a cold campaign — a fresh simulator per op — on the
-// largest bundled design. The memoized single-worker engine is the
-// reference for the worker pool.
+// largest bundled design. A campaign is serial, so the one leg has no
+// worker count.
 func runFault() ([]Record, error) {
 	c := chip.MRNA()
 	vectors := fault.BenchCampaignVectors(c)
 	faults := fault.AllFaults(c)
-	var recs []Record
-	for _, v := range []struct {
-		name    string
-		workers int
-	}{{"memoized", 1}, {"parallel", 0}} {
-		r, err := measure(c.Name, v.name, func() error {
-			sim, err := fault.NewSimulator(c, chip.IndependentControl(c))
-			if err != nil {
-				return err
-			}
-			fault.NewEngine(sim, v.workers).EvaluateCoverage(vectors, faults)
-			return nil
-		})
+	r, err := measure(c.Name, "memoized", func() error {
+		sim, err := fault.NewSimulator(c, chip.IndependentControl(c))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		r.Counters = map[string]float64{"vectors": float64(len(vectors)), "faults": float64(len(faults))}
-		recs = append(recs, r)
+		sim.EvaluateCoverage(vectors, faults)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	setSpeedups(recs, "memoized", "")
-	return recs, nil
+	r.Counters = map[string]float64{"vectors": float64(len(vectors)), "faults": float64(len(faults))}
+	return []Record{r}, nil
 }

@@ -6,7 +6,7 @@
 //
 // With -dft the chip is first augmented for single-source single-meter
 // testability; added channels render as == and :, and the test set's
-// fault coverage is verified on the -workers-sized parallel engine.
+// fault coverage is verified by a coverage campaign.
 // -cache-dir enables the persistent artifact cache: a rerun loads the
 // augmentation and cut cover from disk instead of re-solving.
 //

@@ -12,9 +12,10 @@
 // -optimal) load from disk on a warm rerun instead of re-solving — the
 // exact ILP cover in particular. The campaign itself always runs.
 //
-// The campaign runs on the parallel engine; -workers sizes the
-// worker pool (default: all CPU cores). Coverage output is bit-identical
-// for any worker count. -stats prints a per-stage breakdown of the run
+// The campaign asks each usable vector only the faults it can reveal, in
+// one serial walk; -workers sizes the worker pool of the diagnosis and
+// reconfiguration stages (default: all CPU cores). Output is
+// bit-identical for any worker count. -stats prints a per-stage breakdown of the run
 // (testset → campaign and any optional stage below) with the counters the
 // flow's stages report for the same engines, including the simulator's
 // state-memo hit rate. -leakage appends a quantitative leakage stage: the

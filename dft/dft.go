@@ -182,15 +182,16 @@ func NewSimulator(c *Chip, ctrl *Control) (*fault.Simulator, error) {
 	return fault.NewSimulator(c, ctrl)
 }
 
-// Engine is the parallel fault-simulation campaign runner; its campaigns
-// share their simulator's state memo.
+// Engine is the fault-simulation campaign runner; its campaigns and
+// detection matrices share their simulator's state memo.
 type Engine = fault.Engine
 
-// NewEngine returns a campaign engine over sim that fans per-fault
-// detection scans out across a worker pool (workers <= 0 = all CPU cores).
-// Coverage results are bit-identical to Simulator.EvaluateCoverage for any
-// worker count, including Undetected order; EvaluateCoverageCtx stops
-// within one fault when the context is cancelled.
+// NewEngine returns a campaign engine over sim whose detection matrices
+// fan their rows out across a worker pool (workers <= 0 = all CPU cores).
+// A coverage campaign asks each usable vector only the faults it can
+// reveal, serially, and is bit-identical to Simulator.EvaluateCoverage
+// for any worker count, including Undetected order; EvaluateCoverageCtx
+// stops within one vector when the context is cancelled.
 func NewEngine(sim *fault.Simulator, workers int) *Engine {
 	return fault.NewEngine(sim, workers)
 }

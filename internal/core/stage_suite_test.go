@@ -64,6 +64,34 @@ func TestRunSuiteTemplateFullCoverage(t *testing.T) {
 	}
 }
 
+// TestRunSuiteStateEvalsWorkerInvariant: generation analyses each line
+// state once before the per-valve loop, so the suitegen stage analyses the
+// same number of valve states at any worker count: one path state per row
+// and column and one cut state per lattice gap (8+8+7+7 on the 8x8 grid,
+// 16+16+15+15 on the 16x16).
+func TestRunSuiteStateEvalsWorkerInvariant(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		seed int64
+		want int64
+	}{{8, 3, 30}, {16, 2018, 62}} {
+		c := chip.MustGenerateFPVA(chip.FPVAParams{W: tc.n, H: tc.n, Seed: tc.seed})
+		for _, workers := range []int{1, 2, 8} {
+			for round := 0; round < 3; round++ {
+				res, err := RunSuite(c, SuiteRunOptions{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				gen := res.Stats.Stage(StageSuiteGen)
+				if got := gen.Counter("fault_state_evals"); got != tc.want {
+					t.Fatalf("fpva%d/s%d workers=%d round %d: suitegen fault_state_evals=%d, want %d",
+						tc.n, tc.seed, workers, round, got, tc.want)
+				}
+			}
+		}
+	}
+}
+
 // TestRunSuiteGoldenFPVA pins the template suites of the 16x16 and 32x32
 // FPVAs at seed 2018 byte for byte: the SHA-256 of their EncodeSuite bytes
 // must equal the repository benchmark's golden hashes of the suite_fpva

@@ -58,8 +58,9 @@ func campaignVectors(c *chip.Chip) []Vector {
 	return out
 }
 
-// TestEngineMatchesSerialOnBenchmarks checks that the parallel engine is
-// bit-identical to the serial path on every bundled benchmark chip.
+// TestEngineMatchesSerialOnBenchmarks checks that the engine is
+// bit-identical to the serial path at every worker count on every bundled
+// benchmark chip.
 func TestEngineMatchesSerialOnBenchmarks(t *testing.T) {
 	for _, c := range chip.Benchmarks() {
 		vectors := campaignVectors(c)
@@ -102,7 +103,7 @@ func TestEngineParallelSerialEquivalenceRandom(t *testing.T) {
 
 // TestEngineUnderSharingMatchesSerial covers the sharing-expansion path:
 // a DFT valve sharing an original valve's line can mask faults, and the
-// parallel engine must agree with the serial simulator about it.
+// engine must agree with the serial memo-free baseline about it.
 func TestEngineUnderSharingMatchesSerial(t *testing.T) {
 	c := chip.IVD().Clone()
 	free := -1
@@ -124,10 +125,10 @@ func TestEngineUnderSharingMatchesSerial(t *testing.T) {
 	}
 	vectors := campaignVectors(c)
 	faults := AllFaults(c)
-	want := MustSimulator(c, ctrl).EvaluateCoverage(vectors, faults)
+	want := EvaluateCoverageBaseline(MustSimulator(c, ctrl), vectors, faults)
 	got := NewEngine(MustSimulator(c, ctrl), 4).EvaluateCoverage(vectors, faults)
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("sharing: parallel %+v, serial %+v", got, want)
+		t.Fatalf("sharing: engine %+v, baseline %+v", got, want)
 	}
 }
 

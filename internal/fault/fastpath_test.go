@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/chip"
@@ -165,28 +166,71 @@ func TestSharedStateMatchesNoMemo(t *testing.T) {
 	}
 }
 
-// TestFastPathCoverageMatchesBaseline runs whole campaigns on the bundled
-// designs and checks the engine (with the fast path) still produces
-// bit-identical Coverage to the serial memo-free baseline.
+// TestFastPathCoverageMatchesBaseline pins whole campaigns to the serial
+// memo-free baseline: bit-identical Coverage, Undetected order included,
+// at 1, 2 and 8 workers, under the independent and the shared control of
+// testControls, on the bundled designs and on random chips. The vectors
+// are BenchCampaignVectors, campaignVectors and random ones, unusable and
+// multi-source or multi-meter shapes included, against all three fault
+// kinds. The campaign
+// asks each usable vector only the faults it can reveal, so it must make
+// no screen skips and exactly the reach and bridge checks of a fault-major
+// scan that asks every (fault, usable vector) pair up to the fault's first
+// detection.
 func TestFastPathCoverageMatchesBaseline(t *testing.T) {
-	for _, c := range chip.Benchmarks() {
-		vectors := BenchCampaignVectors(c)
-		faults := AllFaultsOfKinds(c, StuckAt0, StuckAt1, Leakage)
-		simA := MustSimulator(c, chip.IndependentControl(c))
-		simB := MustSimulator(c, chip.IndependentControl(c))
-		want := EvaluateCoverageBaseline(simA, vectors, faults)
-		for _, workers := range []int{1, 4} {
-			got := NewEngine(simB, workers).EvaluateCoverage(vectors, faults)
-			if got.Total != want.Total || got.Detected != want.Detected || len(got.Undetected) != len(want.Undetected) {
-				t.Fatalf("%s workers=%d: coverage %+v != baseline %+v", c.Name, workers, got, want)
+	rng := rand.New(rand.NewSource(32))
+	chips := chip.Benchmarks()
+	for i := 0; i < 10; i++ {
+		chips = append(chips, chip.Random(rng))
+	}
+	for _, c := range chips {
+		for _, ctrl := range testControls(c) {
+			cc := ctrl.Chip()
+			vectors := append(BenchCampaignVectors(cc), campaignVectors(cc)...)
+			for i := 0; i < 24; i++ {
+				vectors = append(vectors, randomVector(rng, cc))
 			}
-			for i := range got.Undetected {
-				if got.Undetected[i] != want.Undetected[i] {
-					t.Fatalf("%s workers=%d: Undetected[%d] = %v != %v", c.Name, workers, i, got.Undetected[i], want.Undetected[i])
+			faults := AllFaultsOfKinds(cc, StuckAt0, StuckAt1, Leakage)
+			want := EvaluateCoverageBaseline(MustSimulator(cc, ctrl), vectors, faults)
+			rules := faultMajorRules(MustSimulator(cc, ctrl), vectors, faults)
+			for _, workers := range []int{1, 2, 8} {
+				m := NewMetrics()
+				sim := MustSimulator(cc, ctrl)
+				sim.SetMetrics(m)
+				got := NewEngine(sim, workers).EvaluateCoverage(vectors, faults)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s (%d valves, %d lines) workers=%d: coverage %+v, baseline %+v", cc.Name, cc.NumValves(), ctrl.NumLines(), workers, got, want)
+				}
+				snap := m.Snapshot()
+				if snap.ScreenSkips != 0 || snap.ReachChecks != rules.reaches || snap.BridgeChecks != rules.bridges {
+					t.Fatalf("%s (%d valves, %d lines) workers=%d: %d screens, %d reach and %d bridge checks; fault-major scan makes %d reach and %d bridge checks",
+						cc.Name, cc.NumValves(), ctrl.NumLines(), workers, snap.ScreenSkips, snap.ReachChecks, snap.BridgeChecks, rules.reaches, rules.bridges)
 				}
 			}
 		}
 	}
+}
+
+// faultMajorRules tallies the rules detectsEval applies when each fault
+// asks every usable vector, in campaign order, up to its first detection.
+func faultMajorRules(sim *Simulator, vectors []Vector, faults []Fault) ruleTally {
+	var usable []*vectorEval
+	for _, v := range vectors {
+		ev := new(vectorEval)
+		sim.eval(v, ev)
+		if ev.usable {
+			usable = append(usable, ev)
+		}
+	}
+	var t ruleTally
+	for _, f := range faults {
+		for _, ev := range usable {
+			if detectsEval(sim.chip, ev, f, &t) {
+				break
+			}
+		}
+	}
+	return t
 }
 
 // TestFastPathMetrics checks the screen/reach-rule counters move during a

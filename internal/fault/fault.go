@@ -188,13 +188,11 @@ func (s *Simulator) OpenStates(v Vector) []bool {
 
 // usableReadings reports whether defect-free readings satisfy the vector's
 // specification: a path vector must deliver pressure to every meter; a cut
-// vector must isolate every meter from every source.
+// vector (any other kind, as in ExpandInto) must isolate every meter from
+// every source.
 func usableReadings(k VectorKind, readings []bool) bool {
 	for _, r := range readings {
-		if k == PathVector && !r {
-			return false
-		}
-		if k == CutVector && r {
+		if r != (k == PathVector) {
 			return false
 		}
 	}
@@ -390,13 +388,10 @@ func (c Coverage) String() string {
 	return fmt.Sprintf("coverage %d/%d (%.1f%%)", c.Detected, c.Total, 100*c.Ratio())
 }
 
-// EvaluateCoverage fault-simulates every (vector, fault) pair and returns
-// the aggregate coverage. Vectors that fail FaultFreeOK contribute no
-// detections (a vector that misbehaves on a good chip would reject good
-// chips, so it must not be counted on).
-//
-// The campaign runs serially; use an Engine for the parallel worker pool.
-// Both paths produce bit-identical Coverage, including Undetected order.
+// EvaluateCoverage fault-simulates the vectors against the faults and
+// returns the aggregate coverage: an Engine's campaign on s. Vectors that
+// fail FaultFreeOK contribute no detections (a vector that misbehaves on a
+// good chip would reject good chips, so it must not be counted on).
 func (s *Simulator) EvaluateCoverage(vectors []Vector, faults []Fault) Coverage {
 	return NewEngine(s, 1).EvaluateCoverage(vectors, faults)
 }

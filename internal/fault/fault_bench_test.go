@@ -40,10 +40,9 @@ func BenchmarkSingleDetect(b *testing.B) {
 }
 
 // BenchmarkEvaluateCoverage compares one cold campaign on the largest
-// bundled design (mRNA) across the three paths: the seed's serial
-// recomputation (EvaluateCoverageBaseline), the memoized single-worker
-// engine, and the full parallel worker pool. A fresh simulator per
-// iteration keeps every campaign cold.
+// bundled design (mRNA) on the two paths: the seed's serial recomputation
+// (EvaluateCoverageBaseline) and the memoized engine. A fresh simulator
+// per iteration keeps every campaign cold.
 func BenchmarkEvaluateCoverage(b *testing.B) {
 	c := chip.MRNA()
 	vectors := BenchCampaignVectors(c)
@@ -60,13 +59,6 @@ func BenchmarkEvaluateCoverage(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sim := MustSimulator(c, chip.IndependentControl(c))
 			NewEngine(sim, 1).EvaluateCoverage(vectors, faults)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sim := MustSimulator(c, chip.IndependentControl(c))
-			NewEngine(sim, 0).EvaluateCoverage(vectors, faults)
 		}
 	})
 }

@@ -50,8 +50,8 @@ func (m *Metrics) noteCampaign(faults int) {
 }
 
 // ruleTally counts (vector, fault) verdicts settled by each fast-path rule
-// (see fastpath.go) in a caller-local variable, so a campaign's hot loop
-// publishes them with one atomic add per fault, not one per pair.
+// (see fastpath.go) in a caller-local variable, so a campaign publishes
+// them with one atomic add per rule, not one per pair.
 type ruleTally struct{ screens, reaches, bridges int64 }
 
 // addRules publishes a tally.
@@ -87,7 +87,10 @@ type MetricsSnapshot struct {
 	// ScreenSkips counts (vector, fault) verdicts settled by the saturation
 	// screen; ReachChecks those settled by the single-edge reach rule;
 	// BridgeChecks those settled by the bridge rule. All three replace a
-	// full faulty-chip simulation.
+	// full faulty-chip simulation. A campaign asks each usable vector
+	// only the faults it can reveal, which the screen never settles, so
+	// only Detects, Certifies, Cover, Probe and detection matrices count
+	// screens.
 	ScreenSkips, ReachChecks, BridgeChecks int64
 }
 

@@ -11,6 +11,7 @@ package testgen
 import (
 	"context"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/chip"
@@ -73,9 +74,8 @@ func (s *Suite) Vectors() []fault.Vector {
 
 // Coverage runs the suite against every stuck-at fault of its chip under
 // independent control.
-func (s *Suite) Coverage(workers int) fault.Coverage {
-	sim := fault.MustSimulator(s.Chip, chip.IndependentControl(s.Chip))
-	return fault.NewEngine(sim, workers).EvaluateCoverage(s.Vectors(), fault.AllFaults(s.Chip))
+func (s *Suite) Coverage() fault.Coverage {
+	return fault.MustSimulator(s.Chip, chip.IndependentControl(s.Chip)).EvaluateCoverage(s.Vectors(), fault.AllFaults(s.Chip))
 }
 
 // valveVectors is one valve's solved (or line-recipe) vectors.
@@ -94,7 +94,9 @@ type suitePre struct {
 
 	channelOnly []bool    // channelMask(c)
 	cost        []float64 // channelCost(channelOnly)
-	portDist    [][]int
+
+	distOnce sync.Once
+	portDist [][]int // see dists
 
 	lines lineTable // GenerateTemplates only; see lineOf
 
@@ -109,22 +111,32 @@ func newSuitePre(sim *fault.Simulator) *suitePre {
 	// forbidden (negative weight), channel edges cost one hop.
 	p.channelOnly = channelMask(c)
 	p.cost = channelCost(p.channelOnly)
-	channel := func(e int) bool { return p.channelOnly[e] }
-	p.portDist = make([][]int, len(c.Ports))
-	for i, port := range c.Ports {
-		p.portDist[i] = p.g.BFSFrom(port.Node, channel)
-	}
 	return p
+}
+
+// dists returns the per-port BFS distance tables over the channel
+// network, building them on the first call: only the per-valve solve
+// reads them, and no valve of a square FPVA's template suite runs it.
+func (p *suitePre) dists() [][]int {
+	p.distOnce.Do(func() {
+		channel := func(e int) bool { return p.channelOnly[e] }
+		p.portDist = make([][]int, len(p.c.Ports))
+		for i, port := range p.c.Ports {
+			p.portDist[i] = p.g.BFSFrom(port.Node, channel)
+		}
+	})
+	return p.portDist
 }
 
 // nearestPorts returns up to k ports reachable from node, nearest first,
 // ties towards lower port IDs. Deterministic O(k·ports) selection.
 func (p *suitePre) nearestPorts(node, k int) []int {
+	portDist := p.dists()
 	var out []int
 	for len(out) < k {
 		best, bestD := -1, -1
-		for id := range p.portDist {
-			d := p.portDist[id][node]
+		for id := range portDist {
+			d := portDist[id][node]
 			if d < 0 || containsInt(out, id) {
 				continue
 			}
@@ -175,15 +187,16 @@ func (p *suitePre) candidatePairs(u, w int) [][2]int {
 // best-orientation distance to the valve endpoints (then by IDs) — the
 // exhaustive fallback when no proximity candidate solves.
 func (p *suitePre) allPairsRanked(u, w int) [][2]int {
+	portDist := p.dists()
 	type ranked struct{ d, s, m int }
 	var all []ranked
-	for s := range p.portDist {
-		for m := range p.portDist {
+	for s := range portDist {
+		for m := range portDist {
 			if s == m {
 				continue
 			}
-			du, dw := p.portDist[s][u], p.portDist[m][w]
-			dw2, du2 := p.portDist[s][w], p.portDist[m][u]
+			du, dw := portDist[s][u], portDist[m][w]
+			dw2, du2 := portDist[s][w], portDist[m][u]
 			best := -1
 			if du >= 0 && dw >= 0 {
 				best = du + dw
@@ -404,11 +417,19 @@ func generate(ctx context.Context, sim *fault.Simulator, opts SuiteOptions, line
 		ctx = context.Background()
 	}
 	pre := newSuitePre(sim)
+	workers := par.Workers(opts.Workers)
 	if lines {
 		pre.buildLines()
+		// Analyse each line state once, spread over the pool, so the
+		// per-valve certifications below are memo hits and no two workers
+		// analyse one state.
+		states := pre.lineStates()
+		if err := par.For(ctx, workers, len(states), func(i int) { sim.FaultFreeOK(states[i]) }); err != nil {
+			return nil, err
+		}
 	}
 	slots := make([]valveVectors, pre.c.NumValves())
-	err := par.For(ctx, par.Workers(opts.Workers), len(slots), func(v int) {
+	err := par.For(ctx, workers, len(slots), func(v int) {
 		slots[v] = pre.solveValve(v, lines)
 	})
 	if err != nil {

@@ -63,7 +63,7 @@ func TestSuiteEnginesCoverageEqual(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: template: %v", c.Name, err)
 		}
-		covB, covT := base.Coverage(4), tmpl.Coverage(4)
+		covB, covT := base.Coverage(), tmpl.Coverage()
 		if !reflect.DeepEqual(covB, covT) {
 			t.Fatalf("%s: coverage differs: baseline %+v, template %+v", c.Name, covB, covT)
 		}
@@ -102,7 +102,7 @@ func TestFPVASuiteFullCoverage(t *testing.T) {
 		if len(s.Uncovered) != 0 {
 			t.Fatalf("%s suite left valves uncovered: %v", s.Stats.Engine, s.Uncovered)
 		}
-		if cov := s.Coverage(4); !cov.Full() {
+		if cov := s.Coverage(); !cov.Full() {
 			t.Fatalf("%s suite coverage %v", s.Stats.Engine, cov)
 		}
 		for v := 0; v < c.NumValves(); v++ {

@@ -7,9 +7,9 @@
 // crossing the valve's lattice gap. Both are closed-form — no routing or
 // max-flow solve — and every valve on the same line shares the same
 // absolute vectors, so their certifications share one state analysis in
-// the simulator's state memo. These are the row/column paths and
-// lattice-gap cuts of the FPVA test literature; on every square FPVA
-// probed, every valve qualifies.
+// the simulator's state memo, made before the per-valve loop. These are
+// the row/column paths and lattice-gap cuts of the FPVA test literature;
+// on every square FPVA probed, every valve qualifies.
 //
 // Every other valve, and any line vector that fails certification, gets
 // the per-valve solve GenerateBaseline runs, so the two generators share
@@ -205,6 +205,32 @@ func (p *suitePre) lineOf(valve int) (*gridLine, []int, bool) {
 	}
 	ln := &p.lines.cols[a.X]
 	return ln, p.lines.rowGaps[a.Y], ln.ok
+}
+
+// lineStates returns one vector per distinct valve state the line
+// recipe certifies: the path of every qualifying row and column, and the
+// cut of every lattice gap a qualifying line crosses. A qualifying line
+// is fully valved, so its valves span every gap across it. Ports do not
+// enter a state, so the vectors carry none.
+func (p *suitePre) lineStates() []fault.Vector {
+	var out []fault.Vector
+	add := func(lines []gridLine, gaps [][]int) {
+		crossed := false
+		for i := range lines {
+			if lines[i].ok {
+				out = append(out, fault.Vector{Kind: fault.PathVector, Valves: lines[i].pathValves})
+				crossed = true
+			}
+		}
+		if crossed {
+			for _, gap := range gaps {
+				out = append(out, fault.Vector{Kind: fault.CutVector, Valves: gap})
+			}
+		}
+	}
+	add(p.lines.rows, p.lines.colGaps)
+	add(p.lines.cols, p.lines.rowGaps)
+	return out
 }
 
 // instantiateLine materializes one closed-form line vector for a valve and
