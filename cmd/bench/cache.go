@@ -2,21 +2,14 @@ package main
 
 // cache.go is the cache mode. Per bundled design (case "<chip>/<assay>")
 // the DFT flow runs uncached (the reference), cold through a fresh disk
-// cache (timed once), warm from that cache's memory tier (mem-hit), and
-// warm from the disk tier through a fresh cache over the same directory,
-// as after a process restart (disk-hit, gated against the committed
-// report). Every cached leg must reproduce the uncached canonical
-// encoding, and disk-hit must collapse to the single artifact stage. A
-// 75%-duplicate batch then runs serially without a cache (uncached) and
-// through core.RunBatch (batch: at least batchSpeedupGate() faster, and
-// gated against the committed report), then at pools of 1/2/4/8 workers,
-// each of which must reproduce the serial results and cache counters.
+// cache (timed once), and warm from that cache's directory (disk-hit,
+// gated against the committed report). Every cached leg must reproduce
+// the uncached canonical encoding, and disk-hit must collapse to the
+// single artifact stage.
 
 import (
 	"bytes"
-	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/assay"
@@ -24,30 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/pso"
 )
-
-const (
-	// minBatchSpeedup is the acceptance gate: RunBatch over the
-	// 75%-duplicate job set vs the same jobs solved serially. It assumes
-	// the pool has parallel capacity; see batchSpeedupGate.
-	minBatchSpeedup = 5.0
-	// batchJobs/batchUnique shape the duplicate-heavy submission: 32 jobs
-	// over 8 distinct seeds = 75% duplicates.
-	batchJobs   = 32
-	batchUnique = 8
-)
-
-// batchSpeedupGate is the effective acceptance threshold on this machine.
-// Dedup alone can at best collapse the batch to its unique solves — a
-// jobs/unique (4x) ceiling — and the pool adds speedup only when
-// GOMAXPROCS > 1. On a single-CPU host the full 5x gate is therefore
-// unreachable by construction, so the gate becomes 90% of the dedup
-// ceiling there; every multi-core machine keeps the full 5x requirement.
-func batchSpeedupGate() float64 {
-	if runtime.GOMAXPROCS(0) > 1 {
-		return minBatchSpeedup
-	}
-	return 0.9 * float64(batchJobs) / float64(batchUnique)
-}
 
 // cacheFlowOpts is the flow configuration every leg runs: small enough to
 // iterate, large enough that a solve dwarfs a cache hit.
@@ -68,22 +37,11 @@ func runCache() ([]Record, error) {
 		}
 		recs = append(recs, rs...)
 	}
-	rs, err := cacheBatch()
-	if err != nil {
-		return nil, err
-	}
-	recs = append(recs, rs...)
 	setSpeedups(recs, "uncached", "")
-	for i := range recs {
-		if recs[i].Variant == "batch" {
-			recs[i].Gates["min_speedup"] = recs[i].Speedup >= batchSpeedupGate()
-		}
-	}
 	return recs, nil
 }
 
-// cacheDesign measures one design's uncached, cold, mem-hit and disk-hit
-// flows.
+// cacheDesign measures one design's uncached, cold and disk-hit flows.
 func cacheDesign(mkChip func() *chip.Chip, mkAssay func() *assay.Graph) ([]Record, error) {
 	cs := mkChip().Name + "/" + mkAssay().Name
 	var res *core.Result
@@ -132,109 +90,14 @@ func cacheDesign(mkChip func() *chip.Chip, mkAssay func() *assay.Graph) ([]Recor
 	if err := add(Record{Case: cs, Variant: "cold", Iterations: 1, NsOp: time.Since(start).Nanoseconds()}, err); err != nil {
 		return nil, err
 	}
-	if err := add(measure(cs, "mem-hit", flow(opts))); err != nil {
-		return nil, err
-	}
-	// A fresh cache over the same directory sees only the disk tier.
-	diskHit := func() error {
-		cc, err := core.NewCache(core.CacheConfig{Dir: dir})
-		if err != nil {
-			return err
-		}
-		o := opts
-		o.Cache = cc
-		return flow(o)()
-	}
-	if err := add(measure(cs, "disk-hit", diskHit)); err != nil {
+	// The cache keeps nothing in memory: every request after the cold one
+	// reads and decodes the stored payload.
+	if err := add(measure(cs, "disk-hit", flow(opts))); err != nil {
 		return nil, err
 	}
 	st, disk := res.Stats, &recs[len(recs)-1]
 	disk.Gated = true
 	disk.Gates["skips_solve"] = st != nil && len(st.Stages) == 1 &&
 		st.Stages[0].Name == core.StageArtifact && st.Stages[0].Counters["art_disk_hits"] == 1
-	return recs, nil
-}
-
-// batchJobSet builds the 75%-duplicate submission: batchJobs jobs cycling
-// through batchUnique distinct seeds on the mid-size design. Each job
-// runs single-worker — the batch pool, not the flow's internal engines,
-// provides the parallelism, so the serial reference measures what a
-// caller submitting jobs one-by-one with the same per-job configuration
-// would pay. Dedup contributes 4x (75% duplicates); the pool contributes
-// the rest.
-func batchJobSet() []core.BatchJob {
-	jobs := make([]core.BatchJob, batchJobs)
-	for i := range jobs {
-		opts := cacheFlowOpts(100 + int64(i%batchUnique))
-		opts.Workers = 1
-		jobs[i] = core.BatchJob{Chip: chip.RA30(), Assay: assay.PID(), Opts: opts}
-	}
-	return jobs
-}
-
-// cacheBatch measures the duplicate-heavy submission: serially without a
-// cache, through RunBatch at the default pool size, then at pools of
-// 1/2/4/8 workers.
-func cacheBatch() ([]Record, error) {
-	jobs := batchJobSet()
-	cs := fmt.Sprintf("RA30_chip/PID x%d", batchJobs)
-	serial := make([][]byte, len(jobs))
-	start := time.Now()
-	for i, j := range jobs {
-		res, err := core.RunDFTFlow(j.Chip, j.Assay, j.Opts)
-		if err != nil {
-			return nil, err
-		}
-		if serial[i], err = core.EncodeResult(res); err != nil {
-			return nil, err
-		}
-	}
-	recs := []Record{{Case: cs, Variant: "uncached", Iterations: 1, NsOp: time.Since(start).Nanoseconds()}}
-
-	var ref [4]int64
-	for _, par := range []int{0, 1, 2, 4, 8} {
-		cc, err := core.NewCache(core.CacheConfig{})
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		results := core.RunBatch(jobs, core.BatchOptions{Parallel: par, Cache: cc})
-		r := Record{Case: cs, Variant: fmt.Sprintf("pool-%d", par), Iterations: 1, NsOp: time.Since(start).Nanoseconds()}
-		identical, shared := true, 0
-		for i, br := range results {
-			if br.Err != nil {
-				return nil, fmt.Errorf("batch job %d: %w", i, br.Err)
-			}
-			enc, err := core.EncodeResult(br.Result)
-			if err != nil {
-				return nil, err
-			}
-			identical = identical && bytes.Equal(enc, serial[i])
-			if br.Shared {
-				shared++
-			}
-		}
-		m := cc.Metrics()
-		counts := [4]int64{m.MemHits, m.DiskHits, m.Misses, m.Stores}
-		r.Counters = map[string]float64{
-			"shared_results": float64(shared), // duplicates served as decoded copies
-			"mem_hits":       float64(m.MemHits),
-			"disk_hits":      float64(m.DiskHits),
-			"misses":         float64(m.Misses),
-			"stores":         float64(m.Stores),
-		}
-		r.Gates = map[string]bool{"identical": identical}
-		switch par {
-		case 0:
-			r.Variant, r.Gated = "batch", true
-			r.Counters["jobs"], r.Counters["unique_keys"] = batchJobs, batchUnique
-			r.Counters["speedup_gate"] = batchSpeedupGate()
-		case 1:
-			ref = counts
-		default:
-			r.Gates["same_counters"] = counts == ref
-		}
-		recs = append(recs, r)
-	}
 	return recs, nil
 }

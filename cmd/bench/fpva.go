@@ -13,15 +13,14 @@ package main
 // record's gates: no valve uncovered, coverage bit-identical to the
 // baseline suite (or full where no baseline runs), and the suite
 // bit-identical at 1/2/4/8 workers. Its counters add a bounded DAC
-// test-path ILP probe and peak RSS. At the largest size with both
-// generators (>= 32x32) the template record must be minSpeedup faster per
-// vector; that record is the one -baseline holds.
+// test-path ILP probe and the allocated heap after the size's legs
+// (heap_mb). At the largest size with both generators (>= 32x32) the
+// template record must be minSpeedup faster per vector; that record is the
+// one -baseline holds.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"os"
 	"reflect"
 	"runtime"
 	"time"
@@ -53,17 +52,6 @@ func canonicalSuite(s *testgen.Suite) any {
 		PathOf, CutOf []int
 		Uncovered     []int
 	}{s.Paths, s.Cuts, s.PathOf, s.CutOf, s.Uncovered}
-}
-
-// peakRSSBytes reads VmHWM (peak resident set) from /proc/self/status;
-// 0 where the file or field is unavailable.
-func peakRSSBytes() int64 {
-	data, _ := os.ReadFile("/proc/self/status")
-	var kb int64
-	if _, rest, ok := bytes.Cut(data, []byte("VmHWM:")); ok {
-		fmt.Sscan(string(rest), &kb)
-	}
-	return kb * 1024
 }
 
 // suiteGen is the signature GenerateTemplatesCtx and GenerateBaselineCtx
@@ -190,7 +178,6 @@ func runFPVA() ([]Record, error) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		tmpl.Counters["heap_mb"] = float64(ms.HeapAlloc) / (1 << 20)
-		tmpl.Counters["peak_rss_mb"] = float64(peakRSSBytes()) / (1 << 20)
 		recs = append(recs, tmpl, camp)
 	}
 	setSpeedups(recs, "baseline", "vectors")

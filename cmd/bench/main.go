@@ -50,7 +50,7 @@ var modes = []struct {
 	{"pso", "two-level PSO fitness engine at 1/2/4/8 workers per chip/assay combo", runPSO},
 	{"sched", "warm-start scheduler engine (cold vs warm) per chip/assay combo", runSched},
 	{"fpva", "per-valve vs line-first suite generation on FPVA grids 8x8..64x64", runFPVA},
-	{"cache", "artifact cache (uncached vs cold, memory-hit and disk-hit flows) and the dedup batch", runCache},
+	{"cache", "artifact cache (uncached vs cold and disk-hit flows) per design", runCache},
 }
 
 func main() {

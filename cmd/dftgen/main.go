@@ -11,7 +11,7 @@
 // -cache-dir enables the persistent content-addressed artifact cache: a
 // rerun with identical inputs loads the finalized result from disk and
 // skips every solve stage (the synthesized "artifact" stage in -stats
-// shows the hit tier).
+// shows art_disk_hits=1).
 //
 // -fpva WxH generates a parametric fully-programmable-valve-array grid
 // chip (deterministic in -fpva-seed, perimeter ports per -fpva-ports)

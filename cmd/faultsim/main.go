@@ -135,7 +135,7 @@ func run() int {
 			aug, cuts = ts.Aug, ts.Cuts
 			if cache != nil {
 				if ts.Tier != "" {
-					st.Count("art_"+ts.Tier+"_hits", 1)
+					st.Count("art_disk_hits", 1)
 				} else {
 					st.Count("art_miss", 1)
 				}

@@ -281,45 +281,25 @@ func RunTestSuiteCtx(ctx context.Context, c *Chip, opts SuiteRunOptions) (*Suite
 	return core.RunSuiteCtx(ctx, c, opts)
 }
 
-// Content-addressed artifact caching and batch submission (see
-// internal/core and internal/artifact). An ArtifactCache memoizes
-// finalized flow Results, test suites and test sets by content digest in
-// an unbounded memory tier over an optional persistent disk tier;
-// RunBatch collapses duplicate submissions to one solve on a bounded
-// worker pool.
+// Content-addressed artifact caching (see internal/core and
+// internal/artifact). An ArtifactCache stores finalized flow Results, test
+// suites and test sets by content digest in a directory, so a rerun with
+// the same inputs decodes the stored result instead of solving again.
 type (
-	// ArtifactCache is the two-tier (memory + optional disk) cache; pass
-	// it on Options.Cache / SuiteRunOptions.Cache or BatchOptions.Cache.
+	// ArtifactCache is the disk-backed cache; pass it on Options.Cache or
+	// SuiteRunOptions.Cache.
 	ArtifactCache = core.Cache
 	// ArtifactCacheConfig configures NewArtifactCache.
 	ArtifactCacheConfig = core.CacheConfig
-	// ArtifactCacheMetrics snapshots hit/miss/store traffic.
-	ArtifactCacheMetrics = core.CacheMetrics
 	// TestSet is the standalone augmentation + cut-cover artifact
 	// (BuildTestSet) the inspection CLIs consume.
 	TestSet = core.TestSet
-	// BatchJob, BatchResult and BatchOptions belong to RunBatch.
-	BatchJob     = core.BatchJob
-	BatchResult  = core.BatchResult
-	BatchOptions = core.BatchOptions
 )
 
-// NewArtifactCache builds an artifact cache; with a Dir the persistent
-// disk tier is opened (created if missing).
+// NewArtifactCache opens the artifact cache rooted at cfg.Dir (created if
+// missing); an empty Dir is an error.
 func NewArtifactCache(cfg ArtifactCacheConfig) (*ArtifactCache, error) {
 	return core.NewCache(cfg)
-}
-
-// RunBatch runs N flow submissions as one batch: identical submissions
-// collapse to one solve and results fan back in submission order,
-// bit-identical to N serial runs.
-func RunBatch(jobs []BatchJob, opts BatchOptions) []BatchResult {
-	return core.RunBatch(jobs, opts)
-}
-
-// RunBatchCtx is RunBatch with cooperative cancellation.
-func RunBatchCtx(ctx context.Context, jobs []BatchJob, opts BatchOptions) []BatchResult {
-	return core.RunBatchCtx(ctx, jobs, opts)
 }
 
 // BuildTestSet augments a chip heuristically and generates its cut cover

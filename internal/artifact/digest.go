@@ -1,12 +1,11 @@
 // Package artifact is the content-addressed caching substrate: canonical
 // versioned digests for the domain objects a solve depends on (chips,
 // assays, solver option sets), a sharded unbounded once-map with
-// singleflight semantics, and an optional disk store with atomic writes
-// and corruption-tolerant loads. The flow, suite and test-set caches and
-// batch dedup (internal/core) key work by these digests, so identical
-// submissions cost one solve and a warm process can skip whole stages.
-// The once-map also serves as the plain memo of string-keyed work
-// elsewhere (flow evaluations, scheduler engines).
+// singleflight semantics, and a disk store with atomic writes and
+// corruption-tolerant loads. The flow, suite and test-set caches
+// (internal/core) key the disk store by these digests, so a rerun with
+// identical inputs skips its solve. The once-map is the plain memo of
+// string-keyed work (flow evaluations, scheduler engines).
 package artifact
 
 import (

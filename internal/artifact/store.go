@@ -16,7 +16,7 @@ var storeMagic = [4]byte{'D', 'F', 'T', 'A'}
 
 const storeVersion = 1
 
-// Store is the optional disk tier: one file per artifact, named by kind
+// Store is the artifact cache on disk: one file per artifact, named by kind
 // and digest, written atomically (temp file + rename) with an embedded
 // checksum. Loads are corruption-tolerant — any truncated, altered or
 // foreign file reads as a miss, never an error, so a damaged cache

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/artifact"
@@ -18,111 +17,59 @@ import (
 )
 
 // StageArtifact is the synthesized stage name a cache-served (or
-// cache-stored) run reports in Result.Stats: art_mem_hits / art_disk_hits
-// mark a hit tier, art_miss + art_store mark a solved-and-stored run.
+// cache-stored) run reports in Result.Stats: art_disk_hits marks a hit,
+// art_miss + art_store mark a solved-and-stored run.
 const StageArtifact = "artifact"
 
 // resultSchema versions the canonical Result encoding; a mismatch reads
 // as a miss, never as a decode of stale semantics.
 const resultSchema = 1
 
-// Cache is the content-addressed artifact cache the flow and suite
-// entrypoints consult: an unbounded memory tier of canonical encodings
-// plus an optional cross-run disk tier (CacheConfig.Dir). Values are
-// payload bytes in the canonical codec — every hit decodes a fresh copy,
-// so callers never share mutable results — and keys are artifact digests,
-// so identical submissions cost one solve.
-//
-// The hit/miss counters are deterministic for any worker count because
-// batch deduplication happens before jobs reach a worker pool
-// (RunBatch) and each unique digest performs exactly one lookup and at
-// most one store.
+// Cache is the content-addressed artifact cache the flow, suite and
+// test-set entrypoints consult: a disk store (CacheConfig.Dir) of
+// canonical encodings keyed by artifact digest. Every hit decodes a fresh
+// copy, so callers never share mutable results, and results persist
+// across runs.
 type Cache struct {
-	mem   *artifact.Cache[[]byte]
 	store *artifact.Store
-
-	memHits  atomic.Int64
-	diskHits atomic.Int64
-	misses   atomic.Int64
-	stores   atomic.Int64
 }
 
 // CacheConfig configures NewCache.
 type CacheConfig struct {
-	// Dir enables the cross-run disk tier rooted there ("" = memory only).
+	// Dir is the directory the artifacts are stored in (required).
 	Dir string
 }
 
-// CacheMetrics is a point-in-time snapshot of cache traffic.
-type CacheMetrics struct {
-	MemHits  int64 `json:"mem_hits"`
-	DiskHits int64 `json:"disk_hits"`
-	Misses   int64 `json:"misses"`
-	Stores   int64 `json:"stores"`
-}
-
-// NewCache builds an artifact cache. With a Dir the disk tier is opened
-// (created if missing); errors only come from that.
+// NewCache opens the artifact cache rooted at cfg.Dir, creating the
+// directory if missing.
 func NewCache(cfg CacheConfig) (*Cache, error) {
-	c := &Cache{mem: artifact.NewCache[[]byte]()}
-	if cfg.Dir != "" {
-		store, err := artifact.OpenStore(cfg.Dir)
-		if err != nil {
-			return nil, err
-		}
-		c.store = store
+	if cfg.Dir == "" {
+		return nil, fmt.Errorf("core: artifact cache needs a directory")
 	}
-	return c, nil
+	store, err := artifact.OpenStore(cfg.Dir)
+	if err != nil {
+		return nil, err
+	}
+	return &Cache{store: store}, nil
 }
 
-// Metrics snapshots the counters.
-func (c *Cache) Metrics() CacheMetrics {
-	return CacheMetrics{
-		MemHits:  c.memHits.Load(),
-		DiskHits: c.diskHits.Load(),
-		Misses:   c.misses.Load(),
-		Stores:   c.stores.Load(),
-	}
-}
-
-// lookup returns the artifact stored under (kind, d), decoded, and the
-// tier that served it ("mem", then "disk"), or tier "" on a miss. Only
-// payloads that decode enter the memory tier: an undecodable one (a stale
-// schema in the disk tier, a foreign chip) counts as a miss, and the
-// caller's store after its solve replaces it.
-func lookup[T any](c *Cache, kind string, d artifact.Digest, decode func([]byte) (T, error)) (T, string) {
-	key := kind + ":" + d.Hex()
-	b, ok := c.mem.Get(key)
-	tier := "mem"
-	if !ok && c.store != nil {
-		b, ok = c.store.Get(kind, d)
-		tier = "disk"
-	}
-	if ok {
+// lookup returns the artifact stored under (kind, d), decoded, and whether
+// it was a hit. A payload that does not decode (a stale schema, a foreign
+// chip) is a miss, and the caller's store after its solve replaces it.
+func lookup[T any](c *Cache, kind string, d artifact.Digest, decode func([]byte) (T, error)) (T, bool) {
+	if b, ok := c.store.Get(kind, d); ok {
 		if v, err := decode(b); err == nil {
-			if tier == "mem" {
-				c.memHits.Add(1)
-			} else {
-				c.diskHits.Add(1)
-				c.mem.Do(key, func() []byte { return b })
-			}
-			return v, tier
+			return v, true
 		}
 	}
-	c.misses.Add(1)
 	var zero T
-	return zero, ""
+	return zero, false
 }
 
-// add stores the canonical payload in both tiers. Disk failures are
-// swallowed: the store is an accelerator, never the source of truth.
+// add stores the canonical payload. Failures are swallowed: the store is
+// an accelerator, never the source of truth.
 func (c *Cache) add(kind string, d artifact.Digest, payload []byte) {
-	key := kind + ":" + d.Hex()
-	c.mem.Do(key, func() []byte { return payload })
-	if c.store != nil {
-		_ = c.store.Put(kind, d, payload)
-	}
-	c.stores.Add(1)
+	_ = c.store.Put(kind, d, payload)
 }
 
 // flowCacheable reports whether a flow's options describe a pure
@@ -336,20 +283,13 @@ func DecodeResult(orig *chip.Chip, payload []byte) (*Result, error) {
 }
 
 // artifactStats synthesizes the single-stage Stats of a cache-served run
-// and emits the stage bracket to the observer, so live observers see
-// cache traffic exactly like any other stage.
-func artifactStats(obs flowstage.Observer, dur time.Duration, counters map[string]int64) *flowstage.Stats {
+// (art_disk_hits=1) and emits the stage bracket to the observer, so live
+// observers see cache traffic exactly like any other stage.
+func artifactStats(obs flowstage.Observer, dur time.Duration) *flowstage.Stats {
 	o := flowstage.OrNop(obs)
 	o.StageStart(StageArtifact)
-	st := flowstage.StageStats{Name: StageArtifact, Duration: dur, Counters: counters}
-	for k, v := range counters {
-		switch k {
-		case "art_mem_hits", "art_disk_hits":
-			st.CacheHits += v
-		case "art_miss":
-			st.CacheMisses += v
-		}
-	}
+	st := flowstage.StageStats{Name: StageArtifact, Duration: dur, CacheHits: 1,
+		Counters: map[string]int64{"art_disk_hits": 1}}
 	o.StageEnd(StageArtifact, st)
 	return &flowstage.Stats{Total: dur, Stages: []flowstage.StageStats{st}}
 }

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/artifact"
@@ -18,9 +20,9 @@ import (
 )
 
 // A cached flow result must be byte-identical to a fresh solve under the
-// canonical encoding, from both the memory and the disk tier.
+// canonical encoding: the cold run solves and stores, and the second
+// request on the same cache is a disk hit.
 func TestFlowCacheBitIdentity(t *testing.T) {
-	dir := t.TempDir()
 	opts := smallOpts(11)
 
 	fresh, err := RunDFTFlow(chip.IVD(), assay.IVD(), opts)
@@ -32,7 +34,7 @@ func TestFlowCacheBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cc, err := NewCache(CacheConfig{Dir: dir})
+	cc, err := NewCache(CacheConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,47 +47,49 @@ func TestFlowCacheBitIdentity(t *testing.T) {
 	if !bytes.Equal(coldEnc, want) {
 		t.Fatal("cold cached run differs from uncached run")
 	}
-	memHit, err := RunDFTFlow(chip.IVD(), assay.IVD(), opts)
-	if err != nil {
-		t.Fatal(err)
+	if got := artifactCounters(cold); got["art_miss"] != 1 || got["art_store"] != 1 {
+		t.Fatalf("cold run artifact counters %v, want art_miss=1 art_store=1", got)
 	}
-	memEnc, _ := EncodeResult(memHit)
-	if !bytes.Equal(memEnc, want) {
-		t.Fatal("memory-tier hit differs from fresh solve")
-	}
-	if memHit.Stats == nil || len(memHit.Stats.Stages) != 1 || memHit.Stats.Stages[0].Name != StageArtifact {
-		t.Fatalf("memory hit should report a single artifact stage, got %+v", memHit.Stats)
-	}
-	if memHit.Stats.Stages[0].Counters["art_mem_hits"] != 1 {
-		t.Fatalf("missing art_mem_hits counter: %+v", memHit.Stats.Stages[0].Counters)
-	}
-
-	// A second process: fresh cache over the same directory = disk tier.
-	cc2, err := NewCache(CacheConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Cache = cc2
 	diskHit, err := RunDFTFlow(chip.IVD(), assay.IVD(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	diskEnc, _ := EncodeResult(diskHit)
 	if !bytes.Equal(diskEnc, want) {
-		t.Fatal("disk-tier hit differs from fresh solve")
+		t.Fatal("disk hit differs from fresh solve")
 	}
-	if diskHit.Stats.Stages[0].Counters["art_disk_hits"] != 1 {
-		t.Fatalf("missing art_disk_hits counter: %+v", diskHit.Stats.Stages[0].Counters)
+	if diskHit.Stats == nil || len(diskHit.Stats.Stages) != 1 || diskHit.Stats.Stages[0].Name != StageArtifact {
+		t.Fatalf("disk hit should report a single artifact stage, got %+v", diskHit.Stats)
 	}
-	m := cc2.Metrics()
-	if m.DiskHits != 1 || m.MemHits != 0 || m.Misses != 0 {
-		t.Fatalf("unexpected warm-run metrics: %+v", m)
+	if got := diskHit.Stats.Stages[0].Counters; got["art_disk_hits"] != 1 || len(got) != 1 {
+		t.Fatalf("disk hit counters %v, want art_disk_hits=1 only", got)
 	}
 }
 
+// The cache is a disk store: a config without a directory is rejected.
+func TestNewCacheNeedsDir(t *testing.T) {
+	if cc, err := NewCache(CacheConfig{}); err == nil || cc != nil {
+		t.Fatalf("NewCache without a Dir = %v, %v; want an error", cc, err)
+	}
+}
+
+// artifactCounters returns the counters of a result's artifact stage, nil
+// when it has none.
+func artifactCounters(res *Result) map[string]int64 {
+	if res.Stats == nil {
+		return nil
+	}
+	for _, st := range res.Stats.Stages {
+		if st.Name == StageArtifact {
+			return st.Counters
+		}
+	}
+	return nil
+}
+
 // A disk payload that does not decode (here a stale schema) is a miss: the
-// flow solves once, its store replaces the payload in both tiers, and
-// later requests in the process are memory hits instead of re-solves.
+// flow solves once, its store writes over the stale payload, and later
+// requests are disk hits served by that payload instead of re-solves.
 func TestFlowCacheStalePayload(t *testing.T) {
 	dir := t.TempDir()
 	opts := smallOpts(13)
@@ -112,122 +116,129 @@ func TestFlowCacheStalePayload(t *testing.T) {
 		if solved != (i == 0) {
 			t.Fatalf("request %d: solved=%v", i, solved)
 		}
-		if i > 0 && st[0].Counters["art_mem_hits"] != 1 {
-			t.Fatalf("request %d: counters %v, want a memory hit", i, st[0].Counters)
+		got := artifactCounters(res)
+		if i == 0 && (got["art_miss"] != 1 || got["art_store"] != 1) {
+			t.Fatalf("request 0: counters %v, want a miss and a store", got)
 		}
-	}
-	m := cc.Metrics()
-	if m.Misses != 1 || m.DiskHits != 0 || m.MemHits != 2 || m.Stores != 1 {
-		t.Fatalf("metrics %+v, want 1 miss, 0 disk hits, 2 memory hits, 1 store", m)
+		if i > 0 && got["art_disk_hits"] != 1 {
+			t.Fatalf("request %d: counters %v, want a disk hit", i, got)
+		}
 	}
 }
 
 // Uncacheable option sets (injections, optional stages) must bypass the
-// cache entirely.
+// cache entirely: no artifact stage, nothing stored.
 func TestFlowCacheSkipsUncacheable(t *testing.T) {
-	cc, err := NewCache(CacheConfig{})
+	dir := t.TempDir()
+	cc, err := NewCache(CacheConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := smallOpts(12)
 	opts.Cache = cc
 	opts.Inject = []solve.Injection{{Tier: "heuristic", Kind: solve.FaultTimeout}}
-	if _, err := RunDFTFlow(chip.IVD(), assay.IVD(), opts); err != nil {
-		t.Fatal(err)
-	}
-	m := cc.Metrics()
-	if m.Misses != 0 || m.Stores != 0 || m.MemHits != 0 {
-		t.Fatalf("uncacheable run touched the cache: %+v", m)
-	}
-}
-
-// RunBatch must collapse duplicate submissions to one solve and fan out
-// results bit-identical to serial runs, for every worker count, with
-// identical deterministic cache counters.
-func TestRunBatchDedupDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	seeds := []int64{21, 22}
-	var jobs []BatchJob
-	for i := 0; i < 12; i++ {
-		jobs = append(jobs, BatchJob{Chip: chip.IVD(), Assay: assay.IVD(), Opts: smallOpts(seeds[i%len(seeds)])})
-	}
-	// Serial reference.
-	want := make([][]byte, len(jobs))
-	for i, j := range jobs {
-		res, err := RunDFTFlow(j.Chip, j.Assay, j.Opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i], _ = EncodeResult(res)
-	}
-	var wantMetrics *CacheMetrics
-	for _, par := range []int{1, 2, 4, 8} {
-		cc, err := NewCache(CacheConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := RunBatch(jobs, BatchOptions{Parallel: par, Cache: cc})
-		shared := 0
-		for i, r := range out {
-			if r.Err != nil {
-				t.Fatalf("par=%d job %d: %v", par, i, r.Err)
-			}
-			enc, _ := EncodeResult(r.Result)
-			if !bytes.Equal(enc, want[i]) {
-				t.Fatalf("par=%d job %d differs from serial run", par, i)
-			}
-			if r.Key == "" {
-				t.Fatalf("par=%d job %d: missing digest key", par, i)
-			}
-			if r.Shared {
-				shared++
-			}
-		}
-		if shared != len(jobs)-len(seeds) {
-			t.Fatalf("par=%d: %d shared results, want %d", par, shared, len(jobs)-len(seeds))
-		}
-		m := cc.Metrics()
-		if wantMetrics == nil {
-			wantMetrics = &m
-		} else if m.MemHits != wantMetrics.MemHits || m.DiskHits != wantMetrics.DiskHits ||
-			m.Misses != wantMetrics.Misses || m.Stores != wantMetrics.Stores {
-			t.Fatalf("par=%d: metrics %+v differ from par=1 %+v", par, m, *wantMetrics)
-		}
-	}
-	if wantMetrics.Misses != int64(len(seeds)) || wantMetrics.Stores != int64(len(seeds)) {
-		t.Fatalf("batch should miss+store once per unique digest: %+v", *wantMetrics)
-	}
-}
-
-// Dup-heavy concurrent batch for the -race detector: duplicates share
-// one solve and fan out decoded copies.
-func TestRunBatchDupHeavyRace(t *testing.T) {
-	var jobs []BatchJob
-	for i := 0; i < 16; i++ {
-		jobs = append(jobs, BatchJob{Chip: chip.IVD(), Assay: assay.IVD(), Opts: smallOpts(int64(41 + i%4))})
-	}
-	cc, err := NewCache(CacheConfig{})
+	res, err := RunDFTFlow(chip.IVD(), assay.IVD(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RunBatchCtx(context.Background(), jobs, BatchOptions{Parallel: 8, Cache: cc})
-	for i, r := range out {
-		if r.Err != nil {
-			t.Fatalf("job %d: %v", i, r.Err)
+	if got := artifactCounters(res); got != nil {
+		t.Fatalf("uncacheable run reported an artifact stage: %v", got)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Fatalf("uncacheable run stored %d files", len(files))
+	}
+}
+
+// A cancelled flow still returns its Interrupted result, but that result
+// is never stored: a later request with the same inputs solves again.
+// Cancelling at the outer stage leaves the outer PSO with one evaluation,
+// whose augmentation fails on the dead context: the trace is [+Inf].
+func TestFlowCacheSkipsInterrupted(t *testing.T) {
+	cc, err := NewCache(CacheConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := smallOpts(51)
+	opts.Cache = cc
+	opts.Observer = cancelAt{stage: StageOuter, cancel: cancel}
+	res, err := RunDFTFlowCtx(ctx, chip.IVD(), assay.IVD(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Interrupted {
+		t.Fatal("result not marked Interrupted")
+	}
+	if len(res.Trace) == 0 || !math.IsInf(res.Trace[0], 1) {
+		t.Fatalf("trace %v, want it to start at +Inf", res.Trace)
+	}
+	if got := artifactCounters(res); got["art_miss"] != 1 || got["art_store"] != 0 {
+		t.Fatalf("interrupted run artifact counters %v, want art_miss=1 and no art_store", got)
+	}
+
+	opts.Observer = nil
+	again, err := RunDFTFlow(chip.IVD(), assay.IVD(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Interrupted {
+		t.Fatal("uncancelled request marked Interrupted")
+	}
+	if got := artifactCounters(again); got["art_miss"] != 1 || got["art_disk_hits"] != 0 {
+		t.Fatalf("second request artifact counters %v, want a miss that solves", got)
+	}
+}
+
+// Concurrent requests through one disk cache, for the -race detector:
+// goroutines that miss the same digest each solve and store it, and every
+// result, solved or served, encodes byte-equal to an uncached solve.
+func TestFlowCacheConcurrentRequests(t *testing.T) {
+	seeds := []int64{41, 42}
+	want := make(map[int64][]byte, len(seeds))
+	for _, seed := range seeds {
+		res, err := RunDFTFlow(chip.IVD(), assay.IVD(), smallOpts(seed))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Result == nil {
-			t.Fatalf("job %d: nil result", i)
+		want[seed], _ = EncodeResult(res)
+	}
+	cc, err := NewCache(CacheConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const requests = 8
+	got := make([][]byte, requests)
+	errs := make([]error, requests)
+	var wg sync.WaitGroup
+	for i := 0; i < requests; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			opts := smallOpts(seeds[i%len(seeds)])
+			opts.Cache = cc
+			res, err := RunDFTFlow(chip.IVD(), assay.IVD(), opts)
+			if err == nil {
+				got[i], err = EncodeResult(res)
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], want[seeds[i%len(seeds)]]) {
+			t.Fatalf("request %d (seed %d) differs from an uncached solve", i, seeds[i%len(seeds)])
 		}
 	}
 }
 
 // The suite pipeline's cache hits must decode to the same vectors as a
-// fresh generation, across both tiers.
+// fresh generation.
 func TestSuiteCacheRoundTrip(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "art")
-	cc, err := NewCache(CacheConfig{Dir: dir})
+	cc, err := NewCache(CacheConfig{Dir: filepath.Join(t.TempDir(), "art")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,31 +263,18 @@ func TestSuiteCacheRoundTrip(t *testing.T) {
 	}
 	hitEnc, _ := EncodeSuite(hit.Suite, hit.Coverage)
 	if !bytes.Equal(hitEnc, want) {
-		t.Fatal("memory-tier suite hit differs from fresh")
+		t.Fatal("suite disk hit differs from fresh")
 	}
-	if len(hit.Stats.Stages) != 1 || hit.Stats.Stages[0].Name != StageArtifact {
-		t.Fatalf("suite hit should report single artifact stage: %+v", hit.Stats)
-	}
-
-	cc2, err := NewCache(CacheConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk, err := RunSuite(c, SuiteRunOptions{Cache: cc2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diskEnc, _ := EncodeSuite(disk.Suite, disk.Coverage)
-	if !bytes.Equal(diskEnc, want) {
-		t.Fatal("disk-tier suite hit differs from fresh")
+	if len(hit.Stats.Stages) != 1 || hit.Stats.Stages[0].Name != StageArtifact ||
+		hit.Stats.Stages[0].Counters["art_disk_hits"] != 1 {
+		t.Fatalf("suite hit should report a single artifact stage with art_disk_hits=1: %+v", hit.Stats)
 	}
 }
 
 // The standalone test-set artifact (faultsim/chipinfo) round-trips
-// through both tiers.
+// through the disk cache.
 func TestBuildTestSetCache(t *testing.T) {
-	dir := t.TempDir()
-	cc, err := NewCache(CacheConfig{Dir: dir})
+	cc, err := NewCache(CacheConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,34 +295,19 @@ func TestBuildTestSetCache(t *testing.T) {
 	if !bytes.Equal(coldEnc, want) {
 		t.Fatal("cold cached test set differs from fresh")
 	}
-	mem, err := BuildTestSet(chip.IVD(), false, cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mem.Tier != "mem" {
-		t.Fatalf("second run tier %q, want mem", mem.Tier)
-	}
-	memEnc, _ := EncodeTestSet(mem)
-	if !bytes.Equal(memEnc, want) {
-		t.Fatal("memory-tier test set differs from fresh")
-	}
-	cc2, err := NewCache(CacheConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk, err := BuildTestSet(chip.IVD(), false, cc2)
+	disk, err := BuildTestSet(chip.IVD(), false, cc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if disk.Tier != "disk" {
-		t.Fatalf("fresh-process run tier %q, want disk", disk.Tier)
+		t.Fatalf("second run tier %q, want disk", disk.Tier)
 	}
 	diskEnc, _ := EncodeTestSet(disk)
 	if !bytes.Equal(diskEnc, want) {
-		t.Fatal("disk-tier test set differs from fresh")
+		t.Fatal("disk-hit test set differs from fresh")
 	}
 	// The optimal flag is part of the digest: no false sharing.
-	opt, err := BuildTestSet(chip.IVD(), true, cc2)
+	opt, err := BuildTestSet(chip.IVD(), true, cc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,34 +362,5 @@ type cancelAt struct {
 func (o cancelAt) StageStart(stage string) {
 	if stage == o.stage {
 		o.cancel()
-	}
-}
-
-// Duplicates of an interrupted job still get their own decoded copies.
-// Cancelling at the outer stage leaves the outer PSO with one evaluation,
-// whose augmentation fails on the dead context: the trace is [+Inf].
-func TestRunBatchInterruptedDuplicates(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	opts := smallOpts(51)
-	opts.Observer = cancelAt{stage: StageOuter, cancel: cancel}
-	job := BatchJob{Chip: chip.IVD(), Assay: assay.IVD(), Opts: opts}
-	out := RunBatchCtx(ctx, []BatchJob{job, job, job}, BatchOptions{Parallel: 1})
-	for i, r := range out {
-		if r.Err != nil {
-			t.Fatalf("job %d: %v", i, r.Err)
-		}
-		if !r.Result.Interrupted {
-			t.Fatalf("job %d: result not marked Interrupted", i)
-		}
-		if len(r.Result.Trace) == 0 || !math.IsInf(r.Result.Trace[0], 1) {
-			t.Fatalf("job %d: trace %v, want it to start at +Inf", i, r.Result.Trace)
-		}
-	}
-	if out[0].Result == out[1].Result || out[0].Result == out[2].Result || out[1].Result == out[2].Result {
-		t.Fatal("duplicate jobs share one *Result")
-	}
-	if !out[1].Shared || !out[2].Shared {
-		t.Fatal("duplicate jobs not marked shared")
 	}
 }

@@ -393,10 +393,9 @@ func RunDFTFlowCtx(ctx context.Context, c *chip.Chip, g *assay.Graph, opts Optio
 	}
 	d := flowDigest(c, g, opts)
 	decode := func(b []byte) (*Result, error) { return DecodeResult(c, b) }
-	if res, tier := lookup(cc, "flow", d, decode); tier != "" {
+	if res, hit := lookup(cc, "flow", d, decode); hit {
 		res.Runtime = time.Since(start)
-		res.Stats = artifactStats(opts.Observer, res.Runtime,
-			map[string]int64{"art_" + tier + "_hits": 1})
+		res.Stats = artifactStats(opts.Observer, res.Runtime)
 		return res, nil
 	}
 	res, err := runDFTFlowSolve(ctx, c, g, opts, start)

@@ -89,10 +89,9 @@ func RunSuiteCtx(ctx context.Context, c *chip.Chip, opts SuiteRunOptions) (*Suit
 			suite, cov, err := DecodeSuite(c, b)
 			return &SuiteRunResult{Suite: suite, Coverage: cov}, err
 		}
-		if res, tier := lookup(cc, "suite", digest, decode); tier != "" {
+		if res, hit := lookup(cc, "suite", digest, decode); hit {
 			res.Runtime = time.Since(start)
-			res.Stats = artifactStats(opts.Observer, res.Runtime,
-				map[string]int64{"art_" + tier + "_hits": 1})
+			res.Stats = artifactStats(opts.Observer, res.Runtime)
 			return res, nil
 		}
 	}

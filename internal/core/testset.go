@@ -23,8 +23,8 @@ type TestSet struct {
 	Cuts []fault.Vector
 	// Optimal records whether Cuts came from the exact set cover.
 	Optimal bool
-	// Tier reports how the set was obtained: "mem" or "disk" for a cache
-	// hit, "" for a fresh solve.
+	// Tier reports how the set was obtained: "disk" for an artifact
+	// cache hit, "" for a fresh solve.
 	Tier string
 }
 
@@ -112,8 +112,8 @@ func BuildTestSetCtx(ctx context.Context, c *chip.Chip, optimal bool, cc *Cache)
 	if cc != nil {
 		digest = testSetDigest(c, optimal)
 		decode := func(b []byte) (*TestSet, error) { return DecodeTestSet(c, b) }
-		if ts, tier := lookup(cc, "testset", digest, decode); tier != "" {
-			ts.Tier = tier
+		if ts, hit := lookup(cc, "testset", digest, decode); hit {
+			ts.Tier = "disk"
 			return ts, nil
 		}
 	}
